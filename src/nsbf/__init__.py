@@ -9,7 +9,7 @@ on the interval.  Both are assembled from formal powers of the potential
 by recursive integration on a uniform grid.
 """
 
-from .bessel import spherical_j_sequence
+from .bessel import spherical_j_sequence, spherical_j_table
 from .coefficients import (
     AlphaTable,
     BetaTable,
@@ -60,6 +60,7 @@ from .solution import (
     ErrorEnvelope,
     SolutionModel,
     build_model,
+    char_values,
     epsN_surrogate,
     error_envelope,
     eval_auto,

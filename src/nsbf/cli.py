@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -75,7 +74,7 @@ class RunConfig:
     N: int = 25
     omega_switch: float = 1.0
     fmt: str = "csv"
-    threads: int = field(default_factory=lambda: os.cpu_count() or 1)
+    threads: int = 1  # accepted for compatibility; has no effect
     representation: str = "auto"
     omegas: list = field(default_factory=list)
     xs: list = field(default_factory=list)
@@ -349,7 +348,7 @@ def cmd_eigs(cfg: RunConfig, out=None) -> int:
         model, omega_lo=cfg.omega_lo, omega_hi=cfg.omega_hi,
         representation=rep,
     )
-    results = find_eigenvalues(problem, cfg.count, threads=cfg.threads)
+    results = find_eigenvalues(problem, cfg.count)
     with_asymptotic = abs(cfg.b - math.pi) <= 1e-12
     Qb = float(np.asarray(model.Q, dtype=complex)[-1].real)
     columns = ["n", "lambda", "omega", "residual"]
@@ -401,7 +400,7 @@ def cmd_bench(cfg: RunConfig, out=None) -> int:
         sub = model.with_truncation(trunc)
         for rep in ("improved", "plain"):
             problem = EigProblem(sub, representation=rep)
-            res = find_eigenvalues(problem, count, threads=cfg.threads)
+            res = find_eigenvalues(problem, count)
             runs[(rep, trunc)] = np.array([r.lam for r in res])
 
     if cfg.reference:
@@ -461,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega-switch", type=float,
                        help="representation switch point (default 1)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--threads", type=int, help="scan worker count")
+        p.add_argument("--threads", type=int,
+                       help="accepted for compatibility; has no effect")
         if name == "solve":
             p.add_argument("--omega", action="append", default=None,
                            help="spectral parameter (repeatable)")

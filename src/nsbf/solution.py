@@ -21,20 +21,23 @@ and is verified against the independent integrator in the tests.
 
 ``eval_auto`` dispatches on |omega|: the improved form above an omega
 switch (default 1), the plain form below it, and the power series at
-omega = 0 exactly.
+omega = 0 exactly.  ``char_values`` evaluates the characteristic function
+s(omega, b) = Im u_N(omega, b)/omega, with its omega-derivative, for a whole
+array of real omegas at once.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
 
 from . import expr as expr_mod
-from .bessel import spherical_j_sequence
+from .bessel import spherical_j_sequence, spherical_j_table
 from .coefficients import (
     AlphaTable,
     BetaTable,
@@ -68,12 +71,15 @@ __all__ = [
     "eval_uN",
     "eval_auto",
     "sine_solution",
+    "char_values",
     "epsN_surrogate",
     "error_envelope",
 ]
 
 #: alpha rows kept beyond N+2 for the truncation-error surrogate
 DEFAULT_EXTRA_ROWS = 8
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -305,6 +311,75 @@ def sine_solution(
     ) / (2j * omega)
 
 
+def char_values(
+    model: SolutionModel,
+    omegas: np.ndarray,
+    representation: str = "improved",
+    derivative: bool = False,
+):
+    """s(omega, b) = Im u_N(omega, b)/omega for an array of real omegas > 0.
+
+    The batched form of ``sine_solution`` at x = b for a real potential:
+    one Bessel table for all omegas, and one real matrix product with the
+    imaginary part of the coefficient column i^n c_n(b) (with j_n real,
+    only that part reaches Im u_N).  With ``derivative=True`` it returns
+    (s, ds/domega), using j_n'(z) = j_{n-1}(z) - (n+1) j_n(z)/z (DLMF
+    10.51.2) and j_0' = -j_1.
+    """
+    if model.is_complex:
+        raise ValueError("char_values needs a real potential")
+    if representation == "improved":
+        table, n_top = model._alpha_c, model.N + 2
+    elif representation == "plain":
+        table, n_top = model._beta_c, model.N
+    else:
+        raise ValueError(f"unknown representation {representation!r}")
+    w = np.asarray(omegas, dtype=float)
+    if w.ndim != 1 or not np.all(w > 0):
+        raise ValueError("char_values needs a 1-D array of omega > 0")
+    M = model.grid.M
+    x = float(model.grid.nodes[M])
+    z = w * x
+    jn = spherical_j_table(n_top, z)
+    c = np.ascontiguousarray(
+        (model._ipow[: n_top + 1] * table[: n_top + 1, M]).imag
+    )
+    S = c @ jn[: n_top + 1]
+    sin, cos = np.sin(z), np.cos(z)
+    if representation == "plain":
+        im_u = sin + 2.0 * S
+    else:
+        q = float(model.q[M])
+        Q = float(model.Q[M])
+        q0 = model.q0.real
+        w2 = w * w
+        core = q / 4.0 - Q * Q / 8.0
+        im_u = (
+            sin * (1.0 + core / w2) - cos * Q / (2.0 * w)
+            + q0 * sin / (4.0 * w2) - 2.0 * S / w2
+        )
+    s = im_u / w
+    if not derivative:
+        return s
+    # sum c_n x j_n'(omega x), without forming the j_n' table
+    n1 = np.arange(2, n_top + 2)
+    dS = x * (
+        c[1:] @ jn[:n_top] - c[0] * jn[1]
+        - ((n1 * c[1:]) @ jn[1 : n_top + 1]) / z
+    )
+    if representation == "plain":
+        d_im_u = x * cos + 2.0 * dS
+    else:
+        w3 = w2 * w
+        d_im_u = (
+            x * cos * (1.0 + core / w2) - 2.0 * core * sin / w3
+            + x * sin * Q / (2.0 * w) + cos * Q / (2.0 * w2)
+            + q0 * (x * cos / (4.0 * w2) - sin / (2.0 * w3))
+            - 2.0 * dS / w2 + 4.0 * S / w3
+        )
+    return s, (d_im_u - s) / w
+
+
 def epsN_surrogate(
     model: SolutionModel, extra_rows: int | None = None
 ) -> np.ndarray:
@@ -346,17 +421,34 @@ def error_envelope(
 ) -> float:
     """Truncation-error envelope for the improved representation.
 
-    eps_hat_N(x) * sqrt(sinh(2 Im omega x)/Im omega) / |omega|^2, with the
-    real-omega limit sqrt(2x) applied for |Im omega| < 1e-8.
+    eps_hat_N(x) * sqrt(sinh(2 a x)/a) / |omega|^2 with a = |Im omega|,
+    evaluated as exp(a x) sqrt(-expm1(-4 a x)/(2 a)) so that sinh does
+    not overflow before the product does; the real-omega limit sqrt(2x)
+    applies for a < 1e-8.
+
+    Raises
+    ------
+    LimitError
+        If the envelope itself exceeds the float64 range.
     """
     if omega == 0:
         raise ZeroOmegaError("error envelope divides by omega^2")
     if eps is None:
         eps = epsN_surrogate(model)
     x = float(model.grid.nodes[x_index])
-    im = omega.imag if isinstance(omega, complex) else 0.0
-    if abs(im) < 1e-8:
-        factor = math.sqrt(2.0 * x)
-    else:
-        factor = math.sqrt(math.sinh(2.0 * im * x) / im)
-    return float(eps[x_index]) * factor / abs(omega) ** 2
+    a = abs(omega.imag) if isinstance(omega, complex) else 0.0
+    scale = float(eps[x_index]) / abs(omega) ** 2
+    if a < 1e-8:
+        return scale * math.sqrt(2.0 * x)
+    scale *= math.sqrt(-math.expm1(-4.0 * a * x) / (2.0 * a))
+    if scale == 0.0:
+        return 0.0
+    log_env = a * x + math.log(scale)
+    if log_env >= _LOG_FLOAT_MAX:
+        raise LimitError(
+            f"error envelope exp({log_env:.4g}) overflows float64 at "
+            f"omega={omega}, x={x:.6g}"
+        )
+    if a * x < _LOG_FLOAT_MAX:
+        return scale * math.exp(a * x)
+    return math.exp(log_env)

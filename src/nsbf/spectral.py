@@ -2,9 +2,23 @@
 
 Eigenvalues are the squares of the positive zeros of the characteristic
 function s(omega, b), the sine-type solution evaluated at the right
-endpoint.  The solver scans an omega grid for sign changes, refines each
-bracket by bisection plus one secant polish, and indexes the results from
-1 in increasing order.  An asymptotic eigenvalue formula (b = pi only)
+endpoint.  The solver works in three batched stages, each one
+``char_values`` call over many omegas at once:
+
+* scan: s on an omega grid of step h_scan, one call per scan window,
+  brackets every sign change (the range auto-extends until enough are
+  found);
+* refine: safeguarded Newton on all brackets together, from the secant
+  point of each, with the analytic ds/domega; a step that leaves its
+  bracket or fails to halve falls back to bisection, and a root stops
+  when its step is at most BRACKET_TOL * max(1, omega);
+* certify: s at omega -+ BRACKET_TOL * max(1, omega) / 2 must change
+  sign, which makes that the reported bracket width; a root that shows
+  no sign change there keeps bisecting its bracket down to the
+  tolerance.
+
+Results are indexed from 1 in increasing order.  ``char_function`` stays
+the scalar entry point.  An asymptotic eigenvalue formula (b = pi only)
 supplies the scan-range hint.
 """
 
@@ -12,7 +26,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +36,7 @@ from .errors import (
     UnsupportedIntervalError,
     ZeroOmegaError,
 )
-from .solution import SolutionModel, sine_solution
+from .solution import SolutionModel, char_values, sine_solution
 
 __all__ = [
     "EigProblem",
@@ -114,46 +127,96 @@ def asymptotic_eigenvalue(n: int, Qb: float, b: float) -> float:
     return (n + Qb / (2.0 * math.pi * n)) ** 2
 
 
-def _scan_values(problem: EigProblem, omegas: np.ndarray, threads: int):
-    f = lambda w: char_function(problem.model, w, problem.representation)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.fromiter(pool.map(f, omegas), dtype=float, count=len(omegas))
-    return np.fromiter((f(w) for w in omegas), dtype=float, count=len(omegas))
+def _shrink(bracket, i, w, s):
+    """Move the ends of brackets ``i`` in to the points ``w`` by the sign
+    of ``s`` there; points outside a bracket leave it as it is."""
+    lo, hi, s_lo, s_hi = bracket
+    left = np.sign(s) == np.sign(s_lo[i])
+    to_lo = left & (w > lo[i])
+    to_hi = ~left & (w < hi[i])
+    lo[i[to_lo]], s_lo[i[to_lo]] = w[to_lo], s[to_lo]
+    hi[i[to_hi]], s_hi[i[to_hi]] = w[to_hi], s[to_hi]
 
 
-def _refine(problem: EigProblem, lo: float, hi: float, s_lo: float, s_hi: float):
-    """Bisection to width BRACKET_TOL * max(1, omega), then a secant polish."""
-    f = lambda w: char_function(problem.model, w, problem.representation)
-    while hi - lo > BRACKET_TOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        s_mid = f(mid)
-        if s_mid == 0.0:
-            lo = hi = mid
-            s_lo = s_hi = s_mid
-            break
-        if (s_mid < 0) == (s_lo < 0):
-            lo, s_lo = mid, s_mid
-        else:
-            hi, s_hi = mid, s_mid
-    width = hi - lo
-    omega = 0.5 * (lo + hi)
-    if s_hi != s_lo:
-        secant = hi - s_hi * (hi - lo) / (s_hi - s_lo)
-        if lo <= secant <= hi:
-            omega = secant
-    return omega, abs(f(omega)), width
+def _refine(problem: EigProblem, lo, hi, s_lo, s_hi):
+    """Refine every bracket at once: (omega, residual, bracket width).
+
+    Safeguarded Newton from the secant point: a step that leaves its
+    bracket or is not at most half the previous step (a step that is not
+    finite is neither) is replaced by bisection, and every evaluation moves
+    a bracket end in.
+    A root stops once its step is at most BRACKET_TOL * max(1, omega), and
+    is then certified by a sign change across omega -+ half that width.
+    A root without one there keeps bisecting its bracket down to the
+    tolerance.  A degenerate bracket lo = hi (an exact zero found by the
+    scan) is returned as it is, with width 0.
+    """
+    model, rep = problem.model, problem.representation
+    bracket = lo, hi, s_lo, s_hi = [
+        np.array(a, dtype=float) for a in (lo, hi, s_lo, s_hi)
+    ]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        omega = hi - s_hi * (hi - lo) / (s_hi - s_lo)
+    omega = np.where((omega >= lo) & (omega <= hi), omega, 0.5 * (lo + hi))
+    last_step = hi - lo
+    newton = np.ones(len(lo), dtype=bool)
+    todo = np.arange(len(lo))
+    while todo.size:
+        w = omega[todo]
+        s, ds = char_values(model, w, rep, derivative=True)
+        _shrink(bracket, todo, w, s)
+        exact = todo[s == 0.0]
+        lo[exact] = hi[exact]
+        lo_t, hi_t = lo[todo], hi[todo]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -s / ds
+        tol = BRACKET_TOL * np.maximum(1.0, w)
+        closed = hi_t - lo_t <= tol
+        # a step below the spacing of floats may leave w where it is
+        settled = newton[todo] & ~closed & (np.abs(step) <= tol)
+        take = (
+            newton[todo] & (np.abs(step) <= 0.5 * last_step[todo])
+            & (w + step >= lo_t) & (w + step <= hi_t)
+        )
+        nxt = np.where(
+            settled, np.clip(w + step, lo_t, hi_t),
+            np.where(take, w + step, 0.5 * (lo_t + hi_t)),
+        )
+        omega[todo] = nxt
+        last_step[todo] = np.abs(nxt - w)
+        certify = todo[settled]
+        todo = todo[~closed & ~settled]
+        if certify.size:
+            half = 0.5 * BRACKET_TOL * np.maximum(1.0, omega[certify])
+            a, c = omega[certify] - half, omega[certify] + half
+            s_a, s_c = np.split(
+                char_values(model, np.concatenate([a, c]), rep), 2
+            )
+            ok = np.sign(s_a) * np.sign(s_c) <= 0
+            done = certify[ok]
+            lo[done], hi[done] = a[ok], c[ok]
+            s_lo[done], s_hi[done] = s_a[ok], s_c[ok]
+            again = certify[~ok]
+            _shrink(bracket, again, a[~ok], s_a[~ok])
+            _shrink(bracket, again, c[~ok], s_c[~ok])
+            newton[again] = False
+            omega[again] = 0.5 * (lo[again] + hi[again])
+            todo = np.concatenate([todo, again])
+    residual = np.abs(char_values(model, omega, rep))
+    return omega, residual, hi - lo
 
 
 def find_eigenvalues(
-    problem: EigProblem, count: int, threads: int = 1
+    problem: EigProblem, count: int, threads: int | None = None
 ) -> list[EigResult]:
     """The lowest ``count`` Dirichlet eigenvalues lam_n = omega_n^2.
 
     Scans [omega_lo, omega_hi] with step h_scan for sign changes of the
     characteristic function and refines each bracket.  With omega_hi
     unset, the range grows automatically (guided by the asymptotic
-    spacing pi/b) until ``count`` roots are found.
+    spacing pi/b) until ``count`` roots are found.  ``threads`` is
+    accepted for compatibility and ignored: evaluation is batched in one
+    thread.
 
     Raises
     ------
@@ -172,51 +235,57 @@ def find_eigenvalues(
         else problem.omega_lo + (count + 2) * math.pi / b
     )
 
-    brackets: list[tuple[float, float, float, float]] = []
+    brackets = []  # per scan window: rows lo, hi, s_lo, s_hi
+    n_found = 0
     lo_edge = problem.omega_lo
     first_cell = True
     while True:
         n_cells = max(1, int(math.ceil((hi_target - lo_edge) / h)))
         omegas = lo_edge + h * np.arange(n_cells + 1)
-        values = _scan_values(problem, omegas, threads)
-        for i in range(n_cells):
-            s0, s1 = values[i], values[i + 1]
-            if s0 == 0.0:
-                brackets.append((omegas[i], omegas[i], s0, s0))
-            elif (s0 < 0) != (s1 < 0):
-                if first_cell and i == 0:
-                    logger.warning(
-                        "characteristic function changes sign in the first "
-                        "scan cell; an eigenvalue below omega_lo=%g (or a "
-                        "zero eigenvalue, out of scope) may be missed",
-                        problem.omega_lo,
-                    )
-                brackets.append((omegas[i], omegas[i + 1], s0, s1))
-            if len(brackets) >= count:
-                break
+        values = char_values(model, omegas, problem.representation)
+        s0, s1 = values[:-1], values[1:]
+        exact = s0 == 0.0
+        change = ~exact & ((s0 < 0) != (s1 < 0))
+        cells = np.flatnonzero(exact | change)[: count - n_found]
+        if first_cell and cells.size and cells[0] == 0 and change[0]:
+            logger.warning(
+                "characteristic function changes sign in the first "
+                "scan cell; an eigenvalue below omega_lo=%g (or a "
+                "zero eigenvalue, out of scope) may be missed",
+                problem.omega_lo,
+            )
+        # an exact zero at a scan point is its own degenerate bracket
+        at = exact[cells]
+        brackets.append(np.stack([
+            omegas[cells], np.where(at, omegas[cells], omegas[cells + 1]),
+            s0[cells], np.where(at, s0[cells], s1[cells]),
+        ]))
+        n_found += cells.size
         first_cell = False
-        if len(brackets) >= count:
+        if n_found >= count:
             break
         if not auto:
             raise RangeExhaustedError(
-                f"found {len(brackets)} sign changes in "
+                f"found {n_found} sign changes in "
                 f"[{problem.omega_lo:.6g}, {hi_target:.6g}], need {count}"
             )
         if hi_target > problem.omega_lo + 10.0 * (count + 2) * math.pi / b:
             raise RangeExhaustedError(
                 f"auto-extended scan reached omega={hi_target:.6g} with only "
-                f"{len(brackets)} of {count} eigenvalues"
+                f"{n_found} of {count} eigenvalues"
             )
         lo_edge = omegas[-1]
-        hi_target = lo_edge + max(5, count - len(brackets) + 2) * math.pi / b
+        hi_target = lo_edge + max(5, count - n_found + 2) * math.pi / b
 
-    results = []
-    for k, (lo, hi, s_lo, s_hi) in enumerate(brackets[:count], start=1):
-        if lo == hi:
-            results.append(EigResult(k, lo, lo * lo, 0.0, 0.0))
-            continue
-        omega, residual, width = _refine(problem, lo, hi, s_lo, s_hi)
-        results.append(EigResult(k, omega, omega * omega, residual, width))
+    omega, residual, width = _refine(
+        problem, *np.concatenate(brackets, axis=1)
+    )
+    results = [
+        EigResult(k, w, w * w, r, d)
+        for k, (w, r, d) in enumerate(
+            zip(omega.tolist(), residual.tolist(), width.tolist()), start=1
+        )
+    ]
 
     spacing = math.pi / b
     for a, c in zip(results, results[1:]):

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nsbf import LimitError, spherical_j_sequence
+from nsbf import LimitError, spherical_j_sequence, spherical_j_table
 
 mp.mp.dps = 40
 
@@ -111,3 +111,37 @@ def test_imaginary_overflow_guard():
         spherical_j_sequence(10, 1.0 + 701.0j)
     seq = spherical_j_sequence(3, 1.0 + 650.0j)
     assert np.all(np.isfinite(seq.view(float)))
+
+
+@pytest.mark.parametrize("N", [4, 25, 27])
+def test_table_matches_scalar_sequence(N):
+    # every branch: the tiny-z series, Miller (including near zeros of j_0,
+    # where the normalization switches to j_1), and upward recurrence on
+    # both sides of z = N
+    z = np.array([
+        1e-9, 0.05, 0.78, math.pi, math.pi + 1e-9, 2 * math.pi - 1e-10,
+        3 * math.pi, N - 0.5, N + 0.5, 1500.0,
+    ])
+    table = spherical_j_table(N, z)
+    assert table.shape == (N + 2, z.size)
+    for k, zk in enumerate(z):
+        seq = spherical_j_sequence(N + 1, float(zk))
+        err = np.abs(table[:, k] - seq) / np.maximum(1.0, np.abs(seq))
+        assert float(np.max(err)) <= 1e-14, zk
+
+
+def test_table_renormalizes_tiny_arguments():
+    # backward recurrence from order 180 at z = 1e-6 passes 1e250 many times
+    z = np.array([1e-6, 1e-4, 0.5])
+    table = spherical_j_table(119, z)
+    assert np.all(np.isfinite(table))
+    for k, zk in enumerate(z):
+        seq = spherical_j_sequence(120, float(zk))
+        assert float(np.max(np.abs(table[:, k] - seq))) <= 1e-14
+
+
+def test_table_input_validation():
+    with pytest.raises(LimitError):
+        spherical_j_table(121, np.array([1.0]))
+    with pytest.raises(ValueError):
+        spherical_j_table(5, np.array([0.0, 1.0]))

@@ -53,6 +53,17 @@ class TestSolveCommand:
         got = float(rows[0][2]) + 1j * float(rows[0][3])
         assert abs(got - exact) < 1e-10
 
+    def test_large_imaginary_omega_envelope_finite(self):
+        # sinh(2 Im(omega) x) overflows here; the envelope itself does not
+        rc, out = run_cli(
+            ["solve", "--potential", "exp(x)", "--omega", "200+120j",
+             "--x", "3"]
+        )
+        assert rc == 0
+        _, rows = data_rows(out)
+        env = float(rows[0][4])
+        assert math.isfinite(env) and env > 0.0
+
     def test_zero_omega_improved_is_exit_3(self):
         rc, _ = run_cli(
             ["solve", "--potential", "0", "--omega", "0", "--x", "1",

@@ -6,7 +6,9 @@ import pytest
 
 from nsbf import (
     ZeroOmegaError,
+    LimitError,
     build_model,
+    char_values,
     epsN_surrogate,
     error_envelope,
     eval_auto,
@@ -188,6 +190,33 @@ class TestSineSolution:
             sine_solution(model_exp, 0.0, 10)
 
 
+class TestCharValues:
+    OMEGAS = np.array([0.25, 0.7, 2.23, 8.7, 30.1, 120.3, 459.9])
+
+    @pytest.mark.parametrize("rep", ["improved", "plain"])
+    def test_matches_scalar_sine_solution(self, model_exp, rep):
+        j = model_exp.grid.M
+        got = char_values(model_exp, self.OMEGAS, rep)
+        for w, s in zip(self.OMEGAS, got):
+            ref = sine_solution(model_exp, float(w), j, representation=rep)
+            # s is of size 1/omega away from its zeros
+            assert abs(s - ref) <= 1e-14 * max(abs(ref), 1.0 / w)
+
+    @pytest.mark.parametrize("rep", ["improved", "plain"])
+    def test_derivative_against_finite_differences(self, model_exp, rep):
+        w = self.OMEGAS
+        s, ds = char_values(model_exp, w, rep, derivative=True)
+        assert np.array_equal(s, char_values(model_exp, w, rep))
+        h = 1e-5 * np.maximum(1.0, w)
+        f = lambda d: char_values(model_exp, w + d, rep)
+        fd = (8.0 * (f(h) - f(-h)) - (f(2 * h) - f(-2 * h))) / (12.0 * h)
+        assert np.all(np.abs(ds - fd) <= 1e-7 * np.abs(fd))
+
+    def test_rejects_nonpositive_omega(self, model_exp):
+        with pytest.raises(ValueError):
+            char_values(model_exp, np.array([1.0, 0.0]))
+
+
 class TestErrorEnvelope:
     def test_zero_potential_surrogate_vanishes(self, model_zero):
         assert float(np.max(epsN_surrogate(model_zero))) == 0.0
@@ -212,6 +241,27 @@ class TestErrorEnvelope:
         a = error_envelope(model_exp, 5.0 + 1e-12j, j)
         b = error_envelope(model_exp, 5.0, j)
         assert a == pytest.approx(b, rel=1e-9)
+
+    def test_complex_omega_matches_sinh_form(self, model_exp):
+        eps = epsN_surrogate(model_exp)
+        for j in (50, 999, model_exp.grid.M):
+            x = float(model_exp.grid.nodes[j])
+            for im in (1e-6, 0.3, -2.0, 7.5, 50.0 / x):
+                w = 4.0 + 1j * im
+                direct = (
+                    float(eps[j]) * math.sqrt(math.sinh(2 * im * x) / im)
+                    / abs(w) ** 2
+                )
+                env = error_envelope(model_exp, w, j, eps)
+                assert env == pytest.approx(direct, rel=1e-14)
+
+    def test_large_imaginary_part_stays_finite(self, model_exp):
+        # sinh(2 * 120 * 3) overflows; the envelope, about 1e149, does not
+        j = model_exp.grid.nearest_index(3.0)
+        env = error_envelope(model_exp, 200 + 120j, j)
+        assert math.isfinite(env) and env > 0.0
+        with pytest.raises(LimitError):
+            error_envelope(model_exp, 1 + 300j, model_exp.grid.M)
 
     def test_complex_omega_positive(self, model_exp):
         env = error_envelope(model_exp, 3 + 2j, model_exp.grid.M)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import nsbf.spectral as spectral
 from nsbf import (
     ConfigError,
     EigProblem,
@@ -81,6 +82,63 @@ class TestFindEigenvalues:
         a = find_eigenvalues(EigProblem(model_exp), 5, threads=1)
         b = find_eigenvalues(EigProblem(model_exp), 5, threads=4)
         assert [r.lam for r in a] == [r.lam for r in b]
+
+
+SOLVER_POTENTIALS = ("exp(x)", "1/(x+0.1)^2", "-0.9")
+
+
+@pytest.fixture(scope="module")
+def solver_models(model_exp):
+    return {
+        "exp(x)": model_exp,
+        "1/(x+0.1)^2": build_model("1/(x+0.1)^2", PI, 1998, 25),
+        "-0.9": build_model("-0.9", PI, 1998, 25),
+    }
+
+
+def scalar_bisection_root(model, rep, lo, hi):
+    """Bisect char_function on [lo, hi] until the midpoint is a float end."""
+    s_lo = char_function(model, lo, rep)
+    assert (s_lo < 0) != (char_function(model, hi, rep) < 0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        s_mid = char_function(model, mid, rep)
+        if s_mid == 0.0:
+            return mid
+        if (s_mid < 0) == (s_lo < 0):
+            lo, s_lo = mid, s_mid
+        else:
+            hi = mid
+
+
+class TestBatchedSolver:
+    @pytest.mark.parametrize("rep", ["improved", "plain"])
+    @pytest.mark.parametrize("trunc", [15, 25])
+    @pytest.mark.parametrize("potential", SOLVER_POTENTIALS)
+    def test_agrees_with_scalar_bisection(
+        self, solver_models, monkeypatch, potential, trunc, rep
+    ):
+        model = solver_models[potential].with_truncation(trunc)
+        evaluated = []
+        batched = spectral.char_values
+
+        def counting(model, omegas, *args, **kwargs):
+            evaluated.append(len(omegas))
+            return batched(model, omegas, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "char_values", counting)
+        res = find_eigenvalues(EigProblem(model, representation=rep), 460)
+        assert [r.index for r in res] == list(range(1, 461))
+        assert sum(evaluated) <= 14 * 460
+        for r in res:
+            assert r.bracket_width <= 1e-13 * max(1.0, r.omega) * 1.01
+        for r in res[::23]:
+            w = scalar_bisection_root(
+                model, rep, r.omega - 0.05, r.omega + 0.05
+            )
+            assert abs(r.lam - w * w) <= 1e-12 * w * w
 
 
 class TestEigProblemValidation:
