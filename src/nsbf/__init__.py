@@ -57,7 +57,6 @@ from .grid import (
     solve_homogeneous,
 )
 from .solution import (
-    ErrorEnvelope,
     SolutionModel,
     build_model,
     char_values,

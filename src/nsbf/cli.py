@@ -8,8 +8,10 @@ Four subcommands over a shared configuration:
 * ``bench``   compare both representations against the reference integrator
 
 Configuration may come from a JSON file (``--config``, schema 1) with any
-field overridable on the command line; flags win.  Potentials are either
-expression text (``--potential``) or a tabulated two/three-column file
+field overridable on the command line; flags win.  The fields of
+``RunConfig`` declare the options: each field name is its config key and
+the ``dest`` of its flag.  Potentials are either expression text
+(``--potential``) or a tabulated two/three-column file
 (``--potential-file``, header ``# tabulated-potential v1``); tabulated
 input is resampled onto the working grid by local degree-6 interpolation
 when the grids differ, and that is flagged in the output metadata.
@@ -21,10 +23,12 @@ Exit codes: 0 success, 2 config/parse errors, 3 evaluation errors,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -73,34 +77,58 @@ class RunConfig:
     M: int = 1998
     N: int = 25
     omega_switch: float = 1.0
-    fmt: str = "csv"
-    threads: int = 1  # accepted for compatibility; has no effect
+    format: str = "csv"
     representation: str = "auto"
-    omegas: list = field(default_factory=list)
-    xs: list = field(default_factory=list)
+    omega: list = field(default_factory=list)
+    x: list = field(default_factory=list)
     count: int | None = None
     omega_lo: float | None = None
     omega_hi: float | None = None
     reference: str | None = None
-    resampled: bool = False
+    resampled: bool = field(default=False, init=False)
 
     def validate(self):
         if (self.potential is None) == (self.potential_file is None):
             raise ConfigError(
                 "exactly one of --potential / --potential-file is required"
             )
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
+        if not 0.0 < self.b < math.inf:
+            raise ConfigError(f"b must be positive and finite, got {self.b}")
+        if self.N < 0:
+            raise ConfigError(f"N must be >= 0, got {self.N}")
+        if not 0.0 <= self.omega_switch < math.inf:
+            raise ConfigError(
+                f"omega_switch must be >= 0 and finite, got {self.omega_switch}"
+            )
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"unknown format {self.format!r}")
         if self.representation not in ("auto", "improved", "plain"):
             raise ConfigError(f"unknown representation {self.representation!r}")
+        for text in self.omega:
+            if not cmath.isfinite(_parse_omega(str(text))):
+                raise ConfigError(f"omega must be finite, got {text!r}")
+        for value in self.x:
+            try:
+                x = float(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"cannot parse x value {value!r}") from None
+            if not 0.0 <= x <= self.b:
+                raise ConfigError(f"x={value!r} lies outside [0, b={self.b}]")
+        if self.count < 1:
+            raise ConfigError(f"count must be >= 1, got {self.count}")
+        for name in ("omega_lo", "omega_hi"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
 
 
-_CONFIG_KEYS = {
-    "potential": str, "potential_file": str, "b": float, "M": int, "N": int,
-    "omega_switch": float, "format": str, "threads": int,
-    "representation": str, "omega": list, "x": list, "count": int,
-    "omega_lo": float, "omega_hi": float, "reference": str,
-}
+def _fits(value, annotation) -> bool:
+    """Whether a JSON value has a field's annotated type; an int fits a
+    float field, a bool fits nothing."""
+    allowed = typing.get_args(annotation) or (annotation,)
+    if float in allowed:
+        allowed += (int,)
+    return isinstance(value, allowed) and not isinstance(value, bool)
 
 
 def load_config(path: str) -> dict:
@@ -109,16 +137,25 @@ def load_config(path: str) -> dict:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
     if raw.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(
             f"config schema must be {CONFIG_SCHEMA}, got {raw.get('schema')!r}"
         )
+    hints = typing.get_type_hints(RunConfig)
+    options = {f.name for f in fields(RunConfig) if f.init}
     out = {}
     for key, value in raw.items():
         if key == "schema":
             continue
-        if key not in _CONFIG_KEYS:
+        if key not in options:
             raise ConfigError(f"unknown config field {key!r}")
+        if not _fits(value, hints[key]):
+            kind = getattr(hints[key], "__name__", hints[key])
+            raise ConfigError(
+                f"config field {key!r} must be {kind}, got {value!r}"
+            )
         out[key] = value
     return out
 
@@ -222,7 +259,7 @@ def _fmt(v) -> str:
 def _emit(cfg: RunConfig, command: str, metadata: dict, columns: list,
           rows: list, summary: list | None = None, out=None):
     out = out or sys.stdout
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         doc = {
             "schema": CONFIG_SCHEMA,
             "command": command,
@@ -313,9 +350,9 @@ def _parse_omega(text: str) -> complex:
 
 def cmd_solve(cfg: RunConfig, out=None) -> int:
     """Evaluate the solution at each (omega, x) pair of the request."""
-    if not cfg.omegas:
+    if not cfg.omega:
         raise ConfigError("solve needs at least one --omega")
-    if not cfg.xs:
+    if not cfg.x:
         raise ConfigError("solve needs at least one --x")
     model, _, desc = _build(cfg)
     eps = epsN_surrogate(model)
@@ -325,9 +362,9 @@ def cmd_solve(cfg: RunConfig, out=None) -> int:
         "plain": eval_uN_tilde,
     }[cfg.representation]
     rows = []
-    for w_text in cfg.omegas:
+    for w_text in cfg.omega:
         w = _parse_omega(str(w_text))
-        for x_req in cfg.xs:
+        for x_req in cfg.x:
             x_req = float(x_req)
             j = model.grid.nearest_index(x_req)
             u = evaluator(model, w, j)
@@ -460,13 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega-switch", type=float,
                        help="representation switch point (default 1)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--threads", type=int,
-                       help="accepted for compatibility; has no effect")
         if name == "solve":
             p.add_argument("--omega", action="append", default=None,
                            help="spectral parameter (repeatable)")
             p.add_argument("--x", action="append", type=float, default=None,
-                           help="evaluation point (repeatable)")
+                           help="evaluation point in [0, b] (repeatable)")
             p.add_argument("--representation",
                            choices=("auto", "improved", "plain"),
                            help="which representation to evaluate")
@@ -484,22 +519,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        for key, value in load_config(args.config).items():
-            attr = {"format": "fmt", "omega": "omegas", "x": "xs"}.get(key, key)
-            setattr(cfg, attr, value)
-    overrides = {
-        "potential": "potential", "potential_file": "potential_file",
-        "b": "b", "M": "M", "N": "N", "omega_switch": "omega_switch",
-        "format": "fmt", "threads": "threads", "count": "count",
-        "omega_lo": "omega_lo", "omega_hi": "omega_hi",
-        "reference": "reference", "representation": "representation",
-        "omega": "omegas", "x": "xs",
-    }
-    for arg_name, attr in overrides.items():
-        if hasattr(args, arg_name) and getattr(args, arg_name) is not None:
-            setattr(cfg, attr, getattr(args, arg_name))
+    values = load_config(args.config) if args.config else {}
+    for f in fields(RunConfig):
+        flag = getattr(args, f.name, None)
+        if flag is not None:
+            values[f.name] = flag
+    cfg = RunConfig(**values)
     if cfg.count is None:
         cfg.count = 460 if args.command == "bench" else 10
     cfg.validate()

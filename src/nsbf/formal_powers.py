@@ -116,6 +116,15 @@ def _check_nonvanishing(f0: SampledFunction):
         raise NearVanishingError(
             f"min |f0| = {fmin:.3e} <= {F0_MIN}; use the nonvanishing route"
         )
+    # a zero of a real solution is simple (a double zero would force
+    # f0 = 0), so one that falls between two nodes shows as a sign change
+    if not f0.is_complex:
+        sign = np.signbit(f0.values)
+        if np.any(sign[1:] != sign[:-1]):
+            raise NearVanishingError(
+                "f0 changes sign between grid nodes; use the nonvanishing "
+                "route"
+            )
 
 
 def recursive_integrals(
@@ -130,8 +139,8 @@ def recursive_integrals(
     Raises
     ------
     NearVanishingError
-        If min |f0| <= 1e-3; the caller should switch to the nonvanishing
-        route.
+        If min |f0| <= 1e-3, or a real f0 changes sign between nodes; the
+        caller should switch to the nonvanishing route.
     """
     _check_nonvanishing(f0)
     D, Dt = _deviation_recursion(f0, k_max)

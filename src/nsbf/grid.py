@@ -36,6 +36,10 @@ __all__ = [
 PIPELINE_DTYPE = np.longdouble
 PIPELINE_CDTYPE = np.clongdouble
 
+#: Picard iteration cap and stopping tolerance in solve_homogeneous
+PICARD_MAX_ITER = 200
+PICARD_RTOL = 1e-15
+
 
 def _block_weights() -> np.ndarray:
     """Cumulative Newton-Cotes weights on a 6-subinterval block.
@@ -180,36 +184,36 @@ def _sup(values: np.ndarray) -> float:
 
 
 def solve_homogeneous(
-    q: SampledFunction, max_iter: int = 200, rtol: float = 1e-15
+    q: SampledFunction
 ) -> tuple[SampledFunction, SampledFunction]:
     """Particular solutions of f'' = q f by Picard iteration.
 
     Returns (f0, f1) with f0(0)=1, f0'(0)=0 and f1(0)=0, f1'(0)=1.  Each is
     the series sum of g_0 = 1 (resp. g_0 = x) and
     g_{m+1}(x) = int_0^x int_0^s q g_m.  Iteration stops when the sup norm
-    of the last increment drops below rtol * (1 + sup|partial sum|).
+    of the last increment drops below PICARD_RTOL * (1 + sup|partial sum|).
 
     Raises
     ------
     ConvergenceError
-        If max_iter increments do not reach the tolerance (b too large or
-        q too rough for the grid).
+        If PICARD_MAX_ITER increments do not reach the tolerance (b too
+        large or q too rough for the grid).
     """
     grid = q.grid
     results = []
     for seed in (np.ones_like(q.values), np.asarray(grid.nodes, dtype=q.values.dtype)):
         g = SampledFunction(grid, seed)
         total = seed.copy()
-        for _ in range(max_iter):
+        for _ in range(PICARD_MAX_ITER):
             inner = indefinite_integral(SampledFunction(grid, q.values * g.values))
             g = indefinite_integral(inner)
             total = total + g.values
-            if _sup(g.values) < rtol * (1.0 + _sup(total)):
+            if _sup(g.values) < PICARD_RTOL * (1.0 + _sup(total)):
                 break
         else:
             raise ConvergenceError(
-                f"Picard iteration did not converge in {max_iter} iterations "
-                f"(last increment {_sup(g.values):.3e})"
+                f"Picard iteration did not converge in {PICARD_MAX_ITER} "
+                f"iterations (last increment {_sup(g.values):.3e})"
             )
         results.append(SampledFunction(grid, total))
     return results[0], results[1]

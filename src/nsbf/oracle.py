@@ -9,10 +9,10 @@ exact matrix exponential of
 
 A_i being the coefficient matrix at the two Gauss nodes of the step.
 Steps are controlled adaptively by an embedded full-step/two-half-steps
-pair at tolerance 1e-12 by default.  Because the propagator is exponential
-the accuracy is uniform in the spectral parameter: unlike a Runge-Kutta
-oracle, the phase error does not grow with omega, which is what makes
-residual comparisons at omega ~ 1000 meaningful in double precision.
+pair at the fixed relative tolerance RTOL = 1e-12.  Because the propagator
+is exponential the accuracy is uniform in the spectral parameter: unlike a
+Runge-Kutta oracle, the phase error does not grow with omega, which is what
+makes residual comparisons at omega ~ 1000 meaningful in double precision.
 
 All entry points are vectorized over a batch of spectral parameters; the
 step size is shared across the batch (controlled by the worst member).
@@ -38,6 +38,11 @@ _C2 = 0.5 + math.sqrt(3.0) / 6.0
 _SQRT3_12 = math.sqrt(3.0) / 12.0
 
 MAX_STEPS = 1_000_000
+#: embedded-pair tolerances of the adaptive step control
+RTOL = 1e-12
+ATOL = 1e-14
+#: secant/bisection sweeps allowed to polish the reference eigenvalues
+MAX_SWEEPS = 80
 
 
 def _apply_step(
@@ -76,13 +81,7 @@ def _apply_step(
 
 
 def propagate(
-    q,
-    b: float,
-    lam: np.ndarray,
-    y0: np.ndarray,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
-    extended: bool = False,
+    q, b: float, lam: np.ndarray, y0: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """Integrate the system from 0 to b for every lam in the batch.
 
@@ -97,14 +96,6 @@ def propagate(
     y0 : array_like
         Initial values, shape (2,) broadcast over the batch or (2, K);
         rows are (u(0), u'(0)).  May be complex.
-    rtol, atol : float
-        Embedded pair tolerances.
-    extended : bool
-        Run the propagation in extended precision.  The phase accumulated
-        over [0, b] is sqrt(lam)*b; in float64 its round-off alone costs
-        ~eps*sqrt(lam)*b, which at lam ~ 1e6 limits comparisons near
-        1e-12.  Extended precision pushes that floor three orders down,
-        at roughly double cost.
 
     Returns
     -------
@@ -116,14 +107,12 @@ def propagate(
     OracleError
         If the step count budget is exhausted.
     """
-    fdtype = np.longdouble if extended else np.float64
-    cdtype = np.clongdouble if extended else np.complex128
-    lam = np.atleast_1d(np.asarray(lam, dtype=fdtype))
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
     y0 = np.asarray(y0)
     if y0.ndim == 1:
         y0 = y0[:, None]
     y = np.array(np.broadcast_to(y0, (2, lam.size)))
-    y = y.astype(cdtype) if np.iscomplexobj(y) else y.astype(fdtype)
+    y = y.astype(complex) if np.iscomplexobj(y) else y.astype(float)
     scale = np.sqrt(np.maximum(np.abs(lam), 1.0))
     y = np.stack((y[0], y[1] / scale))
 
@@ -136,7 +125,7 @@ def propagate(
         y_mid = _apply_step(q, x, 0.5 * h, lam, scale, y)
         y_fine = _apply_step(q, x + 0.5 * h, 0.5 * h, lam, scale, y_mid)
 
-        tol_scale = atol + rtol * np.abs(y_fine)
+        tol_scale = ATOL + RTOL * np.abs(y_fine)
         err = float(np.max(np.abs(y_fine - y_big) / tol_scale))
         if err <= 1.0:
             # local extrapolation: the pair differs at O(h^5), so the
@@ -151,10 +140,7 @@ def propagate(
                 f"reference integrator exceeded {MAX_STEPS} steps "
                 f"(x={x:.6g}, h={h:.3e})"
             )
-    out = np.stack((y[0], y[1] * scale))
-    if extended:
-        out = out.astype(complex) if np.iscomplexobj(out) else out.astype(float)
-    return out, n_steps
+    return np.stack((y[0], y[1] * scale)), n_steps
 
 
 def _propagate_fixed_extended(
@@ -185,7 +171,7 @@ def _propagate_fixed_extended(
 
 
 def solution_reference(
-    q, b: float, omegas, rtol: float = 1e-12, extended: bool = False
+    q, b: float, omegas, extended: bool = False
 ) -> np.ndarray:
     """Reference values u(omega, b) with u(0)=1, u'(0)=i*omega.
 
@@ -202,24 +188,18 @@ def solution_reference(
         n_steps = int(max(16000, math.ceil(6.0 * float(np.max(np.abs(omegas))) * b)))
         y = _propagate_fixed_extended(q, b, lam, y0, n_steps)
         return y[0]
-    y, _ = propagate(q, b, lam, y0, rtol=rtol)
+    y, _ = propagate(q, b, lam, y0)
     return y[0]
 
 
-def characteristic_reference(q, b: float, lams, rtol: float = 1e-12) -> np.ndarray:
+def characteristic_reference(q, b: float, lams) -> np.ndarray:
     """Dirichlet shooting function s(lam) = u(b) with u(0)=0, u'(0)=1."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    y, _ = propagate(q, b, lams, np.array([0.0, 1.0]), rtol=rtol)
+    y, _ = propagate(q, b, lams, np.array([0.0, 1.0]))
     return y[0]
 
 
-def eigenvalues_reference(
-    q,
-    b: float,
-    seeds,
-    rtol: float = 1e-12,
-    max_sweeps: int = 80,
-) -> np.ndarray:
+def eigenvalues_reference(q, b: float, seeds) -> np.ndarray:
     """Refine approximate Dirichlet eigenvalues against the oracle.
 
     Each seed must lie closer to its true eigenvalue than to any other
@@ -239,8 +219,8 @@ def eigenvalues_reference(
     delta = np.maximum(1e-6, 1e-9 * np.abs(seeds))
     lo = seeds - delta
     hi = seeds + delta
-    s_lo = characteristic_reference(q, b, lo, rtol)
-    s_hi = characteristic_reference(q, b, hi, rtol)
+    s_lo = characteristic_reference(q, b, lo)
+    s_hi = characteristic_reference(q, b, hi)
 
     for _ in range(6):
         bad = np.sign(s_lo) == np.sign(s_hi)
@@ -249,8 +229,8 @@ def eigenvalues_reference(
         delta = np.where(bad, delta * 8.0, delta)
         lo = np.where(bad, seeds - delta, lo)
         hi = np.where(bad, seeds + delta, hi)
-        s_lo = np.where(bad, characteristic_reference(q, b, lo, rtol), s_lo)
-        s_hi = np.where(bad, characteristic_reference(q, b, hi, rtol), s_hi)
+        s_lo = np.where(bad, characteristic_reference(q, b, lo), s_lo)
+        s_hi = np.where(bad, characteristic_reference(q, b, hi), s_hi)
     else:
         raise OracleError(
             "could not bracket a reference eigenvalue near the provided seeds"
@@ -258,7 +238,7 @@ def eigenvalues_reference(
 
     # safeguarded secant: fall back to the midpoint whenever the secant
     # point leaves the bracket
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         width = hi - lo
         tol = np.maximum(1e-12, 1e-14 * np.abs(hi))
         if (width <= tol).all():
@@ -273,7 +253,7 @@ def eigenvalues_reference(
             | (cand >= hi - 0.01 * width)
         )
         cand = np.where(use_mid, mid, cand)
-        s_cand = characteristic_reference(q, b, cand, rtol)
+        s_cand = characteristic_reference(q, b, cand)
         left = np.sign(s_cand) == np.sign(s_lo)
         lo = np.where(left, cand, lo)
         s_lo = np.where(left, s_cand, s_lo)

@@ -65,7 +65,6 @@ from .grid import (
 
 __all__ = [
     "SolutionModel",
-    "ErrorEnvelope",
     "build_model",
     "eval_uN_tilde",
     "eval_uN",
@@ -77,7 +76,7 @@ __all__ = [
 ]
 
 #: alpha rows kept beyond N+2 for the truncation-error surrogate
-DEFAULT_EXTRA_ROWS = 8
+EXTRA_ROWS = 8
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -86,7 +85,7 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 class SolutionModel:
     """Immutable bundle from which u_N(omega, x) is evaluated for any omega.
 
-    The coefficient tables extend ``extra_rows`` beyond what the truncated
+    The coefficient tables extend ``EXTRA_ROWS`` beyond what the truncated
     sums use, so the same model serves the error surrogate and can be
     re-truncated downward with :meth:`with_truncation` at no cost.
     """
@@ -101,7 +100,6 @@ class SolutionModel:
     alpha: AlphaTable = field(repr=False)
     N: int
     omega_switch: float = 1.0
-    extra_rows: int = DEFAULT_EXTRA_ROWS
     # float64/complex128 copies of the hot arrays, for the evaluators
     _beta_c: np.ndarray = field(repr=False, default=None)
     _alpha_c: np.ndarray = field(repr=False, default=None)
@@ -141,17 +139,6 @@ class SolutionModel:
         return replace(self, N=N)
 
 
-@dataclass(frozen=True)
-class ErrorEnvelope:
-    """Per-node truncation-error surrogate with its omega envelope."""
-
-    model: SolutionModel
-    eps_surrogate: np.ndarray = field(repr=False)
-
-    def envelope(self, omega: complex, x_index: int) -> float:
-        return error_envelope(self.model, omega, x_index, self.eps_surrogate)
-
-
 QInput = Union[str, expr_mod.Expression, np.ndarray, SampledFunction]
 
 
@@ -186,7 +173,6 @@ def build_model(
     M: int = 1998,
     N: int = 25,
     omega_switch: float = 1.0,
-    extra_rows: int = DEFAULT_EXTRA_ROWS,
 ) -> SolutionModel:
     """Run the full coefficient pipeline and return an evaluation model.
 
@@ -207,7 +193,7 @@ def build_model(
     Q2 = indefinite_integral(SampledFunction(grid, q.values * q.values))
     f0, f1 = solve_homogeneous(q)
 
-    k_max = N + max(extra_rows, 2)
+    k_max = N + EXTRA_ROWS
     try:
         powers = formal_powers(f0, k_max)
     except NearVanishingError:
@@ -215,11 +201,11 @@ def build_model(
 
     leg = legendre_coeffs(k_max)
     beta = beta_coeffs(powers, leg, k_max)
-    alpha = build_alpha_table(q, Q, Q2, powers, beta, N + 2 + extra_rows)
+    alpha = build_alpha_table(q, Q, Q2, powers, beta, N + 2 + EXTRA_ROWS)
     return SolutionModel(
         grid, np.asarray(q.values), np.asarray(Q.values),
         np.asarray(Q2.values), complex(q.values[0]), powers, beta, alpha,
-        N, omega_switch, extra_rows,
+        N, omega_switch,
     )
 
 
@@ -380,29 +366,21 @@ def char_values(
     return s, (d_im_u - s) / w
 
 
-def epsN_surrogate(
-    model: SolutionModel, extra_rows: int | None = None
-) -> np.ndarray:
+def epsN_surrogate(model: SolutionModel) -> np.ndarray:
     """Computable tail estimate of the kernel truncation error, per node.
 
-    eps_hat_N(x) = sqrt( (2/x) sum_{n=N+3}^{N+2+extra} |alpha_n(x)|^2/(2n+1) ),
+    eps_hat_N(x) = sqrt( (2/x) sum_{n=N+3}^{N+2+E} |alpha_n(x)|^2/(2n+1) ),
 
-    the Parseval norm of the first ``extra_rows`` neglected expansion rows.
+    the Parseval norm of the first E = ``EXTRA_ROWS`` neglected expansion
+    rows.
     It is lower-biased by construction (a finite chunk of the tail); rows
     that fell below the coefficient noise floor contribute that floor
     instead, since the surrogate cannot see beneath it.
     """
-    if extra_rows is None:
-        extra_rows = model.extra_rows
-    top = model.N + 2 + extra_rows
-    if top > model.alpha.n_max:
-        raise ValueError(
-            f"surrogate needs alpha rows to {top}, table has {model.alpha.n_max}"
-        )
     grid = model.grid
     x = np.asarray(grid.nodes, dtype=float)
     acc = np.zeros(grid.M + 1)
-    for n in range(model.N + 3, top + 1):
+    for n in range(model.N + 3, model.N + 3 + EXTRA_ROWS):
         mag = np.maximum(
             np.abs(np.asarray(model.alpha.alpha[n], dtype=complex)),
             np.asarray(model.alpha.noise_floor[n], dtype=float),

@@ -66,34 +66,24 @@ class EigProblem:
     model: SolutionModel
     omega_lo: float | None = None
     omega_hi: float | None = None
-    h_scan: float | None = None
     representation: str = "improved"
-    boundary: str = "dirichlet"
 
     def __post_init__(self):
-        if self.boundary != "dirichlet":
-            raise ConfigError(
-                f"only Dirichlet boundary conditions are supported, got "
-                f"{self.boundary!r}"
-            )
         if self.model.is_complex:
             raise ConfigError(
                 "eigenvalue problems require a real-valued potential"
             )
-        b = self.model.grid.b
-        h = self.h_scan if self.h_scan is not None else math.pi / (4.0 * b)
-        if h > math.pi / (2.0 * b):
-            raise ConfigError(
-                f"h_scan={h:.6g} exceeds half the asymptotic root spacing "
-                f"pi/(2b)={math.pi / (2 * b):.6g}"
-            )
-        object.__setattr__(self, "h_scan", h)
-        lo = self.omega_lo if self.omega_lo is not None else h
+        lo = self.omega_lo if self.omega_lo is not None else self.h_scan
         if not lo > 0:
             raise ConfigError(f"omega_lo must be positive, got {lo}")
         object.__setattr__(self, "omega_lo", lo)
         if self.omega_hi is not None and self.omega_hi <= lo:
             raise ConfigError("omega_hi must exceed omega_lo")
+
+    @property
+    def h_scan(self) -> float:
+        """Scan step pi/(4b): a quarter of the asymptotic root spacing."""
+        return math.pi / (4.0 * self.model.grid.b)
 
 
 @dataclass(frozen=True)
@@ -206,17 +196,13 @@ def _refine(problem: EigProblem, lo, hi, s_lo, s_hi):
     return omega, residual, hi - lo
 
 
-def find_eigenvalues(
-    problem: EigProblem, count: int, threads: int | None = None
-) -> list[EigResult]:
+def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
     """The lowest ``count`` Dirichlet eigenvalues lam_n = omega_n^2.
 
     Scans [omega_lo, omega_hi] with step h_scan for sign changes of the
     characteristic function and refines each bracket.  With omega_hi
     unset, the range grows automatically (guided by the asymptotic
-    spacing pi/b) until ``count`` roots are found.  ``threads`` is
-    accepted for compatibility and ignored: evaluation is batched in one
-    thread.
+    spacing pi/b) until ``count`` roots are found.
 
     Raises
     ------

@@ -1,22 +1,36 @@
+import contextlib
 import io
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nsbf.cli import main
+from nsbf.cli import RunConfig, main
 
 PI = math.pi
 
 
 def run_cli(args):
     buf = io.StringIO()
-    import contextlib
-
     with contextlib.redirect_stdout(buf):
         rc = main(args)
     return rc, buf.getvalue()
+
+
+def run_cli_stderr(args):
+    """Exit code and stderr; an argparse rejection counts as its exit."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            rc = main(args)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
 
 
 def data_rows(text):
@@ -190,6 +204,95 @@ class TestConfigHandling:
         _, out1 = run_cli(args)
         _, out2 = run_cli(args)
         assert data_rows(out1) == data_rows(out2)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"M": "600"}, {"threads": 2}, {"omega": ["abc"]}, {"x": ["abc"]},
+         {"x": [[1.0]]}, {"count": 2.5}, {"b": True}],
+        ids=["M-string", "threads", "omega-item", "x-item", "x-nested",
+             "count-float", "b-bool"],
+    )
+    def test_bad_config_value_one_line_exit_2(self, tmp_path, extra):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {"schema": 1, "omega": ["1"], "x": [1.0], **extra}
+        ))
+        rc, err = run_cli_stderr(
+            ["solve", "--config", str(cfg), "--potential", "0", *FAST]
+        )
+        assert rc == 2
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_int_accepted_for_float_field(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {"schema": 1, "b": 3, "omega": [2], "x": [1]}
+        ))
+        rc, _ = run_cli(["solve", "--config", str(cfg), "--potential", "0",
+                         *FAST])
+        assert rc == 0
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eigs", "--count", "0"],
+            ["eigs", "--count", "-3"],
+            ["solve", "--omega", "inf", "--x", "1"],
+            ["solve", "--omega", "1e400", "--x", "1"],
+            ["solve", "--omega", "1", "--x", "nan"],
+            ["solve", "--omega", "1", "--x", "3.2"],
+            ["solve", "--omega", "1", "--x", "-0.5"],
+            ["solve", "--omega", "1", "--x", "1", "--N", "-1"],
+            ["solve", "--omega", "1", "--x", "1", "--omega-switch", "nan"],
+            ["solve", "--omega", "1", "--x", "1", "--b", "inf"],
+            ["eigs", "--count", "2", "--omega-hi", "nan"],
+        ],
+        ids=["count-0", "count-negative", "omega-inf", "omega-overflow",
+             "x-nan", "x-beyond-b", "x-negative", "N-negative",
+             "omega-switch-nan", "b-inf", "omega-hi-nan"],
+    )
+    def test_exit_2_without_traceback(self, args):
+        command, rest = args[0], args[1:]
+        rc, err = run_cli_stderr([command, "--potential", "0", *FAST, *rest])
+        assert rc == 2
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+
+#: every option of RunConfig as its flag, plus --config
+FLAGS = ["--config"] + [
+    "--" + f.name.replace("_", "-") for f in fields(RunConfig) if f.init
+]
+HOSTILE = ("0", "-1", "nan", "inf", "1e400", "abc", "", "3+4j", "600", "66")
+#: bench solves with the reference integrator for every root, so counts
+#: stay at most 3 to keep each example short
+COUNTS = tuple(t for t in HOSTILE if t not in ("600", "66")) + ("3",)
+
+
+@st.composite
+def hostile_argv(draw):
+    command = draw(st.sampled_from(("coeffs", "solve", "eigs", "bench")))
+    argv = [command, "--M", "66", "--potential", draw(st.sampled_from(HOSTILE))]
+    if command == "solve":
+        argv += ["--omega", draw(st.sampled_from(HOSTILE)),
+                 "--x", draw(st.sampled_from(HOSTILE))]
+    if command in ("eigs", "bench"):
+        argv += ["--count", draw(st.sampled_from(COUNTS))]
+    for flag in draw(st.lists(st.sampled_from(FLAGS), max_size=4)):
+        values = COUNTS if flag == "--count" else HOSTILE
+        argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@given(hostile_argv())
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    rc, err = run_cli_stderr(argv)
+    assert rc in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err
 
 
 class TestTabulatedPotential:

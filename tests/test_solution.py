@@ -18,7 +18,6 @@ from nsbf import (
     spps_eval,
 )
 from nsbf.oracle import solution_reference
-from nsbf.solution import ErrorEnvelope
 
 from conftest import const_q_solution
 
@@ -63,6 +62,17 @@ class TestBuildModel:
                 exact = cmath.cos(wp * x) + 1j * w * cmath.sin(wp * x) / wp
                 assert abs(eval_uN(model, w, j) - exact) < 1e-9
                 assert abs(eval_uN_tilde(model, w, j) - exact) < 5e-7
+
+    def test_zero_of_f0_between_nodes_takes_nonvanishing_route(self):
+        # f0 = cos(2x): its zeros pi/4 and 3 pi/4 fall midway between
+        # nodes, where |f0| stays above the 1e-3 floor (it is sin(h) there)
+        model = build_model("-4", PI, 1998, 25)
+        assert model.powers.used_nonvanishing
+        w, j = 2.5, 999
+        x = float(model.grid.nodes[j])
+        k = math.sqrt(w * w + 4.0)
+        exact = math.cos(k * x) + 1j * w * math.sin(k * x) / k
+        assert abs(eval_auto(model, w, j) - exact) <= 1e-12 * abs(exact)
 
 
 class TestEvalPlainRepresentation:
@@ -280,10 +290,3 @@ class TestErrorEnvelope:
     def test_zero_omega_rejected(self, model_exp):
         with pytest.raises(ZeroOmegaError):
             error_envelope(model_exp, 0.0, 10)
-
-    def test_envelope_bundle(self, model_exp):
-        bundle = ErrorEnvelope(model_exp, epsN_surrogate(model_exp))
-        j = model_exp.grid.M
-        assert bundle.envelope(9.0, j) == error_envelope(
-            model_exp, 9.0, j, bundle.eps_surrogate
-        )
