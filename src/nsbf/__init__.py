@@ -14,15 +14,12 @@ from .coefficients import (
     AlphaTable,
     BetaTable,
     LegendreCoeffs,
-    MomentTable,
     accuracy_indicators,
-    alpha_direct,
     alpha_recurrence,
     alpha_seed,
     beta_coeffs,
     build_alpha_table,
     legendre_coeffs,
-    moment_table,
 )
 from .errors import (
     ConfigError,
@@ -44,7 +41,6 @@ from .formal_powers import (
     FormalPowersTable,
     formal_powers,
     formal_powers_nonvanishing,
-    recursive_integrals,
     spps_eval,
 )
 from .grid import (

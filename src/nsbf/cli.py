@@ -256,8 +256,23 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
+def _fmt_array(a) -> list[str]:
+    """``_fmt`` over every value of a float array, flattened in C order,
+    as one string-formatting operation."""
+    a = np.asarray(a, dtype=float).ravel()
+    if not (a.any() or np.signbit(a).any()):
+        return ["0"] * a.size  # all +0.0: the imaginary part of a real table
+    values = a.tolist()
+    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
+def _cells(rows: list) -> list[list[str]]:
+    return [[_fmt(v) for v in row] for row in rows]
+
+
 def _emit(cfg: RunConfig, command: str, metadata: dict, columns: list,
-          rows: list, summary: list | None = None, out=None):
+          cells: list, summary: list | None = None, out=None):
+    """Write a table whose cells are already formatted strings."""
     out = out or sys.stdout
     if cfg.format == "json":
         doc = {
@@ -265,7 +280,7 @@ def _emit(cfg: RunConfig, command: str, metadata: dict, columns: list,
             "command": command,
             "metadata": metadata,
             "columns": columns,
-            "rows": [[_fmt(v) for v in row] for row in rows],
+            "rows": cells,
         }
         if summary:
             doc["summary"] = summary
@@ -276,8 +291,7 @@ def _emit(cfg: RunConfig, command: str, metadata: dict, columns: list,
     for key in sorted(metadata):
         out.write(f"# {key}: {metadata[key]}\n")
     out.write(",".join(columns) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+    out.writelines(",".join(row) + "\n" for row in cells)
     for line in summary or []:
         out.write(f"# {line}\n")
 
@@ -323,20 +337,23 @@ def cmd_coeffs(cfg: RunConfig, out=None) -> int:
     md["alpha_cancellation_flags"] = int(
         np.sum(model.alpha.flags[: model.N + 3])
     )
-    rows = []
-    xs = np.asarray(model.grid.nodes, dtype=float)
-    for n in range(model.N + 3):
-        has_beta = n <= model.N
-        for j in range(model.grid.M + 1):
-            a = complex(model.alpha.alpha[n, j])
-            if has_beta:
-                bv = complex(model.beta.beta[n, j])
-                rows.append((xs[j], n, bv.real, bv.imag, a.real, a.imag))
-            else:
-                rows.append((xs[j], n, "", "", a.real, a.imag))
+    # one row per (n, node), n-major; beta is blank past row N
+    nodes = model.grid.M + 1
+    n_alpha, n_beta = model.N + 3, model.N + 1
+    alpha = np.asarray(model.alpha.alpha[:n_alpha], dtype=complex)
+    beta = np.asarray(model.beta.beta[:n_beta], dtype=complex)
+    blank = [""] * ((n_alpha - n_beta) * nodes)
+    cells = list(zip(
+        _fmt_array(model.grid.nodes) * n_alpha,
+        list(map(str, np.repeat(np.arange(n_alpha), nodes).tolist())),
+        _fmt_array(beta.real) + blank,
+        _fmt_array(beta.imag) + blank,
+        _fmt_array(alpha.real),
+        _fmt_array(alpha.imag),
+    ))
     _emit(cfg, "coeffs", md,
           ["x", "n", "beta_re", "beta_im", "alpha_re", "alpha_im"],
-          rows, out=out)
+          cells, out=out)
     return 0
 
 
@@ -373,7 +390,7 @@ def cmd_solve(cfg: RunConfig, out=None) -> int:
     md = _metadata(cfg, desc)
     md["representation"] = cfg.representation
     _emit(cfg, "solve", md, ["omega", "x", "re_u", "im_u", "envelope"],
-          rows, out=out)
+          _cells(rows), out=out)
     return 0
 
 
@@ -400,7 +417,7 @@ def cmd_eigs(cfg: RunConfig, out=None) -> int:
     md = _metadata(cfg, desc)
     md["representation"] = rep
     md["count"] = cfg.count
-    _emit(cfg, "eigs", md, columns, rows, out=out)
+    _emit(cfg, "eigs", md, columns, _cells(rows), out=out)
     return 0
 
 
@@ -470,7 +487,7 @@ def cmd_bench(cfg: RunConfig, out=None) -> int:
     md = _metadata(cfg, desc)
     md["reference"] = ref_desc
     md["count"] = count
-    _emit(cfg, "bench", md, columns, rows, summary, out=out)
+    _emit(cfg, "bench", md, columns, _cells(rows), summary, out=out)
     return 0
 
 

@@ -5,11 +5,9 @@ Computes, on the grid:
 * Legendre polynomial coefficients l[n][k] by the Bonnet recurrence;
 * beta_n, the coefficients of the plain Bessel-series representation,
   from the formal powers via the explicit Legendre-sum formula;
-* the moments k_n of the twice-differentiated transmutation kernel, in
-  closed form through q, its integrals, and the formal powers;
-* alpha_n, the Fourier-Legendre coefficients of that kernel: rows 0..3
-  from closed-form seeds, rows >= 4 by the cheap recurrence that reuses
-  beta, with the direct Legendre-sum route retained as a cross-check;
+* alpha_n, the Fourier-Legendre coefficients of the twice-differentiated
+  transmutation kernel: rows 0..3 from closed-form seeds, rows >= 4 by the
+  recurrence that reuses beta;
 * the eps1/eps2 accuracy indicators comparing the alpha sums against the
   kernel's closed boundary values.
 
@@ -20,9 +18,8 @@ like 2^n while the sums stay bounded); summation is compensated, badly
 cancelling entries are flagged, and the pipeline runs in extended
 precision where the platform has it.  Orders are capped at 60.
 
-Values at nodes with x below b/100 are the x -> 0 limits (zero for every
-coefficient); the formulas there are removable 0/0 forms that the grid
-cannot resolve.
+Every formula is evaluated at every node x > 0.  At the origin each is a
+removable 0/0 form whose limit is exactly 0, and node 0 stores that limit.
 """
 
 from __future__ import annotations
@@ -39,13 +36,10 @@ from .grid import Grid, SampledFunction, derivative
 __all__ = [
     "LegendreCoeffs",
     "BetaTable",
-    "MomentTable",
     "AlphaTable",
     "legendre_coeffs",
     "beta_coeffs",
-    "moment_table",
     "alpha_seed",
-    "alpha_direct",
     "alpha_recurrence",
     "build_alpha_table",
     "accuracy_indicators",
@@ -60,8 +54,6 @@ ORDER_CAP = 70
 #: a (n, j) entry is flagged when the largest summand exceeds this multiple
 #: of the result
 CANCEL_FLAG_RATIO = 1e8
-#: fraction of b below which coefficients are replaced by their x->0 limits
-X_MIN_FRACTION = 0.01
 #: noise floor of a cancelling sum, as a multiple of machine epsilon times
 #: its largest summand; entries below their floor are indistinguishable
 #: from zero and are stored as zero (calibrated against independent
@@ -98,32 +90,14 @@ class BetaTable:
     beta: np.ndarray = field(repr=False)
     flags: np.ndarray = field(repr=False)
     noise_floor: np.ndarray = field(repr=False)
-    x_min: float = 0.0
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """Moment rows k[n][j] and the companion ratios k_n(x)/x^n.
-
-    The ratio rows are what the Legendre sums consume; they are computed
-    without ever forming the x^n magnitudes and are zeroed below the
-    small-x cutoff.
-    """
-
-    grid: Grid
-    n_max: int
-    k: np.ndarray = field(repr=False)
-    ratio: np.ndarray = field(repr=False)
-    x_min: float = 0.0
 
 
 @dataclass(frozen=True)
 class AlphaTable:
-    """alpha[n][j] = alpha_n(x_j) with companion potential integrals.
+    """alpha[n][j] = alpha_n(x_j), n = 0..n_max.
 
-    qplus/qminus are q/4 - Q^2/8 +- q(0)/4; Q and Q2 are the running
-    integrals of q and q^2.  ``noise_floor`` propagates the beta floors
-    through the recurrence; sub-floor entries are stored as zero.
+    ``noise_floor`` propagates the beta floors through the recurrence;
+    sub-floor entries are stored as zero.
     """
 
     grid: Grid
@@ -131,11 +105,6 @@ class AlphaTable:
     alpha: np.ndarray = field(repr=False)
     flags: np.ndarray = field(repr=False)
     noise_floor: np.ndarray = field(repr=False)
-    Q: np.ndarray = field(repr=False)
-    Q2: np.ndarray = field(repr=False)
-    qplus: np.ndarray = field(repr=False)
-    qminus: np.ndarray = field(repr=False)
-    x_min: float = 0.0
 
 
 def legendre_coeffs(n_max: int) -> LegendreCoeffs:
@@ -178,14 +147,6 @@ def _kahan_add(s, comp, term):
     return t, comp
 
 
-def _interior(grid: Grid) -> tuple[np.ndarray, np.ndarray, float]:
-    """Nodes where the coefficient formulas are evaluated directly."""
-    x_min = X_MIN_FRACTION * grid.b
-    x = grid.nodes
-    mask = np.asarray(x) >= x_min
-    return x[mask], mask, x_min
-
-
 def _legendre_sum(
     leg: LegendreCoeffs, rows: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,18 +179,16 @@ def beta_coeffs(
     beta_n(x) = (2n+1)/2 * (sum_k l[n][k] phi_k(x)/x^k - 1): since the
     Legendre coefficients of every P_n sum to 1, the subtracted 1 cancels
     against the monomial parts of the ratios, leaving the compensated sum
-    of l[n][k] (phi_k - x^k)/x^k.  Nodes below the x cutoff take the
-    limit 0.
+    of l[n][k] (phi_k - x^k)/x^k.  Node 0 keeps the limit 0.
     """
     if n_max > ORDER_CAP:
         raise LimitError(f"beta order {n_max} exceeds cap {ORDER_CAP}")
     if phi.k_max < n_max:
         raise ValueError(f"need phi up to k={n_max}, table has {phi.k_max}")
     grid = phi.grid
-    _, mask, x_min = _interior(grid)
     eps = _pipeline_eps(phi.dev_ratio.real.dtype)
 
-    dev = phi.dev_ratio[: n_max + 1][:, mask]
+    dev = phi.dev_ratio[: n_max + 1, 1:]
     beta = np.zeros((n_max + 1, grid.M + 1), dtype=phi.dev_ratio.dtype)
     flags = np.zeros((n_max + 1, grid.M + 1), dtype=bool)
     floor = np.zeros((n_max + 1, grid.M + 1), dtype=np.longdouble)
@@ -237,70 +196,18 @@ def beta_coeffs(
         total, frow, peak = _legendre_sum(leg, dev, n)
         nf = eps * 0.5 * (2 * n + 1) * peak
         row = 0.5 * (2 * n + 1) * total
-        beta[n][mask] = np.where(np.abs(row) < nf, 0.0, row)
-        flags[n][mask] = frow
-        floor[n][mask] = nf
-    return BetaTable(grid, n_max, beta, flags, floor, x_min)
-
-
-def moment_table(
-    q: SampledFunction,
-    Q: SampledFunction,
-    phi: FormalPowersTable,
-    n_max: int,
-) -> MomentTable:
-    """Moments of the differentiated kernel in closed form.
-
-    k_0 = q/4 - Q^2/8 - q(0)/4
-    k_1 = (q/4 - Q^2/8 + q(0)/4) x - Q/2
-    k_n = n(n-1)(phi_{n-2} - x^{n-2})
-          + (q/4 - Q^2/8 - (-1)^n q(0)/4) x^n - n Q x^{n-1}/2,   n >= 2.
-
-    All rows vanish identically for q = 0.  The ratio rows k_n/x^n are
-    assembled from the deviation ratios directly.
-    """
-    if n_max >= 2 and phi.k_max < n_max - 2:
-        raise ValueError(f"need phi up to k={n_max - 2}, table has {phi.k_max}")
-    grid = q.grid
-    x = np.asarray(grid.nodes, dtype=phi.dev_ratio.dtype)
-    xq, mask, x_min = _interior(grid)
-    xq = xq.astype(phi.dev_ratio.dtype)
-    q0 = q.values[0]
-    core = q.values / 4.0 - Q.values * Q.values / 8.0
-
-    k = np.zeros((n_max + 1, grid.M + 1), dtype=phi.dev_ratio.dtype)
-    ratio = np.zeros_like(k)
-    k[0] = core - q0 / 4.0
-    ratio[0][mask] = k[0][mask]
-    if n_max >= 1:
-        k[1] = (core + q0 / 4.0) * x - Q.values / 2.0
-        ratio[1][mask] = (core + q0 / 4.0)[mask] - Q.values[mask] / (2.0 * xq)
-    xnm2 = np.ones_like(x)  # x^(n-2)
-    for n in range(2, n_max + 1):
-        xnm1 = xnm2 * x
-        xn = xnm1 * x
-        sign = 1.0 if n % 2 == 0 else -1.0
-        dev_phi = phi.dev_ratio[n - 2] * xnm2  # phi_{n-2} - x^{n-2}
-        k[n] = (
-            n * (n - 1) * dev_phi
-            + (core - sign * q0 / 4.0) * xn
-            - 0.5 * n * Q.values * xnm1
-        )
-        ratio[n][mask] = (
-            n * (n - 1) * phi.dev_ratio[n - 2][mask] / (xq * xq)
-            + (core - sign * q0 / 4.0)[mask]
-            - 0.5 * n * Q.values[mask] / xq
-        )
-        xnm2 = xnm1
-    return MomentTable(grid, n_max, k, ratio, x_min)
+        beta[n, 1:] = np.where(np.abs(row) < nf, 0.0, row)
+        flags[n, 1:] = frow
+        floor[n, 1:] = nf
+    return BetaTable(grid, n_max, beta, flags, floor)
 
 
 def alpha_seed(
     q: SampledFunction,
     Q: SampledFunction,
     phi: FormalPowersTable,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form alpha rows 0..3 plus the q_+/q_- companions.
+) -> np.ndarray:
+    """Closed-form alpha rows 0..3.
 
     With q_+- = q/4 - Q^2/8 +- q(0)/4:
 
@@ -309,54 +216,23 @@ def alpha_seed(
         alpha_2 = 5/2 (q_- + 3(phi_0 - 1)/x^2 - 3Q/(2x))
         alpha_3 = 7/2 (q_+ + 15(phi_1 - x)/x^3 - 3Q/x)
 
-    All four rows tend to 0 as x -> 0; nodes below the cutoff use that
-    limit.  Returns (rows, qplus, qminus).
+    All four rows tend to 0 as x -> 0; node 0 keeps that limit.
     """
     grid = q.grid
     q0 = q.values[0]
-    core = q.values / 4.0 - Q.values * Q.values / 8.0
+    core = q.values[1:] / 4.0 - Q.values[1:] * Q.values[1:] / 8.0
     qplus = core + q0 / 4.0
     qminus = core - q0 / 4.0
+    Qx = Q.values[1:]
+    dev = phi.dev_ratio[:2, 1:]
 
-    x, mask, _ = _interior(grid)
-    x = x.astype(phi.dev_ratio.dtype)
+    x = grid.nodes[1:].astype(phi.dev_ratio.dtype)
     rows = np.zeros((4, grid.M + 1), dtype=phi.dev_ratio.dtype)
-    rows[0][mask] = 0.5 * qminus[mask]
-    rows[1][mask] = 1.5 * (qplus[mask] - Q.values[mask] / (2.0 * x))
-    rows[2][mask] = 2.5 * (
-        qminus[mask]
-        + 3.0 * phi.dev_ratio[0][mask] / (x * x)
-        - 1.5 * Q.values[mask] / x
-    )
-    rows[3][mask] = 3.5 * (
-        qplus[mask]
-        + 15.0 * phi.dev_ratio[1][mask] / (x * x)
-        - 3.0 * Q.values[mask] / x
-    )
-    return rows, qplus, qminus
-
-
-def alpha_direct(
-    moments: MomentTable, leg: LegendreCoeffs, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row n of alpha by the explicit Legendre sum over the moments.
-
-    alpha_n(x) = (2n+1)/2 sum_m l[n][m] k_m(x)/x^m, with compensated
-    summation and the same cancellation flags as the beta route.  Used for
-    low orders and as the cross-check oracle for the recurrence.
-
-    Returns (row, flag_row).
-    """
-    if moments.n_max < n:
-        raise ValueError(f"need moments up to {n}, table has {moments.n_max}")
-    grid = moments.grid
-    _, mask, _ = _interior(grid)
-    row = np.zeros(grid.M + 1, dtype=moments.ratio.dtype)
-    flags = np.zeros(grid.M + 1, dtype=bool)
-    total, frow, _ = _legendre_sum(leg, moments.ratio[: n + 1][:, mask], n)
-    row[mask] = 0.5 * (2 * n + 1) * total
-    flags[mask] = frow
-    return row, flags
+    rows[0, 1:] = 0.5 * qminus
+    rows[1, 1:] = 1.5 * (qplus - Qx / (2.0 * x))
+    rows[2, 1:] = 2.5 * (qminus + 3.0 * dev[0] / (x * x) - 1.5 * Qx / x)
+    rows[3, 1:] = 3.5 * (qplus + 15.0 * dev[1] / (x * x) - 3.0 * Qx / x)
+    return rows
 
 
 def alpha_recurrence(
@@ -368,7 +244,7 @@ def alpha_recurrence(
                              + 2 alpha_{n-2}/((2n-5)(2n-1))
                              - alpha_{n-4}/((2n-7)(2n-5)) ).
 
-    Nodes below the x cutoff take the limit value 0.
+    Node 0 keeps the limit 0.
     """
     if n < 4:
         raise ValueError(f"recurrence starts at n=4, got {n}")
@@ -377,13 +253,12 @@ def alpha_recurrence(
     if alpha.shape[0] < n - 1:
         raise ValueError(f"need alpha rows up to {n - 2}")
     grid = beta.grid
-    x, mask, _ = _interior(grid)
-    x = x.astype(alpha.dtype)
+    x = grid.nodes[1:].astype(alpha.dtype)
     row = np.zeros(grid.M + 1, dtype=alpha.dtype)
-    row[mask] = (2 * n - 1) * (2 * n + 1) * (
-        beta.beta[n - 2][mask] / (x * x)
-        + 2.0 * alpha[n - 2][mask] / ((2 * n - 5) * (2 * n - 1))
-        - alpha[n - 4][mask] / ((2 * n - 7) * (2 * n - 5))
+    row[1:] = (2 * n - 1) * (2 * n + 1) * (
+        beta.beta[n - 2, 1:] / (x * x)
+        + 2.0 * alpha[n - 2, 1:] / ((2 * n - 5) * (2 * n - 1))
+        - alpha[n - 4, 1:] / ((2 * n - 7) * (2 * n - 5))
     )
     return row
 
@@ -391,7 +266,6 @@ def alpha_recurrence(
 def build_alpha_table(
     q: SampledFunction,
     Q: SampledFunction,
-    Q2: SampledFunction,
     phi: FormalPowersTable,
     beta: BetaTable,
     n_max: int,
@@ -400,9 +274,8 @@ def build_alpha_table(
     if n_max > ORDER_CAP:
         raise LimitError(f"alpha order {n_max} exceeds cap {ORDER_CAP}")
     grid = q.grid
-    x, mask, _ = _interior(grid)
-    x2 = np.asarray(x, dtype=np.longdouble) ** 2
-    seed, qplus, qminus = alpha_seed(q, Q, phi)
+    x2 = np.asarray(grid.nodes[1:], dtype=np.longdouble) ** 2
+    seed = alpha_seed(q, Q, phi)
     rows = min(3, n_max) + 1
     alpha = np.zeros((n_max + 1, grid.M + 1), dtype=phi.dev_ratio.dtype)
     alpha[:rows] = seed[:rows]
@@ -416,17 +289,14 @@ def build_alpha_table(
         alpha[n] = alpha_recurrence(beta, alpha, n)
         # worst-case floor propagation, for the error surrogate only: the
         # actual recurrence error largely cancels and sits far below this
-        floor[n][mask] = (2 * n - 1) * (2 * n + 1) * (
-            beta.noise_floor[n - 2][mask] / x2
-            + 2.0 * floor[n - 2][mask] / ((2 * n - 5) * (2 * n - 1))
-            + floor[n - 4][mask] / ((2 * n - 7) * (2 * n - 5))
+        floor[n, 1:] = (2 * n - 1) * (2 * n + 1) * (
+            beta.noise_floor[n - 2, 1:] / x2
+            + 2.0 * floor[n - 2, 1:] / ((2 * n - 5) * (2 * n - 1))
+            + floor[n - 4, 1:] / ((2 * n - 7) * (2 * n - 5))
         )
         flags[n] = beta.flags[n - 2]
     _suppress_noise_tail(alpha)
-    return AlphaTable(
-        grid, n_max, alpha, flags, floor, np.asarray(Q.values),
-        np.asarray(Q2.values), qplus, qminus, beta.x_min,
-    )
+    return AlphaTable(grid, n_max, alpha, flags, floor)
 
 
 def _suppress_noise_tail(alpha: np.ndarray):
@@ -480,15 +350,14 @@ def accuracy_indicators(
     ) / 8.0
     diag_opp = (qp[0] + q0 * Q.values) / 8.0
 
-    x, mask, _ = _interior(grid)
-    x = x.astype(alpha.alpha.dtype)
+    x = grid.nodes[1:].astype(alpha.alpha.dtype)
     ssum = np.zeros(x.size, dtype=alpha.alpha.dtype)
     asum = np.zeros_like(ssum)
     for n in range(n_trunc + 1):
-        ssum = ssum + alpha.alpha[n][mask]
-        asum = asum + (-1) ** n * alpha.alpha[n][mask]
+        ssum = ssum + alpha.alpha[n, 1:]
+        asum = asum + (-1) ** n * alpha.alpha[n, 1:]
     eps1 = np.zeros(grid.M + 1, dtype=np.longdouble)
     eps2 = np.zeros_like(eps1)
-    eps1[mask] = np.abs(diag_same[mask] - ssum / x)
-    eps2[mask] = np.abs(diag_opp[mask] - asum / x)
+    eps1[1:] = np.abs(diag_same[1:] - ssum / x)
+    eps2[1:] = np.abs(diag_opp[1:] - asum / x)
     return eps1, eps2

@@ -1,5 +1,5 @@
-"""Recursive integrals, formal powers, and the power-series evaluation of
-the solution in the spectral parameter.
+"""Formal powers and the power-series evaluation of the solution in the
+spectral parameter.
 
 The formal powers phi_k generalize the monomials x^k: they are built from a
 nonvanishing solution of f'' = q f by alternating weighted indefinite
@@ -29,7 +29,6 @@ from .grid import Grid, SampledFunction, indefinite_integral
 
 __all__ = [
     "FormalPowersTable",
-    "recursive_integrals",
     "formal_powers",
     "formal_powers_nonvanishing",
     "spps_eval",
@@ -51,8 +50,7 @@ class FormalPowersTable:
     (the origin node itself stores the limit 0).
 
     ``used_nonvanishing`` records whether the f0 + i*f1 fallback route was
-    taken; ``fprime0`` is the auxiliary constant f'(0) of the conversion
-    (always i for that construction).
+    taken.
     """
 
     grid: Grid
@@ -60,7 +58,6 @@ class FormalPowersTable:
     dev_ratio: np.ndarray = field(repr=False)
     k_max: int
     used_nonvanishing: bool = False
-    fprime0: complex = 1j
 
 
 def _weight_deviations(fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,30 +122,6 @@ def _check_nonvanishing(f0: SampledFunction):
                 "f0 changes sign between grid nodes; use the nonvanishing "
                 "route"
             )
-
-
-def recursive_integrals(
-    f0: SampledFunction, k_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two families of weighted recursive integrals of f0.
-
-    Row 0 of each table is identically 1.  Row n integrates row n-1 against
-    f0^2 or 1/f0^2, the parity of n deciding which family gets which weight,
-    scaled by n.  Both reduce to x^n exactly when q = 0.
-
-    Raises
-    ------
-    NearVanishingError
-        If min |f0| <= 1e-3, or a real f0 changes sign between nodes; the
-        caller should switch to the nonvanishing route.
-    """
-    _check_nonvanishing(f0)
-    D, Dt = _deviation_recursion(f0, k_max)
-    x = np.asarray(f0.grid.nodes, dtype=f0.values.dtype)
-    powers = np.ones_like(D)
-    for n in range(1, k_max + 1):
-        powers[n] = powers[n - 1] * x
-    return powers + D, powers + Dt
 
 
 def _assemble_table(
@@ -238,9 +211,7 @@ def formal_powers_nonvanishing(
     # for real q the converted powers are real up to round-off
     if not (f0.is_complex or f1.is_complex):
         dev_phi = dev_phi.real.astype(f0.values.dtype)
-    return _assemble_table(
-        f0, dev_phi, k_max, used_nonvanishing=True, fprime0=fprime0
-    )
+    return _assemble_table(f0, dev_phi, k_max, used_nonvanishing=True)
 
 
 def spps_eval(

@@ -143,51 +143,16 @@ def propagate(
     return np.stack((y[0], y[1] * scale)), n_steps
 
 
-def _propagate_fixed_extended(
-    q, b: float, lam: np.ndarray, y0: np.ndarray, n_steps: int
-) -> np.ndarray:
-    """Fixed-step extended-precision propagation.
-
-    Validated against closed forms and a 40-digit Taylor integration:
-    with n_steps ~ max(16000, 6 sqrt(lam) b) the endpoint error stays
-    below ~5e-14 across lam up to 1e6, uniformly in the spectral
-    parameter.  Used by the extended reference mode, where adaptive
-    float64 stepping would be limited near 1e-12 by accumulated phase
-    round-off.
-    """
-    lam = np.asarray(lam, dtype=np.longdouble)
-    scale = np.sqrt(np.maximum(np.abs(lam), 1.0))
-    y0 = np.asarray(y0)
-    if y0.ndim == 1:
-        y0 = y0[:, None]
-    y = np.array(np.broadcast_to(y0, (2, lam.size))).astype(np.clongdouble)
-    y = np.stack((y[0], y[1] / scale))
-    h = np.longdouble(b) / n_steps
-    x = np.longdouble(0.0)
-    for _ in range(n_steps):
-        y = _apply_step(q, float(x), float(h), lam, scale, y)
-        x += h
-    return np.stack((y[0], y[1] * scale)).astype(complex)
-
-
-def solution_reference(
-    q, b: float, omegas, extended: bool = False
-) -> np.ndarray:
+def solution_reference(q, b: float, omegas) -> np.ndarray:
     """Reference values u(omega, b) with u(0)=1, u'(0)=i*omega.
 
     omegas is a batch of real spectral parameters; returns complex values.
-    Pass extended=True for comparisons below ~1e-11 at large omega; that
-    mode integrates in extended precision with an omega-scaled fixed step.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     lam = omegas**2
     y0 = np.stack(
         (np.ones_like(omegas, dtype=complex), 1j * omegas.astype(complex))
     )
-    if extended:
-        n_steps = int(max(16000, math.ceil(6.0 * float(np.max(np.abs(omegas))) * b)))
-        y = _propagate_fixed_extended(q, b, lam, y0, n_steps)
-        return y[0]
     y, _ = propagate(q, b, lam, y0)
     return y[0]
 

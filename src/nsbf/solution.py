@@ -201,7 +201,7 @@ def build_model(
 
     leg = legendre_coeffs(k_max)
     beta = beta_coeffs(powers, leg, k_max)
-    alpha = build_alpha_table(q, Q, Q2, powers, beta, N + 2 + EXTRA_ROWS)
+    alpha = build_alpha_table(q, Q, powers, beta, N + 2 + EXTRA_ROWS)
     return SolutionModel(
         grid, np.asarray(q.values), np.asarray(Q.values),
         np.asarray(Q2.values), complex(q.values[0]), powers, beta, alpha,

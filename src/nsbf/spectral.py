@@ -5,9 +5,9 @@ function s(omega, b), the sine-type solution evaluated at the right
 endpoint.  The solver works in three batched stages, each one
 ``char_values`` call over many omegas at once:
 
-* scan: s on an omega grid of step h_scan, one call per scan window,
-  brackets every sign change (the range auto-extends until enough are
-  found);
+* scan: s on an omega grid of step h_scan, one call per bounded scan
+  window, brackets every sign change (windows continue until enough are
+  found or the range ends);
 * refine: safeguarded Newton on all brackets together, from the secant
   point of each, with the analytic ds/domega; a step that leaves its
   bracket or fails to halve falls back to bisection, and a root stops
@@ -58,9 +58,9 @@ SPACING_WARN_FRACTION = 0.25
 class EigProblem:
     """A Dirichlet eigenvalue problem over a scan range in omega.
 
-    omega_lo/omega_hi default to the scan step and an asymptotic-spacing
-    estimate for the requested count; when omega_hi is left None the scan
-    auto-extends until enough eigenvalues are found.
+    omega_lo defaults to the scan step.  The scan ends at omega_hi, or
+    with omega_hi left None at a limit set by the asymptotic spacing and
+    the requested count (see ``find_eigenvalues``).
     """
 
     model: SolutionModel
@@ -199,10 +199,12 @@ def _refine(problem: EigProblem, lo, hi, s_lo, s_hi):
 def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
     """The lowest ``count`` Dirichlet eigenvalues lam_n = omega_n^2.
 
-    Scans [omega_lo, omega_hi] with step h_scan for sign changes of the
-    characteristic function and refines each bracket.  With omega_hi
-    unset, the range grows automatically (guided by the asymptotic
-    spacing pi/b) until ``count`` roots are found.
+    Scans upward from omega_lo with step h_scan for sign changes of the
+    characteristic function, one window at a time, and refines each
+    bracket.  The first window spans (count + 2) pi/b, each later one
+    max(5, roots still missing + 2) pi/b (pi/b is the asymptotic root
+    spacing), so a batch stays small whatever the range.  The scan stops
+    at omega_hi, or with omega_hi unset at omega_lo + 10 (count + 2) pi/b.
 
     Raises
     ------
@@ -214,12 +216,12 @@ def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
     model = problem.model
     b = model.grid.b
     h = problem.h_scan
-    auto = problem.omega_hi is None
-    hi_target = (
+    limit = (
         problem.omega_hi
-        if not auto
-        else problem.omega_lo + (count + 2) * math.pi / b
+        if problem.omega_hi is not None
+        else problem.omega_lo + 10.0 * (count + 2) * math.pi / b
     )
+    hi_target = min(limit, problem.omega_lo + (count + 2) * math.pi / b)
 
     brackets = []  # per scan window: rows lo, hi, s_lo, s_hi
     n_found = 0
@@ -250,18 +252,15 @@ def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
         first_cell = False
         if n_found >= count:
             break
-        if not auto:
+        if hi_target >= limit:
             raise RangeExhaustedError(
-                f"found {n_found} sign changes in "
-                f"[{problem.omega_lo:.6g}, {hi_target:.6g}], need {count}"
-            )
-        if hi_target > problem.omega_lo + 10.0 * (count + 2) * math.pi / b:
-            raise RangeExhaustedError(
-                f"auto-extended scan reached omega={hi_target:.6g} with only "
-                f"{n_found} of {count} eigenvalues"
+                f"found {n_found} of {count} sign changes in "
+                f"[{problem.omega_lo:.6g}, {limit:.6g}]"
             )
         lo_edge = omegas[-1]
-        hi_target = lo_edge + max(5, count - n_found + 2) * math.pi / b
+        hi_target = min(
+            limit, lo_edge + max(5, count - n_found + 2) * math.pi / b
+        )
 
     omega, residual, width = _refine(
         problem, *np.concatenate(brackets, axis=1)

@@ -13,20 +13,24 @@ import pytest
 from nsbf import (
     EigProblem,
     accuracy_indicators,
-    alpha_direct,
     asymptotic_eigenvalue,
     build_model,
     eval_uN,
     eval_uN_tilde,
     find_eigenvalues,
     legendre_coeffs,
-    moment_table,
     spherical_j_sequence,
 )
 from nsbf.grid import SampledFunction
-from nsbf.oracle import eigenvalues_reference, solution_reference
+from nsbf.oracle import eigenvalues_reference
 
 from conftest import const_q_solution
+from crosschecks import (
+    dual_route_deviation,
+    inverse_relation_deviation,
+    moment_table,
+    solution_reference_extended,
+)
 
 PI = math.pi
 LAMBDA_460_EXACT = 211607.047634847
@@ -87,7 +91,7 @@ def test_criterion_2_asymptotic_cross_check(paine_bench):
 def test_criterion_3_omega_uniformity(model_exp):
     omegas = [10.0, 30.0, 100.0, 300.0, 1000.0]
     j = model_exp.grid.M
-    refs = solution_reference(math.exp, PI, omegas, extended=True)
+    refs = solution_reference_extended(math.exp, PI, omegas)
     residuals = np.array(
         [abs(eval_uN(model_exp, w, j) - r) for w, r in zip(omegas, refs)]
     )
@@ -205,42 +209,13 @@ def test_criterion_7_dual_route_agreement(model_exp):
     Q = SampledFunction(grid, model_exp.Q)
     leg = legendre_coeffs(30)
     moments = moment_table(q, Q, model_exp.powers, 25)
-    xs = np.asarray(grid.nodes, dtype=float)
-    window = xs >= PI / 4.0
-
     # route agreement on every entry the library certifies (unflagged);
     # flagged entries are cancellation-dominated by construction and the
     # spec's own diagnostic marks them untrustworthy
-    worst = 0.0
-    tested = 0
-    for n in range(4, 26):
-        direct, flags = alpha_direct(moments, leg, n)
-        ok = window & ~flags
-        if not ok.any():
-            continue
-        tested += 1
-        d = np.asarray(direct, dtype=float)[ok]
-        r = np.asarray(model_exp.alpha.alpha[n], dtype=float)[ok]
-        worst = max(
-            worst, float(np.max(np.abs(d - r) / np.maximum(np.abs(d), 1e-300)))
-        )
-
-    # inverse relation: beta_m recovered from alpha rows
-    worst_inv = 0.0
-    a = model_exp.alpha.alpha
-    for j in (grid.M, grid.M // 2):
-        x = float(grid.nodes[j])
-        for m in range(2, 24):
-            recon = x * x * (
-                a[m + 2, j] / ((2 * m + 3) * (2 * m + 5))
-                - 2.0 * a[m, j] / ((2 * m - 1) * (2 * m + 3))
-                + a[m - 2, j] / ((2 * m - 3) * (2 * m - 1))
-            )
-            dev = abs(float(recon - model_exp.beta.beta[m, j]))
-            worst_inv = max(
-                worst_inv,
-                dev / max(1.0, abs(float(model_exp.beta.beta[m, j]))),
-            )
+    worst, tested = dual_route_deviation(model_exp.alpha.alpha, moments, leg)
+    worst_inv = inverse_relation_deviation(
+        model_exp.alpha.alpha, model_exp.beta.beta, grid
+    )
     report(
         "7",
         tested >= 10 and worst <= 1e-7 and worst_inv <= 1e-9,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsbf import build_model
 from nsbf.cli import RunConfig, main
 
 PI = math.pi
@@ -160,6 +161,26 @@ class TestCoeffsCommand:
         assert "eps1_at_b" in doc["metadata"]
         blanks = [r for r in doc["rows"] if r[2] == ""]
         assert len(blanks) == 2 * 103  # two alpha-only rows
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_data_rows_match_scalar_formatting(self, fmt):
+        rc, out = run_cli(
+            ["coeffs", "--potential", "exp(x)", "--M", "66", "--N", "4",
+             "--format", fmt]
+        )
+        assert rc == 0
+        rows = json.loads(out)["rows"] if fmt == "json" else data_rows(out)[1]
+        model = build_model("exp(x)", PI, 66, 4)
+        expected = []
+        for n in range(7):
+            for j in range(67):
+                x = float(model.grid.nodes[j])
+                a = complex(model.alpha.alpha[n, j])
+                b = complex(model.beta.beta[n, j]) if n <= 4 else None
+                b_cells = ["", ""] if b is None else [f"{b.real:.17g}", f"{b.imag:.17g}"]
+                expected.append([f"{x:.17g}", str(n), *b_cells,
+                                 f"{a.real:.17g}", f"{a.imag:.17g}"])
+        assert rows == expected
 
     def test_zero_potential_all_zero(self):
         rc, out = run_cli(["coeffs", "--potential", "0", *FAST])

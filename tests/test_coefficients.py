@@ -6,7 +6,6 @@ import pytest
 from nsbf import (
     LimitError,
     accuracy_indicators,
-    alpha_direct,
     alpha_recurrence,
     alpha_seed,
     beta_coeffs,
@@ -15,12 +14,18 @@ from nsbf import (
     indefinite_integral,
     legendre_coeffs,
     make_grid,
-    moment_table,
     sample,
     solve_homogeneous,
 )
 from nsbf.grid import SampledFunction
 from nsbf.oracle import propagate
+
+from crosschecks import (
+    alpha_direct,
+    dual_route_deviation,
+    inverse_relation_deviation,
+    moment_table,
+)
 
 PI = math.pi
 
@@ -36,7 +41,7 @@ def exp_tables():
     leg = legendre_coeffs(40)
     beta = beta_coeffs(phi, leg, 30)
     moments = moment_table(q, Q, phi, 28)
-    alpha = build_alpha_table(q, Q, Q2, phi, beta, 32)
+    alpha = build_alpha_table(q, Q, phi, beta, 32)
     return grid, q, Q, Q2, phi, leg, beta, moments, alpha
 
 
@@ -50,7 +55,7 @@ def zero_tables():
     leg = legendre_coeffs(14)
     beta = beta_coeffs(phi, leg, 12)
     moments = moment_table(q, Q, phi, 12)
-    alpha = build_alpha_table(q, Q, Q, phi, beta, 12)
+    alpha = build_alpha_table(q, Q, phi, beta, 12)
     return grid, q, Q, phi, leg, beta, moments, alpha
 
 
@@ -115,14 +120,6 @@ class TestBetaCoeffs:
         expected = (phi0_ref - 1.0) / 2.0
         assert abs(float(beta.beta[0, -1]) - expected) < 1e-9 * abs(expected)
 
-    def test_small_x_cutoff(self, exp_tables):
-        grid, *_ = exp_tables
-        beta = exp_tables[6]
-        xs = np.asarray(grid.nodes, dtype=float)
-        below = xs < 0.01 * PI
-        assert np.all(beta.beta[:, below] == 0.0)
-        assert beta.x_min == pytest.approx(0.01 * PI)
-
     def test_real_potential_gives_real_table(self, exp_tables):
         beta = exp_tables[6]
         assert not np.iscomplexobj(beta.beta)
@@ -130,8 +127,10 @@ class TestBetaCoeffs:
     def test_cancellation_flags_mark_deep_cancellation(self, exp_tables):
         grid = exp_tables[0]
         beta = exp_tables[6]
-        # low rows are fully resolved, high rows cancel by many orders
-        assert not beta.flags[:5].any()
+        # low rows are fully resolved from b/100 on, high rows cancel by
+        # many orders
+        xs = np.asarray(grid.nodes, dtype=float)
+        assert not beta.flags[:5, xs >= 0.01 * PI].any()
         assert beta.flags[20:, grid.M].any()
 
 
@@ -181,7 +180,7 @@ class TestAlphaSeed:
     def test_exponential_spot_value(self, exp_tables):
         grid, q, Q, _, phi, *_ = exp_tables
         moments = exp_tables[7]
-        rows, _, _ = alpha_seed(q, Q, phi)
+        rows = alpha_seed(q, Q, phi)
         j = grid.nearest_index(1.0)
         assert float(rows[0, j]) == pytest.approx(
             float(moments.k[0, j]) / 2.0, abs=1e-16
@@ -189,7 +188,7 @@ class TestAlphaSeed:
 
     def test_seed_matches_direct(self, exp_tables):
         grid, q, Q, _, phi, leg, _, moments, _ = exp_tables
-        rows, _, _ = alpha_seed(q, Q, phi)
+        rows = alpha_seed(q, Q, phi)
         xs = np.asarray(grid.nodes, dtype=float)
         mask = xs >= 0.01 * PI
         for n in range(4):
@@ -198,15 +197,6 @@ class TestAlphaSeed:
             assert float(np.max(dev)) < 1e-12 * max(
                 1.0, float(np.max(np.abs(np.asarray(direct, float))))
             )
-
-    def test_companions(self, exp_tables):
-        grid, q, Q, *_ = exp_tables
-        alpha = exp_tables[8]
-        core = np.asarray(
-            q.values / 4.0 - Q.values**2 / 8.0, dtype=float
-        )
-        assert float(np.max(np.abs(np.asarray(alpha.qplus, float) - (core + 0.25)))) < 1e-12
-        assert float(np.max(np.abs(np.asarray(alpha.qminus, float) - (core - 0.25)))) < 1e-12
 
 
 class TestAlphaRecurrence:
@@ -224,38 +214,14 @@ class TestAlphaRecurrence:
     def test_dual_route_where_resolved(self, exp_tables):
         # the two routes agree pointwise-relatively wherever the direct
         # sum is not flagged as cancellation-dominated
-        grid, *_, leg, beta, moments, alpha = exp_tables
-        xs = np.asarray(grid.nodes, dtype=float)
-        window = xs >= PI / 4.0
-        worst = 0.0
-        tested_rows = 0
-        for n in range(4, 26):
-            direct, flags = alpha_direct(moments, leg, n)
-            ok = window & ~flags
-            if not ok.any():
-                continue
-            tested_rows += 1
-            d = np.asarray(direct, dtype=float)[ok]
-            r = np.asarray(alpha.alpha[n], dtype=float)[ok]
-            denom = np.maximum(np.abs(d), 1e-300)
-            worst = max(worst, float(np.max(np.abs(d - r) / denom)))
+        *_, leg, beta, moments, alpha = exp_tables
+        worst, tested_rows = dual_route_deviation(alpha.alpha, moments, leg)
         assert tested_rows >= 10
         assert worst <= 1e-7
 
     def test_inverse_relation(self, exp_tables):
-        # beta_m recovered from alpha rows m-2, m, m+2
         grid, *_, beta, moments, alpha = exp_tables
-        for j in (grid.M, grid.M // 2):
-            x = float(grid.nodes[j])
-            for m in range(2, 24):
-                a = alpha.alpha
-                recon = x * x * (
-                    a[m + 2, j] / ((2 * m + 3) * (2 * m + 5))
-                    - 2.0 * a[m, j] / ((2 * m - 1) * (2 * m + 3))
-                    + a[m - 2, j] / ((2 * m - 3) * (2 * m - 1))
-                )
-                dev = abs(float(recon - beta.beta[m, j]))
-                assert dev <= 1e-9 * max(1.0, abs(float(beta.beta[m, j])))
+        assert inverse_relation_deviation(alpha.alpha, beta.beta, grid) <= 1e-9
 
     def test_prerequisites(self, exp_tables):
         beta, alpha = exp_tables[6], exp_tables[8]

@@ -8,7 +8,6 @@ from nsbf import (
     formal_powers,
     formal_powers_nonvanishing,
     make_grid,
-    recursive_integrals,
     sample,
     solve_homogeneous,
     spps_eval,
@@ -25,27 +24,6 @@ def grid():
 
 def _homogeneous(grid, q):
     return solve_homogeneous(sample(grid, q))
-
-
-class TestRecursiveIntegrals:
-    def test_zero_potential_monomials(self, grid):
-        f0, _ = _homogeneous(grid, lambda x: 0.0)
-        X, Xt = recursive_integrals(f0, 6)
-        xs = np.asarray(grid.nodes, dtype=float)
-        for n in range(7):
-            assert float(np.max(np.abs(np.asarray(X[n], float) - xs**n))) < 1e-10
-            assert float(np.max(np.abs(np.asarray(Xt[n], float) - xs**n))) < 1e-10
-
-    def test_constant_potential_tanh(self, grid):
-        f0, _ = _homogeneous(grid, lambda x: 1.0)
-        X, _ = recursive_integrals(f0, 1)
-        xs = np.asarray(grid.nodes, dtype=float)
-        assert float(np.max(np.abs(np.asarray(X[1], float) - np.tanh(xs)))) < 1e-12
-
-    def test_near_zero_rejected(self, grid):
-        f0, _ = _homogeneous(grid, lambda x: -1.0)  # cos x vanishes at pi/2
-        with pytest.raises(NearVanishingError):
-            recursive_integrals(f0, 3)
 
 
 class TestFormalPowers:
@@ -87,6 +65,11 @@ class TestFormalPowers:
                 ratio = float(table.phi[k, j] / xs[j] ** k)
                 assert abs(ratio - 1.0) < 1e-3
 
+    def test_near_zero_rejected(self, grid):
+        f0, _ = _homogeneous(grid, lambda x: -1.0)  # cos x vanishes at pi/2
+        with pytest.raises(NearVanishingError):
+            formal_powers(f0, 3)
+
     def test_growth_sanity(self, grid):
         f0, _ = _homogeneous(grid, math.exp)
         table = formal_powers(f0, 30)
@@ -102,7 +85,6 @@ class TestNonvanishingRoute:
             dev = np.abs(np.asarray(table.phi[k], float) - xs**k)
             assert float(np.max(dev)) < 1e-11
         assert table.used_nonvanishing
-        assert table.fprime0 == 1j
 
     def test_constant_potential_cross_route(self, grid):
         f0, f1 = _homogeneous(grid, lambda x: 1.0)

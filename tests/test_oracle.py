@@ -11,6 +11,8 @@ from nsbf.oracle import (
     solution_reference,
 )
 
+from crosschecks import solution_reference_extended
+
 PI = math.pi
 
 
@@ -29,7 +31,7 @@ def test_constant_potential_closed_form():
 
 
 def test_extended_mode_high_omega():
-    u = solution_reference(lambda x: 0.0, PI, [1000.0], extended=True)[0]
+    u = solution_reference_extended(lambda x: 0.0, PI, [1000.0])[0]
     # the comparison phase must itself be formed in extended precision
     phase = np.longdouble(1000.0) * np.longdouble(PI)
     exact = complex(np.cos(phase)) + 1j * complex(np.sin(phase))

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import special
 
 from nsbf import (
     ZeroOmegaError,
@@ -20,6 +21,7 @@ from nsbf import (
 from nsbf.oracle import solution_reference
 
 from conftest import const_q_solution
+from crosschecks import solution_reference_extended
 
 PI = math.pi
 
@@ -171,6 +173,48 @@ class TestEvalAuto:
         assert eval_auto(model_exp, 0.5, j) == eval_uN_tilde(model_exp, 0.5, j)
 
 
+def paine_solution(omega: float, x: float) -> complex:
+    """u(omega, x) for q = 1/(x+0.1)^2 = (nu^2 - 1/4)/t^2, t = x + 0.1:
+    sqrt(t) times Hankel functions of order nu = sqrt(5/4), matched to
+    u = 1, u' = i omega at t = 0.1."""
+    nu = math.sqrt(1.25)
+
+    def basis(t):  # rows u, u' of sqrt(t) H1_nu(omega t), sqrt(t) H2_nu(omega t)
+        h = np.array([special.hankel1(nu, omega * t), special.hankel2(nu, omega * t)])
+        dh = np.array([special.h1vp(nu, omega * t), special.h2vp(nu, omega * t)])
+        return np.array([math.sqrt(t) * h, h / (2 * math.sqrt(t)) + math.sqrt(t) * omega * dh])
+
+    return basis(x + 0.1)[0] @ np.linalg.solve(basis(0.1), [1.0, 1j * omega])
+
+
+def worst_relative_error(model, evaluate, omegas, nodes, exact):
+    xs = np.asarray(model.grid.nodes, dtype=float)
+    return max(
+        abs(evaluate(model, w, j) / exact(w, xs[j]) - 1.0)
+        for w in omegas for j in nodes
+    )
+
+
+class TestSmallX:
+    """Both representations at the first nodes, x < b/100."""
+
+    def test_paine(self):
+        model = build_model("1/(x+0.1)^2", PI, 1998, 25)
+        assert worst_relative_error(
+            model, eval_auto, (1.3923, 5.0), range(1, 20), paine_solution
+        ) <= 1e-10
+        assert worst_relative_error(
+            model, eval_uN_tilde, (0.5, 5.0, 20.0), range(1, 40), paine_solution
+        ) <= 1e-10
+
+    def test_negative_constant_plain(self):
+        model = build_model("-1.5", PI, 1998, 25)
+        exact = lambda w, x: const_q_solution(-1.5, w, x)
+        assert worst_relative_error(
+            model, eval_uN_tilde, (0.5,), range(1, 40), exact
+        ) <= 1e-10
+
+
 class TestSineSolution:
     def test_zero_potential(self, model_zero):
         for w in (3.3, 11.0):
@@ -283,7 +327,7 @@ class TestErrorEnvelope:
         j = model_exp.grid.M
         eps = epsN_surrogate(model_exp)
         for w in (100.0, 300.0, 1000.0):
-            ref = solution_reference(math.exp, PI, [w], extended=True)[0]
+            ref = solution_reference_extended(math.exp, PI, [w])[0]
             r = abs(eval_uN(model_exp, w, j) - ref)
             assert r <= 100.0 * error_envelope(model_exp, w, j, eps)
 

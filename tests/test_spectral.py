@@ -74,6 +74,22 @@ class TestFindEigenvalues:
         with pytest.raises(RangeExhaustedError):
             find_eigenvalues(problem, 10)
 
+    def test_explicit_range_scanned_in_bounded_windows(
+        self, model_exp, monkeypatch
+    ):
+        # the batch size depends on the count, not on how far omega_hi is
+        batched, sizes = spectral.char_values, []
+
+        def recording(model, omegas, *args, **kwargs):
+            sizes.append(len(omegas))
+            return batched(model, omegas, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "char_values", recording)
+        for omega_hi in (None, 1e3, 1e4):
+            sizes.clear()
+            find_eigenvalues(EigProblem(model_exp, omega_hi=omega_hi), 3)
+            assert max(sizes) == 21
+
     def test_count_validation(self, model_zero):
         with pytest.raises(ValueError):
             find_eigenvalues(EigProblem(model_zero), 0)
