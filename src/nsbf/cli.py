@@ -203,20 +203,26 @@ def _interp6(x_src: np.ndarray, v_src: np.ndarray, x_tgt: np.ndarray) -> np.ndar
     """Local degree-6 Lagrange interpolation from one uniform grid to
     arbitrary targets inside its span."""
     h = x_src[1] - x_src[0]
-    out = np.empty(len(x_tgt), dtype=v_src.dtype)
-    top = len(x_src) - 7
-    for i, x in enumerate(x_tgt):
-        j0 = min(max(int(round(x / h)) - 3, 0), top)
-        nodes = x_src[j0 : j0 + 7]
-        acc = 0.0
-        for k in range(7):
-            w = 1.0
-            for m in range(7):
-                if m != k:
-                    w *= (x - nodes[m]) / (nodes[k] - nodes[m])
-            acc = acc + w * v_src[j0 + k]
-        out[i] = acc
-    return out
+    x = np.asarray(x_tgt, dtype=float)
+    j0 = np.minimum(np.maximum(np.rint(x / h).astype(int) - 3, 0), len(x_src) - 7)
+    j = j0[:, None] + np.arange(7)
+    nodes = x_src[j]
+    # ratios[:, k, m] = (x - x_m) / (x_k - x_m), 1 where m == k; the weights
+    # take them in increasing m and the terms add in increasing k, the order
+    # of the scalar Lagrange formula, which np.prod and np.sum do not promise
+    diag = np.arange(7)
+    den = nodes[:, :, None] - nodes[:, None, :]
+    den[:, diag, diag] = 1.0
+    ratios = (x[:, None] - nodes)[:, None, :] / den
+    ratios[:, diag, diag] = 1.0
+    w = 1.0
+    for m in range(7):
+        w = w * ratios[:, :, m]
+    terms = w * v_src[j]
+    acc = 0.0
+    for k in range(7):
+        acc = acc + terms[:, k]
+    return np.asarray(acc, dtype=v_src.dtype)
 
 
 def _resolve_potential(cfg: RunConfig):
@@ -270,6 +276,24 @@ def _cells(rows: list) -> list[list[str]]:
     return [[_fmt(v) for v in row] for row in rows]
 
 
+def _json_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=1, sort_keys=True)`` for a document whose
+    ``rows`` are lists of strings.
+
+    With ``indent`` set, ``json`` falls back to its pure-Python encoder, so
+    the rows go through the C encoder in one call, its item separator the
+    indentation of a cell, and are spliced in as text.  A newline inside a
+    JSON string is escaped, so the row breaks are the only "],<newline>"
+    and the top-level "rows" key is unique.
+    """
+    text = json.dumps({**doc, "rows": []}, indent=1, sort_keys=True)
+    if not doc["rows"]:
+        return text
+    rows = json.dumps(doc["rows"], separators=(",\n   ", ": "))
+    rows = rows[2:-2].replace("],\n   [", "\n  ],\n  [\n   ")
+    return text.replace('\n "rows": []', f'\n "rows": [\n  [\n   {rows}\n  ]\n ]', 1)
+
+
 def _emit(cfg: RunConfig, command: str, metadata: dict, columns: list,
           cells: list, summary: list | None = None, out=None):
     """Write a table whose cells are already formatted strings."""
@@ -284,8 +308,7 @@ def _emit(cfg: RunConfig, command: str, metadata: dict, columns: list,
         }
         if summary:
             doc["summary"] = summary
-        json.dump(doc, out, indent=1, sort_keys=True)
-        out.write("\n")
+        out.write(_json_text(doc) + "\n")
         return
     out.write(f"# nsbf {command}\n")
     for key in sorted(metadata):

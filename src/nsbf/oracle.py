@@ -16,6 +16,21 @@ makes residual comparisons at omega ~ 1000 meaningful in double precision.
 
 All entry points are vectorized over a batch of spectral parameters; the
 step size is shared across the batch (controlled by the worst member).
+One kernel, ``_propagators``, builds the propagators of a stack of steps
+for the whole batch at once: ``propagate`` samples q at the six Gauss
+nodes of an attempted step and its two halves and makes one kernel call
+on that stack of three.
+
+``eigenvalues_reference`` adapts the mesh once, in one ``propagate`` over
+the initial bracket endpoints, and records each accepted step's size and
+its six q samples.  Every later sweep replays that mesh with the locally
+extrapolated step matrix E = F + (F - B)/15 (F the product of the two
+half-step propagators, B the full step), in blocks of steps: no q calls
+and no error estimate.  The mesh stays valid because an expanded bracket
+lies within 8^6 initial half-widths of the values it was adapted to
+(2.6e-4 relative, or 0.26 for seeds below 1000), and the step's local
+error varies smoothly with lam (fixed-mesh replay, as in
+piecewise-perturbation codes such as MATSLISE).
 """
 
 from __future__ import annotations
@@ -43,19 +58,23 @@ RTOL = 1e-12
 ATOL = 1e-14
 #: secant/bisection sweeps allowed to polish the reference eigenvalues
 MAX_SWEEPS = 80
+#: steps times spectral parameters per kernel call of a mesh replay, which
+#: bounds the replay's working set whatever the batch size
+REPLAY_BLOCK = 4096
 
 
-def _apply_step(
-    q, x: float, h: float, lam: np.ndarray, scale: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """Advance the scaled system by one step of size h.
+def _propagators(q1, q2, h, lam: np.ndarray, scale: np.ndarray):
+    """Entries (p11, p12, p21, p22) of the step propagators of the scaled
+    system for a stack of steps.
+
+    q1, q2 and h are the Gauss samples and sizes of the steps, shaped (S, 1)
+    so that they broadcast against the batch lam and scale, shape (K,), to
+    (S, K) entries.  The arithmetic keeps the dtype of its inputs.
 
     The state is y = (u, u'/scale) with scale ~ sqrt(|lam|), keeping both
     components O(1); carrying u' directly would pin the round-off floor at
     eps * sqrt(lam).
     """
-    q1 = q(x + _C1 * h)
-    q2 = q(x + _C2 * h)
     pbar = 0.5 * (q1 + q2) - lam
     d = _SQRT3_12 * h * h * (q1 - q2)
     b = h * scale
@@ -73,15 +92,11 @@ def _apply_step(
     shc = np.where(osc, np.sin(s_o) / s_o, np.sinh(s_h) / s_h)
     # both branches degenerate to 1 + delta2/6 + O(delta2^2) near 0
     shc = np.where(small, 1.0 + delta2 / 6.0, shc)
-
-    y0, y1 = y[0], y[1]
-    new0 = (ch + shc * d) * y0 + (shc * b) * y1
-    new1 = (shc * c) * y0 + (ch - shc * d) * y1
-    return np.stack((new0, new1))
+    return ch + shc * d, shc * b, shc * c, ch - shc * d
 
 
 def propagate(
-    q, b: float, lam: np.ndarray, y0: np.ndarray
+    q, b: float, lam: np.ndarray, y0: np.ndarray, mesh: list | None = None
 ) -> tuple[np.ndarray, int]:
     """Integrate the system from 0 to b for every lam in the batch.
 
@@ -96,6 +111,10 @@ def propagate(
     y0 : array_like
         Initial values, shape (2,) broadcast over the batch or (2, K);
         rows are (u(0), u'(0)).  May be complex.
+    mesh : list, optional
+        If given, the tuple (h, q1, ..., q6) of every accepted step is
+        appended to it: the step size, then the two Gauss samples of the
+        full step, of its first half and of its second half.
 
     Returns
     -------
@@ -121,17 +140,32 @@ def propagate(
     n_steps = 0
     while b - x > 1e-15 * b:
         h = min(h, b - x)
-        y_big = _apply_step(q, x, h, lam, scale, y)
-        y_mid = _apply_step(q, x, 0.5 * h, lam, scale, y)
-        y_fine = _apply_step(q, x + 0.5 * h, 0.5 * h, lam, scale, y_mid)
+        half = 0.5 * h
+        samples = (
+            q(x + _C1 * h), q(x + _C2 * h),
+            q(x + _C1 * half), q(x + _C2 * half),
+            q((x + half) + _C1 * half), q((x + half) + _C2 * half),
+        )
+        qs = np.array(samples)[:, None]
+        # one stack of three steps: the full step, then its two halves
+        p11, p12, p21, p22 = _propagators(
+            qs[0::2], qs[1::2], np.array([[h], [half], [half]]), lam, scale
+        )
+        u = p11[:2] * y[0] + p12[:2] * y[1]
+        v = p21[:2] * y[0] + p22[:2] * y[1]
+        y_big = np.array((u[0], v[0]))
+        y_fine = np.array((p11[2] * u[1] + p12[2] * v[1],
+                           p21[2] * u[1] + p22[2] * v[1]))
 
         tol_scale = ATOL + RTOL * np.abs(y_fine)
-        err = float(np.max(np.abs(y_fine - y_big) / tol_scale))
+        err = float((np.abs(y_fine - y_big) / tol_scale).max())
         if err <= 1.0:
             # local extrapolation: the pair differs at O(h^5), so the
             # correction cancels the leading error term of the fine result
             y = y_fine + (y_fine - y_big) / 15.0
             x += h
+            if mesh is not None:
+                mesh.append((h, *samples))
         factor = 0.9 * err ** -0.2 if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
         n_steps += 1
@@ -141,6 +175,40 @@ def propagate(
                 f"(x={x:.6g}, h={h:.3e})"
             )
     return np.stack((y[0], y[1] * scale)), n_steps
+
+
+def _replay_characteristic(mesh: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """s(lam) = u(b) with u(0)=0, u'(0)=1 over a recorded mesh.
+
+    mesh holds one row (h, q1, ..., q6) per step, as ``propagate`` records
+    it.  Each step applies its locally extrapolated matrix E = F + (F - B)/15,
+    F being the product of the two half-step propagators and B the full-step
+    one, which is the extrapolation ``propagate`` makes on the state.  No q
+    is sampled and no error is estimated.
+    """
+    scale = np.sqrt(np.maximum(np.abs(lams), 1.0))
+    u = np.zeros_like(lams)
+    v = 1.0 / scale
+    per = max(1, REPLAY_BLOCK // lams.size)
+    for start in range(0, len(mesh), per):
+        block = mesh[start : start + per].T
+        h = block[0]
+        half = 0.5 * h
+        p11, p12, p21, p22 = _propagators(
+            block[1::2, :, None], block[2::2, :, None],
+            np.stack((h, half, half))[:, :, None], lams, scale,
+        )
+        f11 = p11[2] * p11[1] + p12[2] * p21[1]
+        f12 = p11[2] * p12[1] + p12[2] * p22[1]
+        f21 = p21[2] * p11[1] + p22[2] * p21[1]
+        f22 = p21[2] * p12[1] + p22[2] * p22[1]
+        e11 = f11 + (f11 - p11[0]) / 15.0
+        e12 = f12 + (f12 - p12[0]) / 15.0
+        e21 = f21 + (f21 - p21[0]) / 15.0
+        e22 = f22 + (f22 - p22[0]) / 15.0
+        for i in range(h.size):
+            u, v = e11[i] * u + e12[i] * v, e21[i] * u + e22[i] * v
+    return u
 
 
 def solution_reference(q, b: float, omegas) -> np.ndarray:
@@ -184,8 +252,12 @@ def eigenvalues_reference(q, b: float, seeds) -> np.ndarray:
     delta = np.maximum(1e-6, 1e-9 * np.abs(seeds))
     lo = seeds - delta
     hi = seeds + delta
-    s_lo = characteristic_reference(q, b, lo)
-    s_hi = characteristic_reference(q, b, hi)
+    # the one adaptive pass: every later sweep replays its mesh
+    mesh = []
+    y, _ = propagate(q, b, np.concatenate((lo, hi)), np.array([0.0, 1.0]),
+                     mesh=mesh)
+    mesh = np.array(mesh)
+    s_lo, s_hi = y[0, : seeds.size], y[0, seeds.size :]
 
     for _ in range(6):
         bad = np.sign(s_lo) == np.sign(s_hi)
@@ -194,8 +266,8 @@ def eigenvalues_reference(q, b: float, seeds) -> np.ndarray:
         delta = np.where(bad, delta * 8.0, delta)
         lo = np.where(bad, seeds - delta, lo)
         hi = np.where(bad, seeds + delta, hi)
-        s_lo = np.where(bad, characteristic_reference(q, b, lo), s_lo)
-        s_hi = np.where(bad, characteristic_reference(q, b, hi), s_hi)
+        s_lo = np.where(bad, _replay_characteristic(mesh, lo), s_lo)
+        s_hi = np.where(bad, _replay_characteristic(mesh, hi), s_hi)
     else:
         raise OracleError(
             "could not bracket a reference eigenvalue near the provided seeds"
@@ -218,7 +290,7 @@ def eigenvalues_reference(q, b: float, seeds) -> np.ndarray:
             | (cand >= hi - 0.01 * width)
         )
         cand = np.where(use_mid, mid, cand)
-        s_cand = characteristic_reference(q, b, cand)
+        s_cand = _replay_characteristic(mesh, cand)
         left = np.sign(s_cand) == np.sign(s_lo)
         lo = np.where(left, cand, lo)
         s_lo = np.where(left, s_cand, s_lo)

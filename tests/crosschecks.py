@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from nsbf.grid import Grid
-from nsbf.oracle import _apply_step
+from nsbf.oracle import _C1, _C2, _propagators
 
 #: an entry is flagged when its largest summand exceeds this multiple of
 #: the result
@@ -155,10 +155,17 @@ def solution_reference_extended(q, b: float, omegas) -> np.ndarray:
     n_steps = int(max(16000, math.ceil(6.0 * float(np.max(np.abs(omegas))) * b)))
     lam = np.asarray(omegas**2, dtype=np.longdouble)
     scale = np.sqrt(np.maximum(np.abs(lam), 1.0))
-    y = np.stack((np.ones_like(lam), 1j * omegas / scale)).astype(np.clongdouble)
+    y0, y1 = np.stack((np.ones_like(lam), 1j * omegas / scale)).astype(np.clongdouble)
     h = np.longdouble(b) / n_steps
-    x = np.longdouble(0.0)
-    for _ in range(n_steps):
-        y = _apply_step(q, float(x), float(h), lam, scale, y)
-        x += h
-    return y[0].astype(complex)
+    # step starts accumulated in extended precision, q sampled in float64
+    x = np.add.accumulate(np.full(n_steps, h))
+    x = np.concatenate(([0.0], x[:-1].astype(float)))
+    hf = float(h)
+    q1 = np.array([q(t) for t in (x + _C1 * hf).tolist()])
+    q2 = np.array([q(t) for t in (x + _C2 * hf).tolist()])
+    p11, p12, p21, p22 = _propagators(
+        q1[:, None], q2[:, None], np.full((n_steps, 1), hf), lam, scale
+    )
+    for i in range(n_steps):
+        y0, y1 = p11[i] * y0 + p12[i] * y1, p21[i] * y0 + p22[i] * y1
+    return y0.astype(complex)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsbf import build_model
-from nsbf.cli import RunConfig, main
+from nsbf.cli import RunConfig, _resolve_potential, main
 
 PI = math.pi
 
@@ -182,6 +182,15 @@ class TestCoeffsCommand:
                                  f"{a.real:.17g}", f"{a.imag:.17g}"])
         assert rows == expected
 
+    @pytest.mark.parametrize("args", [
+        ["coeffs", "--potential", "exp(x)", "--M", "66", "--N", "4"],
+        ["eigs", "--potential", "exp(x)", "--count", "3", *FAST],
+    ])
+    def test_json_bytes_match_indenting_encoder(self, args):
+        rc, out = run_cli([*args, "--format", "json"])
+        assert rc == 0
+        assert out == json.dumps(json.loads(out), indent=1, sort_keys=True) + "\n"
+
     def test_zero_potential_all_zero(self):
         rc, out = run_cli(["coeffs", "--potential", "0", *FAST])
         assert rc == 0
@@ -348,6 +357,24 @@ class TestTabulatedPotential:
         )
         assert rc == 0
         assert "# resampled: true" in out
+
+    def test_resampling_exact_for_degree_six_polynomial(self, tmp_path):
+        def p(x):
+            return (1.0 + x - 0.5 * x**2 + 0.3 * x**3 - 0.2 * x**4
+                    + 0.05 * x**5 - 0.01 * x**6)
+
+        path = tmp_path / "pot.txt"
+        xs = np.linspace(0.0, PI, 401)
+        path.write_text("# tabulated-potential v1\n"
+                        + "".join(f"{x!r} {p(x)!r}\n" for x in xs.tolist()))
+        cfg = RunConfig(potential_file=str(path), M=102)
+        sampled, q, _ = _resolve_potential(cfg)
+        assert cfg.resampled
+        nodes = np.asarray(sampled.grid.nodes, dtype=float)
+        exact = p(nodes)
+        assert np.max(np.abs(np.asarray(sampled.values, dtype=float) - exact)) <= 1e-12
+        for x in (0.0, 0.123, 1.7, PI):
+            assert abs(q(x) - p(x)) <= 1e-12
 
     def test_missing_header_exit_2(self, tmp_path):
         path = tmp_path / "pot.txt"

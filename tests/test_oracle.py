@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nsbf import OracleError
+from nsbf import EigProblem, OracleError, find_eigenvalues
 from nsbf.oracle import (
     characteristic_reference,
     eigenvalues_reference,
@@ -70,3 +70,59 @@ def test_eigenvalues_reference_needs_bracketable_seed():
     # 3.5 sits between the q=1 eigenvalues 2 and 5, far from both
     with pytest.raises(OracleError):
         eigenvalues_reference(lambda x: 1.0, PI, np.array([3.5]))
+
+
+def _bisect_adaptive(q, lam, iterations=16):
+    """Plain bisection on the adaptive shooting function, from brackets
+    1e-9 relative wide around lam."""
+    lo, hi = lam * (1.0 - 1e-9), lam * (1.0 + 1e-9)
+    s_lo = characteristic_reference(q, PI, lo)
+    assert np.all(np.sign(s_lo) != np.sign(characteristic_reference(q, PI, hi)))
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        left = np.sign(characteristic_reference(q, PI, mid)) == np.sign(s_lo)
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _paine(x):
+    return 1.0 / (x + 0.1) ** 2
+
+
+#: the benchmark's eigenvalue blocks: Paine's lambda_2, lambda_3 and exp's
+#: lambda_5, lambda_6, seeded 2e-8 relative off
+BLOCKS = [
+    (_paine, np.array([4.94330982, 10.28466265]) * (1.0 + np.array([2e-8, -2e-8]))),
+    (math.exp, np.array([32.26370705, 43.22001964]) * (1.0 + np.array([-2e-8, 2e-8]))),
+]
+
+
+def test_eigenvalues_reference_samples_q_once():
+    # one adaptive pass over the 2K initial bracket endpoints; every later
+    # sweep replays its mesh
+    for q, seeds in BLOCKS:
+        calls = [0]
+
+        def counted(x, q=q):
+            calls[0] += 1
+            return q(x)
+
+        eigenvalues_reference(counted, PI, seeds)
+        n_eig, calls[0] = calls[0], 0
+        delta = np.maximum(1e-6, 1e-9 * np.abs(seeds))
+        propagate(counted, PI, np.concatenate((seeds - delta, seeds + delta)),
+                  np.array([0.0, 1.0]))
+        assert n_eig == calls[0]
+
+
+@pytest.mark.parametrize("block", range(len(BLOCKS)))
+def test_eigenvalues_reference_matches_adaptive_bisection_on_blocks(block):
+    q, seeds = BLOCKS[block]
+    lam = eigenvalues_reference(q, PI, seeds)
+    assert np.max(np.abs(lam - _bisect_adaptive(q, lam)) / lam) <= 1e-12
+
+
+def test_eigenvalues_reference_matches_adaptive_bisection_exp_40(model_exp):
+    seeds = np.array([r.lam for r in find_eigenvalues(EigProblem(model_exp), 40)])
+    lam = eigenvalues_reference(math.exp, PI, seeds)
+    assert np.max(np.abs(lam - _bisect_adaptive(math.exp, lam)) / lam) <= 1e-12
