@@ -1,11 +1,17 @@
 """Stable evaluation of spherical Bessel functions j_n(z), n = 0..N, for
 real and complex arguments.
 
-Strategy: closed-form j_0, j_1 plus upward three-term recurrence where it
-is stable (|z| large compared to the top order), Miller-style downward
-recurrence normalized through j_0 otherwise, and the power series for tiny
-arguments.  ``spherical_j_table`` takes the same three branches for a whole
-array of real arguments at once, choosing the branch per argument by mask.
+There are four branches, each one private kernel in plain arithmetic: the
+power series for tiny arguments; closed-form j_0 and j_1, by their own
+series below |z| = 0.1; upward three-term recurrence where it is stable
+(|z| above the top order); and otherwise Miller's downward recurrence from
+an arbitrary seed, normalized through j_0 or j_1 (DLMF 10.51; W. Gautschi,
+SIAM Review 9, 1967).  A kernel runs unchanged on a Python scalar, real or
+complex, or on a 1-D float array, and fills the rows of the output it is
+given.  ``spherical_j_sequence`` picks one kernel for its scalar;
+``spherical_j_table`` picks one per column mask.  Types are tested only
+where numpy and scalar code must differ: the sine and cosine of j_0/j_1,
+and the per-column choices of Miller's renormalization and normalization.
 """
 
 from __future__ import annotations
@@ -29,29 +35,104 @@ _TINY_Z = 1e-8
 _RENORM_LIMIT = 1e250
 
 
-def _j01(z: complex) -> tuple[complex, complex]:
-    if abs(z) < 0.1:
-        # the closed form for j_1 cancels two O(1/z) terms; the power
-        # series keeps full relative accuracy at small argument
-        w = -0.5 * z * z
-        j0 = term = 1.0
-        for k in range(1, 12):
-            term *= w / (k * (2 * k + 1))
-            j0 += term
-            if abs(term) < 1e-20:
-                break
-        j1 = term = 1.0 / 3.0
-        for k in range(1, 12):
-            term *= w / (k * (2 * k + 3))
-            j1 += term
-            if abs(term) < 1e-20:
-                break
-        return j0, z * j1
-    if isinstance(z, complex):
-        s, c = cmath.sin(z), cmath.cos(z)
+def _tiny_series(z, out):
+    """out[n] = z^n/(2n+1)!! (1 - z^2/(2(2n+3))), for |z| < 1e-8."""
+    term = 1.0
+    for n in range(len(out)):
+        out[n] = term * (1.0 - z * z / (2.0 * (2 * n + 3)))
+        term = term * z / (2 * n + 3)
+    return out
+
+
+def _j01_series(z):
+    w = -0.5 * z * z
+    j0 = t0 = 1.0
+    j1 = t1 = 1.0 / 3.0
+    # for |z| < 0.1 the terms past k = 6 are below 1e-26 of the leading one
+    for k in range(1, 7):
+        t0 = t0 * w / (k * (2 * k + 1))
+        t1 = t1 * w / (k * (2 * k + 3))
+        j0 = j0 + t0
+        j1 = j1 + t1
+    return j0, z * j1
+
+
+def _j01(z):
+    """j_0(z), j_1(z) for a scalar z != 0 or an array of real z > 0.
+
+    The closed form for j_1 cancels two O(1/z) terms; the power series
+    keeps full relative accuracy at |z| < 0.1.
+    """
+    array = isinstance(z, np.ndarray)
+    if not array and abs(z) < 0.1:
+        return _j01_series(z)
+    trig = np if array else cmath if isinstance(z, complex) else math
+    s, c = trig.sin(z), trig.cos(z)
+    j0, j1 = s / z, s / (z * z) - c / z
+    if array and (small := z < 0.1).any():
+        j0[small], j1[small] = _j01_series(z[small])
+    return j0, j1
+
+
+def _upward(z, out):
+    """Upward recurrence from j_0, j_1: stable while the order stays below |z|."""
+    jm, jc = _j01(z)
+    out[0] = jm
+    for n in range(1, len(out)):
+        out[n] = jc
+        jm, jc = jc, (2 * n + 1) / z * jc - jm
+    return out
+
+
+def _miller(z, out, start):
+    """Miller's downward recurrence from order ``start`` past the top row."""
+    array = isinstance(z, np.ndarray)
+    # a step grows |j| at most by (2n+1)/|z| + 1, so the whole run by
+    # (2/a)^start Gamma(start + 1 + c)/Gamma(1 + c), a = min |z| and
+    # c = (1 + a)/2; while that stays below the limit, no step can reach it
+    a = z.min() if array else abs(z)
+    c = 0.5 * (1.0 + a)
+    check = (
+        start * math.log(2.0 / a) + math.lgamma(start + 1.0 + c)
+        - math.lgamma(1.0 + c) > math.log(_RENORM_LIMIT / 1e-30)
+    )
+    top = len(out)
+    above, cur = 0.0, 1e-30
+    for n in range(start, 0, -1):
+        below = (2 * n + 1) / z * cur - above
+        if n <= top:
+            out[n - 1] = below
+        if check:
+            big = abs(below) > _RENORM_LIMIT
+            if big.any() if array else big:
+                scale = 1.0 / abs(below)
+                if array:
+                    scale = np.where(big, scale, 1.0)
+                below = below * scale
+                cur = cur * scale
+                out *= scale
+        above, cur = cur, below
+    j0, j1 = _j01(z)
+    # cur / above now hold the unnormalized order-0 / order-1 values;
+    # j_0 and j_1 have no common zeros
+    use_j0 = abs(j0) >= abs(j1)
+    if array:
+        out *= np.where(use_j0, j0, j1) / np.where(use_j0, cur, above)
     else:
-        s, c = math.sin(z), math.cos(z)
-    return s / z, s / (z * z) - c / z
+        out *= j0 / cur if use_j0 else j1 / above
+    # the recurrence cannot resolve j_0, j_1 near their zeros; the closed
+    # forms can, so they always win
+    out[0] = j0
+    if top > 1:
+        out[1] = j1
+    return out
+
+
+def _check_order(N: int) -> None:
+    if N < 0:
+        raise LimitError(f"order must be non-negative, got {N}")
+    if N > N_CAP:
+        raise LimitError(f"order {N} exceeds the supported cap {N_CAP}")
 
 
 def spherical_j_sequence(N: int, z: complex) -> np.ndarray:
@@ -77,97 +158,23 @@ def spherical_j_sequence(N: int, z: complex) -> np.ndarray:
     and normalized by matching j_0(z) = sin(z)/z.  For |z| < 1e-8 the
     series j_n(z) = z^n/(2n+1)!! (1 - z^2/(2(2n+3))) is used instead.
     """
-    if N < 0:
-        raise LimitError(f"order must be non-negative, got {N}")
-    if N > N_CAP:
-        raise LimitError(f"order {N} exceeds the supported cap {N_CAP}")
-
+    _check_order(N)
     is_complex = isinstance(z, complex) and z.imag != 0.0
     if is_complex and abs(z.imag) > IM_CAP:
         raise LimitError(
             f"|Im z| = {abs(z.imag):.3g} exceeds the overflow guard {IM_CAP}"
         )
-    dtype = np.complex128 if is_complex else np.float64
     z = complex(z) if is_complex else float(z)
     az = abs(z)
-
-    out = np.zeros(N + 1, dtype=dtype)
+    out = np.zeros(N + 1, dtype=np.complex128 if is_complex else np.float64)
     if az == 0.0:
         out[0] = 1.0
         return out
-
     if az < _TINY_Z:
-        # z^n / (2n+1)!! with the first correction term
-        term = 1.0 + 0.0j if is_complex else 1.0
-        z2 = z * z
-        for n in range(N + 1):
-            out[n] = term * (1.0 - z2 / (2.0 * (2 * n + 3)))
-            term = term * z / (2 * n + 3)
-        return out
-
+        return _tiny_series(z, out)
     if az > N:
-        # upward recurrence is stable while the order stays below |z|
-        j0, j1 = _j01(z)
-        out[0] = j0
-        if N >= 1:
-            out[1] = j1
-        jm, jc = j0, j1
-        for n in range(1, N):
-            jm, jc = jc, (2 * n + 1) / z * jc - jm
-            out[n + 1] = jc
-        return out
-
-    # Miller downward recurrence, normalized through the closed-form j_0
-    # (or j_1 near a zero of j_0; the two have no common zeros)
-    start = N + int(math.ceil(15.0 + az))
-    above = 0.0j if is_complex else 0.0
-    cur = 1e-30 * (1.0 + 0.0j) if is_complex else 1e-30
-    for n in range(start, 0, -1):
-        below = (2 * n + 1) / z * cur - above
-        if n - 1 <= N:
-            out[n - 1] = below
-        if abs(below) > _RENORM_LIMIT:
-            scale = 1.0 / abs(below)
-            below *= scale
-            cur *= scale
-            out *= scale
-        above, cur = cur, below
-    j0, j1 = _j01(z)
-    # cur / above now hold the unnormalized order-0 / order-1 values
-    if abs(j0) >= abs(j1):
-        out *= j0 / cur
-    else:
-        out *= j1 / above
-    # the recurrence cannot resolve j_0, j_1 near their zeros; the closed
-    # forms can, so they always win
-    out[0] = j0
-    if N >= 1:
-        out[1] = j1
-    return out
-
-
-def _j01_table(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """j_0, j_1 for an array of real z > 0, as in ``_j01``."""
-    j0 = np.empty_like(z)
-    j1 = np.empty_like(z)
-    small = z < 0.1
-    if small.any():
-        zs = z[small]
-        w = -0.5 * zs * zs
-        s0 = t0 = np.ones_like(zs)
-        s1 = t1 = np.full_like(zs, 1.0 / 3.0)
-        # past k = 5 the terms are below 1e-20 of the leading one
-        for k in range(1, 12):
-            t0 = t0 * w / (k * (2 * k + 1))
-            t1 = t1 * w / (k * (2 * k + 3))
-            s0 = s0 + t0
-            s1 = s1 + t1
-        j0[small], j1[small] = s0, zs * s1
-    zl = z[~small]
-    sin, cos = np.sin(zl), np.cos(zl)
-    j0[~small] = sin / zl
-    j1[~small] = sin / (zl * zl) - cos / zl
-    return j0, j1
+        return _upward(z, out)
+    return _miller(z, out, N + math.ceil(15.0 + az))
 
 
 def spherical_j_table(N: int, z: np.ndarray) -> np.ndarray:
@@ -192,63 +199,20 @@ def spherical_j_table(N: int, z: np.ndarray) -> np.ndarray:
     N + ceil(15 + max z) shared by those columns, rescaled per column and
     normalized through the closed-form j_0 or j_1.
     """
-    if N < 0:
-        raise LimitError(f"order must be non-negative, got {N}")
-    if N > N_CAP:
-        raise LimitError(f"order {N} exceeds the supported cap {N_CAP}")
+    _check_order(N)
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or not np.all(z > 0):
         raise ValueError("spherical_j_table needs a 1-D array of z > 0")
-    top = N + 1
-    out = np.empty((top + 1, z.size))
-
+    out = np.empty((N + 2, z.size))
     tiny = z < _TINY_Z
-    if tiny.any():
-        zt = z[tiny]
-        term = np.ones_like(zt)
-        for n in range(top + 1):
-            out[n, tiny] = term * (1.0 - zt * zt / (2.0 * (2 * n + 3)))
-            term = term * zt / (2 * n + 3)
-
     up = ~tiny & (z > N)
-    if up.any():
-        zu = z[up]
-        rows = np.empty((top + 1, zu.size))
-        rows[0], rows[1] = _j01_table(zu)
-        for n in range(1, top):
-            rows[n + 1] = (2 * n + 1) / zu * rows[n] - rows[n - 1]
-        out[:, up] = rows
-
-    miller = ~tiny & (z <= N)
+    miller = ~(tiny | up)
+    for mask, kernel in ((tiny, _tiny_series), (up, _upward)):
+        if mask.any():
+            out[:, mask] = kernel(z[mask], np.empty((N + 2, np.count_nonzero(mask))))
     if miller.any():
         zm = z[miller]
-        rows = np.zeros((top + 1, zm.size))
-        start = N + int(math.ceil(15.0 + zm.max()))
-        above = np.zeros_like(zm)
-        cur = np.full_like(zm, 1e-30)
-        # a step grows |j| at most by (2n+1)/z + 1; when the bound stays
-        # below the renormalization limit, no column can reach it
-        orders = np.arange(1, start + 1)
-        may_grow = (
-            np.sum(np.log((2 * orders + 1) / zm.min() + 1.0))
-            > math.log(_RENORM_LIMIT / 1e-30)
-        )
-        for n in range(start, 0, -1):
-            below = (2 * n + 1) / zm * cur - above
-            if n - 1 <= top:
-                rows[n - 1] = below
-            if may_grow:
-                big = np.abs(below) > _RENORM_LIMIT
-                if big.any():
-                    scale = np.where(big, 1.0 / np.abs(below), 1.0)
-                    below *= scale
-                    cur *= scale
-                    rows *= scale
-            above, cur = cur, below
-        j0, j1 = _j01_table(zm)
-        # cur / above hold the unnormalized order-0 / order-1 values
-        use_j0 = np.abs(j0) >= np.abs(j1)
-        rows *= np.where(use_j0, j0, j1) / np.where(use_j0, cur, above)
-        rows[0], rows[1] = j0, j1
-        out[:, miller] = rows
+        start = N + math.ceil(15.0 + zm.max())
+        # zeros: a renormalization also scales the rows not yet written
+        out[:, miller] = _miller(zm, np.zeros((N + 2, zm.size)), start)
     return out

@@ -24,8 +24,8 @@ removable 0/0 form whose limit is exactly 0, and node 0 stores that limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -108,36 +108,25 @@ class AlphaTable:
 
 
 def legendre_coeffs(n_max: int) -> LegendreCoeffs:
-    """Coefficient arrays of P_0 .. P_{n_max} by the Bonnet recurrence.
+    """Coefficient arrays of P_0 .. P_{n_max} in closed form.
 
-    (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}, carried out on exact
-    rational coefficient arrays and rounded once at the end.  The carriers
-    downstream multiply these by ~2^n-sized weights, so each entry being
-    correctly rounded (instead of carrying n accumulated roundings) is
-    worth real digits at high order.
+    l[n][n-2m] = (-1)^m C(n, m) C(2n-2m, n) / 2^n (DLMF 18.5.8): an exact
+    integer over a power of two, so each entry is rounded once.  The
+    carriers downstream multiply these by ~2^n-sized weights, so each entry
+    being correctly rounded (instead of carrying n accumulated roundings)
+    is worth real digits at high order.
     """
     if n_max > LEGENDRE_CAP:
         raise LimitError(
             f"Legendre order {n_max} exceeds cap {LEGENDRE_CAP}; "
             "coefficients overflow double precision beyond it"
         )
-    rows = [[Fraction(1)], [Fraction(0), Fraction(1)]]
-    for n in range(1, n_max):
-        prev, cur = rows[n - 1], rows[n]
-        nxt = [Fraction(0)] * (n + 2)
-        for k, c in enumerate(cur):
-            nxt[k + 1] += (2 * n + 1) * c
-        for k, c in enumerate(prev):
-            nxt[k] -= n * c
-        rows.append([c / (n + 1) for c in nxt])
-
     l = np.zeros((n_max + 1, n_max + 1), dtype=np.longdouble)
     for n in range(n_max + 1):
-        for k, c in enumerate(rows[n]):
-            if c:
-                l[n, k] = np.longdouble(c.numerator) / np.longdouble(
-                    c.denominator
-                )
+        scale = np.longdouble(2**n)
+        for m in range(n // 2 + 1):
+            c = math.comb(n, m) * math.comb(2 * n - 2 * m, n)
+            l[n, n - 2 * m] = np.longdouble((-1) ** m * c) / scale
     return LegendreCoeffs(n_max, l)
 
 

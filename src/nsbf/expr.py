@@ -30,7 +30,6 @@ __all__ = [
     "Call",
     "parse",
     "evaluate",
-    "to_source",
 ]
 
 
@@ -255,24 +254,4 @@ def _eval(expr: Expression, x: float) -> float:
             return _FUNCTIONS[expr.func](v)
         except (OverflowError, ValueError) as exc:
             raise ExpressionEvalError(f"{expr.func}({v}) failed: {exc}") from exc
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def to_source(expr: Expression) -> str:
-    """Render ``expr`` back to text, fully parenthesized.
-
-    ``parse(to_source(e))`` evaluates identically to ``e`` at every x.
-    """
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Const):
-        return expr.name
-    if isinstance(expr, Var):
-        return "x"
-    if isinstance(expr, Unary):
-        return f"(-{to_source(expr.operand)})"
-    if isinstance(expr, Binary):
-        return f"({to_source(expr.left)}{expr.op}{to_source(expr.right)})"
-    if isinstance(expr, Call):
-        return f"{expr.func}({to_source(expr.arg)})"
     raise TypeError(f"not an expression node: {expr!r}")

@@ -56,7 +56,7 @@ MAX_STEPS = 1_000_000
 #: embedded-pair tolerances of the adaptive step control
 RTOL = 1e-12
 ATOL = 1e-14
-#: secant/bisection sweeps allowed to polish the reference eigenvalues
+#: secant sweeps allowed to polish the reference eigenvalues
 MAX_SWEEPS = 80
 #: steps times spectral parameters per kernel call of a mesh replay, which
 #: bounds the replay's working set whatever the batch size
@@ -238,15 +238,18 @@ def eigenvalues_reference(q, b: float, seeds) -> np.ndarray:
     Each seed must lie closer to its true eigenvalue than to any other
     (true spacing between consecutive eigenvalues is ~2n+1 for b=pi, so
     any reasonable approximation qualifies).  Brackets are found around
-    each seed and polished by bisection with secant acceleration, all
-    batched so one oracle sweep serves every index at once.
+    each seed and polished by secant steps.  Each sweep evaluates a pair of
+    points 0.8 tolerance apart around every candidate, so a bracket closes
+    once its candidate lands within 0.4 tolerance of the root.  All open
+    brackets are batched, so one oracle sweep serves every index at once.
 
     Returns the refined eigenvalues in seed order.
 
     Raises
     ------
     OracleError
-        If a bracket cannot be established or refinement stalls.
+        If a bracket cannot be established, or if a bracket is still
+        wider than its tolerance after ``MAX_SWEEPS`` sweeps.
     """
     seeds = np.asarray(seeds, dtype=float)
     delta = np.maximum(1e-6, 1e-9 * np.abs(seeds))
@@ -273,28 +276,33 @@ def eigenvalues_reference(q, b: float, seeds) -> np.ndarray:
             "could not bracket a reference eigenvalue near the provided seeds"
         )
 
-    # safeguarded secant: fall back to the midpoint whenever the secant
-    # point leaves the bracket
-    for _ in range(MAX_SWEEPS):
-        width = hi - lo
+    # secant with a tolerance straddle: each sweep evaluates, for every open
+    # bracket, two points 0.8 tol apart centred on the secant candidate (the
+    # midpoint when that is not finite), kept inside the bracket; the bracket
+    # becomes the one of the three pieces that holds the sign change, so it
+    # closes as soon as a candidate lands within 0.4 tol of the root
+    for sweep in range(MAX_SWEEPS + 1):
         tol = np.maximum(1e-12, 1e-14 * np.abs(hi))
-        if (width <= tol).all():
-            break
-        denom = s_hi - s_lo
+        todo = np.flatnonzero(hi - lo > tol)
+        if todo.size == 0:
+            return 0.5 * (lo + hi)
+        if sweep == MAX_SWEEPS:
+            raise OracleError(
+                f"{todo.size} reference eigenvalue brackets still wider than "
+                f"their tolerance after {MAX_SWEEPS} sweeps"
+            )
+        x0, x1, f0, f1, t = lo[todo], hi[todo], s_lo[todo], s_hi[todo], tol[todo]
         with np.errstate(divide="ignore", invalid="ignore"):
-            cand = hi - s_hi * width / denom
-        mid = 0.5 * (lo + hi)
-        use_mid = (
-            ~np.isfinite(cand)
-            | (cand <= lo + 0.01 * width)
-            | (cand >= hi - 0.01 * width)
-        )
-        cand = np.where(use_mid, mid, cand)
-        s_cand = _replay_characteristic(mesh, cand)
-        left = np.sign(s_cand) == np.sign(s_lo)
-        lo = np.where(left, cand, lo)
-        s_lo = np.where(left, s_cand, s_lo)
-        hi = np.where(left, hi, cand)
-        s_hi = np.where(left, s_hi, s_cand)
-
-    return 0.5 * (lo + hi)
+            cand = x1 - f1 * (x1 - x0) / (f1 - f0)
+        cand = np.where(np.isfinite(cand), cand, 0.5 * (x0 + x1))
+        cand = np.clip(cand, x0 + 0.4 * t, x1 - 0.4 * t)
+        points = np.stack((x0, cand - 0.4 * t, cand + 0.4 * t, x1))
+        inner = _replay_characteristic(mesh, points[1:3].ravel())
+        values = np.stack((f0, *inner.reshape(2, -1), f1))
+        # piece k holds the root, k being the number of leading inner points
+        # with the sign of f0
+        same = np.sign(values[1:3]) == np.sign(f0)
+        k = np.cumprod(same, axis=0).sum(axis=0)
+        cols = np.arange(todo.size)
+        lo[todo], hi[todo] = points[k, cols], points[k + 1, cols]
+        s_lo[todo], s_hi[todo] = values[k, cols], values[k + 1, cols]

@@ -130,6 +130,24 @@ def test_table_matches_scalar_sequence(N):
         assert float(np.max(err)) <= 1e-14, zk
 
 
+@pytest.mark.parametrize("N", [4, 27, 119])
+def test_table_reference_comparison(N):
+    # every branch straight against mpmath: the tiny-z series; Miller with
+    # j_0, j_1 by their series (z < 0.1), by the closed form and near zeros
+    # of j_0, and with renormalized columns (z = 1e-6 at N = 119); upward
+    # recurrence on both sides of z = N
+    z = np.array([
+        1e-9, 1e-6, 0.05, 0.78, math.pi, 2 * math.pi - 1e-10, 3 * math.pi,
+        N - 0.5, N + 0.5, 1500.0,
+    ])
+    table = spherical_j_table(N, z)
+    for k, zk in enumerate(z):
+        for n in range(N + 2):
+            ref = reference_jn(n, float(zk))
+            if abs(ref) > 1e-280:
+                assert abs(table[n, k] - ref) <= 1e-12 * abs(ref), (n, zk)
+
+
 def test_table_renormalizes_tiny_arguments():
     # backward recurrence from order 180 at z = 1e-6 passes 1e250 many times
     z = np.array([1e-6, 1e-4, 0.5])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsbf import build_model
+from nsbf import build_model, oracle
 from nsbf.cli import RunConfig, _resolve_potential, main
 
 PI = math.pi
@@ -416,6 +416,14 @@ class TestBenchCommand:
         for r in rows:
             for i in err_cols:
                 assert float(r[i]) <= 1e-10
+
+    def test_stalled_reference_exits_5(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_SWEEPS", 0)
+        rc, _ = run_cli(
+            ["bench", "--potential", "0", "--count", "5", "--M", "600",
+             "--N", "8"]
+        )
+        assert rc == 5
 
     def test_reference_file(self, tmp_path):
         ref = tmp_path / "ref.csv"

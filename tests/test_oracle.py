@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nsbf import EigProblem, OracleError, find_eigenvalues
+from nsbf import EigProblem, OracleError, find_eigenvalues, oracle
 from nsbf.oracle import (
     characteristic_reference,
     eigenvalues_reference,
@@ -70,6 +70,14 @@ def test_eigenvalues_reference_needs_bracketable_seed():
     # 3.5 sits between the q=1 eigenvalues 2 and 5, far from both
     with pytest.raises(OracleError):
         eigenvalues_reference(lambda x: 1.0, PI, np.array([3.5]))
+
+
+def test_eigenvalues_reference_raises_when_refinement_stalls(monkeypatch):
+    # one sweep cannot close the brackets widened around seeds 3e-4 off
+    monkeypatch.setattr(oracle, "MAX_SWEEPS", 1)
+    seeds = np.array([1.0 + n * n + 3e-4 for n in range(1, 9)])
+    with pytest.raises(OracleError, match="still wider"):
+        eigenvalues_reference(lambda x: 1.0, PI, seeds)
 
 
 def _bisect_adaptive(q, lam, iterations=16):
