@@ -2,7 +2,7 @@
 
 Computes, on the grid:
 
-* Legendre polynomial coefficients l[n][k] by the Bonnet recurrence;
+* Legendre polynomial coefficients l[n][k] in closed form;
 * beta_n, the coefficients of the plain Bessel-series representation,
   from the formal powers via the explicit Legendre-sum formula;
 * alpha_n, the Fourier-Legendre coefficients of the twice-differentiated
@@ -14,9 +14,14 @@ Computes, on the grid:
 All formulas are evaluated through the monomial deviations
 (phi_k - x^k)/x^k, so every table is exactly zero for q = 0.  The
 Legendre sums still cancel violently as n grows (the coefficients grow
-like 2^n while the sums stay bounded); summation is compensated, badly
-cancelling entries are flagged, and the pipeline runs in extended
-precision where the platform has it.  Orders are capped at 60.
+like 2^n while the sums stay bounded), so the pipeline runs in extended
+precision where the platform has it, badly cancelling entries are flagged
+and entries below a noise floor of NOISE_FLOOR_EPS_FACTOR eps times the
+largest summand are zeroed.  Each sum is a plain one, one matrix product
+per parity class: a recursive sum of at most 36 terms is off by at most
+about 35 * 36 eps ~ 1260 eps of its largest term (Higham, SIAM J. Sci.
+Comput. 14, 1993), below that floor, so compensation would buy no usable
+digit.  Orders are capped at 60.
 
 Every formula is evaluated at every node x > 0.  At the origin each is a
 removable 0/0 form whose limit is exactly 0, and node 0 stores that limit.
@@ -81,8 +86,9 @@ class BetaTable:
 
     ``flags`` marks entries whose Legendre sum cancelled by more than
     CANCEL_FLAG_RATIO (diagnostic only).  ``noise_floor`` is the absolute
-    resolution limit of each entry; values that came out below their floor
-    are stored as zero, the best available estimate.
+    resolution limit of each entry, NOISE_FLOOR_EPS_FACTOR eps times its
+    largest scaled summand (taken in double precision); values that came
+    out below their floor are stored as zero, the best available estimate.
     """
 
     grid: Grid
@@ -130,32 +136,6 @@ def legendre_coeffs(n_max: int) -> LegendreCoeffs:
     return LegendreCoeffs(n_max, l)
 
 
-def _kahan_add(s, comp, term):
-    t = s + term
-    comp += np.where(np.abs(s) >= np.abs(term), (s - t) + term, (term - t) + s)
-    return t, comp
-
-
-def _legendre_sum(
-    leg: LegendreCoeffs, rows: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compensated sum_k l[n][k] rows[k].
-
-    Returns (total, flags, peak): the cancellation flags and the largest
-    summand magnitude, from which the caller derives the noise floor.
-    """
-    s = np.zeros(rows.shape[1], dtype=rows.dtype)
-    comp = np.zeros_like(s)
-    peak = np.zeros(rows.shape[1], dtype=np.longdouble)
-    for k in range(n % 2, n + 1, 2):  # l[n][k] = 0 when n - k is odd
-        term = leg.l[n, k] * rows[k]
-        peak = np.maximum(peak, np.abs(term))
-        s, comp = _kahan_add(s, comp, term)
-    total = s + comp
-    flags = peak > CANCEL_FLAG_RATIO * np.abs(total)
-    return total, flags, peak
-
-
 def _pipeline_eps(dtype) -> float:
     return float(np.finfo(dtype).eps) * NOISE_FLOOR_EPS_FACTOR
 
@@ -167,8 +147,11 @@ def beta_coeffs(
 
     beta_n(x) = (2n+1)/2 * (sum_k l[n][k] phi_k(x)/x^k - 1): since the
     Legendre coefficients of every P_n sum to 1, the subtracted 1 cancels
-    against the monomial parts of the ratios, leaving the compensated sum
-    of l[n][k] (phi_k - x^k)/x^k.  Node 0 keeps the limit 0.
+    against the monomial parts of the ratios, leaving the sum of
+    l[n][k] (phi_k - x^k)/x^k.  The sums of each parity class of n are one
+    matrix product in the pipeline dtype, written into the output; the
+    flags, floors and scaling then go row by row, so no temporary is as
+    large as the table.  Node 0 keeps the limit 0.
     """
     if n_max > ORDER_CAP:
         raise LimitError(f"beta order {n_max} exceeds cap {ORDER_CAP}")
@@ -181,13 +164,23 @@ def beta_coeffs(
     beta = np.zeros((n_max + 1, grid.M + 1), dtype=phi.dev_ratio.dtype)
     flags = np.zeros((n_max + 1, grid.M + 1), dtype=bool)
     floor = np.zeros((n_max + 1, grid.M + 1), dtype=np.longdouble)
+    # l[n][k] = 0 when n - k is odd, so each parity class is one product
+    for p in (0, 1):
+        np.matmul(leg.l[p : n_max + 1 : 2, p : n_max + 1 : 2], dev[p::2],
+                  out=beta[p::2, 1:])
+    # the largest summand only sets the floor and the flag: float64 will do
+    absdev = np.empty(dev.shape)
+    np.abs(dev, out=absdev, casting="unsafe")
+    absl = np.abs(leg.l[: n_max + 1, : n_max + 1]).astype(float)
     for n in range(n_max + 1):
-        total, frow, peak = _legendre_sum(leg, dev, n)
-        nf = eps * 0.5 * (2 * n + 1) * peak
-        row = 0.5 * (2 * n + 1) * total
-        beta[n, 1:] = np.where(np.abs(row) < nf, 0.0, row)
-        flags[n, 1:] = frow
-        floor[n, 1:] = nf
+        ks = slice(n % 2, n + 1, 2)
+        peak = np.max(absl[n, ks, None] * absdev[ks], axis=0)
+        w = 0.5 * (2 * n + 1)
+        row = beta[n, 1:]
+        flags[n, 1:] = peak > CANCEL_FLAG_RATIO * np.abs(row)
+        floor[n, 1:] = eps * w * peak
+        row *= w
+        row[np.abs(row) < floor[n, 1:]] = 0.0
     return BetaTable(grid, n_max, beta, flags, floor)
 
 

@@ -263,14 +263,16 @@ def eigenvalues_reference(q, b: float, seeds) -> np.ndarray:
     s_lo, s_hi = y[0, : seeds.size], y[0, seeds.size :]
 
     for _ in range(6):
-        bad = np.sign(s_lo) == np.sign(s_hi)
-        if not bad.any():
+        # widen only the brackets still lacking a sign change, both ends in
+        # one replay
+        bad = np.flatnonzero(np.sign(s_lo) == np.sign(s_hi))
+        if bad.size == 0:
             break
-        delta = np.where(bad, delta * 8.0, delta)
-        lo = np.where(bad, seeds - delta, lo)
-        hi = np.where(bad, seeds + delta, hi)
-        s_lo = np.where(bad, _replay_characteristic(mesh, lo), s_lo)
-        s_hi = np.where(bad, _replay_characteristic(mesh, hi), s_hi)
+        delta[bad] *= 8.0
+        lo[bad] = seeds[bad] - delta[bad]
+        hi[bad] = seeds[bad] + delta[bad]
+        ends = _replay_characteristic(mesh, np.concatenate((lo[bad], hi[bad])))
+        s_lo[bad], s_hi[bad] = ends[: bad.size], ends[bad.size :]
     else:
         raise OracleError(
             "could not bracket a reference eigenvalue near the provided seeds"

@@ -2,8 +2,9 @@
 
 * ``alpha_direct``: alpha_n by the explicit Legendre sum over closed-form
   moments of the twice-differentiated transmutation kernel, to check the
-  library's seed-plus-recurrence route.  It carries its own copy of the
-  compensated Legendre sum, so it stays independent of the library's.
+  library's seed-plus-recurrence route.  It carries its own compensated
+  Legendre sum, ``_legendre_sum``, which the beta tests also check the
+  library's plain matrix product against.
 * ``solution_reference_extended``: u(omega, b) from a fixed-step
   extended-precision run of the oracle's Magnus step, for comparisons
   below ~1e-11 at large omega.

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from nsbf import (
     alpha_seed,
     beta_coeffs,
     build_alpha_table,
+    build_model,
     formal_powers,
     indefinite_integral,
     legendre_coeffs,
@@ -17,10 +20,12 @@ from nsbf import (
     sample,
     solve_homogeneous,
 )
+from nsbf.coefficients import NOISE_FLOOR_EPS_FACTOR
 from nsbf.grid import SampledFunction
 from nsbf.oracle import propagate
 
 from crosschecks import (
+    _legendre_sum,
     alpha_direct,
     dual_route_deviation,
     inverse_relation_deviation,
@@ -132,6 +137,99 @@ class TestBetaCoeffs:
         xs = np.asarray(grid.nodes, dtype=float)
         assert not beta.flags[:5, xs >= 0.01 * PI].any()
         assert beta.flags[20:, grid.M].any()
+
+
+#: builds whose beta table is checked against the compensated sum: the
+#: primary route, the f0 + i f1 route (f0 changes sign for q = -3), a
+#: complex tabulated potential, Paine's steep one and the top order N = 60
+BETA_BUILDS = {
+    "exp": ("exp(x)", 25),
+    "minus3": ("-3", 25),
+    "complex_tabulated": (np.full(1999, 2.0 + 1.5j), 25),
+    "paine": ("1/(x+0.1)^2", 25),
+    "exp_N60": ("exp(x)", 60),
+}
+
+
+@pytest.fixture(scope="module", params=list(BETA_BUILDS))
+def beta_build(request):
+    q, N = BETA_BUILDS[request.param]
+    model = build_model(q, PI, 1998, N)
+    assert model.powers.used_nonvanishing == (request.param == "minus3")
+    leg = legendre_coeffs(model.beta.n_max)
+    dev = model.powers.dev_ratio[: model.beta.n_max + 1, 1:]
+    return model.beta, leg, dev
+
+
+def _largest_summand(leg, dev, n):
+    ks = slice(n % 2, n + 1, 2)
+    return np.max(np.abs(leg.l[n, ks, None] * dev[ks]), axis=0)
+
+
+def _exact(v):
+    """A longdouble as an mpmath number, without rounding."""
+    m, e = np.frexp(v)
+    return mpmath.ldexp(int(np.ldexp(m, 64)), int(e) - 64)
+
+
+class TestBetaSum:
+    """The plain product against independent compensated and exact sums.
+
+    A plain sum of n//2 + 1 terms is off by at most about (n//2 + 1)^2 eps
+    of its largest term (Higham 1993), far below the noise floor.
+    """
+
+    def test_rows_match_compensated_sum(self, beta_build):
+        beta, leg, dev = beta_build
+        eps = float(np.finfo(dev.real.dtype).eps)
+        for n in range(beta.n_max + 1):
+            total, flags = _legendre_sum(leg, dev, n)
+            w = 0.5 * (2 * n + 1)
+            peak = _largest_summand(leg, dev, n)
+            ref = w * total
+            ref[np.abs(ref) < NOISE_FLOOR_EPS_FACTOR * eps * w * peak] = 0.0
+            got = beta.beta[n, 1:]
+            assert np.array_equal(got == 0, ref == 0), n
+            assert np.array_equal(beta.flags[n, 1:], flags), n
+            tol = (n // 2 + 1) ** 2 * eps * w * peak
+            assert np.all(np.abs(got - ref) <= tol), n
+
+    @pytest.mark.parametrize("j", [1, 37, 500, 1998])
+    def test_columns_match_exact_sum(self, beta_build, j):
+        beta, leg, dev = beta_build
+        eps = float(np.finfo(dev.real.dtype).eps)
+        col = dev[:, j - 1]
+        with mpmath.workprec(4000):
+            for n in range(beta.n_max + 1):
+                w = 0.5 * (2 * n + 1)
+                peak = float(_largest_summand(leg, dev[:, j - 1 : j], n)[0])
+                exact = [
+                    w * mpmath.fsum(_exact(leg.l[n, k]) * _exact(part(col[k]))
+                                    for k in range(n % 2, n + 1, 2))
+                    for part in (np.real, np.imag)
+                ]
+                got = beta.beta[n, j]
+                tol = (n // 2 + 1) ** 2 * eps * w * peak
+                if got == 0:
+                    tol += NOISE_FLOOR_EPS_FACTOR * eps * w * peak
+                for g, e in zip((np.real(got), np.imag(got)), exact):
+                    assert abs(float(_exact(g) - e)) <= tol, n
+
+    def test_peak_memory_stays_near_outputs(self):
+        # the largest build_sweep cell; a stacked full-size temporary on
+        # top of the outputs would exceed the bound
+        grid = make_grid(PI, 2952)
+        f0, _ = solve_homogeneous(sample(grid, math.exp))
+        phi = formal_powers(f0, 42)
+        leg = legendre_coeffs(42)
+        tracemalloc.start()
+        try:
+            out = beta_coeffs(phi, leg, 42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = out.beta.nbytes + out.flags.nbytes + out.noise_floor.nbytes
+        assert peak <= 1.75 * outputs
 
 
 class TestMoments:

@@ -80,6 +80,29 @@ def test_eigenvalues_reference_raises_when_refinement_stalls(monkeypatch):
         eigenvalues_reference(lambda x: 1.0, PI, seeds)
 
 
+def test_eigenvalues_reference_widens_only_open_brackets(monkeypatch):
+    # seed 3 is 3e-4 off and needs three widenings; the other seven are
+    # bracketed by the initial 1e-6 half-width
+    seeds = np.array([1.0 + n * n + (3e-4 if n == 3 else 1e-7)
+                      for n in range(1, 9)])
+    calls = []
+    replay = oracle._replay_characteristic
+
+    def logged(mesh, lams):
+        calls.append(np.array(lams))
+        return replay(mesh, lams)
+
+    monkeypatch.setattr(oracle, "_replay_characteristic", logged)
+    lam = eigenvalues_reference(lambda x: 1.0, PI, seeds)
+    for r, lams in enumerate(calls[:3], start=1):
+        delta = 1e-6 * 8.0**r
+        assert np.array_equal(lams, [seeds[2] - delta, seeds[2] + delta])
+    # the fourth call is already a secant sweep over all eight brackets
+    assert calls[3].size == 2 * seeds.size
+    exact = np.array([1.0 + n * n for n in range(1, 9)])
+    assert float(np.max(np.abs(lam - exact))) < 1e-10
+
+
 def _bisect_adaptive(q, lam, iterations=16):
     """Plain bisection on the adaptive shooting function, from brackets
     1e-9 relative wide around lam."""
