@@ -408,7 +408,11 @@ def cmd_solve(cfg: RunConfig, out=None) -> int:
             x_req = float(x_req)
             j = model.grid.nearest_index(x_req)
             u = evaluator(model, w, j)
-            env = "" if w == 0 else error_envelope(model, w, j, eps)
+            # the envelope bounds the improved form only: blank elsewhere
+            improved = cfg.representation == "improved" or (
+                cfg.representation == "auto" and abs(w) >= model.omega_switch
+            )
+            env = error_envelope(model, w, j, eps) if improved else ""
             rows.append((w_text, float(model.grid.nodes[j]), u.real, u.imag, env))
     md = _metadata(cfg, desc)
     md["representation"] = cfg.representation

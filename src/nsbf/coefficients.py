@@ -148,10 +148,11 @@ def beta_coeffs(
     beta_n(x) = (2n+1)/2 * (sum_k l[n][k] phi_k(x)/x^k - 1): since the
     Legendre coefficients of every P_n sum to 1, the subtracted 1 cancels
     against the monomial parts of the ratios, leaving the sum of
-    l[n][k] (phi_k - x^k)/x^k.  The sums of each parity class of n are one
-    matrix product in the pipeline dtype, written into the output; the
-    flags, floors and scaling then go row by row, so no temporary is as
-    large as the table.  Node 0 keeps the limit 0.
+    l[n][k] (phi_k - x^k)/x^k.  Row by row, the sum over the nonzero
+    l[n][k] (k <= n, of the parity of n) is one product in the pipeline
+    dtype, written into the output, followed by the row's flags, floors
+    and scaling, so no temporary is as large as the table.  Node 0 keeps
+    the limit 0.
     """
     if n_max > ORDER_CAP:
         raise LimitError(f"beta order {n_max} exceeds cap {ORDER_CAP}")
@@ -164,16 +165,14 @@ def beta_coeffs(
     beta = np.zeros((n_max + 1, grid.M + 1), dtype=phi.dev_ratio.dtype)
     flags = np.zeros((n_max + 1, grid.M + 1), dtype=bool)
     floor = np.zeros((n_max + 1, grid.M + 1), dtype=np.longdouble)
-    # l[n][k] = 0 when n - k is odd, so each parity class is one product
-    for p in (0, 1):
-        np.matmul(leg.l[p : n_max + 1 : 2, p : n_max + 1 : 2], dev[p::2],
-                  out=beta[p::2, 1:])
     # the largest summand only sets the floor and the flag: float64 will do
     absdev = np.empty(dev.shape)
     np.abs(dev, out=absdev, casting="unsafe")
     absl = np.abs(leg.l[: n_max + 1, : n_max + 1]).astype(float)
     for n in range(n_max + 1):
+        # l[n][k] = 0 when k > n or n - k is odd
         ks = slice(n % 2, n + 1, 2)
+        np.matmul(leg.l[n, ks], dev[ks], out=beta[n, 1:])
         peak = np.max(absl[n, ks, None] * absdev[ks], axis=0)
         w = 0.5 * (2 * n + 1)
         row = beta[n, 1:]

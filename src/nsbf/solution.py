@@ -24,14 +24,21 @@ switch (default 1), the plain form below it, and the power series at
 omega = 0 exactly.  ``char_values`` evaluates the characteristic function
 s(omega, b) = Im u_N(omega, b)/omega, with its omega-derivative, for a whole
 array of real omegas at once.
+
+Both formulas, and their omega-derivative, are written once, in the
+private kernel ``_series``; every evaluator here is a thin front end over
+it.  The kernel takes a scalar omega (Bessel values from
+``spherical_j_sequence``) or an array of real omegas (from
+``spherical_j_table``) and runs the same arithmetic on either.
 """
 
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -100,10 +107,9 @@ class SolutionModel:
     alpha: AlphaTable = field(repr=False)
     N: int
     omega_switch: float = 1.0
-    # float64/complex128 copies of the hot arrays, for the evaluators
-    _beta_c: np.ndarray = field(repr=False, default=None)
-    _alpha_c: np.ndarray = field(repr=False, default=None)
-    _ipow: np.ndarray = field(repr=False, default=None)
+    # i^n c_n(x_j) in complex128, one contiguous row per node j
+    _beta_c: np.ndarray = field(init=False, repr=False)
+    _alpha_c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.alpha.n_max < self.N + 2:
@@ -115,28 +121,28 @@ class SolutionModel:
             raise ValueError(
                 f"beta table has rows to {self.beta.n_max}, need N = {self.N}"
             )
-        if self._beta_c is None:
-            object.__setattr__(
-                self, "_beta_c", np.asarray(self.beta.beta, dtype=complex)
-            )
-            object.__setattr__(
-                self, "_alpha_c", np.asarray(self.alpha.alpha, dtype=complex)
-            )
-            object.__setattr__(
-                self,
-                "_ipow",
-                1j ** np.arange(self.alpha.n_max + 1),
-            )
+        for name, c in (("_beta_c", self.beta.beta),
+                        ("_alpha_c", self.alpha.alpha)):
+            # i^n is 1, i, -1 or -i: the product is exact in any precision
+            ipow = 1j ** np.arange(len(c))
+            out = np.empty(c.shape[::-1], dtype=complex)
+            object.__setattr__(self, name, np.multiply(ipow, c.T, out=out))
 
     @property
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.q)
 
     def with_truncation(self, N: int) -> "SolutionModel":
-        """A view of the same tables truncated at a smaller N."""
+        """A view of the same tables truncated at a smaller N.
+
+        A shallow copy, so the complex128 copies are shared too; a smaller
+        N passes the table-extent checks that this model passed.
+        """
         if not 0 <= N <= self.N:
             raise ValueError(f"N must be in [0, {self.N}], got {N}")
-        return replace(self, N=N)
+        view = copy.copy(self)
+        object.__setattr__(view, "N", N)
+        return view
 
 
 QInput = Union[str, expr_mod.Expression, np.ndarray, SampledFunction]
@@ -209,23 +215,89 @@ def build_model(
     )
 
 
-def _bessel_sum(model: SolutionModel, table: np.ndarray, n_top: int,
-                omega: complex, x_index: int) -> complex:
-    """sum_{n=0}^{n_top} i^n c_n(x_j) j_n(omega x_j)."""
+def _scalar_dot(c: np.ndarray, jn: np.ndarray) -> complex:
+    # a Python complex, so the scalar path rounds in Python's complex
+    # arithmetic, not numpy's
+    return complex(np.dot(c, jn))
+
+
+def _table_dot(c: np.ndarray, jn: np.ndarray) -> np.ndarray:
+    # sum_n c_n jn[n, k] for real jn: one real product on the (re, im)
+    # pairs of c, read back as complex
+    return (jn.T @ c.view(float).reshape(-1, 2)).view(complex)[:, 0]
+
+
+def _series(model: SolutionModel, omega: complex | np.ndarray, x_index: int,
+            representation: str, derivative: bool = False):
+    """u_N(omega, x_j) of either representation, and du_N/domega if asked.
+
+    omega is a Python scalar, real or complex, or a 1-D ndarray of real
+    omega > 0.  Both representations are
+
+        u = a e^{i omega x} - p e^{-i omega x}/(4 d) - k S/d,
+        S = sum_n i^n c_n(x) j_n(omega x),
+
+    plain (c = beta): a = 1, p = 0, k = -2, d = 1, so u = e^{i omega x} + 2S;
+    improved (c = alpha): a = 1 + Q/(2 i omega) + (q/4 - Q^2/8)/omega^2,
+    p = q(0), k = 2, d = omega^2.  Each term is divided by d last, so the
+    plain form rounds exactly as e^{i omega x} + 2S.  The omega-derivative
+    uses x j_n'(omega x) with j_n'(z) = j_{n-1}(z) - (n+1) j_n(z)/z (DLMF
+    10.51.2) and j_0' = -j_1.
+    """
+    if representation == "improved":
+        table, n_top = model._alpha_c, model.N + 2
+    elif representation == "plain":
+        table, n_top = model._beta_c, model.N
+    else:
+        raise ValueError(f"unknown representation {representation!r}")
     x = float(model.grid.nodes[x_index])
     z = omega * x
-    if isinstance(z, complex) and z.imag == 0.0:
-        z = z.real
-    jn = spherical_j_sequence(n_top, z)
-    col = table[: n_top + 1, x_index]
-    return complex(np.dot(model._ipow[: n_top + 1] * col, jn))
+    if isinstance(omega, np.ndarray):
+        jn = spherical_j_table(n_top, z)
+        e = np.empty(z.shape, dtype=complex)
+        np.cos(z, out=e.real)
+        np.sin(z, out=e.imag)
+        em = e.conj()
+        dot = _table_dot
+    else:
+        if isinstance(z, complex) and z.imag == 0.0:
+            z = z.real
+        jn = spherical_j_sequence(n_top + 1 if derivative else n_top, z)
+        e, em = cmath.exp(1j * omega * x), cmath.exp(-1j * omega * x)
+        dot = _scalar_dot
+    col = table[x_index, : n_top + 1]
+    S = dot(col, jn[: n_top + 1])
+    if representation == "improved":
+        # floats for a real q: core/d is then a real division on arrays
+        num = complex if model.is_complex else float
+        Q = num(model.Q[x_index])
+        core = num(model.q[x_index]) / 4.0 - Q * Q / 8.0
+        d = omega * omega
+        a = 1.0 + Q / (2j * omega) + core / d
+        p, k = model.q0, 2.0
+    else:
+        a, p, k, d = 1.0, 0.0, -2.0, 1.0
+    t_p = p * em / (4.0 * d)
+    t_k = k * S / d
+    u = e * a - t_p - t_k
+    if not derivative:
+        return u
+    n1 = np.arange(2, n_top + 2)
+    dS = x * (
+        dot(col[1:], jn[:n_top]) - col[0] * jn[1]
+        - dot(n1 * col[1:], jn[1 : n_top + 1]) / z
+    )
+    # da/domega and (dd/domega)/d: zero for the plain form
+    da, dd_d = 0.0, 0.0
+    if representation == "improved":
+        da, dd_d = -Q / (2j * d) - 2.0 * core / (d * omega), 2.0 / omega
+    du = e * (1j * x * a + da) + 1j * x * t_p + (t_p + t_k) * dd_d - k * dS / d
+    return u, du
 
 
 def eval_uN_tilde(model: SolutionModel, omega: complex, x_index: int) -> complex:
     """Plain truncated representation; entire in omega (omega = 0 is fine)."""
-    x = float(model.grid.nodes[x_index])
-    s = _bessel_sum(model, model._beta_c, model.N, omega, x_index)
-    return cmath.exp(1j * omega * x) + 2.0 * s
+    return _series(model, omega, x_index, "plain")
 
 
 def eval_uN(model: SolutionModel, omega: complex, x_index: int) -> complex:
@@ -236,18 +308,7 @@ def eval_uN(model: SolutionModel, omega: complex, x_index: int) -> complex:
     """
     if omega == 0:
         raise ZeroOmegaError("the improved representation divides by omega^2")
-    x = float(model.grid.nodes[x_index])
-    q = complex(model.q[x_index])
-    Q = complex(model.Q[x_index])
-    q0 = model.q0
-    w2 = omega * omega
-    core = q / 4.0 - Q * Q / 8.0
-    s = _bessel_sum(model, model._alpha_c, model.N + 2, omega, x_index)
-    return (
-        cmath.exp(1j * omega * x) * (1.0 + Q / (2j * omega) + core / w2)
-        - q0 * cmath.exp(-1j * omega * x) / (4.0 * w2)
-        - 2.0 * s / w2
-    )
+    return _series(model, omega, x_index, "improved")
 
 
 def eval_auto(model: SolutionModel, omega: complex, x_index: int) -> complex:
@@ -280,20 +341,14 @@ def sine_solution(
     """
     if omega == 0:
         raise ZeroOmegaError("sine_solution divides by omega")
-    if representation == "improved":
-        evaluate = eval_uN
-    elif representation == "plain":
-        evaluate = eval_uN_tilde
-    else:
-        raise ValueError(f"unknown representation {representation!r}")
-    real_case = (
-        not model.is_complex
-        and not (isinstance(omega, complex) and omega.imag != 0.0)
-    )
-    if real_case:
-        return evaluate(model, float(omega), x_index).imag / float(omega)
+    if not model.is_complex and not (
+        isinstance(omega, complex) and omega.imag != 0.0
+    ):
+        w = float(omega)
+        return _series(model, w, x_index, representation).imag / w
     return (
-        evaluate(model, omega, x_index) - evaluate(model, -omega, x_index)
+        _series(model, omega, x_index, representation)
+        - _series(model, -omega, x_index, representation)
     ) / (2j * omega)
 
 
@@ -306,64 +361,19 @@ def char_values(
     """s(omega, b) = Im u_N(omega, b)/omega for an array of real omegas > 0.
 
     The batched form of ``sine_solution`` at x = b for a real potential:
-    one Bessel table for all omegas, and one real matrix product with the
-    imaginary part of the coefficient column i^n c_n(b) (with j_n real,
-    only that part reaches Im u_N).  With ``derivative=True`` it returns
-    (s, ds/domega), using j_n'(z) = j_{n-1}(z) - (n+1) j_n(z)/z (DLMF
-    10.51.2) and j_0' = -j_1.
+    one Bessel table for all omegas.  With ``derivative=True`` it returns
+    (s, ds/domega), from the omega-derivative of u_N.
     """
     if model.is_complex:
         raise ValueError("char_values needs a real potential")
-    if representation == "improved":
-        table, n_top = model._alpha_c, model.N + 2
-    elif representation == "plain":
-        table, n_top = model._beta_c, model.N
-    else:
-        raise ValueError(f"unknown representation {representation!r}")
     w = np.asarray(omegas, dtype=float)
     if w.ndim != 1 or not np.all(w > 0):
         raise ValueError("char_values needs a 1-D array of omega > 0")
-    M = model.grid.M
-    x = float(model.grid.nodes[M])
-    z = w * x
-    jn = spherical_j_table(n_top, z)
-    c = np.ascontiguousarray(
-        (model._ipow[: n_top + 1] * table[: n_top + 1, M]).imag
-    )
-    S = c @ jn[: n_top + 1]
-    sin, cos = np.sin(z), np.cos(z)
-    if representation == "plain":
-        im_u = sin + 2.0 * S
-    else:
-        q = float(model.q[M])
-        Q = float(model.Q[M])
-        q0 = model.q0.real
-        w2 = w * w
-        core = q / 4.0 - Q * Q / 8.0
-        im_u = (
-            sin * (1.0 + core / w2) - cos * Q / (2.0 * w)
-            + q0 * sin / (4.0 * w2) - 2.0 * S / w2
-        )
-    s = im_u / w
     if not derivative:
-        return s
-    # sum c_n x j_n'(omega x), without forming the j_n' table
-    n1 = np.arange(2, n_top + 2)
-    dS = x * (
-        c[1:] @ jn[:n_top] - c[0] * jn[1]
-        - ((n1 * c[1:]) @ jn[1 : n_top + 1]) / z
-    )
-    if representation == "plain":
-        d_im_u = x * cos + 2.0 * dS
-    else:
-        w3 = w2 * w
-        d_im_u = (
-            x * cos * (1.0 + core / w2) - 2.0 * core * sin / w3
-            + x * sin * Q / (2.0 * w) + cos * Q / (2.0 * w2)
-            + q0 * (x * cos / (4.0 * w2) - sin / (2.0 * w3))
-            - 2.0 * dS / w2 + 4.0 * S / w3
-        )
-    return s, (d_im_u - s) / w
+        return _series(model, w, model.grid.M, representation).imag / w
+    u, du = _series(model, w, model.grid.M, representation, True)
+    s = u.imag / w
+    return s, (du.imag - s) / w
 
 
 def epsN_surrogate(model: SolutionModel) -> np.ndarray:

@@ -95,6 +95,26 @@ class TestSolveCommand:
         x = float(rows[0][1])
         assert float(rows[0][2]) == pytest.approx(math.cosh(x), rel=1e-8)
 
+    @pytest.mark.parametrize("rep, omega, has_envelope", [
+        ("plain", "841.65", False),
+        ("auto", "0.5", False),
+        ("improved", "0.5", True),
+        ("auto", "841.65", True),
+    ])
+    def test_envelope_only_for_the_improved_form(self, rep, omega,
+                                                 has_envelope):
+        rc, out = run_cli(
+            ["solve", "--potential=-1.5", "--omega", omega, "--x", "0.0425",
+             "--representation", rep]
+        )
+        assert rc == 0
+        _, rows = data_rows(out)
+        if has_envelope:
+            env = float(rows[0][4])
+            assert math.isfinite(env) and env > 0.0
+        else:
+            assert rows[0][4] == ""
+
     def test_malformed_potential_exit_2(self):
         rc, _ = run_cli(["solve", "--potential", "exp(", "--omega", "1",
                          "--x", "1", *FAST])

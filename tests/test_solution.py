@@ -266,6 +266,19 @@ class TestCharValues:
         fd = (8.0 * (f(h) - f(-h)) - (f(2 * h) - f(-2 * h))) / (12.0 * h)
         assert np.all(np.abs(ds - fd) <= 1e-7 * np.abs(fd))
 
+    @pytest.mark.parametrize("rep", ["improved", "plain"])
+    def test_constant_potential_closed_form(self, model_one, rep):
+        # q = 1: s = sin(kb)/k with k = sqrt(omega^2 - 1), and
+        # ds/domega = (b cos(kb)/k - sin(kb)/k^2) omega/k
+        b = float(model_one.grid.nodes[-1])
+        w = np.linspace(2.0, 460.0, 300)
+        k = np.sqrt(w * w - 1.0)
+        exact = np.sin(k * b) / k
+        d_exact = (b * np.cos(k * b) / k - np.sin(k * b) / k**2) * w / k
+        s, ds = char_values(model_one, w, rep, derivative=True)
+        assert np.all(np.abs(s - exact) <= 1e-10 / w)
+        assert np.all(np.abs(ds - d_exact) <= 1e-10 / w)
+
     def test_rejects_nonpositive_omega(self, model_exp):
         with pytest.raises(ValueError):
             char_values(model_exp, np.array([1.0, 0.0]))
