@@ -1,30 +1,38 @@
 """Built-in reference integrator for -u'' + q u = lam u on [0, b].
 
 This is the verification oracle used by the test suite and the ``bench``
-command.  It propagates the 2x2 fundamental system with a fourth-order
-exponential (Magnus-type) one-step method whose local propagator is the
-exact matrix exponential of
+command.  It propagates the 2x2 fundamental system with a sixth-order
+exponential (Magnus) one-step method whose local propagator is the exact
+matrix exponential of
 
-    Omega = (h/2)(A_1 + A_2) + (sqrt(3) h^2 / 12) [A_2, A_1],
+    Omega = a_1 + a_3/12 + [-20 a_1 - a_3 + C_1, a_2 + C_2]/240,
+    C_1 = [a_1, a_2],  C_2 = -[a_1, 2 a_3 + C_1]/60,
 
-A_i being the coefficient matrix at the two Gauss nodes of the step.
+with a_1 = h A_2, a_2 = (sqrt(15) h/3)(A_3 - A_1) and
+a_3 = (10 h/3)(A_3 - 2 A_2 + A_1), A_i being the coefficient matrix at the
+three Gauss nodes 1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10 of the step
+(Blanes, Casas, Oteo and Ros, Phys. Rep. 470 (2009), section 5).  For the
+Schroedinger matrix Omega has a short closed form, written out in
+``_propagators``; for a constant q it reduces to h A and the step is exact.
 Steps are controlled adaptively by an embedded full-step/two-half-steps
 pair at the fixed relative tolerance RTOL = 1e-12.  Because the propagator
 is exponential the accuracy is uniform in the spectral parameter: unlike a
 Runge-Kutta oracle, the phase error does not grow with omega, which is what
 makes residual comparisons at omega ~ 1000 meaningful in double precision.
+A step size that falls below what x resolves (a singular q) raises
+``OracleError`` at once.
 
 All entry points are vectorized over a batch of spectral parameters; the
 step size is shared across the batch (controlled by the worst member).
 One kernel, ``_propagators``, builds the propagators of a stack of steps
-for the whole batch at once: ``propagate`` samples q at the six Gauss
+for the whole batch at once: ``propagate`` samples q at the nine Gauss
 nodes of an attempted step and its two halves and makes one kernel call
 on that stack of three.
 
 ``eigenvalues_reference`` adapts the mesh once, in one ``propagate`` over
 the initial bracket endpoints, and records each accepted step's size and
-its six q samples.  Every later sweep replays that mesh with the locally
-extrapolated step matrix E = F + (F - B)/15 (F the product of the two
+its nine q samples.  Every later sweep replays that mesh with the locally
+extrapolated step matrix E = F + (F - B)/63 (F the product of the two
 half-step propagators, B the full step), in blocks of steps: no q calls
 and no error estimate.  The mesh stays valid because an expanded bracket
 lies within 8^6 initial half-widths of the values it was adapted to
@@ -48,9 +56,9 @@ __all__ = [
     "eigenvalues_reference",
 ]
 
-_C1 = 0.5 - math.sqrt(3.0) / 6.0
-_C2 = 0.5 + math.sqrt(3.0) / 6.0
-_SQRT3_12 = math.sqrt(3.0) / 12.0
+#: the three Gauss nodes of a step, as fractions of its size
+_NODES = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
+_SQRT15_3 = math.sqrt(15.0) / 3.0
 
 MAX_STEPS = 1_000_000
 #: embedded-pair tolerances of the adaptive step control
@@ -63,22 +71,38 @@ MAX_SWEEPS = 80
 REPLAY_BLOCK = 4096
 
 
-def _propagators(q1, q2, h, lam: np.ndarray, scale: np.ndarray):
+def _propagators(q1, q2, q3, h, lam: np.ndarray, scale: np.ndarray):
     """Entries (p11, p12, p21, p22) of the step propagators of the scaled
     system for a stack of steps.
 
-    q1, q2 and h are the Gauss samples and sizes of the steps, shaped (S, 1)
-    so that they broadcast against the batch lam and scale, shape (K,), to
-    (S, K) entries.  The arithmetic keeps the dtype of its inputs.
+    q1, q2, q3 and h are the Gauss samples and sizes of the steps, shaped
+    (S, 1) so that they broadcast against the batch lam and scale, shape
+    (K,), to (S, K) entries.  The arithmetic keeps the dtype of its inputs.
 
     The state is y = (u, u'/scale) with scale ~ sqrt(|lam|), keeping both
     components O(1); carrying u' directly would pin the round-off floor at
     eps * sqrt(lam).
+
+    The exponent is the sixth-order Omega of the module docstring, written
+    out for the traceless matrices [[0, scale], [(q - lam)/scale, 0]] as
+    [[d, b], [c, -d]]; a_2 and a_3 enter through the per-step scalars D
+    and K.
     """
-    pbar = 0.5 * (q1 + q2) - lam
-    d = _SQRT3_12 * h * h * (q1 - q2)
-    b = h * scale
-    c = h * pbar / scale
+    hs = h * scale
+    hv = h * (q2 - lam) / scale
+    hh = h * h
+    D = _SQRT15_3 * hh * (q3 - q1)
+    K = (10.0 / 3.0) * hh * (q3 - 2.0 * q2 + q1)
+    # d = D (-20 + (4/3) hs hv + K/30)/240
+    # b = hs (1 + (D^2 - 20 K)/3600)
+    # c = hv + K/(12 hs) + ((20 hv + K/hs) K/30 - D^2/hs + hv D^2/30)/120,
+    # grouped into per-step factors: numpy's per-call overhead, not the
+    # batch, sets the cost of a step
+    e = 1.0 + D * D / 3600.0
+    f = K / 180.0
+    d = D * (K / 7200.0 - 1.0 / 12.0) + (D / 180.0) * (hs * hv)
+    b = hs * (e - f)
+    c = hv * (e + f) + (K * (1.0 / 12.0 + K / 3600.0) - D * D / 120.0) / hs
 
     delta2 = d * d + b * c
     s = np.sqrt(np.abs(delta2))
@@ -112,8 +136,8 @@ def propagate(
         Initial values, shape (2,) broadcast over the batch or (2, K);
         rows are (u(0), u'(0)).  May be complex.
     mesh : list, optional
-        If given, the tuple (h, q1, ..., q6) of every accepted step is
-        appended to it: the step size, then the two Gauss samples of the
+        If given, the tuple (h, q1, ..., q9) of every accepted step is
+        appended to it: the step size, then the three Gauss samples of the
         full step, of its first half and of its second half.
 
     Returns
@@ -124,7 +148,8 @@ def propagate(
     Raises
     ------
     OracleError
-        If the step count budget is exhausted.
+        If the step count budget is exhausted, or if the step size falls
+        below what x resolves (a singular q).
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     y0 = np.asarray(y0)
@@ -137,19 +162,28 @@ def propagate(
 
     x = 0.0
     h = b / 64.0
+    # below this step the Gauss nodes of a half step lie within a few ulps
+    # of each other anywhere in [0, b]: x no longer resolves the step
+    h_min = 16.0 * np.finfo(float).eps * b
     n_steps = 0
     while b - x > 1e-15 * b:
+        if h < h_min:
+            raise OracleError(
+                f"reference integrator step {h:.3e} fell below what x={x!r} "
+                f"resolves; is q singular there?"
+            )
         h = min(h, b - x)
         half = 0.5 * h
-        samples = (
-            q(x + _C1 * h), q(x + _C2 * h),
-            q(x + _C1 * half), q(x + _C2 * half),
-            q((x + half) + _C1 * half), q((x + half) + _C2 * half),
+        samples = tuple(
+            q(start + c * size)
+            for start, size in ((x, h), (x, half), (x + half, half))
+            for c in _NODES
         )
         qs = np.array(samples)[:, None]
         # one stack of three steps: the full step, then its two halves
         p11, p12, p21, p22 = _propagators(
-            qs[0::2], qs[1::2], np.array([[h], [half], [half]]), lam, scale
+            qs[0::3], qs[1::3], qs[2::3], np.array([[h], [half], [half]]),
+            lam, scale,
         )
         u = p11[:2] * y[0] + p12[:2] * y[1]
         v = p21[:2] * y[0] + p22[:2] * y[1]
@@ -160,13 +194,13 @@ def propagate(
         tol_scale = ATOL + RTOL * np.abs(y_fine)
         err = float((np.abs(y_fine - y_big) / tol_scale).max())
         if err <= 1.0:
-            # local extrapolation: the pair differs at O(h^5), so the
+            # local extrapolation: the pair differs at O(h^7), so the
             # correction cancels the leading error term of the fine result
-            y = y_fine + (y_fine - y_big) / 15.0
+            y = y_fine + (y_fine - y_big) / 63.0
             x += h
             if mesh is not None:
                 mesh.append((h, *samples))
-        factor = 0.9 * err ** -0.2 if err > 0 else 5.0
+        factor = 0.9 * err ** (-1.0 / 7.0) if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
         n_steps += 1
         if n_steps > MAX_STEPS:
@@ -180,8 +214,8 @@ def propagate(
 def _replay_characteristic(mesh: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """s(lam) = u(b) with u(0)=0, u'(0)=1 over a recorded mesh.
 
-    mesh holds one row (h, q1, ..., q6) per step, as ``propagate`` records
-    it.  Each step applies its locally extrapolated matrix E = F + (F - B)/15,
+    mesh holds one row (h, q1, ..., q9) per step, as ``propagate`` records
+    it.  Each step applies its locally extrapolated matrix E = F + (F - B)/63,
     F being the product of the two half-step propagators and B the full-step
     one, which is the extrapolation ``propagate`` makes on the state.  No q
     is sampled and no error is estimated.
@@ -195,17 +229,17 @@ def _replay_characteristic(mesh: np.ndarray, lams: np.ndarray) -> np.ndarray:
         h = block[0]
         half = 0.5 * h
         p11, p12, p21, p22 = _propagators(
-            block[1::2, :, None], block[2::2, :, None],
+            block[1::3, :, None], block[2::3, :, None], block[3::3, :, None],
             np.stack((h, half, half))[:, :, None], lams, scale,
         )
         f11 = p11[2] * p11[1] + p12[2] * p21[1]
         f12 = p11[2] * p12[1] + p12[2] * p22[1]
         f21 = p21[2] * p11[1] + p22[2] * p21[1]
         f22 = p21[2] * p12[1] + p22[2] * p22[1]
-        e11 = f11 + (f11 - p11[0]) / 15.0
-        e12 = f12 + (f12 - p12[0]) / 15.0
-        e21 = f21 + (f21 - p21[0]) / 15.0
-        e22 = f22 + (f22 - p22[0]) / 15.0
+        e11 = f11 + (f11 - p11[0]) / 63.0
+        e12 = f12 + (f12 - p12[0]) / 63.0
+        e21 = f21 + (f21 - p21[0]) / 63.0
+        e22 = f22 + (f22 - p22[0]) / 63.0
         for i in range(h.size):
             u, v = e11[i] * u + e12[i] * v, e21[i] * u + e22[i] * v
     return u

@@ -6,8 +6,9 @@
   Legendre sum, ``_legendre_sum``, which the beta tests also check the
   library's plain matrix product against.
 * ``solution_reference_extended``: u(omega, b) from a fixed-step
-  extended-precision run of the oracle's Magnus step, for comparisons
-  below ~1e-11 at large omega.
+  extended-precision run of the oracle's sixth-order Magnus step (three
+  Gauss samples of q per step), for comparisons below ~1e-11 at large
+  omega.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from nsbf.grid import Grid
-from nsbf.oracle import _C1, _C2, _propagators
+from nsbf.oracle import _NODES, _propagators
 
 #: an entry is flagged when its largest summand exceeds this multiple of
 #: the result
@@ -162,10 +163,11 @@ def solution_reference_extended(q, b: float, omegas) -> np.ndarray:
     x = np.add.accumulate(np.full(n_steps, h))
     x = np.concatenate(([0.0], x[:-1].astype(float)))
     hf = float(h)
-    q1 = np.array([q(t) for t in (x + _C1 * hf).tolist()])
-    q2 = np.array([q(t) for t in (x + _C2 * hf).tolist()])
+    q1, q2, q3 = (
+        np.array([q(t) for t in (x + c * hf).tolist()])[:, None] for c in _NODES
+    )
     p11, p12, p21, p22 = _propagators(
-        q1[:, None], q2[:, None], np.full((n_steps, 1), hf), lam, scale
+        q1, q2, q3, np.full((n_steps, 1), hf), lam, scale
     )
     for i in range(n_steps):
         y0, y1 = p11[i] * y0 + p12[i] * y1, p21[i] * y0 + p22[i] * y1

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jv, yv
 
 from nsbf import EigProblem, OracleError, find_eigenvalues, oracle
 from nsbf.oracle import (
@@ -157,3 +158,54 @@ def test_eigenvalues_reference_matches_adaptive_bisection_exp_40(model_exp):
     seeds = np.array([r.lam for r in find_eigenvalues(EigProblem(model_exp), 40)])
     lam = eigenvalues_reference(math.exp, PI, seeds)
     assert np.max(np.abs(lam - _bisect_adaptive(math.exp, lam)) / lam) <= 1e-12
+
+
+def test_singular_potential_raises_promptly():
+    # q = 1/(x-1) drives the step toward 0 at x = 1; the step floor stops
+    # it long before the step budget (9 samples a step, 1e6 steps) would
+    calls = [0]
+
+    def q(x):
+        calls[0] += 1
+        return 1.0 / (x - 1.0)
+
+    with pytest.raises(OracleError, match=r"x=0\.99999"):
+        characteristic_reference(q, PI, [1.0, 4.0, 9.0])
+    assert calls[0] < 200_000
+
+
+def _fixed_step_state(q, lam, n):
+    """(u, u'/sqrt(lam)) at b = pi from u(0)=0, u'(0)=1 by n equal steps."""
+    h = PI / n
+    x = np.arange(n) * h
+    lam = np.array([lam])
+    scale = np.sqrt(lam)
+    samples = [q(x + c * h)[:, None] for c in oracle._NODES]
+    p11, p12, p21, p22 = oracle._propagators(
+        *samples, np.full((n, 1), h), lam, scale
+    )
+    u, v = 0.0, 1.0 / scale[0]
+    for i in range(n):
+        u, v = p11[i, 0] * u + p12[i, 0] * v, p21[i, 0] * u + p22[i, 0] * v
+    return np.array([u, v])
+
+
+def test_propagator_is_sixth_order():
+    states = [_fixed_step_state(np.exp, 100.0, n) for n in (64, 128, 256, 512)]
+    diffs = [np.abs(b - a).max() for a, b in zip(states, states[1:])]
+    orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
+    assert min(orders) >= 5.5
+
+
+def test_characteristic_matches_bessel_closed_form():
+    # -u'' + u/(x+a)^2 = lam u has the solutions sqrt(t) Z_nu(k t), t = x + a,
+    # nu = sqrt(5)/2, k = sqrt(lam); their Wronskian is 2/pi, so
+    # s(lam) = (pi/2) sqrt(a (b+a)) (J(ka) Y(k(b+a)) - Y(ka) J(k(b+a)))
+    a, nu = 0.1, math.sqrt(5.0) / 2.0
+    lams = np.geomspace(1.0, 2e4, 12)
+    k = np.sqrt(lams)
+    exact = 0.5 * PI * math.sqrt(a * (PI + a)) * (
+        jv(nu, k * a) * yv(nu, k * (PI + a)) - yv(nu, k * a) * jv(nu, k * (PI + a))
+    )
+    s = characteristic_reference(_paine, PI, lams)
+    assert np.all(np.abs(s - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact)))
