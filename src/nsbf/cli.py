@@ -226,7 +226,11 @@ def _interp6(x_src: np.ndarray, v_src: np.ndarray, x_tgt: np.ndarray) -> np.ndar
 
 
 def _resolve_potential(cfg: RunConfig):
-    """Returns (q_input for build_model, scalar callable, description)."""
+    """Returns (q_input for build_model, q callable, description).
+
+    The callable maps an ndarray of x to an array of q(x), as the oracle
+    samples it.
+    """
     if cfg.potential is not None:
         tree = expr_mod.parse(cfg.potential)
         return (
@@ -248,9 +252,11 @@ def _resolve_potential(cfg: RunConfig):
         samples = _interp6(xs, vals, target)
         cfg.resampled = True
     sampled = SampledFunction(grid, samples)
-    interp = lambda x: complex(_interp6(xs, vals, np.array([x]))[0])
-    if not np.iscomplexobj(vals):
-        interp = lambda x: float(_interp6(xs, vals, np.array([x]))[0])
+    dtype = complex if np.iscomplexobj(vals) else float
+
+    def interp(x):
+        return _interp6(xs, vals, x).astype(dtype)
+
     return sampled, interp, f"tabulated:{cfg.potential_file}"
 
 

@@ -1,4 +1,4 @@
-"""Parser and evaluator for scalar potential expressions q(x).
+"""Parser and evaluator for real potential expressions q(x).
 
 Accepts the usual infix syntax over one variable ``x``: numeric literals
 (decimal and scientific), the named constants ``pi`` and ``e``, the binary
@@ -7,6 +7,12 @@ exp, sin, cos, sinh, cosh, sqrt, log, abs.
 
 Precedence, tightest first: ``^`` (right-associative), unary minus,
 ``* /``, ``+ -``.  In particular ``-x^2`` parses as ``-(x^2)``.
+
+``evaluate`` walks the tree once for a whole ndarray of points, applying
+numpy ufuncs under ``np.errstate(all="raise", under="ignore")``, so that
+sampling q on a grid or on a block of integrator steps is one call.  A
+domain error, division by zero or overflow at any point raises
+``ExpressionEvalError`` naming the first such point.
 
 Parsed expressions are immutable and safe to evaluate concurrently.
 """
@@ -17,6 +23,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .errors import ExpressionEvalError, ExpressionSyntaxError
 
@@ -71,14 +79,22 @@ Expression = Union[Num, Const, Var, Unary, Binary, Call]
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _FUNCTIONS = {
-    "exp": math.exp,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "sqrt": math.sqrt,
-    "log": math.log,
-    "abs": abs,
+    "exp": np.exp,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
+    "sqrt": np.sqrt,
+    "log": np.log,
+    "abs": np.abs,
+}
+
+_OPERATORS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": np.power,
 }
 
 _NUMBER_RE = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
@@ -200,20 +216,56 @@ def parse(source: str) -> Expression:
     return node
 
 
-def evaluate(expr: Expression, x: float) -> float:
-    """Evaluate ``expr`` at the point ``x``.
+def evaluate(expr: Expression, x):
+    """Evaluate ``expr`` at the point or ndarray of points ``x``.
 
-    Returns a finite float.  Applying a function outside its real domain
-    (log of a non-positive value, sqrt of a negative, a fractional power of
-    a negative base) raises ExpressionEvalError, as does overflow.
+    One walk of the tree, with numpy ufuncs over the whole array.  Returns
+    a finite float for a scalar ``x`` and a float64 array of the shape of
+    ``x`` otherwise, also for a constant expression.  Applying a function
+    outside its real domain (log of a non-positive value, sqrt of a
+    negative, a fractional power of a negative base, zero to a negative
+    power), division by zero and overflow raise ExpressionEvalError naming
+    the first bad ``x``; underflow to zero is not an error.
     """
-    result = _eval(expr, x)
-    if not math.isfinite(result):
-        raise ExpressionEvalError(f"evaluation produced non-finite value {result!r}")
-    return result
+    xs = np.asarray(x, dtype=float)
+    with np.errstate(all="raise", under="ignore"):
+        result = _eval(expr, xs)
+    bad = ~np.isfinite(result)
+    if np.any(bad):
+        # a non-finite literal such as 1e400 that no operation flagged
+        raise _error_at(bad, xs, "evaluation produced a non-finite value")
+    if xs.ndim == 0:
+        return float(result)
+    out = np.empty(xs.shape)
+    out[...] = result
+    return out
 
 
-def _eval(expr: Expression, x: float) -> float:
+def _error_at(bad, x: np.ndarray, message: str) -> ExpressionEvalError:
+    """``message`` at the first point where ``bad`` holds."""
+    bad, x = np.broadcast_arrays(bad, x)
+    return ExpressionEvalError(
+        f"{message} at x={float(x.flat[np.argmax(bad)])!r}"
+    )
+
+
+def _apply(func, name: str, x: np.ndarray, *args):
+    """func(*args), with a floating-point error turned into
+    ExpressionEvalError at the first x where the result is not finite.
+
+    Every real-domain violation sets a flag: log(0) and 0^-1 divide by
+    zero; log and sqrt of a negative and a fractional power of a negative
+    base are invalid.
+    """
+    try:
+        return func(*args)
+    except FloatingPointError as exc:
+        with np.errstate(all="ignore"):
+            bad = ~np.isfinite(func(*args))
+        raise _error_at(bad, x, f"{name}: {exc}") from exc
+
+
+def _eval(expr: Expression, x: np.ndarray):
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Const):
@@ -221,37 +273,12 @@ def _eval(expr: Expression, x: float) -> float:
     if isinstance(expr, Var):
         return x
     if isinstance(expr, Unary):
-        return -_eval(expr.operand, x)
+        return np.negative(_eval(expr.operand, x))
     if isinstance(expr, Binary):
         a = _eval(expr.left, x)
         b = _eval(expr.right, x)
-        try:
-            if expr.op == "+":
-                return a + b
-            if expr.op == "-":
-                return a - b
-            if expr.op == "*":
-                return a * b
-            if expr.op == "/":
-                if b == 0.0:
-                    raise ExpressionEvalError("division by zero")
-                return a / b
-            # '^': real arithmetic only
-            if a < 0.0 and b != round(b):
-                raise ExpressionEvalError(
-                    "fractional power of a negative base is not real"
-                )
-            return a ** b
-        except OverflowError as exc:
-            raise ExpressionEvalError(f"overflow in '{expr.op}'") from exc
+        return _apply(_OPERATORS[expr.op], f"'{expr.op}'", x, a, b)
     if isinstance(expr, Call):
         v = _eval(expr.arg, x)
-        if expr.func == "log" and v <= 0.0:
-            raise ExpressionEvalError(f"log of non-positive value {v}")
-        if expr.func == "sqrt" and v < 0.0:
-            raise ExpressionEvalError(f"sqrt of negative value {v}")
-        try:
-            return _FUNCTIONS[expr.func](v)
-        except (OverflowError, ValueError) as exc:
-            raise ExpressionEvalError(f"{expr.func}({v}) failed: {exc}") from exc
+        return _apply(_FUNCTIONS[expr.func], expr.func, x, v)
     raise TypeError(f"not an expression node: {expr!r}")

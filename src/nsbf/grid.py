@@ -139,17 +139,17 @@ def make_grid(b: float, M: int) -> Grid:
 
 
 def sample(grid: Grid, func) -> SampledFunction:
-    """Sample a scalar callable on every grid node.
+    """Sample q on every grid node in one call.
 
-    Complex return values are kept complex; otherwise the samples are stored
-    in the extended-precision pipeline dtype.
+    ``func`` maps the ndarray of nodes (as float64) to an array of values,
+    or to a scalar for a constant.  Complex values are kept complex;
+    otherwise the samples are stored in the extended-precision pipeline
+    dtype.
     """
-    raw = [func(float(x)) for x in grid.nodes]
-    if any(isinstance(v, complex) for v in raw):
-        values = np.array(raw, dtype=PIPELINE_CDTYPE)
-    else:
-        values = np.array(raw, dtype=PIPELINE_DTYPE)
-    return SampledFunction(grid, values)
+    x = np.asarray(grid.nodes, dtype=float)
+    raw = np.broadcast_to(np.asarray(func(x)), x.shape)
+    dtype = PIPELINE_CDTYPE if np.iscomplexobj(raw) else PIPELINE_DTYPE
+    return SampledFunction(grid, raw.astype(dtype))
 
 
 def indefinite_integral(f: SampledFunction) -> SampledFunction:

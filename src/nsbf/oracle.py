@@ -25,17 +25,23 @@ A step size that falls below what x resolves (a singular q) raises
 All entry points are vectorized over a batch of spectral parameters; the
 step size is shared across the batch (controlled by the worst member).
 One kernel, ``_propagators``, builds the propagators of a stack of steps
-for the whole batch at once: ``propagate`` samples q at the nine Gauss
-nodes of an attempted step and its two halves and makes one kernel call
-on that stack of three.
+for the whole batch at once.  ``propagate`` attempts a block of
+STEP_BLOCK equal steps per pass: one call of q on the nine Gauss nodes of
+each step and its two halves, one kernel call on that stack, the
+sequential state update, and a vectorised error test of every step on
+the state it starts from.  The steps before the first rejected one are
+accepted and the rest discarded; the next step size comes from the
+rejected step, or from the block's worst error.  q maps an ndarray of x
+to an array of q(x), or to a scalar for a constant.
 
 ``eigenvalues_reference`` adapts the mesh once, in one ``propagate`` over
 the initial bracket endpoints, and records each accepted step's size and
 its nine q samples.  Every later sweep replays that mesh with the locally
 extrapolated step matrix E = F + (F - B)/63 (F the product of the two
-half-step propagators, B the full step), in blocks of steps: no q calls
-and no error estimate.  The mesh stays valid because an expanded bracket
-lies within 8^6 initial half-widths of the values it was adapted to
+half-step propagators, B the full step) that ``propagate`` advanced the
+state with, built by the same ``_step_matrices``, in blocks of steps: no
+q calls and no error estimate.  The mesh stays valid because an expanded
+bracket lies within 8^6 initial half-widths of the values it was adapted to
 (2.6e-4 relative, or 0.26 for seeds below 1000), and the step's local
 error varies smoothly with lam (fixed-mesh replay, as in
 piecewise-perturbation codes such as MATSLISE).
@@ -57,7 +63,9 @@ __all__ = [
 ]
 
 #: the three Gauss nodes of a step, as fractions of its size
-_NODES = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
+_NODES = np.array(
+    (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
+)
 _SQRT15_3 = math.sqrt(15.0) / 3.0
 
 MAX_STEPS = 1_000_000
@@ -69,6 +77,11 @@ MAX_SWEEPS = 80
 #: steps times spectral parameters per kernel call of a mesh replay, which
 #: bounds the replay's working set whatever the batch size
 REPLAY_BLOCK = 4096
+#: steps per pass of the adaptive integrator: numpy's per-call overhead sets
+#: the cost of a pass, but every step of the first pass has the initial size,
+#: and at 16 the extra round-off of those steps puts the exact free-particle
+#: phase at omega = 1000 above 5e-13
+STEP_BLOCK = 8
 
 
 def _propagators(q1, q2, q3, h, lam: np.ndarray, scale: np.ndarray):
@@ -119,15 +132,60 @@ def _propagators(q1, q2, q3, h, lam: np.ndarray, scale: np.ndarray):
     return ch + shc * d, shc * b, shc * c, ch - shc * d
 
 
+def _step_matrices(rows: np.ndarray, lam: np.ndarray, scale: np.ndarray):
+    """Per-step matrices of a block of mesh rows (h, q1, ..., q9).
+
+    Returns (F, B, E), each as its entries (11, 12, 21, 22) shaped (n, K)
+    for the n rows and the batch of K: F is the product of the two
+    half-step propagators, B the full-step one and E = F + (F - B)/63 the
+    locally extrapolated step.  The pair differs at O(h^7), so the
+    correction cancels the leading error term of F.
+    """
+    block = rows.T
+    h = block[0]
+    half = 0.5 * h
+    # one (3, n, K) stack: the full steps, then the first and second halves
+    p11, p12, p21, p22 = _propagators(
+        block[1::3, :, None], block[2::3, :, None], block[3::3, :, None],
+        np.array((h, half, half))[:, :, None], lam, scale,
+    )
+    F = (p11[2] * p11[1] + p12[2] * p21[1],
+         p11[2] * p12[1] + p12[2] * p22[1],
+         p21[2] * p11[1] + p22[2] * p21[1],
+         p21[2] * p12[1] + p22[2] * p22[1])
+    B = (p11[0], p12[0], p21[0], p22[0])
+    E = tuple(f + (f - g) / 63.0 for f, g in zip(F, B))
+    return F, B, E
+
+
+def _advance(E, u, v) -> tuple[list, list]:
+    """The states (u, v) before and after each step, E applied in order:
+    lists of n + 1 arrays."""
+    e11, e12, e21, e22 = E
+    us, vs = [u], [v]
+    for i in range(len(e11)):
+        u, v = e11[i] * u + e12[i] * v, e21[i] * u + e22[i] * v
+        us.append(u)
+        vs.append(v)
+    return us, vs
+
+
 def propagate(
     q, b: float, lam: np.ndarray, y0: np.ndarray, mesh: list | None = None
 ) -> tuple[np.ndarray, int]:
     """Integrate the system from 0 to b for every lam in the batch.
 
+    Each pass attempts a block of up to STEP_BLOCK equal steps: one call of
+    q on their 9 Gauss points each, one kernel call on the stack of full
+    and half steps, then the sequential state update and a vectorised error
+    test of every step on the state it starts from.  The steps before the
+    first rejected one are accepted, the rest discarded.
+
     Parameters
     ----------
     q : callable
-        Potential q(x), scalar to scalar.
+        Potential: maps an ndarray of x to an array of q(x), or to a
+        scalar for a constant.
     b : float
         Right endpoint.
     lam : array_like
@@ -136,14 +194,16 @@ def propagate(
         Initial values, shape (2,) broadcast over the batch or (2, K);
         rows are (u(0), u'(0)).  May be complex.
     mesh : list, optional
-        If given, the tuple (h, q1, ..., q9) of every accepted step is
-        appended to it: the step size, then the three Gauss samples of the
-        full step, of its first half and of its second half.
+        If given, one array of rows (h, q1, ..., q9) per pass is appended
+        to it, a row per accepted step: the step size, then the three Gauss
+        samples of the full step, of its first half and of its second half.
 
     Returns
     -------
     (y, n_steps)
-        y has shape (2, K): u(b) and u'(b) per batch member.
+        y has shape (2, K): u(b) and u'(b) per batch member.  n_steps
+        counts the accepted and the rejected steps; the steps discarded
+        behind a rejection are not counted.
 
     Raises
     ------
@@ -158,7 +218,7 @@ def propagate(
     y = np.array(np.broadcast_to(y0, (2, lam.size)))
     y = y.astype(complex) if np.iscomplexobj(y) else y.astype(float)
     scale = np.sqrt(np.maximum(np.abs(lam), 1.0))
-    y = np.stack((y[0], y[1] / scale))
+    u, v = y[0], y[1] / scale
 
     x = 0.0
     h = b / 64.0
@@ -172,76 +232,62 @@ def propagate(
                 f"reference integrator step {h:.3e} fell below what x={x!r} "
                 f"resolves; is q singular there?"
             )
-        h = min(h, b - x)
-        half = 0.5 * h
-        samples = tuple(
-            q(start + c * size)
-            for start, size in ((x, h), (x, half), (x + half, half))
-            for c in _NODES
-        )
-        qs = np.array(samples)[:, None]
-        # one stack of three steps: the full step, then its two halves
-        p11, p12, p21, p22 = _propagators(
-            qs[0::3], qs[1::3], qs[2::3], np.array([[h], [half], [half]]),
-            lam, scale,
-        )
-        u = p11[:2] * y[0] + p12[:2] * y[1]
-        v = p21[:2] * y[0] + p22[:2] * y[1]
-        y_big = np.array((u[0], v[0]))
-        y_fine = np.array((p11[2] * u[1] + p12[2] * v[1],
-                           p21[2] * u[1] + p22[2] * v[1]))
+        starts = x + h * np.arange(STEP_BLOCK)
+        starts = starts[b - starts > 1e-15 * b]
+        n = starts.size
+        sizes = np.minimum(h, b - starts)
+        half = 0.5 * sizes
+        # (n, 3, 3) points: full step, first half, second half by Gauss node
+        points = (np.array((starts, starts, starts + half)).T[:, :, None]
+                  + _NODES * np.array((sizes, half, half)).T[:, :, None])
+        values = np.asarray(q(points.ravel()))
+        rows = np.empty((n, 10), dtype=np.result_type(values, float))
+        rows[:, 0] = sizes
+        rows[:, 1:] = values.reshape(n, 9) if values.ndim else values
+        F, B, E = _step_matrices(rows, lam, scale)
+        us, vs = _advance(E, u, v)
 
-        tol_scale = ATOL + RTOL * np.abs(y_fine)
-        err = float((np.abs(y_fine - y_big) / tol_scale).max())
-        if err <= 1.0:
-            # local extrapolation: the pair differs at O(h^7), so the
-            # correction cancels the leading error term of the fine result
-            y = y_fine + (y_fine - y_big) / 63.0
-            x += h
+        # every step's embedded-pair error on the state it starts from
+        U, V = np.array(us[:-1]), np.array(vs[:-1])
+        Fy = np.array((F[0] * U + F[1] * V, F[2] * U + F[3] * V))
+        By = np.array((B[0] * U + B[1] * V, B[2] * U + B[3] * V))
+        err = np.max(np.abs(Fy - By) / (ATOL + RTOL * np.abs(Fy)), axis=(0, 2))
+        rejected = np.flatnonzero(err > 1.0)
+        n_ok = int(rejected[0]) if rejected.size else n
+        if n_ok:
+            u, v = us[n_ok], vs[n_ok]
+            x = float(starts[n_ok - 1] + sizes[n_ok - 1])
             if mesh is not None:
-                mesh.append((h, *samples))
-        factor = 0.9 * err ** (-1.0 / 7.0) if err > 0 else 5.0
+                mesh.append(rows[:n_ok])
+        # the next size from the rejected step, else from the block's worst
+        worst = float(err[n_ok] if rejected.size else err.max())
+        factor = 0.9 * worst ** (-1.0 / 7.0) if worst > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
-        n_steps += 1
+        n_steps += n_ok + (1 if rejected.size else 0)
         if n_steps > MAX_STEPS:
             raise OracleError(
                 f"reference integrator exceeded {MAX_STEPS} steps "
                 f"(x={x:.6g}, h={h:.3e})"
             )
-    return np.stack((y[0], y[1] * scale)), n_steps
+    return np.stack((u, v * scale)), n_steps
 
 
 def _replay_characteristic(mesh: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """s(lam) = u(b) with u(0)=0, u'(0)=1 over a recorded mesh.
 
     mesh holds one row (h, q1, ..., q9) per step, as ``propagate`` records
-    it.  Each step applies its locally extrapolated matrix E = F + (F - B)/63,
-    F being the product of the two half-step propagators and B the full-step
-    one, which is the extrapolation ``propagate`` makes on the state.  No q
-    is sampled and no error is estimated.
+    it.  Each step applies its locally extrapolated matrix E, the one
+    ``propagate`` advances the state with.  No q is sampled and no error is
+    estimated.
     """
     scale = np.sqrt(np.maximum(np.abs(lams), 1.0))
     u = np.zeros_like(lams)
     v = 1.0 / scale
     per = max(1, REPLAY_BLOCK // lams.size)
     for start in range(0, len(mesh), per):
-        block = mesh[start : start + per].T
-        h = block[0]
-        half = 0.5 * h
-        p11, p12, p21, p22 = _propagators(
-            block[1::3, :, None], block[2::3, :, None], block[3::3, :, None],
-            np.stack((h, half, half))[:, :, None], lams, scale,
-        )
-        f11 = p11[2] * p11[1] + p12[2] * p21[1]
-        f12 = p11[2] * p12[1] + p12[2] * p22[1]
-        f21 = p21[2] * p11[1] + p22[2] * p21[1]
-        f22 = p21[2] * p12[1] + p22[2] * p22[1]
-        e11 = f11 + (f11 - p11[0]) / 63.0
-        e12 = f12 + (f12 - p12[0]) / 63.0
-        e21 = f21 + (f21 - p21[0]) / 63.0
-        e22 = f22 + (f22 - p22[0]) / 63.0
-        for i in range(h.size):
-            u, v = e11[i] * u + e12[i] * v, e21[i] * u + e22[i] * v
+        _, _, E = _step_matrices(mesh[start : start + per], lams, scale)
+        us, vs = _advance(E, u, v)
+        u, v = us[-1], vs[-1]
     return u
 
 
@@ -293,24 +339,26 @@ def eigenvalues_reference(q, b: float, seeds) -> np.ndarray:
     mesh = []
     y, _ = propagate(q, b, np.concatenate((lo, hi)), np.array([0.0, 1.0]),
                      mesh=mesh)
-    mesh = np.array(mesh)
+    mesh = np.concatenate(mesh)
     s_lo, s_hi = y[0, : seeds.size], y[0, seeds.size :]
 
-    for _ in range(6):
+    # up to 6 widenings by 8, the last one tested like the others
+    for widenings in range(7):
         # widen only the brackets still lacking a sign change, both ends in
         # one replay
         bad = np.flatnonzero(np.sign(s_lo) == np.sign(s_hi))
         if bad.size == 0:
             break
+        if widenings == 6:
+            raise OracleError(
+                "could not bracket a reference eigenvalue near the provided "
+                "seeds"
+            )
         delta[bad] *= 8.0
         lo[bad] = seeds[bad] - delta[bad]
         hi[bad] = seeds[bad] + delta[bad]
         ends = _replay_characteristic(mesh, np.concatenate((lo[bad], hi[bad])))
         s_lo[bad], s_hi[bad] = ends[: bad.size], ends[bad.size :]
-    else:
-        raise OracleError(
-            "could not bracket a reference eigenvalue near the provided seeds"
-        )
 
     # secant with a tolerance straddle: each sweep evaluates, for every open
     # bracket, two points 0.8 tol apart centred on the secant candidate (the

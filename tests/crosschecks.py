@@ -164,7 +164,7 @@ def solution_reference_extended(q, b: float, omegas) -> np.ndarray:
     x = np.concatenate(([0.0], x[:-1].astype(float)))
     hf = float(h)
     q1, q2, q3 = (
-        np.array([q(t) for t in (x + c * hf).tolist()])[:, None] for c in _NODES
+        np.broadcast_to(q(x + c * hf), x.shape)[:, None] for c in _NODES
     )
     p11, p12, p21, p22 = _propagators(
         q1, q2, q3, np.full((n_steps, 1), hf), lam, scale

@@ -55,7 +55,7 @@ def paine_bench(model_exp):
                                    BENCH_COUNT)
             runs[(rep, trunc)] = np.array([r.lam for r in res])
     lam_ref = eigenvalues_reference(
-        math.exp, PI, runs[("improved", 25)]
+        np.exp, PI, runs[("improved", 25)]
     )
     return runs, lam_ref
 
@@ -91,7 +91,7 @@ def test_criterion_2_asymptotic_cross_check(paine_bench):
 def test_criterion_3_omega_uniformity(model_exp):
     omegas = [10.0, 30.0, 100.0, 300.0, 1000.0]
     j = model_exp.grid.M
-    refs = solution_reference_extended(math.exp, PI, omegas)
+    refs = solution_reference_extended(np.exp, PI, omegas)
     residuals = np.array(
         [abs(eval_uN(model_exp, w, j) - r) for w, r in zip(omegas, refs)]
     )

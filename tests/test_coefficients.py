@@ -38,7 +38,7 @@ PI = math.pi
 @pytest.fixture(scope="module")
 def exp_tables():
     grid = make_grid(PI, 1998)
-    q = sample(grid, math.exp)
+    q = sample(grid, np.exp)
     Q = indefinite_integral(q)
     Q2 = indefinite_integral(SampledFunction(grid, q.values * q.values))
     f0, f1 = solve_homogeneous(q)
@@ -120,7 +120,7 @@ class TestBetaCoeffs:
     def test_exponential_first_row_against_reference(self, exp_tables):
         grid, *_ = exp_tables
         beta = exp_tables[6]
-        y, _ = propagate(math.exp, PI, [0.0], np.array([1.0, 0.0]))
+        y, _ = propagate(np.exp, PI, [0.0], np.array([1.0, 0.0]))
         phi0_ref = float(y[0, 0].real)
         expected = (phi0_ref - 1.0) / 2.0
         assert abs(float(beta.beta[0, -1]) - expected) < 1e-9 * abs(expected)
@@ -219,7 +219,7 @@ class TestBetaSum:
         # the largest build_sweep cell; a stacked full-size temporary on
         # top of the outputs would exceed the bound
         grid = make_grid(PI, 2952)
-        f0, _ = solve_homogeneous(sample(grid, math.exp))
+        f0, _ = solve_homogeneous(sample(grid, np.exp))
         phi = formal_powers(f0, 42)
         leg = legendre_coeffs(42)
         tracemalloc.start()

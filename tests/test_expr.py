@@ -1,11 +1,17 @@
+import importlib.util
 import math
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsbf import ExpressionEvalError, ExpressionSyntaxError
-from nsbf.expr import evaluate, parse
+from nsbf.expr import Binary, Call, Const, Num, Unary, Var, evaluate, parse
+
+PLAN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "plan.py"
 
 
 def test_exp_definition():
@@ -70,11 +76,85 @@ def test_unknown_identifier():
         ("1/x", 0.0),
         ("(-2)^0.5", 1.0),
         ("exp(x)", 1e4),
+        ("x^-1", 0.0),
+        ("x^(-0.5)", 0.0),
     ],
 )
 def test_domain_and_overflow_errors(src, x):
     with pytest.raises(ExpressionEvalError):
         evaluate(parse(src), x)
+
+
+@pytest.mark.parametrize(
+    "src,bad",
+    [
+        ("log(1-x)", "1.0"),
+        ("sqrt(1.2-x)", "1.5"),
+        ("1/(x-2)", "2.0"),
+        ("(x-3)^0.5", "0.0"),
+        ("(x-2)^-1", "2.0"),
+        ("exp(400*x)", "2.0"),
+    ],
+)
+def test_array_error_names_first_bad_x(src, bad):
+    with pytest.raises(ExpressionEvalError, match=rf"at x={bad}$"):
+        evaluate(parse(src), np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5]))
+
+
+def test_underflow_is_not_an_error():
+    assert evaluate(parse("x*x"), 2.2e-313) == 0.0
+    assert np.array_equal(evaluate(parse("x*x"), np.array([2.2e-313, 2.0])),
+                          [0.0, 4.0])
+
+
+def test_array_shape_kept_for_a_constant():
+    values = evaluate(parse("2*pi"), np.zeros((2, 3)))
+    assert values.shape == (2, 3)
+    assert np.all(values == 2 * math.pi)
+
+
+def _math_eval(expr, x: float) -> float:
+    """The scalar walk with math.* functions, the reference for the array
+    walk.  An integer power is rounded once from its exact value: C's pow,
+    behind ``**``, is 1 ulp off for (x + a)^2 at some x, where numpy's
+    square is exact."""
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Const):
+        return {"pi": math.pi, "e": math.e}[expr.name]
+    if isinstance(expr, Var):
+        return x
+    if isinstance(expr, Unary):
+        return -_math_eval(expr.operand, x)
+    if isinstance(expr, Binary):
+        a, b = _math_eval(expr.left, x), _math_eval(expr.right, x)
+        if expr.op == "^":
+            return float(Fraction(a) ** int(b)) if b == int(b) else a**b
+        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[expr.op]
+    if isinstance(expr, Call):
+        return getattr(math, expr.func, abs)(_math_eval(expr.arg, x))
+    raise TypeError(expr)
+
+
+def _benchmark_potentials() -> set:
+    spec = importlib.util.spec_from_file_location("perfbench_plan", PLAN_PATH)
+    plan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plan)
+    sources = set(plan.SPECTRUM_MODELS.values())
+    for models in (plan.SOLVE_MODELS, plan.REFERENCE_POTENTIALS):
+        sources |= {m["q"] for m in models.values() if isinstance(m["q"], str)}
+    sources.add(plan.BUILD_FAULT["q"])
+    for seed in (1, 2, 3):
+        sources |= {r["q"] for r in plan.make_round("build_sweep", seed) if r["q"]}
+    return sources
+
+
+@pytest.mark.parametrize("src", sorted(_benchmark_potentials()))
+def test_array_walk_within_one_ulp_of_math(src):
+    tree = parse(src)
+    xs = np.linspace(0.0, 4.5, 4501)
+    scalar = np.array([_math_eval(tree, x) for x in xs.tolist()])
+    assert np.all(np.abs(evaluate(tree, xs) - scalar) <= np.spacing(np.abs(scalar)))
 
 
 # --- randomized structural properties -------------------------------------

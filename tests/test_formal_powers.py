@@ -43,21 +43,21 @@ class TestFormalPowers:
         assert float(np.max(np.abs(np.asarray(table.phi[1], float) - np.sinh(xs)))) < 1e-12
 
     def test_exponential_against_reference(self, grid):
-        f0, _ = _homogeneous(grid, math.exp)
+        f0, _ = _homogeneous(grid, np.exp)
         table = formal_powers(f0, 2)
-        y, _ = propagate(math.exp, PI, [0.0], np.array([1.0, 0.0]))
+        y, _ = propagate(np.exp, PI, [0.0], np.array([1.0, 0.0]))
         ref = float(y[0, 0].real)
         assert abs(float(table.phi[0, -1]) - ref) < 1e-10 * abs(ref)
 
     def test_origin_values(self, grid):
-        f0, _ = _homogeneous(grid, math.exp)
+        f0, _ = _homogeneous(grid, np.exp)
         table = formal_powers(f0, 5)
         assert float(table.phi[0, 0]) == 1.0
         for k in range(1, 6):
             assert float(table.phi[k, 0]) == 0.0
 
     def test_monomial_ratio_near_origin(self, grid):
-        f0, _ = _homogeneous(grid, math.exp)
+        f0, _ = _homogeneous(grid, np.exp)
         table = formal_powers(f0, 5)
         xs = np.asarray(grid.nodes, dtype=np.longdouble)
         for k in range(6):
@@ -71,7 +71,7 @@ class TestFormalPowers:
             formal_powers(f0, 3)
 
     def test_growth_sanity(self, grid):
-        f0, _ = _homogeneous(grid, math.exp)
+        f0, _ = _homogeneous(grid, np.exp)
         table = formal_powers(f0, 30)
         assert np.all(np.isfinite(np.asarray(table.phi, dtype=float)))
 
@@ -106,7 +106,7 @@ class TestNonvanishingRoute:
 
     @pytest.mark.parametrize(
         "q",
-        [math.exp, lambda x: 2.0 + math.sin(3.0 * x), lambda x: 0.5 * x * x],
+        [np.exp, lambda x: 2.0 + np.sin(3.0 * x), lambda x: 0.5 * x * x],
         ids=["exp", "sin", "quadratic"],
     )
     def test_route_independence_smooth_potentials(self, grid, q):
@@ -120,7 +120,7 @@ class TestNonvanishingRoute:
 
 class TestSppsEval:
     def test_value_at_origin(self, grid):
-        f0, _ = _homogeneous(grid, math.exp)
+        f0, _ = _homogeneous(grid, np.exp)
         table = formal_powers(f0, 10)
         assert spps_eval(table, 2.7 + 0.3j, 0, 10) == 1.0
 
@@ -132,13 +132,13 @@ class TestSppsEval:
         assert abs(val - np.exp(1j)) < 1e-14
 
     def test_exponential_against_reference(self, grid):
-        f0, _ = _homogeneous(grid, math.exp)
+        f0, _ = _homogeneous(grid, np.exp)
         table = formal_powers(f0, 60)
-        ref = solution_reference(math.exp, PI, [2.0])[0]
+        ref = solution_reference(np.exp, PI, [2.0])[0]
         assert abs(spps_eval(table, 2.0, grid.M, 60) - ref) < 1e-9
 
     def test_conjugate_symmetry_real_potential(self, grid):
-        f0, _ = _homogeneous(grid, math.exp)
+        f0, _ = _homogeneous(grid, np.exp)
         table = formal_powers(f0, 40)
         for w in (0.5, 1.5 + 0.2j):
             a = spps_eval(table, w, grid.M // 2, 40)
@@ -146,7 +146,7 @@ class TestSppsEval:
             assert abs(a - np.conj(b)) < 1e-12 * (1 + abs(a))
 
     def test_truncation_guard(self, grid):
-        f0, _ = _homogeneous(grid, math.exp)
+        f0, _ = _homogeneous(grid, np.exp)
         table = formal_powers(f0, 5)
         with pytest.raises(ValueError):
             spps_eval(table, 1.0, 0, 6)

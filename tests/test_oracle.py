@@ -41,8 +41,8 @@ def test_extended_mode_high_omega():
 
 def test_batch_matches_scalar():
     ws = np.array([3.0, 17.0, 41.0])
-    batch = solution_reference(math.exp, PI, ws)
-    singles = [solution_reference(math.exp, PI, [w])[0] for w in ws]
+    batch = solution_reference(np.exp, PI, ws)
+    singles = [solution_reference(np.exp, PI, [w])[0] for w in ws]
     assert max(abs(b - s) for b, s in zip(batch, singles)) < 1e-12
 
 
@@ -71,6 +71,15 @@ def test_eigenvalues_reference_needs_bracketable_seed():
     # 3.5 sits between the q=1 eigenvalues 2 and 5, far from both
     with pytest.raises(OracleError):
         eigenvalues_reference(lambda x: 1.0, PI, np.array([3.5]))
+
+
+def test_eigenvalues_reference_brackets_after_the_sixth_widening():
+    # 0.1 off needs a half-width of 8^6 initial ones (0.26): the bracket of
+    # the last widening is tested, not dropped
+    seeds = np.array([1.0 + n * n + 0.1 for n in range(1, 4)])
+    lam = eigenvalues_reference(lambda x: 1.0, PI, seeds)
+    exact = np.array([1.0 + n * n for n in range(1, 4)])
+    assert float(np.max(np.abs(lam - exact))) < 1e-10
 
 
 def test_eigenvalues_reference_raises_when_refinement_stalls(monkeypatch):
@@ -125,7 +134,7 @@ def _paine(x):
 #: lambda_5, lambda_6, seeded 2e-8 relative off
 BLOCKS = [
     (_paine, np.array([4.94330982, 10.28466265]) * (1.0 + np.array([2e-8, -2e-8]))),
-    (math.exp, np.array([32.26370705, 43.22001964]) * (1.0 + np.array([-2e-8, 2e-8]))),
+    (np.exp, np.array([32.26370705, 43.22001964]) * (1.0 + np.array([-2e-8, 2e-8]))),
 ]
 
 
@@ -136,7 +145,7 @@ def test_eigenvalues_reference_samples_q_once():
         calls = [0]
 
         def counted(x, q=q):
-            calls[0] += 1
+            calls[0] += np.size(x)
             return q(x)
 
         eigenvalues_reference(counted, PI, seeds)
@@ -156,8 +165,8 @@ def test_eigenvalues_reference_matches_adaptive_bisection_on_blocks(block):
 
 def test_eigenvalues_reference_matches_adaptive_bisection_exp_40(model_exp):
     seeds = np.array([r.lam for r in find_eigenvalues(EigProblem(model_exp), 40)])
-    lam = eigenvalues_reference(math.exp, PI, seeds)
-    assert np.max(np.abs(lam - _bisect_adaptive(math.exp, lam)) / lam) <= 1e-12
+    lam = eigenvalues_reference(np.exp, PI, seeds)
+    assert np.max(np.abs(lam - _bisect_adaptive(np.exp, lam)) / lam) <= 1e-12
 
 
 def test_singular_potential_raises_promptly():
@@ -166,7 +175,7 @@ def test_singular_potential_raises_promptly():
     calls = [0]
 
     def q(x):
-        calls[0] += 1
+        calls[0] += np.size(x)
         return 1.0 / (x - 1.0)
 
     with pytest.raises(OracleError, match=r"x=0\.99999"):
@@ -209,3 +218,31 @@ def test_characteristic_matches_bessel_closed_form():
     )
     s = characteristic_reference(_paine, PI, lams)
     assert np.all(np.abs(s - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact)))
+
+
+@pytest.mark.parametrize("q", [np.exp, _paine, lambda x: 1.0 / (x + 0.5) ** 2])
+def test_propagate_samples_q_once_per_block(q):
+    # a pass that rejects nothing accepts STEP_BLOCK steps, bar the last
+    # one, which ends at b; every other pass holds one rejection
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return q(x)
+
+    mesh = []
+    _, n_steps = propagate(counted, PI, np.linspace(1.0, 2e4, 12),
+                           np.array([0.0, 1.0]), mesh=mesh)
+    accepted = len(np.concatenate(mesh))
+    rejections = n_steps - accepted
+    assert rejections > 0
+    assert calls[0] <= math.ceil(accepted / oracle.STEP_BLOCK) + rejections
+
+
+@pytest.mark.parametrize("q", [np.exp, _paine])
+def test_replayed_mesh_reproduces_propagate(q):
+    lams = np.array([3.0, 40.0, 700.0, 1.5e4])
+    mesh = []
+    y, _ = propagate(q, PI, lams, np.array([0.0, 1.0]), mesh=mesh)
+    s = oracle._replay_characteristic(np.concatenate(mesh), lams)
+    assert np.all(np.abs(s - y[0]) <= 1e-13 * np.abs(y[0]))

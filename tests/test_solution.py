@@ -46,7 +46,7 @@ class TestBuildModel:
         assert sub.alpha is model_exp.alpha
 
     def test_callable_and_array_inputs(self):
-        m1 = build_model(math.exp, PI, 102, 4)
+        m1 = build_model(np.exp, PI, 102, 4)
         xs = np.asarray(m1.grid.nodes, dtype=float)
         m2 = build_model(np.exp(xs), PI, 102, 4)
         assert float(np.max(np.abs(m1.q - m2.q))) < 1e-14 * math.exp(PI)
@@ -91,7 +91,7 @@ class TestEvalPlainRepresentation:
             assert eval_uN_tilde(model_exp, w, 0) == 1.0 + 0.0j
 
     def test_exponential_against_reference(self, model_exp):
-        ref = solution_reference(math.exp, PI, [10.0])[0]
+        ref = solution_reference(np.exp, PI, [10.0])[0]
         val = eval_uN_tilde(model_exp, 10.0, model_exp.grid.M)
         assert abs(val - ref) < 5e-8
 
@@ -149,7 +149,7 @@ class TestEvalImprovedRepresentation:
     def test_representation_agreement_with_reference(self, model_exp):
         j = model_exp.grid.M
         for w in (5.0, 20.0):
-            ref = solution_reference(math.exp, PI, [w])[0]
+            ref = solution_reference(np.exp, PI, [w])[0]
             assert abs(eval_uN(model_exp, w, j) - ref) < 1e-6
             assert abs(eval_uN_tilde(model_exp, w, j) - ref) < 1e-6
 
@@ -340,7 +340,7 @@ class TestErrorEnvelope:
         j = model_exp.grid.M
         eps = epsN_surrogate(model_exp)
         for w in (100.0, 300.0, 1000.0):
-            ref = solution_reference_extended(math.exp, PI, [w])[0]
+            ref = solution_reference_extended(np.exp, PI, [w])[0]
             r = abs(eval_uN(model_exp, w, j) - ref)
             assert r <= 100.0 * error_envelope(model_exp, w, j, eps)
 
