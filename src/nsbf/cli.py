@@ -475,11 +475,12 @@ def _load_reference(path: str, count: int) -> np.ndarray:
 def cmd_bench(cfg: RunConfig, out=None) -> int:
     """Per-index eigenvalue errors for both representations at several N.
 
+    The truncations are those of BENCH_TRUNCATIONS below N, and N itself.
     The reference eigenvalues come from the built-in integrator (seeded by
-    the most accurate run) or from ``--reference``.
+    the improved run at N) or from ``--reference``.
     """
     count = cfg.count
-    truncations = [n for n in BENCH_TRUNCATIONS if n <= cfg.N] or [cfg.N]
+    truncations = [n for n in BENCH_TRUNCATIONS if n < cfg.N] + [cfg.N]
     model, q_callable, desc = _build(cfg)
 
     runs: dict[tuple[str, int], np.ndarray] = {}
@@ -494,7 +495,7 @@ def cmd_bench(cfg: RunConfig, out=None) -> int:
         lam_ref = _load_reference(cfg.reference, count)
         ref_desc = cfg.reference
     else:
-        seeds = runs[("improved", max(truncations))]
+        seeds = runs[("improved", cfg.N)]
         lam_ref = oracle.eigenvalues_reference(q_callable, cfg.b, seeds)
         ref_desc = "built-in adaptive integrator"
 

@@ -14,14 +14,23 @@ Computes, on the grid:
 All formulas are evaluated through the monomial deviations
 (phi_k - x^k)/x^k, so every table is exactly zero for q = 0.  The
 Legendre sums still cancel violently as n grows (the coefficients grow
-like 2^n while the sums stay bounded), so the pipeline runs in extended
-precision where the platform has it, badly cancelling entries are flagged
-and entries below a noise floor of NOISE_FLOOR_EPS_FACTOR eps times the
-largest summand are zeroed.  Each sum is a plain one, one matrix product
-per parity class: a recursive sum of at most 36 terms is off by at most
-about 35 * 36 eps ~ 1260 eps of its largest term (Higham, SIAM J. Sci.
-Comput. 14, 1993), below that floor, so compensation would buy no usable
-digit.  Orders are capped at 60.
+like 2^n while the sums stay bounded), so badly cancelling entries are
+flagged and entries below a noise floor of NOISE_FLOOR_EPS_FACTOR eps
+times the largest summand are zeroed.  Each sum is a plain one, one matrix
+product per parity class: a recursive sum of at most 36 terms is off by at
+most about 35 * 36 eps ~ 1260 eps of its largest term (Higham, SIAM J.
+Sci. Comput. 14, 1993), below that floor, so compensation would buy no
+usable digit.  Orders are capped at 60.
+
+Precision.  The tables are computed in the dtype of the formal powers,
+extended (``numpy.longdouble``) where the platform has it, in the two
+stages measured to need it on the benchmark (``perfbench``): the beta
+Legendre sums (float64 summands move the ``build_sweep`` worst case from
+4.75 to 3.6 digits) and the alpha recurrence (in float64 the dual-route
+check of acceptance criterion 7 reads 2.7e-6 against its 1e-7).  What only
+describes the tables is float64: the cancellation flags and the
+peak/|row| test behind them, both noise floors, and the magnitudes that
+the noise-tail test compares.
 
 Every formula is evaluated at every node x > 0.  At the origin each is a
 removable 0/0 form whose limit is exactly 0, and node 0 stores that limit.
@@ -74,7 +83,11 @@ NOISE_ONSET_RISE = 30.0
 
 @dataclass(frozen=True)
 class LegendreCoeffs:
-    """l[n][k] = coefficient of x^k in the Legendre polynomial P_n."""
+    """l[n][k] = coefficient of x^k in the Legendre polynomial P_n.
+
+    ``l`` is a read-only view of a table that ``legendre_coeffs`` shares
+    between all callers.
+    """
 
     n_max: int
     l: np.ndarray = field(repr=False)
@@ -85,10 +98,10 @@ class BetaTable:
     """beta[n][j] = beta_n(x_j), n = 0..n_max.
 
     ``flags`` marks entries whose Legendre sum cancelled by more than
-    CANCEL_FLAG_RATIO (diagnostic only).  ``noise_floor`` is the absolute
-    resolution limit of each entry, NOISE_FLOOR_EPS_FACTOR eps times its
-    largest scaled summand (taken in double precision); values that came
-    out below their floor are stored as zero, the best available estimate.
+    CANCEL_FLAG_RATIO (diagnostic only).  ``noise_floor`` (float64) is the
+    absolute resolution limit of each entry, NOISE_FLOOR_EPS_FACTOR eps of
+    the sum's dtype times its largest scaled summand; values that came out
+    below their floor are stored as zero, the best available estimate.
     """
 
     grid: Grid
@@ -102,8 +115,8 @@ class BetaTable:
 class AlphaTable:
     """alpha[n][j] = alpha_n(x_j), n = 0..n_max.
 
-    ``noise_floor`` propagates the beta floors through the recurrence;
-    sub-floor entries are stored as zero.
+    ``noise_floor`` (float64) propagates the beta floors through the
+    recurrence, for the error surrogate.
     """
 
     grid: Grid
@@ -111,6 +124,11 @@ class AlphaTable:
     alpha: np.ndarray = field(repr=False)
     flags: np.ndarray = field(repr=False)
     noise_floor: np.ndarray = field(repr=False)
+
+
+#: the Legendre table of the largest order asked for so far (read-only);
+#: every smaller table is its leading corner
+_legendre_table = np.zeros((0, 0), dtype=np.longdouble)
 
 
 def legendre_coeffs(n_max: int) -> LegendreCoeffs:
@@ -121,19 +139,27 @@ def legendre_coeffs(n_max: int) -> LegendreCoeffs:
     carriers downstream multiply these by ~2^n-sized weights, so each entry
     being correctly rounded (instead of carrying n accumulated roundings)
     is worth real digits at high order.
+
+    An entry does not depend on n_max, so one table serves every order:
+    it is rebuilt only when a larger n_max is asked for, and each call
+    returns a read-only view of its leading corner.
     """
+    global _legendre_table
     if n_max > LEGENDRE_CAP:
         raise LimitError(
             f"Legendre order {n_max} exceeds cap {LEGENDRE_CAP}; "
             "coefficients overflow double precision beyond it"
         )
-    l = np.zeros((n_max + 1, n_max + 1), dtype=np.longdouble)
-    for n in range(n_max + 1):
-        scale = np.longdouble(2**n)
-        for m in range(n // 2 + 1):
-            c = math.comb(n, m) * math.comb(2 * n - 2 * m, n)
-            l[n, n - 2 * m] = np.longdouble((-1) ** m * c) / scale
-    return LegendreCoeffs(n_max, l)
+    if n_max >= len(_legendre_table):
+        l = np.zeros((n_max + 1, n_max + 1), dtype=np.longdouble)
+        for n in range(n_max + 1):
+            scale = np.longdouble(2**n)
+            for m in range(n // 2 + 1):
+                c = math.comb(n, m) * math.comb(2 * n - 2 * m, n)
+                l[n, n - 2 * m] = np.longdouble((-1) ** m * c) / scale
+        l.flags.writeable = False
+        _legendre_table = l
+    return LegendreCoeffs(n_max, _legendre_table[: n_max + 1, : n_max + 1])
 
 
 def _pipeline_eps(dtype) -> float:
@@ -164,19 +190,24 @@ def beta_coeffs(
     dev = phi.dev_ratio[: n_max + 1, 1:]
     beta = np.zeros((n_max + 1, grid.M + 1), dtype=phi.dev_ratio.dtype)
     flags = np.zeros((n_max + 1, grid.M + 1), dtype=bool)
-    floor = np.zeros((n_max + 1, grid.M + 1), dtype=np.longdouble)
-    # the largest summand only sets the floor and the flag: float64 will do
+    floor = np.zeros((n_max + 1, grid.M + 1))
+    # the largest summand and |row| only set the floor and the flag:
+    # float64 will do
     absdev = np.empty(dev.shape)
     np.abs(dev, out=absdev, casting="unsafe")
     absl = np.abs(leg.l[: n_max + 1, : n_max + 1]).astype(float)
+    absrow = np.empty(grid.M)
     for n in range(n_max + 1):
         # l[n][k] = 0 when k > n or n - k is odd
         ks = slice(n % 2, n + 1, 2)
-        np.matmul(leg.l[n, ks], dev[ks], out=beta[n, 1:])
+        row = beta[n, 1:]
+        np.matmul(leg.l[n, ks], dev[ks], out=row)
         peak = np.max(absl[n, ks, None] * absdev[ks], axis=0)
         w = 0.5 * (2 * n + 1)
-        row = beta[n, 1:]
-        flags[n, 1:] = peak > CANCEL_FLAG_RATIO * np.abs(row)
+        np.abs(row, out=absrow, casting="unsafe")
+        flags[n, 1:] = peak > CANCEL_FLAG_RATIO * absrow
+        # a float64 product, so the floor is exact in either dtype and
+        # the test below compares the extended |row| with it exactly
         floor[n, 1:] = eps * w * peak
         row *= w
         row[np.abs(row) < floor[n, 1:]] = 0.0
@@ -216,8 +247,14 @@ def alpha_seed(
     return rows
 
 
+def _squared_nodes(grid: Grid, dtype) -> np.ndarray:
+    """x_j^2 for j >= 1, squared in ``dtype``."""
+    x = grid.nodes[1:].astype(dtype)
+    return x * x
+
+
 def alpha_recurrence(
-    beta: BetaTable, alpha: np.ndarray, n: int
+    beta: BetaTable, alpha: np.ndarray, n: int, x2: np.ndarray | None = None
 ) -> np.ndarray:
     """Row n >= 4 of alpha from rows n-2, n-4 and beta row n-2.
 
@@ -225,7 +262,9 @@ def alpha_recurrence(
                              + 2 alpha_{n-2}/((2n-5)(2n-1))
                              - alpha_{n-4}/((2n-7)(2n-5)) ).
 
-    Node 0 keeps the limit 0.
+    ``x2`` holds x_j^2, j >= 1, in alpha's dtype; it is formed here when
+    not given (``build_alpha_table`` forms it once per table).  Node 0
+    keeps the limit 0.
     """
     if n < 4:
         raise ValueError(f"recurrence starts at n=4, got {n}")
@@ -234,10 +273,11 @@ def alpha_recurrence(
     if alpha.shape[0] < n - 1:
         raise ValueError(f"need alpha rows up to {n - 2}")
     grid = beta.grid
-    x = grid.nodes[1:].astype(alpha.dtype)
+    if x2 is None:
+        x2 = _squared_nodes(grid, alpha.dtype)
     row = np.zeros(grid.M + 1, dtype=alpha.dtype)
     row[1:] = (2 * n - 1) * (2 * n + 1) * (
-        beta.beta[n - 2, 1:] / (x * x)
+        beta.beta[n - 2, 1:] / x2
         + 2.0 * alpha[n - 2, 1:] / ((2 * n - 5) * (2 * n - 1))
         - alpha[n - 4, 1:] / ((2 * n - 7) * (2 * n - 5))
     )
@@ -255,23 +295,24 @@ def build_alpha_table(
     if n_max > ORDER_CAP:
         raise LimitError(f"alpha order {n_max} exceeds cap {ORDER_CAP}")
     grid = q.grid
-    x2 = np.asarray(grid.nodes[1:], dtype=np.longdouble) ** 2
     seed = alpha_seed(q, Q, phi)
     rows = min(3, n_max) + 1
     alpha = np.zeros((n_max + 1, grid.M + 1), dtype=phi.dev_ratio.dtype)
     alpha[:rows] = seed[:rows]
+    x2 = _squared_nodes(grid, alpha.dtype)
     flags = np.zeros((n_max + 1, grid.M + 1), dtype=bool)
     # seed rows are closed forms: their floor is ordinary round-off
-    floor = np.zeros((n_max + 1, grid.M + 1), dtype=np.longdouble)
+    floor = np.zeros((n_max + 1, grid.M + 1))
     eps = _pipeline_eps(phi.dev_ratio.real.dtype)
-    for n in range(rows):
-        floor[n] = (eps / NOISE_FLOOR_EPS_FACTOR) * 8.0 * np.abs(alpha[n])
+    np.abs(alpha[:rows], out=floor[:rows], casting="unsafe")
+    floor[:rows] *= (eps / NOISE_FLOOR_EPS_FACTOR) * 8.0
+    x2_floor = _squared_nodes(grid, float)
     for n in range(4, n_max + 1):
-        alpha[n] = alpha_recurrence(beta, alpha, n)
+        alpha[n] = alpha_recurrence(beta, alpha, n, x2)
         # worst-case floor propagation, for the error surrogate only: the
         # actual recurrence error largely cancels and sits far below this
         floor[n, 1:] = (2 * n - 1) * (2 * n + 1) * (
-            beta.noise_floor[n - 2, 1:] / x2
+            beta.noise_floor[n - 2, 1:] / x2_floor
             + 2.0 * floor[n - 2, 1:] / ((2 * n - 5) * (2 * n - 1))
             + floor[n - 4, 1:] / ((2 * n - 7) * (2 * n - 5))
         )
@@ -288,15 +329,16 @@ def _suppress_noise_tail(alpha: np.ndarray):
     row, so a sustained climb back above the running minimum of the
     (parity-smoothed) magnitude sequence marks where information ends.
     """
-    mags = np.abs(alpha)
-    run_min = np.full(alpha.shape[1], np.inf, dtype=np.longdouble)
+    mags = np.empty(alpha.shape)
+    np.abs(alpha, out=mags, casting="unsafe")
+    run_min = np.full(alpha.shape[1], np.inf)
     onset = np.zeros(alpha.shape[1], dtype=bool)
     for n in range(4, alpha.shape[0]):
         pair = np.maximum(mags[n], mags[n - 1])
         onset |= pair > NOISE_ONSET_RISE * run_min
         alpha[n][onset] = 0.0
-        keep = ~onset & (pair > 0)
-        run_min[keep] = np.minimum(run_min[keep], pair[keep])
+        # past its onset a node stays zeroed, whatever its minimum
+        np.minimum(run_min, pair, out=run_min, where=pair > 0)
 
 
 def accuracy_indicators(

@@ -68,9 +68,7 @@ def _weight_deviations(fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dev_sq, dev_inv
 
 
-def _deviation_recursion(
-    f: SampledFunction, k_max: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _deviation_recursion(f: SampledFunction, k_max: int) -> np.ndarray:
     """Deviations of the two recursive-integral families from x^n.
 
     With w_n the weight (f^2)^(+-1) of family member n, the deviations
@@ -78,8 +76,10 @@ def _deviation_recursion(
 
         D^(n) = n * int_0^x ( D^(n-1) w + s^(n-1) (w - 1) ) ds,
 
-    which vanishes identically when f = 1.  Returns (D, Dt), each of
-    shape (k_max+1, M+1); row 0 is zero.
+    which vanishes identically when f = 1.  The two families advance
+    together, one stacked (2, M+1) integral per order.  Returns the member
+    that phi_k uses, D^(k) for odd k and Dt^(k) for even k, as one array
+    of shape (k_max+1, M+1); row 0 is zero.
     """
     grid = f.grid
     x = np.asarray(grid.nodes, dtype=f.values.dtype)
@@ -87,24 +87,21 @@ def _deviation_recursion(
     w_sq = f.values * f.values
     w_inv = 1.0 / w_sq
 
+    # row 0 of each stack is the D family, row 1 the Dt family: odd orders
+    # weight D by 1/f^2 and Dt by f^2, even orders the other way round
+    w_odd, dev_odd = np.stack((w_inv, w_sq)), np.stack((dev_inv, dev_sq))
+    w_even, dev_even = w_odd[::-1], dev_odd[::-1]
     D = np.zeros((k_max + 1, grid.M + 1), dtype=f.values.dtype)
-    Dt = np.zeros_like(D)
+    pair = np.zeros((2, grid.M + 1), dtype=f.values.dtype)  # order n-1
     x_pow = np.ones_like(x)  # x^(n-1)
     for n in range(1, k_max + 1):
-        if n % 2 == 1:
-            w_D, dev_D = w_inv, dev_inv
-            w_Dt, dev_Dt = w_sq, dev_sq
-        else:
-            w_D, dev_D = w_sq, dev_sq
-            w_Dt, dev_Dt = w_inv, dev_inv
-        D[n] = n * indefinite_integral(
-            SampledFunction(grid, D[n - 1] * w_D + x_pow * dev_D)
+        w, dev = (w_odd, dev_odd) if n % 2 == 1 else (w_even, dev_even)
+        pair = n * indefinite_integral(
+            SampledFunction(grid, pair * w + x_pow * dev)
         ).values
-        Dt[n] = n * indefinite_integral(
-            SampledFunction(grid, Dt[n - 1] * w_Dt + x_pow * dev_Dt)
-        ).values
+        D[n] = pair[(n + 1) % 2]
         x_pow = x_pow * x
-    return D, Dt
+    return D
 
 
 def _check_nonvanishing(f0: SampledFunction):
@@ -133,8 +130,9 @@ def _assemble_table(
     dev_ratio = np.zeros_like(dev_phi)
     x_pow = np.ones_like(x)
     for k in range(k_max + 1):
-        phi[k] = x_pow.astype(dev_phi.dtype) + dev_phi[k]
-        dev_ratio[k, 1:] = dev_phi[k, 1:] / x_pow[1:].astype(dev_phi.dtype)
+        x_k = x_pow.astype(dev_phi.dtype, copy=False)
+        phi[k] = x_k + dev_phi[k]
+        dev_ratio[k, 1:] = dev_phi[k, 1:] / x_k[1:]
         x_pow = x_pow * x
     return FormalPowersTable(grid, phi, dev_ratio, k_max, **meta)
 
@@ -146,7 +144,7 @@ def formal_powers(f0: SampledFunction, k_max: int) -> FormalPowersTable:
     exactly when q = 0.
     """
     _check_nonvanishing(f0)
-    D, Dt = _deviation_recursion(f0, k_max)
+    D = _deviation_recursion(f0, k_max)
     x = np.asarray(f0.grid.nodes, dtype=f0.values.dtype)
     dev_f0 = f0.values - 1.0
 
@@ -154,8 +152,7 @@ def formal_powers(f0: SampledFunction, k_max: int) -> FormalPowersTable:
     dev_phi = np.empty_like(D)
     x_pow = np.ones_like(x)
     for k in range(k_max + 1):
-        Dk = D[k] if k % 2 == 1 else Dt[k]
-        dev_phi[k] = f0.values * Dk + dev_f0 * x_pow
+        dev_phi[k] = f0.values * D[k] + dev_f0 * x_pow
         x_pow = x_pow * x
     return _assemble_table(f0, dev_phi, k_max)
 
@@ -185,15 +182,14 @@ def formal_powers_nonvanishing(
             f"min |f0 + i f1| = {fmin:.3e} <= {F_COMBINED_MIN}; no "
             "nonvanishing solution available for this potential"
         )
-    D, Dt = _deviation_recursion(f, k_max + 1)
+    D = _deviation_recursion(f, k_max + 1)
     x = np.asarray(grid.nodes, dtype=np.longdouble)
     dev_f = f.values - 1.0
 
     dev_Phi = np.empty((k_max + 2, grid.M + 1), dtype=complex)
     x_pow = np.ones_like(x)
     for k in range(k_max + 2):
-        Dk = D[k] if k % 2 == 1 else Dt[k]
-        dev_Phi[k] = f.values * Dk + dev_f * x_pow.astype(complex)
+        dev_Phi[k] = f.values * D[k] + dev_f * x_pow.astype(complex)
         x_pow = x_pow * x
 
     fprime0 = 1j

@@ -9,6 +9,15 @@ once, in exact rational arithmetic, at import time.
 
 f0 and f1 are produced by Picard iteration so that they carry exactly the
 same discretization error as every other integral in the pipeline.
+
+Precision.  Samples of q, the Picard iteration and every indefinite
+integral run in extended precision (``numpy.longdouble`` where the platform
+has it).  The integral keeps its weights, h and block offsets extended also
+for complex128 input, such as f0 + i*f1 on the nonvanishing route of
+``formal_powers``.  Both were measured against float64 on the benchmark
+(``perfbench``): a float64 Picard iteration moves the ``spectrum``
+median from 12.78 to 12.37 digits (plain N=25 on q = -0.9 loses 2), and
+float64 weights for complex128 integrals give 12.34.
 """
 
 from __future__ import annotations
@@ -30,9 +39,8 @@ __all__ = [
     "derivative",
 ]
 
-#: numpy dtype used for the coefficient pipeline.  Extended precision, where
-#: the platform provides it, buys ~3 extra digits in the badly cancelling
-#: Legendre-coefficient sums at large order n.
+#: numpy dtypes of the sampled potential, and so of every stage that runs in
+#: extended precision (see the module docstring and ``coefficients``)
 PIPELINE_DTYPE = np.longdouble
 PIPELINE_CDTYPE = np.clongdouble
 
@@ -107,16 +115,20 @@ class Grid:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Values of a (possibly complex) function at every node of a grid."""
+    """Values of a (possibly complex) function at every node of a grid.
+
+    The last axis runs over the nodes; leading axes, if any, stack several
+    functions on the same grid.
+    """
 
     grid: Grid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if len(self.values) != self.grid.M + 1:
+        if np.shape(self.values)[-1] != self.grid.M + 1:
             raise GridError(
-                f"value count {len(self.values)} does not match grid with "
-                f"M={self.grid.M}"
+                f"value count {np.shape(self.values)[-1]} does not match "
+                f"grid with M={self.grid.M}"
             )
 
     @property
@@ -157,25 +169,33 @@ def indefinite_integral(f: SampledFunction) -> SampledFunction:
 
     Composite Newton-Cotes of degree 6 on consecutive 6-subinterval blocks;
     interior nodes of a block integrate the local degree-6 interpolant.
-    Exact for polynomials up to degree 6.
+    Exact for polynomials up to degree 6.  Leading axes of ``f.values``
+    are integrated independently, each row exactly as on its own.
     """
     grid = f.grid
-    v = f.values
-    B = grid.M // 6
+    v = np.ascontiguousarray(f.values)
     h = np.longdouble(grid.b) / grid.M
 
-    # gather block samples: blocks[k, i] = v[6k + i], i = 0..6
-    idx = 6 * np.arange(B)[:, None] + np.arange(7)[None, :]
-    blocks = v[idx]
-
-    # partial integrals from each block start to its 6 interior/end nodes
-    partials = h * (blocks @ _W_BLOCK.T)  # shape (B, 6)
-
-    F = np.zeros(grid.M + 1, dtype=v.dtype)
-    offsets = np.concatenate(
-        (np.zeros(1, dtype=v.dtype), np.cumsum(partials[:-1, 5]))
+    # blocks[..., k, i] = v[..., 6k + i], i = 0..6: a strided view of v,
+    # in which consecutive blocks share their end node
+    step = v.itemsize
+    blocks = np.ndarray(
+        (*v.shape[:-1], grid.M // 6, 7), v.dtype, v,
+        strides=(*v.strides[:-1], 6 * step, step),
     )
-    F[1:] = (offsets[:, None] + partials).reshape(-1)
+
+    # partial integrals from each block start to its 6 interior/end nodes,
+    # in the extended dtype of the weights, also for complex128 values
+    partials = blocks @ _W_BLOCK.T  # shape (..., B, 6)
+    partials *= h
+
+    # block offsets in the same dtype: rounding them to v's dtype first
+    # would round every node of the block a second time
+    offsets = np.zeros(partials.shape[:-1], dtype=partials.dtype)
+    np.cumsum(partials[..., :-1, 5], axis=-1, out=offsets[..., 1:])
+    partials += offsets[..., None]
+    F = np.zeros(v.shape, dtype=v.dtype)
+    F[..., 1:] = partials.reshape(*v.shape[:-1], -1)
     return SampledFunction(grid, F)
 
 
@@ -183,13 +203,12 @@ def _sup(values: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
 
 
-def solve_homogeneous(
-    q: SampledFunction
-) -> tuple[SampledFunction, SampledFunction]:
-    """Particular solutions of f'' = q f by Picard iteration.
+def solve_homogeneous(q: SampledFunction, seed) -> SampledFunction:
+    """The solution of f'' = q f whose Picard iteration starts at ``seed``.
 
-    Returns (f0, f1) with f0(0)=1, f0'(0)=0 and f1(0)=0, f1'(0)=1.  Each is
-    the series sum of g_0 = 1 (resp. g_0 = x) and
+    ``seed`` is g_0, a scalar or the M+1 node values: 1 gives f0, with
+    f0(0)=1, f0'(0)=0, and the grid nodes give f1, with f1(0)=0,
+    f1'(0)=1.  The solution is the series sum of g_0 and
     g_{m+1}(x) = int_0^x int_0^s q g_m.  Iteration stops when the sup norm
     of the last increment drops below PICARD_RTOL * (1 + sup|partial sum|).
 
@@ -200,23 +219,20 @@ def solve_homogeneous(
         large or q too rough for the grid).
     """
     grid = q.grid
-    results = []
-    for seed in (np.ones_like(q.values), np.asarray(grid.nodes, dtype=q.values.dtype)):
-        g = SampledFunction(grid, seed)
-        total = seed.copy()
-        for _ in range(PICARD_MAX_ITER):
-            inner = indefinite_integral(SampledFunction(grid, q.values * g.values))
-            g = indefinite_integral(inner)
-            total = total + g.values
-            if _sup(g.values) < PICARD_RTOL * (1.0 + _sup(total)):
-                break
-        else:
-            raise ConvergenceError(
-                f"Picard iteration did not converge in {PICARD_MAX_ITER} "
-                f"iterations (last increment {_sup(g.values):.3e})"
-            )
-        results.append(SampledFunction(grid, total))
-    return results[0], results[1]
+    total = np.broadcast_to(seed, q.values.shape).astype(q.values.dtype)
+    g = SampledFunction(grid, total)
+    for _ in range(PICARD_MAX_ITER):
+        inner = indefinite_integral(SampledFunction(grid, q.values * g.values))
+        g = indefinite_integral(inner)
+        total = total + g.values
+        if _sup(g.values) < PICARD_RTOL * (1.0 + _sup(total)):
+            break
+    else:
+        raise ConvergenceError(
+            f"Picard iteration did not converge in {PICARD_MAX_ITER} "
+            f"iterations (last increment {_sup(g.values):.3e})"
+        )
+    return SampledFunction(grid, total)
 
 
 def _stencil_weights(offsets: np.ndarray) -> np.ndarray:

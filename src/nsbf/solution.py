@@ -123,10 +123,12 @@ class SolutionModel:
             )
         for name, c in (("_beta_c", self.beta.beta),
                         ("_alpha_c", self.alpha.alpha)):
-            # i^n is 1, i, -1 or -i: the product is exact in any precision
+            # rounded once to complex128; i^n is 1, i, -1 or -i, so the
+            # product is exact, the same as rounding the extended product
             ipow = 1j ** np.arange(len(c))
+            c64 = c.astype(complex if np.iscomplexobj(c) else float)
             out = np.empty(c.shape[::-1], dtype=complex)
-            object.__setattr__(self, name, np.multiply(ipow, c.T, out=out))
+            object.__setattr__(self, name, np.multiply(ipow, c64.T, out=out))
 
     @property
     def is_complex(self) -> bool:
@@ -184,9 +186,9 @@ def build_model(
 
     q_input may be an expression string, a parsed expression, a callable,
     an array of M+1 samples, or a SampledFunction on the matching grid.
-    The homogeneous solutions come from Picard iteration; if the primary
-    one vanishes somewhere on the grid the nonvanishing fallback route is
-    used automatically (always possible for real q).
+    The homogeneous solution f0 comes from Picard iteration; if it
+    vanishes somewhere on the grid, f1 is iterated too and the nonvanishing
+    fallback route is used automatically (always possible for real q).
     """
     if N > 60:
         raise LimitError(
@@ -197,12 +199,13 @@ def build_model(
     q = _sample_potential(q_input, grid)
     Q = indefinite_integral(q)
     Q2 = indefinite_integral(SampledFunction(grid, q.values * q.values))
-    f0, f1 = solve_homogeneous(q)
+    f0 = solve_homogeneous(q, 1.0)
 
     k_max = N + EXTRA_ROWS
     try:
         powers = formal_powers(f0, k_max)
     except NearVanishingError:
+        f1 = solve_homogeneous(q, grid.nodes)
         powers = formal_powers_nonvanishing(f0, f1, k_max)
 
     leg = legendre_coeffs(k_max)

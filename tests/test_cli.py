@@ -446,6 +446,19 @@ class TestBenchCommand:
             for i in err_cols:
                 assert float(r[i]) <= 1e-10
 
+    def test_truncations_end_at_the_built_N(self):
+        # N = 8 reports the truncation below it and N itself, and the
+        # reference integrator is seeded from improved N = 8, not N = 5
+        rc, out = run_cli(
+            ["bench", "--potential", "exp(x)", "--count", "5", "--M", "600",
+             "--N", "8"]
+        )
+        assert rc == 0
+        header, rows = data_rows(out)
+        assert header == ["n", "lambda_ref", "err_plain_N5", "err_plain_N8",
+                          "err_improved_N5", "err_improved_N8"]
+        assert len(rows) == 5
+
     def test_stalled_reference_exits_5(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_SWEEPS", 0)
         rc, _ = run_cli(

@@ -41,7 +41,7 @@ def exp_tables():
     q = sample(grid, np.exp)
     Q = indefinite_integral(q)
     Q2 = indefinite_integral(SampledFunction(grid, q.values * q.values))
-    f0, f1 = solve_homogeneous(q)
+    f0 = solve_homogeneous(q, 1.0)
     phi = formal_powers(f0, 33)
     leg = legendre_coeffs(40)
     beta = beta_coeffs(phi, leg, 30)
@@ -55,7 +55,7 @@ def zero_tables():
     grid = make_grid(PI, 1998)
     q = SampledFunction(grid, np.zeros(grid.M + 1, dtype=np.longdouble))
     Q = indefinite_integral(q)
-    f0, f1 = solve_homogeneous(q)
+    f0 = solve_homogeneous(q, 1.0)
     phi = formal_powers(f0, 14)
     leg = legendre_coeffs(14)
     beta = beta_coeffs(phi, leg, 12)
@@ -99,6 +99,15 @@ class TestLegendreCoeffs:
         with pytest.raises(LimitError):
             legendre_coeffs(121)
 
+    def test_shared_table_is_read_only(self):
+        leg = legendre_coeffs(10)
+        with pytest.raises(ValueError):
+            leg.l[2, 0] = 0.0
+        # a larger order rebuilds the shared table; smaller ones read its
+        # corner with the same entries
+        assert np.array_equal(legendre_coeffs(60).l[:11, :11], leg.l)
+        assert np.array_equal(legendre_coeffs(10).l, leg.l)
+
 
 class TestBetaCoeffs:
     def test_zero_potential_all_zero(self, zero_tables):
@@ -108,7 +117,7 @@ class TestBetaCoeffs:
     def test_constant_potential_first_row(self):
         grid = make_grid(PI, 1998)
         q = sample(grid, lambda x: 1.0)
-        f0, _ = solve_homogeneous(q)
+        f0 = solve_homogeneous(q, 1.0)
         phi = formal_powers(f0, 4)
         beta = beta_coeffs(phi, legendre_coeffs(4), 4)
         xs = np.asarray(grid.nodes, dtype=float)
@@ -219,7 +228,7 @@ class TestBetaSum:
         # the largest build_sweep cell; a stacked full-size temporary on
         # top of the outputs would exceed the bound
         grid = make_grid(PI, 2952)
-        f0, _ = solve_homogeneous(sample(grid, np.exp))
+        f0 = solve_homogeneous(sample(grid, np.exp), 1.0)
         phi = formal_powers(f0, 42)
         leg = legendre_coeffs(42)
         tracemalloc.start()

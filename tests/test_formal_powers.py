@@ -23,7 +23,8 @@ def grid():
 
 
 def _homogeneous(grid, q):
-    return solve_homogeneous(sample(grid, q))
+    q = sample(grid, q)
+    return solve_homogeneous(q, 1.0), solve_homogeneous(q, grid.nodes)
 
 
 class TestFormalPowers:
@@ -126,7 +127,7 @@ class TestSppsEval:
 
     def test_zero_potential_exponential(self):
         g = make_grid(1.0, 300)
-        f0, _ = solve_homogeneous(sample(g, lambda x: 0.0))
+        f0 = solve_homogeneous(sample(g, lambda x: 0.0), 1.0)
         table = formal_powers(f0, 30)
         val = spps_eval(table, 1.0, 300, 30)
         assert abs(val - np.exp(1j)) < 1e-14

@@ -71,6 +71,39 @@ class TestIndefiniteIntegral:
         ).values
         assert float(np.max(np.abs(lhs.values - rhs))) < 1e-14
 
+    @pytest.mark.parametrize(
+        "dtype", [np.float64, np.longdouble, np.complex128, np.clongdouble]
+    )
+    def test_stack_matches_row_calls(self, dtype):
+        g = make_grid(PI, 600)
+        x = np.asarray(g.nodes, dtype=float)
+        rows = np.stack((np.exp(x) * np.sin(3 * x), np.cos(x) / (1 + x)))
+        if np.issubdtype(dtype, np.complexfloating):
+            rows = rows + 1j * rows[::-1]
+        rows = rows.astype(dtype)
+        stacked = indefinite_integral(SampledFunction(g, rows)).values
+        assert stacked.dtype == rows.dtype
+        for r in range(2):
+            row = indefinite_integral(SampledFunction(g, rows[r])).values
+            assert np.array_equal(stacked[r], row)
+
+    @pytest.mark.parametrize(
+        "dtype,extended",
+        [(np.float64, np.longdouble), (np.complex128, np.clongdouble)],
+    )
+    def test_double_input_rounds_once(self, dtype, extended):
+        # weights, h and block offsets stay extended for float64 and
+        # complex128 values: the result is the extended integral of the
+        # same values, rounded once
+        g = make_grid(PI, 600)
+        x = np.asarray(g.nodes, dtype=float)
+        v = (np.exp(x) * np.sin(3 * x)).astype(dtype)
+        if np.issubdtype(dtype, np.complexfloating):
+            v = v + 1j * np.cos(x) / (1 + x)
+        F = indefinite_integral(SampledFunction(g, v)).values
+        F_ext = indefinite_integral(SampledFunction(g, v.astype(extended))).values
+        assert np.array_equal(F, F_ext.astype(dtype))
+
     def test_convergence_order(self):
         # halving h must shrink the error by at least 2^6
         errs = []
@@ -86,20 +119,21 @@ class TestSolveHomogeneous:
     def test_zero_potential_exact(self):
         g = make_grid(PI, 600)
         q = SampledFunction(g, np.zeros(601, dtype=np.longdouble))
-        f0, f1 = solve_homogeneous(q)
+        f0, f1 = solve_homogeneous(q, 1.0), solve_homogeneous(q, g.nodes)
         assert float(np.max(np.abs(f0.values - 1.0))) == 0.0
         assert float(np.max(np.abs(f1.values - g.nodes))) == 0.0
 
     def test_constant_potential(self):
         g = make_grid(PI, 600)
-        f0, f1 = solve_homogeneous(sample(g, lambda x: 1.0))
+        q = sample(g, lambda x: 1.0)
+        f0, f1 = solve_homogeneous(q, 1.0), solve_homogeneous(q, g.nodes)
         xs = np.asarray(g.nodes, dtype=float)
         assert float(np.max(np.abs(np.asarray(f0.values, float) - np.cosh(xs)))) < 1e-12
         assert float(np.max(np.abs(np.asarray(f1.values, float) - np.sinh(xs)))) < 1e-12
 
     def test_exponential_against_reference_integrator(self):
         g = make_grid(PI, 1998)
-        f0, _ = solve_homogeneous(sample(g, np.exp))
+        f0 = solve_homogeneous(sample(g, np.exp), 1.0)
         y, _ = propagate(np.exp, PI, [0.0], np.array([1.0, 0.0]))
         assert abs(float(f0.values[-1]) - float(y[0, 0].real)) < 1e-10 * abs(
             float(y[0, 0].real)
@@ -108,7 +142,8 @@ class TestSolveHomogeneous:
     def test_wronskian_integral_identity(self):
         # f1(x) = f0(x) * int_0^x f0^-2 wherever f0 does not vanish
         g = make_grid(PI, 1998)
-        f0, f1 = solve_homogeneous(sample(g, np.exp))
+        q = sample(g, np.exp)
+        f0, f1 = solve_homogeneous(q, 1.0), solve_homogeneous(q, g.nodes)
         inv = indefinite_integral(
             SampledFunction(g, 1.0 / (f0.values * f0.values))
         )
@@ -118,7 +153,7 @@ class TestSolveHomogeneous:
     def test_nonconvergence(self):
         g = make_grid(50.0, 66)
         with pytest.raises(ConvergenceError):
-            solve_homogeneous(sample(g, lambda x: 100.0))
+            solve_homogeneous(sample(g, lambda x: 100.0), 1.0)
 
 
 def test_derivative_sixth_order():

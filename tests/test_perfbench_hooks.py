@@ -49,3 +49,25 @@ def test_traced_build_reads_model_counts(spans, owner_modules):
     assert "coefficients.zero_alpha_rows_at_b" in tracer.counts
     assert "solution.build_model" in tracer.names
     assert not hasattr(owner_modules["solution"].build_model, "__wrapped__")
+
+
+def test_traced_build_sees_the_integrals(spans, owner_modules):
+    # grid.picard_integrals and grid.indefinite_integral_ms count the
+    # integral spans under solve_homogeneous and formal_powers; a call that
+    # bypassed the module-level names would leave them reading 0
+    tracer = spans.Tracer()
+    tracer.install(owner_modules)
+    try:
+        owner_modules["solution"].build_model("exp(x)", math.pi, 102, 4)
+    finally:
+        tracer.uninstall()
+    arrays = tracer.arrays()
+    names = list(arrays["names"])
+    span_name = [names[i] for i in arrays["name_id"]]
+    parent_name = [span_name[p] if p >= 0 else None for p in arrays["parent"]]
+    under = {parent for name, parent in zip(span_name, parent_name)
+             if name == "grid.indefinite_integral"}
+    assert {"grid.solve_homogeneous", "formal_powers.formal_powers"} <= under
+    metrics = spans.layer_metrics(arrays, tracer.counts, 0, 0.0)
+    assert metrics["grid.picard_integrals"]["value"] > 0
+    assert metrics["grid.indefinite_integral_ms"]["value"] > 0

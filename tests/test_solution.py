@@ -18,6 +18,8 @@ from nsbf import (
     sine_solution,
     spps_eval,
 )
+from nsbf import solution
+from nsbf.grid import PIPELINE_CDTYPE, PIPELINE_DTYPE
 from nsbf.oracle import solution_reference
 
 from conftest import const_q_solution
@@ -64,6 +66,32 @@ class TestBuildModel:
                 exact = cmath.cos(wp * x) + 1j * w * cmath.sin(wp * x) / wp
                 assert abs(eval_uN(model, w, j) - exact) < 1e-9
                 assert abs(eval_uN_tilde(model, w, j) - exact) < 5e-7
+
+    @pytest.mark.parametrize("q,calls", [("exp(x)", 1), ("-1", 2)])
+    def test_f1_only_on_the_fallback_route(self, monkeypatch, q, calls):
+        # f0 = cos(x) of q = -1 vanishes at the node pi/2
+        seeds = []
+        picard = solution.solve_homogeneous
+
+        def counting(q_sampled, seed):
+            seeds.append(seed)
+            return picard(q_sampled, seed)
+
+        monkeypatch.setattr(solution, "solve_homogeneous", counting)
+        model = build_model(q, PI, 600, 8)
+        assert len(seeds) == calls
+        assert model.powers.used_nonvanishing == (calls == 2)
+
+    @pytest.mark.parametrize(
+        "q", ["exp(x)", "-1", np.full(601, 1.0 + 0.3j)], ids=["exp", "minus1", "complex"]
+    )
+    def test_noise_floors_float64_tables_pipeline_dtype(self, q):
+        model = build_model(q, PI, 600, 8)
+        pipeline = PIPELINE_CDTYPE if model.is_complex else PIPELINE_DTYPE
+        assert model.beta.noise_floor.dtype == np.float64
+        assert model.alpha.noise_floor.dtype == np.float64
+        assert model.beta.beta.dtype == pipeline
+        assert model.alpha.alpha.dtype == pipeline
 
     def test_zero_of_f0_between_nodes_takes_nonvanishing_route(self):
         # f0 = cos(2x): its zeros pi/4 and 3 pi/4 fall midway between
