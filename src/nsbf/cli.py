@@ -363,8 +363,9 @@ def cmd_coeffs(cfg: RunConfig, out=None) -> int:
     md["beta_cancellation_flags"] = int(
         np.sum(model.beta.flags[: model.N + 1])
     )
+    # alpha_n reads beta_{n-2}, and rows 0-3 are closed forms
     md["alpha_cancellation_flags"] = int(
-        np.sum(model.alpha.flags[: model.N + 3])
+        np.sum(model.beta.flags[2 : model.N + 1])
     )
     # one row per (n, node), n-major; beta is blank past row N
     nodes = model.grid.M + 1

@@ -122,7 +122,6 @@ class AlphaTable:
     grid: Grid
     n_max: int
     alpha: np.ndarray = field(repr=False)
-    flags: np.ndarray = field(repr=False)
     noise_floor: np.ndarray = field(repr=False)
 
 
@@ -300,7 +299,6 @@ def build_alpha_table(
     alpha = np.zeros((n_max + 1, grid.M + 1), dtype=phi.dev_ratio.dtype)
     alpha[:rows] = seed[:rows]
     x2 = _squared_nodes(grid, alpha.dtype)
-    flags = np.zeros((n_max + 1, grid.M + 1), dtype=bool)
     # seed rows are closed forms: their floor is ordinary round-off
     floor = np.zeros((n_max + 1, grid.M + 1))
     eps = _pipeline_eps(phi.dev_ratio.real.dtype)
@@ -316,9 +314,8 @@ def build_alpha_table(
             + 2.0 * floor[n - 2, 1:] / ((2 * n - 5) * (2 * n - 1))
             + floor[n - 4, 1:] / ((2 * n - 7) * (2 * n - 5))
         )
-        flags[n] = beta.flags[n - 2]
     _suppress_noise_tail(alpha)
-    return AlphaTable(grid, n_max, alpha, flags, floor)
+    return AlphaTable(grid, n_max, alpha, floor)
 
 
 def _suppress_noise_tail(alpha: np.ndarray):

@@ -3,10 +3,14 @@
 Accepts the usual infix syntax over one variable ``x``: numeric literals
 (decimal and scientific), the named constants ``pi`` and ``e``, the binary
 operators ``+ - * / ^``, unary minus, parentheses, and the functions
-exp, sin, cos, sinh, cosh, sqrt, log, abs.
+exp, sin, cos, sinh, cosh, sqrt, log, abs.  Only ASCII letters, digits
+and whitespace and ``. + - * / ^ ( )`` may appear: ``^`` is the only power
+operator, and literals take ASCII digits and no leading zero (``01``).
 
 Precedence, tightest first: ``^`` (right-associative), unary minus,
-``* /``, ``+ -``.  In particular ``-x^2`` parses as ``-(x^2)``.
+``* /``, ``+ -``.  In particular ``-x^2`` parses as ``-(x^2)``.  These are
+Python's rules for ``**``, so ``parse`` hands the text to CPython's parser
+and admits only the grammar's nodes of its tree, at most MAX_DEPTH deep.
 
 ``evaluate`` walks the tree once for a whole ndarray of points, applying
 numpy ufuncs under ``np.errstate(all="raise", under="ignore")``, so that
@@ -19,8 +23,11 @@ Parsed expressions are immutable and safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import ast
 import math
 import re
+import string
+import warnings
 from dataclasses import dataclass
 from typing import Union
 
@@ -28,17 +35,8 @@ import numpy as np
 
 from .errors import ExpressionEvalError, ExpressionSyntaxError
 
-__all__ = [
-    "Expression",
-    "Num",
-    "Const",
-    "Var",
-    "Unary",
-    "Binary",
-    "Call",
-    "parse",
-    "evaluate",
-]
+__all__ = ["Expression", "Num", "Const", "Var", "Unary", "Binary", "Call",
+           "parse", "evaluate"]
 
 
 @dataclass(frozen=True)
@@ -79,14 +77,8 @@ Expression = Union[Num, Const, Var, Unary, Binary, Call]
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _FUNCTIONS = {
-    "exp": np.exp,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "sqrt": np.sqrt,
-    "log": np.log,
-    "abs": np.abs,
+    name: getattr(np, name)
+    for name in ("exp", "sin", "cos", "sinh", "cosh", "sqrt", "log", "abs")
 }
 
 _OPERATORS = {
@@ -97,104 +89,19 @@ _OPERATORS = {
     "^": np.power,
 }
 
+_BINARY_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+
+#: deepest tree that ``parse`` builds: half of CPython's default recursion
+#: limit, as the walks here and in ``evaluate`` take one frame per level
+MAX_DEPTH = 500
+
 _NUMBER_RE = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
-
-class _Parser:
-    """Single-pass recursive-descent parser over a source string."""
-
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-
-    def error(self, expected: str) -> ExpressionSyntaxError:
-        found = self.src[self.pos : self.pos + 10] or "end of input"
-        return ExpressionSyntaxError(
-            f"syntax error near {found!r}", self.pos, expected
-        )
-
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def accept(self, chars: str) -> str:
-        c = self.peek()
-        if c and c in chars:
-            self.pos += 1
-            return c
-        return ""
-
-    def parse_expression(self) -> Expression:
-        node = self.parse_term()
-        while True:
-            op = self.accept("+-")
-            if not op:
-                return node
-            node = Binary(op, node, self.parse_term())
-
-    def parse_term(self) -> Expression:
-        node = self.parse_unary()
-        while True:
-            op = self.accept("*/")
-            if not op:
-                return node
-            node = Binary(op, node, self.parse_unary())
-
-    def parse_unary(self) -> Expression:
-        if self.accept("-"):
-            return Unary(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self) -> Expression:
-        base = self.parse_atom()
-        if self.accept("^"):
-            # right-associative; exponent may carry its own unary minus
-            return Binary("^", base, self.parse_unary())
-        return base
-
-    def parse_atom(self) -> Expression:
-        c = self.peek()
-        if c == "(":
-            self.pos += 1
-            node = self.parse_expression()
-            if not self.accept(")"):
-                raise self.error("')'")
-            return node
-        if c.isdigit() or c == ".":
-            m = _NUMBER_RE.match(self.src, self.pos)
-            if not m:
-                raise self.error("number")
-            self.pos = m.end()
-            return Num(float(m.group(0)))
-        if c.isalpha() or c == "_":
-            m = _IDENT_RE.match(self.src, self.pos)
-            if m is None:
-                raise self.error("an ASCII identifier")
-            name = m.group(0)
-            if name == "x":
-                self.pos = m.end()
-                return Var()
-            if name in _CONSTANTS:
-                self.pos = m.end()
-                return Const(name)
-            if name in _FUNCTIONS:
-                self.pos = m.end()
-                if not self.accept("("):
-                    raise self.error(f"'(' after function {name}")
-                arg = self.parse_expression()
-                if not self.accept(")"):
-                    raise self.error("')'")
-                return Call(name, arg)
-            raise ExpressionSyntaxError(
-                f"unknown identifier {name!r}", self.pos,
-                "x, pi, e or a function name",
-            )
-        raise self.error("number, 'x', constant, function or '('")
+#: a character outside the grammar's alphabet, or Python's power operator
+_REFUSED_RE = re.compile(r"[^0-9A-Za-z.+\-*/^()\s]|\*\*", re.ASCII)
+_SPACES = str.maketrans(string.whitespace, " " * len(string.whitespace))
+_OPERAND = "number, 'x', constant, function call, '-' or '('"
+# CPython's tokenizer takes at most 200 levels of parentheses
+_NESTING = f"at most {MAX_DEPTH} levels of nesting, 200 of parentheses"
 
 
 def parse(source: str) -> Expression:
@@ -203,17 +110,70 @@ def parse(source: str) -> Expression:
     Raises
     ------
     ExpressionSyntaxError
-        With the byte offset of the failure and a description of the
-        expected token.  Never raises anything else, whatever the input.
+        With the offset of the failure in ``source`` and a description of
+        what was expected there, also for a tree deeper than MAX_DEPTH.
+        Never raises anything else, whatever the input.
     """
     if not isinstance(source, str) or not source.strip():
         raise ExpressionSyntaxError("empty expression", 0, "an expression")
-    p = _Parser(source)
-    node = p.parse_expression()
-    p.skip_ws()
-    if p.pos != len(p.src):
-        raise p.error("end of input or an operator")
-    return node
+    refused = _REFUSED_RE.search(source)
+    if refused:
+        raise _error(source, refused.start(), "ASCII letters, digits, "
+                     "spaces, '.', '+', '-', '*', '/', '^', '(' or ')'")
+    lead = len(source) - len(source.lstrip())
+    # one line with no indent, as mode="eval" needs
+    code = source[lead:].translate(_SPACES).replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # e.g. "1if x", refused anyway
+            return _tree(ast.parse(code, mode="eval").body, code, 1)
+    except ExpressionSyntaxError as exc:
+        col, expected = exc.offset, exc.expected
+    except SyntaxError as exc:
+        # offset 0 marks the end of the input
+        col = (exc.offset or len(code) + 1) - 1
+        expected = _NESTING if "nested" in exc.msg else _OPERAND
+    except (ValueError, RecursionError, MemoryError):
+        col, expected = 0, _NESTING
+    col = min(max(col, 0), len(code))
+    raise _error(source, lead + col - code[:col].count("**"), expected) from None
+
+
+def _error(source: str, offset: int, expected: str) -> ExpressionSyntaxError:
+    found = source[offset : offset + 10] or "end of input"
+    return ExpressionSyntaxError(f"syntax error near {found!r}", offset, expected)
+
+
+def _tree(node: ast.expr, code: str, depth: int) -> Expression:
+    """The grammar's tree for ``node`` of Python's tree of ``code``.
+
+    A node outside the grammar, or deeper than MAX_DEPTH, raises
+    ExpressionSyntaxError at its offset into ``code``.
+    """
+    if depth > MAX_DEPTH:
+        raise ExpressionSyntaxError("", node.col_offset, _NESTING)
+    match node:
+        case ast.Constant() if _NUMBER_RE.fullmatch(
+            code, node.col_offset, node.end_col_offset
+        ):
+            return Num(float(code[node.col_offset : node.end_col_offset]))
+        case ast.Name(id="x"):
+            return Var()
+        case ast.Name(id=name) if name in _CONSTANTS:
+            return Const(name)
+        case ast.UnaryOp(op=ast.USub(), operand=operand):
+            return Unary(_tree(operand, code, depth + 1))
+        case ast.BinOp(left=left, op=op, right=right) if type(op) in _BINARY_OPS:
+            return Binary(
+                _BINARY_OPS[type(op)],
+                _tree(left, code, depth + 1),
+                _tree(right, code, depth + 1),
+            )
+        case ast.Call(func=ast.Name(id=name), args=[arg], keywords=[]) if (
+            name in _FUNCTIONS
+        ):
+            return Call(name, _tree(arg, code, depth + 1))
+    raise ExpressionSyntaxError("", node.col_offset, _OPERAND)
 
 
 def evaluate(expr: Expression, x):

@@ -86,6 +86,7 @@ __all__ = [
 EXTRA_ROWS = 8
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_FLOAT_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -304,20 +305,31 @@ def eval_uN_tilde(model: SolutionModel, omega: complex, x_index: int) -> complex
 
 
 def eval_uN(model: SolutionModel, omega: complex, x_index: int) -> complex:
-    """Omega-improved truncated representation; requires omega != 0.
+    """Omega-improved truncated representation; requires omega != 0, and
+    |omega|^2 a normal float64 (1.5e-154 <= |omega| < 1.34e154), else
+    LimitError.
 
     Supports any nonzero complex omega; the -omega solution is obtained by
     passing -omega (plain sign substitution, valid for complex q too).
     """
-    if omega == 0:
-        raise ZeroOmegaError("the improved representation divides by omega^2")
+    if not _FLOAT_MIN <= omega.real * omega.real + omega.imag * omega.imag < math.inf:
+        raise _omega_error(omega, "the improved representation")
     return _series(model, omega, x_index, "improved")
+
+
+def _omega_error(omega: complex, what: str) -> Exception:
+    """Why ``what``, which divides by omega^2, refuses ``omega``."""
+    if omega == 0:
+        return ZeroOmegaError(f"{what} divides by omega^2")
+    return LimitError(
+        f"{what}: |omega|^2 is not a normal float64 at omega={omega}"
+    )
 
 
 def eval_auto(model: SolutionModel, omega: complex, x_index: int) -> complex:
     """Dispatch: improved form for |omega| >= switch, plain form below,
     power series exactly at omega = 0."""
-    a = abs(omega)
+    a = math.hypot(omega.real, omega.imag)  # abs() raises past float64
     if a == 0.0:
         return spps_eval(model.powers, 0.0, x_index, model.powers.k_max)
     if a >= model.omega_switch:
@@ -420,10 +432,11 @@ def error_envelope(
     Raises
     ------
     LimitError
-        If the envelope itself exceeds the float64 range.
+        If the envelope itself exceeds the float64 range, or |omega|^2 is
+        not a normal float64.
     """
-    if omega == 0:
-        raise ZeroOmegaError("error envelope divides by omega^2")
+    if not _FLOAT_MIN <= omega.real * omega.real + omega.imag * omega.imag < math.inf:
+        raise _omega_error(omega, "the error envelope")
     if eps is None:
         eps = epsN_surrogate(model)
     x = float(model.grid.nodes[x_index])

@@ -6,6 +6,15 @@ from nsbf import build_model
 
 PI = math.pi
 
+#: potentials nested past what CPython's parser or a recursive walk takes;
+#: each used to end in a RecursionError, in parse or in evaluate
+HOSTILE_NESTINGS = {
+    "parens-300": "(" * 300 + "x" + ")" * 300,
+    "minus-2000": "-" * 2000 + "x",
+    "sin-300": "sin(" * 300 + "x" + ")" * 300,
+    "sum-3000": "+".join(["1"] * 3000),
+}
+
 
 @pytest.fixture(scope="session")
 def model_zero():

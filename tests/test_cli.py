@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from nsbf import build_model, oracle
 from nsbf.cli import RunConfig, _resolve_potential, main
 
+from conftest import HOSTILE_NESTINGS
+
 PI = math.pi
 
 
@@ -308,6 +310,27 @@ class TestHostileInput:
         command, rest = args[0], args[1:]
         rc, err = run_cli_stderr([command, "--potential", "0", *FAST, *rest])
         assert rc == 2
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("potential", HOSTILE_NESTINGS.values(),
+                             ids=HOSTILE_NESTINGS)
+    def test_deep_nesting_exit_2_without_traceback(self, potential):
+        rc, err = run_cli_stderr(["solve", f"--potential={potential}",
+                                  "--omega", "1", "--x", "1", *FAST])
+        assert rc == 2
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("omega, rep", [
+        ("1e300", "auto"), ("1e300+1j", "auto"),
+        ("1.7e308+1.7e308j", "auto"), ("1e-200", "improved"),
+    ])
+    def test_omega_squared_out_of_range_exit_3_without_traceback(self, omega,
+                                                                 rep):
+        rc, err = run_cli_stderr(["solve", "--potential", "x", "--omega", omega,
+                                  "--x", "1", "--representation", rep, *FAST])
+        assert rc == 3
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsbf import ExpressionEvalError, ExpressionSyntaxError
-from nsbf.expr import Binary, Call, Const, Num, Unary, Var, evaluate, parse
+from nsbf.expr import (
+    MAX_DEPTH, Binary, Call, Const, Num, Unary, Var, evaluate, parse,
+)
+
+from conftest import HOSTILE_NESTINGS
 
 PLAN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "plan.py"
 
@@ -58,6 +63,79 @@ def test_syntax_errors_carry_offset(src):
     with pytest.raises(ExpressionSyntaxError) as err:
         parse(src)
     assert err.value.offset >= 0
+
+
+#: source -> the tree it parses to, or None where it is refused
+ACCEPT_REJECT = {
+    "x\n+1": Binary("+", Var(), Num(1.0)),
+    "x\t*2": Binary("*", Var(), Num(2.0)),
+    "5.": Num(5.0),
+    ".5": Num(0.5),
+    "1.e-3": Num(1e-3),
+    "--x": Unary(Unary(Var())),
+    "2^-3^2": Binary("^", Num(2.0), Unary(Binary("^", Num(3.0), Num(2.0)))),
+    "exp (x)": Call("exp", Var()),
+    "00": Num(0.0),
+    "x**2": None,
+    "+x": None,
+    "1_0": None,
+    "0x1f": None,
+    "1j": None,
+    "\uff58+1": None,  # fullwidth x
+    "x # c": None,
+    "x.real": None,
+    "x if x else 1": None,
+    "sin(x, 2)": None,
+    "pi(x)": None,
+    "x\x00": None,
+    # integer literals with a leading zero, and non-ASCII digits, were
+    # read as numbers once
+    "01": None,
+    "\u0663": None,  # Arabic-Indic three
+    "\uff13*x": None,  # fullwidth three
+}
+
+
+@pytest.mark.parametrize("src", sorted(ACCEPT_REJECT), ids=ascii)
+def test_accept_reject(src):
+    if ACCEPT_REJECT[src] is not None:
+        assert parse(src) == ACCEPT_REJECT[src]
+        return
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse(src)
+    assert 0 <= err.value.offset <= len(src)
+
+
+@pytest.mark.parametrize("src", HOSTILE_NESTINGS.values(), ids=HOSTILE_NESTINGS)
+def test_hostile_nesting_refused(src):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse(src)
+    assert 0 <= err.value.offset <= len(src)
+
+
+#: shape -> the source of a tree of the given depth
+NESTED = {
+    "minus": lambda depth: "-" * (depth - 1) + "x",
+    "sum": lambda depth: "+".join(["x"] * depth),
+    "power": lambda depth: "^".join(["x"] * depth),
+}
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_depth_limit(shape):
+    values = evaluate(parse(NESTED[shape](MAX_DEPTH)), np.array([0.5, 1.0]))
+    assert np.all(np.isfinite(values))
+    with pytest.raises(ExpressionSyntaxError):
+        parse(NESTED[shape](MAX_DEPTH + 1))
+
+
+def test_refusal_prints_no_warning():
+    # CPython's tokenizer warns about a literal run into a keyword
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ExpressionSyntaxError):
+            parse("1if x else 2")
+    assert not caught
 
 
 def test_unknown_identifier():

@@ -146,6 +146,12 @@ class TestEvalImprovedRepresentation:
         with pytest.raises(ZeroOmegaError):
             eval_uN(model_exp, 0.0, 100)
 
+    @pytest.mark.parametrize("w", [1e300, 1e300 + 1j, 1e-200, 1e-200j])
+    def test_omega_squared_out_of_range_rejected(self, model_exp, w):
+        # omega * omega is inf, nan for a complex omega, or 0
+        with pytest.raises(LimitError):
+            eval_uN(model_exp, w, 100)
+
     def test_constant_potential_closed_form(self, model_one):
         grid = model_one.grid
         worst = 0.0
@@ -375,3 +381,8 @@ class TestErrorEnvelope:
     def test_zero_omega_rejected(self, model_exp):
         with pytest.raises(ZeroOmegaError):
             error_envelope(model_exp, 0.0, 10)
+
+    @pytest.mark.parametrize("w", [1e300, 1e300 + 1j, 1e-200, 1e-200j])
+    def test_omega_squared_out_of_range_rejected(self, model_exp, w):
+        with pytest.raises(LimitError):
+            error_envelope(model_exp, w, 10)
