@@ -15,7 +15,6 @@ from .coefficients import (
     BetaTable,
     LegendreCoeffs,
     accuracy_indicators,
-    alpha_recurrence,
     alpha_seed,
     beta_coeffs,
     build_alpha_table,

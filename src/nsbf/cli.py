@@ -229,35 +229,30 @@ def _resolve_potential(cfg: RunConfig):
     """Returns (q_input for build_model, q callable, description).
 
     The callable maps an ndarray of x to an array of q(x), as the oracle
-    samples it.
+    samples it; for expression text it is also what build_model samples.
     """
     if cfg.potential is not None:
         tree = expr_mod.parse(cfg.potential)
-        return (
-            tree,
-            lambda x: expr_mod.evaluate(tree, x),
-            cfg.potential,
-        )
+        q = lambda x: expr_mod.evaluate(tree, x)
+        return q, q, cfg.potential
     xs, vals = _read_potential_table(cfg.potential_file)
     b_file = float(xs[-1])
     if cfg.b > b_file + 1e-12:
         raise ConfigError(
             f"requested b={cfg.b} exceeds tabulated span {b_file}"
         )
-    grid = make_grid(cfg.b, cfg.M)
-    target = np.asarray(grid.nodes, dtype=float)
+    target = np.asarray(make_grid(cfg.b, cfg.M).nodes, dtype=float)
     if len(xs) == cfg.M + 1 and abs(b_file - cfg.b) <= 1e-12 * cfg.b:
         samples = vals
     else:
         samples = _interp6(xs, vals, target)
         cfg.resampled = True
-    sampled = SampledFunction(grid, samples)
     dtype = complex if np.iscomplexobj(vals) else float
 
     def interp(x):
         return _interp6(xs, vals, x).astype(dtype)
 
-    return sampled, interp, f"tabulated:{cfg.potential_file}"
+    return samples, interp, f"tabulated:{cfg.potential_file}"
 
 
 def _fmt(v) -> str:

@@ -6,8 +6,9 @@ Computes, on the grid:
 * beta_n, the coefficients of the plain Bessel-series representation,
   from the formal powers via the explicit Legendre-sum formula;
 * alpha_n, the Fourier-Legendre coefficients of the twice-differentiated
-  transmutation kernel: rows 0..3 from closed-form seeds, rows >= 4 by the
-  recurrence that reuses beta;
+  transmutation kernel: rows 0..3 from closed-form seeds (``alpha_seed``),
+  rows >= 4 by the recurrence that reuses beta, written once in
+  ``build_alpha_table`` beside the propagation of the noise floors;
 * the eps1/eps2 accuracy indicators comparing the alpha sums against the
   kernel's closed boundary values.
 
@@ -54,7 +55,6 @@ __all__ = [
     "legendre_coeffs",
     "beta_coeffs",
     "alpha_seed",
-    "alpha_recurrence",
     "build_alpha_table",
     "accuracy_indicators",
 ]
@@ -246,43 +246,6 @@ def alpha_seed(
     return rows
 
 
-def _squared_nodes(grid: Grid, dtype) -> np.ndarray:
-    """x_j^2 for j >= 1, squared in ``dtype``."""
-    x = grid.nodes[1:].astype(dtype)
-    return x * x
-
-
-def alpha_recurrence(
-    beta: BetaTable, alpha: np.ndarray, n: int, x2: np.ndarray | None = None
-) -> np.ndarray:
-    """Row n >= 4 of alpha from rows n-2, n-4 and beta row n-2.
-
-    alpha_n = (2n-1)(2n+1) ( beta_{n-2}/x^2
-                             + 2 alpha_{n-2}/((2n-5)(2n-1))
-                             - alpha_{n-4}/((2n-7)(2n-5)) ).
-
-    ``x2`` holds x_j^2, j >= 1, in alpha's dtype; it is formed here when
-    not given (``build_alpha_table`` forms it once per table).  Node 0
-    keeps the limit 0.
-    """
-    if n < 4:
-        raise ValueError(f"recurrence starts at n=4, got {n}")
-    if beta.n_max < n - 2:
-        raise ValueError(f"need beta up to {n - 2}, table has {beta.n_max}")
-    if alpha.shape[0] < n - 1:
-        raise ValueError(f"need alpha rows up to {n - 2}")
-    grid = beta.grid
-    if x2 is None:
-        x2 = _squared_nodes(grid, alpha.dtype)
-    row = np.zeros(grid.M + 1, dtype=alpha.dtype)
-    row[1:] = (2 * n - 1) * (2 * n + 1) * (
-        beta.beta[n - 2, 1:] / x2
-        + 2.0 * alpha[n - 2, 1:] / ((2 * n - 5) * (2 * n - 1))
-        - alpha[n - 4, 1:] / ((2 * n - 7) * (2 * n - 5))
-    )
-    return row
-
-
 def build_alpha_table(
     q: SampledFunction,
     Q: SampledFunction,
@@ -290,7 +253,12 @@ def build_alpha_table(
     beta: BetaTable,
     n_max: int,
 ) -> AlphaTable:
-    """Alpha rows 0..n_max: closed-form seeds, then the recurrence."""
+    """Alpha rows 0..n_max: closed-form seeds, then, for n >= 4,
+
+    alpha_n = (2n-1)(2n+1) ( beta_{n-2}/x^2
+                             + 2 alpha_{n-2}/((2n-5)(2n-1))
+                             - alpha_{n-4}/((2n-7)(2n-5)) ).
+    """
     if n_max > ORDER_CAP:
         raise LimitError(f"alpha order {n_max} exceeds cap {ORDER_CAP}")
     grid = q.grid
@@ -298,15 +266,19 @@ def build_alpha_table(
     rows = min(3, n_max) + 1
     alpha = np.zeros((n_max + 1, grid.M + 1), dtype=phi.dev_ratio.dtype)
     alpha[:rows] = seed[:rows]
-    x2 = _squared_nodes(grid, alpha.dtype)
+    x2 = grid.nodes[1:].astype(alpha.dtype) ** 2
     # seed rows are closed forms: their floor is ordinary round-off
     floor = np.zeros((n_max + 1, grid.M + 1))
     eps = _pipeline_eps(phi.dev_ratio.real.dtype)
     np.abs(alpha[:rows], out=floor[:rows], casting="unsafe")
     floor[:rows] *= (eps / NOISE_FLOOR_EPS_FACTOR) * 8.0
-    x2_floor = _squared_nodes(grid, float)
+    x2_floor = grid.nodes[1:].astype(float) ** 2
     for n in range(4, n_max + 1):
-        alpha[n] = alpha_recurrence(beta, alpha, n, x2)
+        alpha[n, 1:] = (2 * n - 1) * (2 * n + 1) * (
+            beta.beta[n - 2, 1:] / x2
+            + 2.0 * alpha[n - 2, 1:] / ((2 * n - 5) * (2 * n - 1))
+            - alpha[n - 4, 1:] / ((2 * n - 7) * (2 * n - 5))
+        )
         # worst-case floor propagation, for the error surrogate only: the
         # actual recurrence error largely cancels and sits far below this
         floor[n, 1:] = (2 * n - 1) * (2 * n + 1) * (

@@ -16,6 +16,8 @@ magnitudes when it is not.
 When the default homogeneous solution f0 has zeros on the interval (q = -1
 on [0, pi] is the classic case), the table is built from the combination
 f = f0 + i*f1 instead, which never vanishes for real q, and converted back.
+Both routes share the deviations f D^(k) + (f - 1) x^k and the assembly,
+and take every x^k row from one running product, ``_monomials``.
 """
 
 from __future__ import annotations
@@ -68,6 +70,13 @@ def _weight_deviations(fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dev_sq, dev_inv
 
 
+def _monomials(grid: Grid, k_max: int, dtype) -> np.ndarray:
+    """Rows x^0 .. x^k_max on the grid, running products in ``dtype``."""
+    xk = np.empty((k_max + 1, grid.M + 1), dtype=dtype)
+    xk[:1], xk[1:] = 1.0, grid.nodes
+    return np.multiply.accumulate(xk, out=xk)
+
+
 def _deviation_recursion(f: SampledFunction, k_max: int) -> np.ndarray:
     """Deviations of the two recursive-integral families from x^n.
 
@@ -82,7 +91,6 @@ def _deviation_recursion(f: SampledFunction, k_max: int) -> np.ndarray:
     of shape (k_max+1, M+1); row 0 is zero.
     """
     grid = f.grid
-    x = np.asarray(grid.nodes, dtype=f.values.dtype)
     dev_sq, dev_inv = _weight_deviations(f.values)
     w_sq = f.values * f.values
     w_inv = 1.0 / w_sq
@@ -93,15 +101,29 @@ def _deviation_recursion(f: SampledFunction, k_max: int) -> np.ndarray:
     w_even, dev_even = w_odd[::-1], dev_odd[::-1]
     D = np.zeros((k_max + 1, grid.M + 1), dtype=f.values.dtype)
     pair = np.zeros((2, grid.M + 1), dtype=f.values.dtype)  # order n-1
-    x_pow = np.ones_like(x)  # x^(n-1)
+    xk = _monomials(grid, k_max - 1, f.values.real.dtype)
     for n in range(1, k_max + 1):
         w, dev = (w_odd, dev_odd) if n % 2 == 1 else (w_even, dev_even)
         pair = n * indefinite_integral(
-            SampledFunction(grid, pair * w + x_pow * dev)
+            SampledFunction(grid, pair * w + xk[n - 1] * dev)
         ).values
         D[n] = pair[(n + 1) % 2]
-        x_pow = x_pow * x
     return D
+
+
+def _power_deviations(
+    f: SampledFunction, k_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """phi_k - x^k = f D^(k) + (f - 1) x^k for k = 0..k_max, in f's dtype,
+    and the x^k rows (extended) that it used."""
+    dev = _deviation_recursion(f, k_max)
+    xk = _monomials(f.grid, k_max, np.longdouble)
+    dev_f = f.values - 1.0
+    # row by row, so no temporary is as large as the table; f first, as
+    # numpy's complex product need not commute bit for bit
+    for k in range(k_max + 1):
+        dev[k] = f.values * dev[k] + np.multiply(dev_f, xk[k], dtype=dev.dtype)
+    return dev, xk
 
 
 def _check_nonvanishing(f0: SampledFunction):
@@ -122,19 +144,14 @@ def _check_nonvanishing(f0: SampledFunction):
 
 
 def _assemble_table(
-    f: SampledFunction, dev_phi: np.ndarray, k_max: int, **meta
+    f: SampledFunction, dev_phi: np.ndarray, xk: np.ndarray, **meta
 ) -> FormalPowersTable:
-    grid = f.grid
-    x = np.asarray(grid.nodes, dtype=np.longdouble)
-    phi = np.empty_like(dev_phi)
+    """phi_k and dev_phi_k/x^k, x^k rounded to dev_phi's dtype."""
+    dtype = dev_phi.dtype
+    phi = np.add(xk, dev_phi, dtype=dtype)
     dev_ratio = np.zeros_like(dev_phi)
-    x_pow = np.ones_like(x)
-    for k in range(k_max + 1):
-        x_k = x_pow.astype(dev_phi.dtype, copy=False)
-        phi[k] = x_k + dev_phi[k]
-        dev_ratio[k, 1:] = dev_phi[k, 1:] / x_k[1:]
-        x_pow = x_pow * x
-    return FormalPowersTable(grid, phi, dev_ratio, k_max, **meta)
+    np.divide(dev_phi[:, 1:], xk[:, 1:], out=dev_ratio[:, 1:], dtype=dtype)
+    return FormalPowersTable(f.grid, phi, dev_ratio, len(xk) - 1, **meta)
 
 
 def formal_powers(f0: SampledFunction, k_max: int) -> FormalPowersTable:
@@ -144,17 +161,7 @@ def formal_powers(f0: SampledFunction, k_max: int) -> FormalPowersTable:
     exactly when q = 0.
     """
     _check_nonvanishing(f0)
-    D = _deviation_recursion(f0, k_max)
-    x = np.asarray(f0.grid.nodes, dtype=f0.values.dtype)
-    dev_f0 = f0.values - 1.0
-
-    # phi_k - x^k = f0 * D^(k) + (f0 - 1) x^k
-    dev_phi = np.empty_like(D)
-    x_pow = np.ones_like(x)
-    for k in range(k_max + 1):
-        dev_phi[k] = f0.values * D[k] + dev_f0 * x_pow
-        x_pow = x_pow * x
-    return _assemble_table(f0, dev_phi, k_max)
+    return _assemble_table(f0, *_power_deviations(f0, k_max))
 
 
 def formal_powers_nonvanishing(
@@ -182,32 +189,20 @@ def formal_powers_nonvanishing(
             f"min |f0 + i f1| = {fmin:.3e} <= {F_COMBINED_MIN}; no "
             "nonvanishing solution available for this potential"
         )
-    D = _deviation_recursion(f, k_max + 1)
-    x = np.asarray(grid.nodes, dtype=np.longdouble)
-    dev_f = f.values - 1.0
-
-    dev_Phi = np.empty((k_max + 2, grid.M + 1), dtype=complex)
-    x_pow = np.ones_like(x)
-    for k in range(k_max + 2):
-        dev_Phi[k] = f.values * D[k] + dev_f * x_pow.astype(complex)
-        x_pow = x_pow * x
-
-    fprime0 = 1j
-    dev_phi = np.empty((k_max + 1, grid.M + 1), dtype=complex)
-    x_pow = np.ones_like(x)
-    for k in range(k_max + 1):
-        if k % 2 == 1:
-            dev_phi[k] = dev_Phi[k]
-        else:
-            # Phi_{k+1} = x^{k+1} + dev_Phi_{k+1}
-            dev_phi[k] = dev_Phi[k] - fprime0 / (k + 1) * (
-                x_pow.astype(complex) * x.astype(complex) + dev_Phi[k + 1]
-            )
-        x_pow = x_pow * x
+    dev, xk = _power_deviations(f, k_max + 1)
+    # even k, in place: Phi_{k+1} = x^{k+1} + dev_Phi_{k+1}, f'(0) = i, and
+    # x^{k+1} rounded as the complex128 product of x^k and x
+    even, odd = slice(0, k_max + 1, 2), slice(1, k_max + 2, 2)
+    Phi_next = xk[even].astype(complex)
+    Phi_next *= np.asarray(grid.nodes, dtype=complex)
+    Phi_next += dev[odd]
+    fprime0_k = 1j / np.arange(1, k_max + 2, 2)[:, None]
+    dev[even] -= np.multiply(fprime0_k, Phi_next, out=Phi_next)
+    dev = dev[: k_max + 1]
     # for real q the converted powers are real up to round-off
     if not (f0.is_complex or f1.is_complex):
-        dev_phi = dev_phi.real.astype(f0.values.dtype)
-    return _assemble_table(f0, dev_phi, k_max, used_nonvanishing=True)
+        dev = dev.real.astype(f0.values.dtype)
+    return _assemble_table(f0, dev, xk[: k_max + 1], used_nonvanishing=True)
 
 
 def spps_eval(

@@ -39,7 +39,7 @@ import copy
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -87,6 +87,8 @@ EXTRA_ROWS = 8
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _FLOAT_MIN = sys.float_info.min
+#: the real omegas whose square is a normal float64
+_OMEGA_MIN, _OMEGA_MAX = 2.0**-511, 2.0**512
 
 
 @dataclass(frozen=True)
@@ -148,21 +150,12 @@ class SolutionModel:
         return view
 
 
-QInput = Union[str, expr_mod.Expression, np.ndarray, SampledFunction]
+QInput = Union[str, Callable[[np.ndarray], np.ndarray], np.ndarray]
 
 
 def _sample_potential(q_input: QInput, grid: Grid) -> SampledFunction:
-    if isinstance(q_input, SampledFunction):
-        if q_input.grid.M != grid.M or q_input.grid.b != grid.b:
-            raise ValueError("sampled potential grid does not match (b, M)")
-        return q_input
     if isinstance(q_input, str):
-        q_input = expr_mod.parse(q_input)
-    if isinstance(
-        q_input, (expr_mod.Num, expr_mod.Const, expr_mod.Var, expr_mod.Unary,
-                  expr_mod.Binary, expr_mod.Call)
-    ):
-        tree = q_input
+        tree = expr_mod.parse(q_input)
         return sample(grid, lambda x: expr_mod.evaluate(tree, x))
     if callable(q_input):
         return sample(grid, q_input)
@@ -185,8 +178,8 @@ def build_model(
 ) -> SolutionModel:
     """Run the full coefficient pipeline and return an evaluation model.
 
-    q_input may be an expression string, a parsed expression, a callable,
-    an array of M+1 samples, or a SampledFunction on the matching grid.
+    q_input may be an expression string, a callable mapping an ndarray of
+    nodes (float64) to an array of q values, or an array of M+1 samples.
     The homogeneous solution f0 comes from Picard iteration; if it
     vanishes somewhere on the grid, f1 is iterated too and the nonvanishing
     fallback route is used automatically (always possible for real q).
@@ -373,7 +366,9 @@ def char_values(
     representation: str = "improved",
     derivative: bool = False,
 ):
-    """s(omega, b) = Im u_N(omega, b)/omega for an array of real omegas > 0.
+    """s(omega, b) = Im u_N(omega, b)/omega for an array of real omegas > 0;
+    the improved form needs each omega^2 a normal float64, as ``eval_uN``
+    does (1.49e-154 <= omega < 1.34e154), else LimitError.
 
     The batched form of ``sine_solution`` at x = b for a real potential:
     one Bessel table for all omegas.  With ``derivative=True`` it returns
@@ -384,6 +379,10 @@ def char_values(
     w = np.asarray(omegas, dtype=float)
     if w.ndim != 1 or not np.all(w > 0):
         raise ValueError("char_values needs a 1-D array of omega > 0")
+    if representation == "improved":
+        bad = w[(w < _OMEGA_MIN) | (w >= _OMEGA_MAX)]
+        if bad.size:
+            raise _omega_error(float(bad[0]), "the improved representation")
     if not derivative:
         return _series(model, w, model.grid.M, representation).imag / w
     u, du = _series(model, w, model.grid.M, representation, True)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsbf import build_model, oracle
+from nsbf import build_model, make_grid, oracle
 from nsbf.cli import RunConfig, _resolve_potential, main
 
 from conftest import HOSTILE_NESTINGS
@@ -168,6 +168,22 @@ class TestEigsCommand:
              "0.5", "--omega-hi", "3.0", "--M", "600", "--N", "8"]
         )
         assert rc == 4
+
+    def test_improved_omega_lo_squared_out_of_range_exit_3(self):
+        # 1e-300 squares below the normal float64 range
+        rc, err = run_cli_stderr(["eigs", "--potential", "exp(x)",
+                                  "--omega-lo", "1e-300", "--count", "3"])
+        assert rc == 3
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("potential", ["exp(x)", "-0.9"])
+    def test_plain_accepts_tiny_omega_lo(self, potential):
+        args = ["eigs", "--potential", potential, "--count", "3",
+                "--representation", "plain"]
+        rc, out = run_cli(args + ["--omega-lo", "1e-300"])
+        assert rc == 0
+        assert data_rows(out) == data_rows(run_cli(args)[1])
 
 
 class TestCoeffsCommand:
@@ -420,11 +436,11 @@ class TestTabulatedPotential:
         path.write_text("# tabulated-potential v1\n"
                         + "".join(f"{x!r} {p(x)!r}\n" for x in xs.tolist()))
         cfg = RunConfig(potential_file=str(path), M=102)
-        sampled, q, _ = _resolve_potential(cfg)
+        samples, q, _ = _resolve_potential(cfg)
         assert cfg.resampled
-        nodes = np.asarray(sampled.grid.nodes, dtype=float)
+        nodes = np.asarray(make_grid(PI, 102).nodes, dtype=float)
         exact = p(nodes)
-        assert np.max(np.abs(np.asarray(sampled.values, dtype=float) - exact)) <= 1e-12
+        assert np.max(np.abs(np.asarray(samples, dtype=float) - exact)) <= 1e-12
         probe = np.array([0.0, 0.123, 1.7, PI])
         assert np.max(np.abs(q(probe) - p(probe))) <= 1e-12
 

@@ -8,7 +8,6 @@ import pytest
 from nsbf import (
     LimitError,
     accuracy_indicators,
-    alpha_recurrence,
     alpha_seed,
     beta_coeffs,
     build_alpha_table,
@@ -329,11 +328,6 @@ class TestAlphaRecurrence:
     def test_inverse_relation(self, exp_tables):
         grid, *_, beta, moments, alpha = exp_tables
         assert inverse_relation_deviation(alpha.alpha, beta.beta, grid) <= 1e-9
-
-    def test_prerequisites(self, exp_tables):
-        beta, alpha = exp_tables[6], exp_tables[8]
-        with pytest.raises(ValueError):
-            alpha_recurrence(beta, alpha.alpha, 3)
 
 
 class TestParsevalTail:

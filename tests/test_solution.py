@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 
@@ -277,6 +278,23 @@ class TestSineSolution:
         with pytest.raises(ZeroOmegaError):
             sine_solution(model_exp, 0.0, 10)
 
+    @pytest.mark.parametrize("rep", ["improved", "plain"])
+    @pytest.mark.parametrize("c, omegas, tol", [
+        (2 + 1.5j, (3.0, 40.0, 2 + 1j), 1e-10),
+        (-30.0, (5j, 3j), 1e-6),
+    ])
+    def test_complex_branch_constant_potential(self, c, omegas, tol, rep):
+        # a complex q or omega takes (u(omega) - u(-omega))/(2 i omega);
+        # for q = c that is sin(k x)/k with k = sqrt(omega^2 - c)
+        model = build_model(np.full(1999, c), PI, 1998, 25)
+        j = model.grid.M
+        x = float(model.grid.nodes[j])
+        for w in omegas:
+            k = cmath.sqrt(w * w - c)
+            exact = cmath.sin(k * x) / k
+            got = sine_solution(model, w, j, representation=rep)
+            assert abs(got - exact) <= tol * abs(exact)
+
 
 class TestCharValues:
     OMEGAS = np.array([0.25, 0.7, 2.23, 8.7, 30.1, 120.3, 459.9])
@@ -316,6 +334,12 @@ class TestCharValues:
     def test_rejects_nonpositive_omega(self, model_exp):
         with pytest.raises(ValueError):
             char_values(model_exp, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("w", [1e-300, 1e200])
+    def test_improved_omega_squared_out_of_range_rejected(self, model_exp, w):
+        # omega^2 underflows or overflows, as in eval_uN
+        with pytest.raises(LimitError):
+            char_values(model_exp, np.array([1.0, w]))
 
 
 class TestErrorEnvelope:

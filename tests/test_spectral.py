@@ -94,6 +94,34 @@ class TestFindEigenvalues:
         with pytest.raises(ValueError):
             find_eigenvalues(EigProblem(model_zero), 0)
 
+    @pytest.mark.parametrize("rep", ["improved", "plain"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_roots_beyond_the_first_window(
+        self, model_twenty, monkeypatch, count, rep
+    ):
+        # q = 20: omega_1 = sqrt(21) = 4.58 lies beyond the first window,
+        # [0.25, 3.25] for count 1, and count 3 needs a later window too
+        batched, derivative_flags = spectral.char_values, []
+
+        def recording(model, omegas, rep, derivative=False):
+            derivative_flags.append(derivative)
+            return batched(model, omegas, rep, derivative)
+
+        monkeypatch.setattr(spectral, "char_values", recording)
+        res = find_eigenvalues(EigProblem(model_twenty, representation=rep),
+                               count)
+        # every scan window is evaluated before the first Newton step
+        assert derivative_flags.index(True) >= 2
+        assert [r.index for r in res] == list(range(1, count + 1))
+        for r in res:
+            exact = r.index**2 + 20.0
+            assert abs(r.lam - exact) <= 1e-8 * exact
+
+
+@pytest.fixture(scope="module")
+def model_twenty():
+    return build_model("20", PI, 1998, 25)
+
 
 SOLVER_POTENTIALS = ("exp(x)", "1/(x+0.1)^2", "-0.9")
 
