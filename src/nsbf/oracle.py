@@ -25,26 +25,31 @@ A step size that falls below what x resolves (a singular q) raises
 All entry points are vectorized over a batch of spectral parameters; the
 step size is shared across the batch (controlled by the worst member).
 One kernel, ``_propagators``, builds the propagators of a stack of steps
-for the whole batch at once.  ``propagate`` attempts a block of
-STEP_BLOCK equal steps per pass: one call of q on the nine Gauss nodes of
-each step and its two halves, one kernel call on that stack, the
-sequential state update, and a vectorised error test of every step on
-the state it starts from.  The steps before the first rejected one are
+for the whole batch at once.  ``propagate`` attempts a pass of equal steps
+at a time: one call of q on the nine Gauss nodes of each step and its two
+halves, one kernel call on that stack, the states after every step from
+one prefix product of the step matrices in log2 of the pass length
+levels (``_advance``), and a vectorised error test of every step on the
+state it starts from.  The steps before the first rejected one are
 accepted and the rest discarded; the next step size comes from the
-rejected step, or from the block's worst error.  q maps an ndarray of x
-to an array of q(x), or to a scalar for a constant.
+rejected step, or from the pass's worst error.  The first pass is one step
+long; a pass doubles after a clean pass and halves after a rejection, and
+never exceeds STEP_BLOCK steps nor REPLAY_BLOCK steps times spectral
+parameters.  q maps an ndarray of x to an array of q(x), or to a scalar
+for a constant.
 
 ``eigenvalues_reference`` adapts the mesh once, in one ``propagate`` over
 the initial bracket endpoints, and records each accepted step's size and
 its nine q samples.  Every later sweep replays that mesh with the locally
 extrapolated step matrix E = F + (F - B)/63 (F the product of the two
 half-step propagators, B the full step) that ``propagate`` advanced the
-state with, built by the same ``_step_matrices``, in blocks of steps: no
-q calls and no error estimate.  The mesh stays valid because an expanded
-bracket lies within 8^6 initial half-widths of the values it was adapted to
-(2.6e-4 relative, or 0.26 for seeds below 1000), and the step's local
-error varies smoothly with lam (fixed-mesh replay, as in
-piecewise-perturbation codes such as MATSLISE).
+state with, built by the same ``_step_matrices`` and multiplied out by the
+same ``_advance``, in blocks of REPLAY_BLOCK steps times spectral
+parameters: no q calls and no error estimate.  The mesh stays valid
+because an expanded bracket lies within 8^6 initial half-widths of the
+values it was adapted to (2.6e-4 relative, or 0.26 for seeds below 1000),
+and the step's local error varies smoothly with lam (fixed-mesh replay, as
+in piecewise-perturbation codes such as MATSLISE).
 """
 
 from __future__ import annotations
@@ -77,11 +82,11 @@ MAX_SWEEPS = 80
 #: steps times spectral parameters per kernel call of a mesh replay, which
 #: bounds the replay's working set whatever the batch size
 REPLAY_BLOCK = 4096
-#: steps per pass of the adaptive integrator: numpy's per-call overhead sets
-#: the cost of a pass, but every step of the first pass has the initial size,
-#: and at 16 the extra round-off of those steps puts the exact free-particle
-#: phase at omega = 1000 above 5e-13
-STEP_BLOCK = 8
+#: most steps in a pass of the adaptive integrator, which is also held to
+#: REPLAY_BLOCK steps times spectral parameters: numpy's per-call overhead
+#: sets the cost of a pass, and a pass starts at one step, so no long pass
+#: commits steps of an unverified size
+STEP_BLOCK = 32
 
 
 def _propagators(q1, q2, q3, h, lam: np.ndarray, scale: np.ndarray):
@@ -158,16 +163,47 @@ def _step_matrices(rows: np.ndarray, lam: np.ndarray, scale: np.ndarray):
     return F, B, E
 
 
-def _advance(E, u, v) -> tuple[list, list]:
+def _advance(E, u, v) -> tuple[np.ndarray, np.ndarray]:
     """The states (u, v) before and after each step, E applied in order:
-    lists of n + 1 arrays."""
-    e11, e12, e21, e22 = E
-    us, vs = [u], [v]
-    for i in range(len(e11)):
-        u, v = e11[i] * u + e12[i] * v, e21[i] * u + e22[i] * v
-        us.append(u)
-        vs.append(v)
-    return us, vs
+    (n + 1, K) arrays, row 0 the initial state.
+
+    The products P_i = E_i ... E_0 come from one inclusive prefix scan in
+    ceil(log2 n) levels (Hillis and Steele): at level s every partial
+    product from step s on is multiplied by the one s steps before it, the
+    later step on the left.  numpy's per-call overhead, not the arithmetic,
+    sets the cost, and a level costs the same few calls whatever n is.
+    """
+    P = np.array(E).reshape(2, 2, *np.shape(E[0]))
+    n = P.shape[2]
+    s = 1
+    while s < n:
+        later, earlier = P[:, :, s:], P[:, :, :-s]
+        product = later[:, :1] * earlier[:1]
+        product += later[:, 1:] * earlier[1:]
+        P[:, :, s:] = product
+        s *= 2
+    return (np.concatenate((u[None], P[0, 0] * u + P[0, 1] * v)),
+            np.concatenate((v[None], P[1, 0] * u + P[1, 1] * v)))
+
+
+def _attempt(rows: np.ndarray, lam: np.ndarray, scale: np.ndarray, u, v):
+    """One pass over the steps of ``rows`` from the state (u, v).
+
+    Returns the states before and after each step, as ``_advance`` does,
+    and each step's embedded-pair error on the state it starts from.  The
+    step matrices and the error test's temporaries are freed on return, so
+    that they do not stay alive through the next pass's kernel call.
+    """
+    # a trial step too long for its exponent overflows: its error reads nan,
+    # taken as infinite, so that it is rejected at the smallest factor
+    with np.errstate(over="ignore", invalid="ignore"):
+        F, B, E = _step_matrices(rows, lam, scale)
+        states_u, states_v = _advance(E, u, v)
+        U, V = states_u[:-1], states_v[:-1]
+        Fy = np.array((F[0] * U + F[1] * V, F[2] * U + F[3] * V))
+        By = np.array((B[0] * U + B[1] * V, B[2] * U + B[3] * V))
+        err = np.max(np.abs(Fy - By) / (ATOL + RTOL * np.abs(Fy)), axis=(0, 2))
+    return states_u, states_v, np.nan_to_num(err, nan=np.inf)
 
 
 def propagate(
@@ -175,11 +211,13 @@ def propagate(
 ) -> tuple[np.ndarray, int]:
     """Integrate the system from 0 to b for every lam in the batch.
 
-    Each pass attempts a block of up to STEP_BLOCK equal steps: one call of
-    q on their 9 Gauss points each, one kernel call on the stack of full
-    and half steps, then the sequential state update and a vectorised error
-    test of every step on the state it starts from.  The steps before the
-    first rejected one are accepted, the rest discarded.
+    Each pass attempts a block of equal steps: one call of q on their 9
+    Gauss points each, one kernel call on the stack of full and half steps,
+    then the states from one prefix product and a vectorised error test of
+    every step on the state it starts from.  The steps before the first
+    rejected one are accepted, the rest discarded.  The first pass has one
+    step; a pass doubles after a clean pass and halves after a rejection,
+    up to min(STEP_BLOCK, REPLAY_BLOCK // K) steps for a batch of K.
 
     Parameters
     ----------
@@ -226,13 +264,16 @@ def propagate(
     # of each other anywhere in [0, b]: x no longer resolves the step
     h_min = 16.0 * np.finfo(float).eps * b
     n_steps = 0
+    # passes share the replay's working-set bound
+    cap = min(STEP_BLOCK, max(1, REPLAY_BLOCK // lam.size))
+    n_pass = 1
     while b - x > 1e-15 * b:
         if h < h_min:
             raise OracleError(
                 f"reference integrator step {h:.3e} fell below what x={x!r} "
                 f"resolves; is q singular there?"
             )
-        starts = x + h * np.arange(STEP_BLOCK)
+        starts = x + h * np.arange(n_pass)
         starts = starts[b - starts > 1e-15 * b]
         n = starts.size
         sizes = np.minimum(h, b - starts)
@@ -244,26 +285,20 @@ def propagate(
         rows = np.empty((n, 10), dtype=np.result_type(values, float))
         rows[:, 0] = sizes
         rows[:, 1:] = values.reshape(n, 9) if values.ndim else values
-        F, B, E = _step_matrices(rows, lam, scale)
-        us, vs = _advance(E, u, v)
-
-        # every step's embedded-pair error on the state it starts from
-        U, V = np.array(us[:-1]), np.array(vs[:-1])
-        Fy = np.array((F[0] * U + F[1] * V, F[2] * U + F[3] * V))
-        By = np.array((B[0] * U + B[1] * V, B[2] * U + B[3] * V))
-        err = np.max(np.abs(Fy - By) / (ATOL + RTOL * np.abs(Fy)), axis=(0, 2))
+        states_u, states_v, err = _attempt(rows, lam, scale, u, v)
         rejected = np.flatnonzero(err > 1.0)
         n_ok = int(rejected[0]) if rejected.size else n
         if n_ok:
-            u, v = us[n_ok], vs[n_ok]
+            u, v = states_u[n_ok], states_v[n_ok]
             x = float(starts[n_ok - 1] + sizes[n_ok - 1])
             if mesh is not None:
                 mesh.append(rows[:n_ok])
-        # the next size from the rejected step, else from the block's worst
+        # the next size from the rejected step, else from the pass's worst
         worst = float(err[n_ok] if rejected.size else err.max())
         factor = 0.9 * worst ** (-1.0 / 7.0) if worst > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
         n_steps += n_ok + (1 if rejected.size else 0)
+        n_pass = max(1, n_pass // 2) if rejected.size else min(cap, 2 * n_pass)
         if n_steps > MAX_STEPS:
             raise OracleError(
                 f"reference integrator exceeded {MAX_STEPS} steps "
@@ -277,8 +312,9 @@ def _replay_characteristic(mesh: np.ndarray, lams: np.ndarray) -> np.ndarray:
 
     mesh holds one row (h, q1, ..., q9) per step, as ``propagate`` records
     it.  Each step applies its locally extrapolated matrix E, the one
-    ``propagate`` advances the state with.  No q is sampled and no error is
-    estimated.
+    ``propagate`` advances the state with, through the same prefix product;
+    the last state of a block starts the next.  No q is sampled and no
+    error is estimated.
     """
     scale = np.sqrt(np.maximum(np.abs(lams), 1.0))
     u = np.zeros_like(lams)
@@ -286,8 +322,8 @@ def _replay_characteristic(mesh: np.ndarray, lams: np.ndarray) -> np.ndarray:
     per = max(1, REPLAY_BLOCK // lams.size)
     for start in range(0, len(mesh), per):
         _, _, E = _step_matrices(mesh[start : start + per], lams, scale)
-        us, vs = _advance(E, u, v)
-        u, v = us[-1], vs[-1]
+        states_u, states_v = _advance(E, u, v)
+        u, v = states_u[-1], states_v[-1]
     return u
 
 

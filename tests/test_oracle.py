@@ -199,6 +199,24 @@ def _fixed_step_state(q, lam, n):
     return np.array([u, v])
 
 
+def _bump(x):
+    """A Gaussian bump of height 1e3 and width 0.05 at x = 2."""
+    return 1e3 * np.exp(-(((x - 2.0) / 0.05) ** 2))
+
+
+def test_overflowing_trial_steps_are_rejected():
+    # trial steps across the bump overflow the exponent; their error reads
+    # nan, which once passed the test and made u(b) nan for 5 of these 12
+    # lam alone, and for all 12 as a batch; the 1e-8 allows for a step that
+    # meets the bump's far tail between its samples (4.5e-10 at lam = 1)
+    lams = np.linspace(1.0, 2e4, 12)
+    exact = np.array([_fixed_step_state(_bump, lam, 4096)[0] for lam in lams])
+    alone = np.array([characteristic_reference(_bump, PI, [lam])[0]
+                      for lam in lams])
+    for s in (alone, characteristic_reference(_bump, PI, lams)):
+        assert np.all(np.abs(s - exact) <= 1e-8 * np.abs(exact))
+
+
 def test_propagator_is_sixth_order():
     states = [_fixed_step_state(np.exp, 100.0, n) for n in (64, 128, 256, 512)]
     diffs = [np.abs(b - a).max() for a, b in zip(states, states[1:])]
@@ -220,23 +238,83 @@ def test_characteristic_matches_bessel_closed_form():
     assert np.all(np.abs(s - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact)))
 
 
-@pytest.mark.parametrize("q", [np.exp, _paine, lambda x: 1.0 / (x + 0.5) ** 2])
+def _peak(x):
+    """A peak of height 1e4 at x = 2, which long passes run into."""
+    return 1.0 / ((x - 2.0) ** 2 + 1e-4)
+
+
+@pytest.mark.parametrize(
+    "q", [np.exp, _paine, lambda x: 1.0 / (x + 0.5) ** 2, _peak])
 def test_propagate_samples_q_once_per_block(q):
-    # a pass that rejects nothing accepts STEP_BLOCK steps, bar the last
-    # one, which ends at b; every other pass holds one rejection
-    calls = [0]
+    # one q call per pass; pass lengths run 1, 2, 4, ...: doubled after a
+    # clean pass, halved after a rejection, never above
+    # min(STEP_BLOCK, REPLAY_BLOCK // K); only a pass that reaches b is
+    # cut short
+    width = oracle._NODES[2] - oracle._NODES[0]
+    for K in (12, 920):
+        passes = []
 
-    def counted(x):
-        calls[0] += 1
-        return q(x)
+        def counted(x):
+            # the full-step Gauss points of each step of the pass
+            full = np.reshape(x, (-1, 3, 3))[:, 0]
+            size = (full[:, 2] - full[:, 0]) / width
+            passes.append((full[:, 1] - 0.5 * size, full[:, 1] + 0.5 * size))
+            return q(x)
 
+        mesh = []
+        _, n_steps = propagate(counted, PI, np.linspace(1.0, 2e4, K),
+                               np.array([0.0, 1.0]), mesh=mesh)
+        cap = min(oracle.STEP_BLOCK, oracle.REPLAY_BLOCK // K)
+        length, rejections, halved = 1, 0, 0
+        for (starts, ends), following in zip(passes, passes[1:] + [None]):
+            n = starts.size
+            reaches_b = abs(ends[-1] - PI) < 1e-12
+            assert n == length or (n < length and reaches_b)
+            # a clean pass hands its end to the next one
+            clean = following is None or abs(following[0][0] - ends[-1]) < 1e-12
+            if clean:
+                length = min(cap, 2 * length)
+            else:
+                halved += length > 1
+                length = max(1, length // 2)
+                rejections += 1
+        assert abs(passes[-1][1][-1] - PI) < 1e-12
+        assert rejections > 0
+        assert rejections == n_steps - len(np.concatenate(mesh))
+        assert max(starts.size for starts, _ in passes) == cap
+        # the smooth potentials reject only their first one-step passes
+        assert halved > 0 or q is not _peak
+
+
+def _sequential_states(E, u, v):
+    """The states before and after each step of E, one step at a time."""
+    us, vs = [u], [v]
+    for e11, e12, e21, e22 in zip(*E):
+        u, v = e11 * u + e12 * v, e21 * u + e22 * v
+        us.append(u)
+        vs.append(v)
+    return np.array(us), np.array(vs)
+
+
+@pytest.mark.parametrize("q", [np.exp, _paine])
+@pytest.mark.parametrize("n", [32, 256, None])
+def test_prefix_product_matches_sequential_steps(q, n):
+    # lam = 1 is evanescent on exp(x), 1e4 oscillatory; the mesh of the
+    # pair has more than 256 steps, and n = None takes all of it
+    lams = np.array([1.0, 1e4])
     mesh = []
-    _, n_steps = propagate(counted, PI, np.linspace(1.0, 2e4, 12),
-                           np.array([0.0, 1.0]), mesh=mesh)
-    accepted = len(np.concatenate(mesh))
-    rejections = n_steps - accepted
-    assert rejections > 0
-    assert calls[0] <= math.ceil(accepted / oracle.STEP_BLOCK) + rejections
+    propagate(q, PI, lams, np.array([0.0, 1.0]), mesh=mesh)
+    rows = np.concatenate(mesh)[:n]
+    assert n is None or len(rows) == n
+    scale = np.sqrt(np.maximum(np.abs(lams), 1.0))
+    _, _, E = oracle._step_matrices(rows, lams, scale)
+    for u, v in ((np.zeros(2), 1.0 / scale), (np.ones(2), 1j * np.ones(2))):
+        U, V = oracle._advance(E, u, v)
+        U_seq, V_seq = _sequential_states(E, u, v)
+        assert U.shape == V.shape == (len(rows) + 1, lams.size)
+        norm = np.hypot(np.abs(U_seq), np.abs(V_seq))
+        assert np.all(np.abs(U - U_seq) <= 1e-13 * norm)
+        assert np.all(np.abs(V - V_seq) <= 1e-13 * norm)
 
 
 @pytest.mark.parametrize("q", [np.exp, _paine])
