@@ -31,7 +31,6 @@ from .errors import (
     NsbfError,
     OracleError,
     RangeExhaustedError,
-    UnsupportedIntervalError,
     ZeroOmegaError,
 )
 from .expr import evaluate as eval_expression

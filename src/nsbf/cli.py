@@ -47,11 +47,11 @@ from .errors import (
     NsbfError,
     OracleError,
     RangeExhaustedError,
-    UnsupportedIntervalError,
     ZeroOmegaError,
 )
 from .grid import PIPELINE_CDTYPE, PIPELINE_DTYPE, SampledFunction, make_grid
 from .solution import (
+    SolutionModel,
     build_model,
     error_envelope,
     epsN_surrogate,
@@ -320,7 +320,13 @@ def _emit(cfg: RunConfig, command: str, metadata: dict, columns: list,
         out.write(f"# {line}\n")
 
 
-def _metadata(cfg: RunConfig, desc: str) -> dict:
+def _metadata(cfg: RunConfig, desc: str, model: SolutionModel) -> dict:
+    """The run's settings, and the accuracy indicators eps1/eps2 at b."""
+    grid = model.grid
+    eps1, eps2 = accuracy_indicators(
+        SampledFunction(grid, model.q), SampledFunction(grid, model.Q),
+        SampledFunction(grid, model.Q2), model.alpha, model.N,
+    )
     md = {
         "generated": datetime.now(timezone.utc).isoformat(),
         "potential": desc,
@@ -328,6 +334,8 @@ def _metadata(cfg: RunConfig, desc: str) -> dict:
         "M": cfg.M,
         "N": cfg.N,
         "omega_switch": _fmt(cfg.omega_switch),
+        "eps1_at_b": _fmt(eps1[-1]),
+        "eps2_at_b": _fmt(eps2[-1]),
     }
     if cfg.resampled:
         md["resampled"] = "true"
@@ -346,13 +354,7 @@ def cmd_coeffs(cfg: RunConfig, out=None) -> int:
     """Dump beta/alpha tables: columns x, n, beta_re, beta_im, alpha_re,
     alpha_im (beta blank past its top row)."""
     model, _, desc = _build(cfg)
-    md = _metadata(cfg, desc)
-    q = SampledFunction(model.grid, model.q)
-    Q = SampledFunction(model.grid, model.Q)
-    Q2 = SampledFunction(model.grid, model.Q2)
-    eps1, eps2 = accuracy_indicators(q, Q, Q2, model.alpha, model.N)
-    md["eps1_at_b"] = _fmt(eps1[-1])
-    md["eps2_at_b"] = _fmt(eps2[-1])
+    md = _metadata(cfg, desc, model)
     md["beta_rows"] = model.N + 1
     md["alpha_rows"] = model.N + 3
     md["beta_cancellation_flags"] = int(
@@ -416,7 +418,7 @@ def cmd_solve(cfg: RunConfig, out=None) -> int:
             )
             env = error_envelope(model, w, j, eps) if improved else ""
             rows.append((w_text, float(model.grid.nodes[j]), u.real, u.imag, env))
-    md = _metadata(cfg, desc)
+    md = _metadata(cfg, desc, model)
     md["representation"] = cfg.representation
     _emit(cfg, "solve", md, ["omega", "x", "re_u", "im_u", "envelope"],
           _cells(rows), out=out)
@@ -432,21 +434,14 @@ def cmd_eigs(cfg: RunConfig, out=None) -> int:
         representation=rep,
     )
     results = find_eigenvalues(problem, cfg.count)
-    with_asymptotic = abs(cfg.b - math.pi) <= 1e-12
     Qb = float(np.asarray(model.Q, dtype=complex)[-1].real)
-    columns = ["n", "lambda", "omega", "residual"]
-    if with_asymptotic:
-        columns.append("asymptotic")
-    rows = []
-    for r in results:
-        row = [r.index, r.lam, r.omega, r.residual]
-        if with_asymptotic:
-            row.append(asymptotic_eigenvalue(r.index, Qb, cfg.b))
-        rows.append(row)
-    md = _metadata(cfg, desc)
+    rows = [[r.index, r.lam, r.omega, r.residual,
+             asymptotic_eigenvalue(r.index, Qb, cfg.b)] for r in results]
+    md = _metadata(cfg, desc, model)
     md["representation"] = rep
     md["count"] = cfg.count
-    _emit(cfg, "eigs", md, columns, _cells(rows), out=out)
+    _emit(cfg, "eigs", md, ["n", "lambda", "omega", "residual", "asymptotic"],
+          _cells(rows), out=out)
     return 0
 
 
@@ -514,7 +509,7 @@ def cmd_bench(cfg: RunConfig, out=None) -> int:
             f"summary {rep} N={trunc}: max={float(np.max(errs)):.6e} "
             f"median={float(np.median(errs)):.6e}"
         )
-    md = _metadata(cfg, desc)
+    md = _metadata(cfg, desc, model)
     md["reference"] = ref_desc
     md["count"] = count
     _emit(cfg, "bench", md, columns, _cells(rows), summary, out=out)
@@ -582,7 +577,7 @@ _EXIT_CODES = (
     ((ExpressionSyntaxError, ConfigError, GridError), 2),
     ((ZeroOmegaError, ExpressionEvalError, ConvergenceError,
       NearVanishingError, LimitError), 3),
-    ((RangeExhaustedError, UnsupportedIntervalError), 4),
+    ((RangeExhaustedError,), 4),
     ((OracleError,), 5),
 )
 

@@ -59,9 +59,5 @@ class RangeExhaustedError(NsbfError):
     number of eigenvalues."""
 
 
-class UnsupportedIntervalError(NsbfError):
-    """The asymptotic eigenvalue formula is only available for b = pi."""
-
-
 class OracleError(NsbfError):
     """The built-in reference integrator failed to reach its tolerance."""

@@ -86,9 +86,6 @@ __all__ = [
 EXTRA_ROWS = 8
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-_FLOAT_MIN = sys.float_info.min
-#: the real omegas whose square is a normal float64
-_OMEGA_MIN, _OMEGA_MAX = 2.0**-511, 2.0**512
 
 
 @dataclass(frozen=True)
@@ -110,6 +107,8 @@ class SolutionModel:
     alpha: AlphaTable = field(repr=False)
     N: int
     omega_switch: float = 1.0
+    # set once: every scalar improved-form evaluation reads it
+    is_complex: bool = field(init=False)
     # i^n c_n(x_j) in complex128, one contiguous row per node j
     _beta_c: np.ndarray = field(init=False, repr=False)
     _alpha_c: np.ndarray = field(init=False, repr=False)
@@ -132,10 +131,7 @@ class SolutionModel:
             c64 = c.astype(complex if np.iscomplexobj(c) else float)
             out = np.empty(c.shape[::-1], dtype=complex)
             object.__setattr__(self, name, np.multiply(ipow, c64.T, out=out))
-
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.q)
+        object.__setattr__(self, "is_complex", np.iscomplexobj(self.q))
 
     def with_truncation(self, N: int) -> "SolutionModel":
         """A view of the same tables truncated at a smaller N.
@@ -298,25 +294,40 @@ def eval_uN_tilde(model: SolutionModel, omega: complex, x_index: int) -> complex
 
 
 def eval_uN(model: SolutionModel, omega: complex, x_index: int) -> complex:
-    """Omega-improved truncated representation; requires omega != 0, and
-    |omega|^2 a normal float64 (1.5e-154 <= |omega| < 1.34e154), else
-    LimitError.
+    """Omega-improved truncated representation at any complex omega where
+    it is finite (``_finite``); pass -omega for the -omega solution (plain
+    sign substitution, valid for complex q too)."""
+    return _finite(lambda: _series(model, omega, x_index, "improved"), omega)
 
-    Supports any nonzero complex omega; the -omega solution is obtained by
-    passing -omega (plain sign substitution, valid for complex q too).
+
+def _finite(compute, omega, what="the improved representation"):
+    """``compute()``, the value of ``what`` at ``omega``, if it and
+    omega^2 are finite; else ZeroOmegaError at 0, LimitError elsewhere.
+
+    ``what`` divides by omega^2: where that underflows a term overflows,
+    and where it overflows the 1/omega^2 terms drop out unseen.  A Python
+    float error counts as a value that is not finite.  For a 1-D array of
+    real omegas ``compute()`` gives an array, or a pair of them, over
+    those omegas; it runs with numpy's warnings off.
     """
-    if not _FLOAT_MIN <= omega.real * omega.real + omega.imag * omega.imag < math.inf:
-        raise _omega_error(omega, "the improved representation")
-    return _series(model, omega, x_index, "improved")
-
-
-def _omega_error(omega: complex, what: str) -> Exception:
-    """Why ``what``, which divides by omega^2, refuses ``omega``."""
+    if isinstance(omega, np.ndarray):
+        with np.errstate(all="ignore"):
+            value = compute()
+        ok = np.isfinite(np.atleast_2d(value)).all(axis=0)
+        top = float(omega.max())
+        if ok.all() and math.isfinite(top * top):
+            return value
+        omega = float(omega[~ok][0]) if not ok.all() else top
+    else:
+        try:
+            value = compute()
+        except (ZeroDivisionError, OverflowError):
+            value = math.nan
+        if cmath.isfinite(value) and cmath.isfinite(omega * omega):
+            return value
     if omega == 0:
-        return ZeroOmegaError(f"{what} divides by omega^2")
-    return LimitError(
-        f"{what}: |omega|^2 is not a normal float64 at omega={omega}"
-    )
+        raise ZeroOmegaError(f"{what} divides by omega^2")
+    raise LimitError(f"{what} leaves the float64 range at omega={omega}")
 
 
 def eval_auto(model: SolutionModel, omega: complex, x_index: int) -> complex:
@@ -349,15 +360,19 @@ def sine_solution(
     """
     if omega == 0:
         raise ZeroOmegaError("sine_solution divides by omega")
-    if not model.is_complex and not (
-        isinstance(omega, complex) and omega.imag != 0.0
-    ):
-        w = float(omega)
-        return _series(model, w, x_index, representation).imag / w
-    return (
-        _series(model, omega, x_index, representation)
-        - _series(model, -omega, x_index, representation)
-    ) / (2j * omega)
+
+    def s():
+        if not model.is_complex and not (
+            isinstance(omega, complex) and omega.imag != 0.0
+        ):
+            w = float(omega)
+            return _series(model, w, x_index, representation).imag / w
+        return (
+            _series(model, omega, x_index, representation)
+            - _series(model, -omega, x_index, representation)
+        ) / (2j * omega)
+
+    return s() if representation == "plain" else _finite(s, omega)
 
 
 def char_values(
@@ -367,8 +382,8 @@ def char_values(
     derivative: bool = False,
 ):
     """s(omega, b) = Im u_N(omega, b)/omega for an array of real omegas > 0;
-    the improved form needs each omega^2 a normal float64, as ``eval_uN``
-    does (1.49e-154 <= omega < 1.34e154), else LimitError.
+    the improved form refuses them unless finite at each, as ``eval_uN``
+    does (see ``_finite``).
 
     The batched form of ``sine_solution`` at x = b for a real potential:
     one Bessel table for all omegas.  With ``derivative=True`` it returns
@@ -379,15 +394,15 @@ def char_values(
     w = np.asarray(omegas, dtype=float)
     if w.ndim != 1 or not np.all(w > 0):
         raise ValueError("char_values needs a 1-D array of omega > 0")
-    if representation == "improved":
-        bad = w[(w < _OMEGA_MIN) | (w >= _OMEGA_MAX)]
-        if bad.size:
-            raise _omega_error(float(bad[0]), "the improved representation")
-    if not derivative:
-        return _series(model, w, model.grid.M, representation).imag / w
-    u, du = _series(model, w, model.grid.M, representation, True)
-    s = u.imag / w
-    return s, (du.imag - s) / w
+
+    def values():
+        if not derivative:
+            return _series(model, w, model.grid.M, representation).imag / w
+        u, du = _series(model, w, model.grid.M, representation, True)
+        s = u.imag / w
+        return s, (du.imag - s) / w
+
+    return values() if representation == "plain" else _finite(values, w)
 
 
 def epsN_surrogate(model: SolutionModel) -> np.ndarray:
@@ -431,27 +446,22 @@ def error_envelope(
     Raises
     ------
     LimitError
-        If the envelope itself exceeds the float64 range, or |omega|^2 is
-        not a normal float64.
+        If the envelope leaves the float64 range (see ``_finite``).
     """
-    if not _FLOAT_MIN <= omega.real * omega.real + omega.imag * omega.imag < math.inf:
-        raise _omega_error(omega, "the error envelope")
     if eps is None:
         eps = epsN_surrogate(model)
     x = float(model.grid.nodes[x_index])
     a = abs(omega.imag) if isinstance(omega, complex) else 0.0
-    scale = float(eps[x_index]) / abs(omega) ** 2
-    if a < 1e-8:
-        return scale * math.sqrt(2.0 * x)
-    scale *= math.sqrt(-math.expm1(-4.0 * a * x) / (2.0 * a))
-    if scale == 0.0:
-        return 0.0
-    log_env = a * x + math.log(scale)
-    if log_env >= _LOG_FLOAT_MAX:
-        raise LimitError(
-            f"error envelope exp({log_env:.4g}) overflows float64 at "
-            f"omega={omega}, x={x:.6g}"
-        )
-    if a * x < _LOG_FLOAT_MAX:
-        return scale * math.exp(a * x)
-    return math.exp(log_env)
+
+    def envelope():
+        scale = float(eps[x_index]) / abs(omega) ** 2
+        if a < 1e-8:
+            return scale * math.sqrt(2.0 * x)
+        scale *= math.sqrt(-math.expm1(-4.0 * a * x) / (2.0 * a))
+        if scale == 0.0:
+            return 0.0
+        if a * x < _LOG_FLOAT_MAX:
+            return scale * math.exp(a * x)
+        return math.exp(a * x + math.log(scale))
+
+    return _finite(envelope, omega, "the error envelope")

@@ -18,24 +18,18 @@ endpoint.  The solver works in three batched stages, each one
   tolerance.
 
 Results are indexed from 1 in increasing order.  ``char_function`` stays
-the scalar entry point.  An asymptotic eigenvalue formula (b = pi only)
-supplies the scan-range hint.
+the scalar entry point.  ``asymptotic_eigenvalue`` gives the large-index
+estimate on any interval, for comparison with the computed values.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    RangeExhaustedError,
-    UnsupportedIntervalError,
-    ZeroOmegaError,
-)
+from .errors import ConfigError, RangeExhaustedError
 from .solution import SolutionModel, char_values, sine_solution
 
 __all__ = [
@@ -46,12 +40,8 @@ __all__ = [
     "asymptotic_eigenvalue",
 ]
 
-logger = logging.getLogger(__name__)
-
 #: bisection terminates at a bracket width of 1e-13 * max(1, omega)
 BRACKET_TOL = 1e-13
-#: warn when consecutive omega spacings deviate this much from pi/b
-SPACING_WARN_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -101,20 +91,19 @@ def char_function(
     model: SolutionModel, omega: float, representation: str = "improved"
 ) -> float:
     """s(omega, b): the Dirichlet shooting function, real for real q."""
-    if omega == 0:
-        raise ZeroOmegaError("the characteristic function divides by omega")
     return sine_solution(model, float(omega), model.grid.M, representation)
 
 
 def asymptotic_eigenvalue(n: int, Qb: float, b: float) -> float:
-    """Large-index eigenvalue estimate (n + Qb/(2 pi n))^2, b = pi only."""
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
-    if abs(b - math.pi) > 1e-12:
-        raise UnsupportedIntervalError(
-            f"the asymptotic formula is stated for b = pi, got b={b}"
-        )
-    return (n + Qb / (2.0 * math.pi * n)) ** 2
+    """Large-index eigenvalue estimate (n pi/b + Qb/(2 pi n))^2 on [0, b].
+
+    It expands to the classical lam_n = (n pi/b)^2 + Qb/b + O(n^-2), with
+    Qb = int_0^b q (Poeschel and Trubowitz, *Inverse Spectral Theory*,
+    1987).  At b = pi it reads (n + Qb/(2 pi n))^2, since pi/pi is 1.0.
+    """
+    if n < 1 or not b > 0:
+        raise ValueError(f"need n >= 1 and b > 0, got n={n}, b={b}")
+    return (n * (math.pi / b) + Qb / (2.0 * math.pi * n)) ** 2
 
 
 def _shrink(bracket, i, w, s):
@@ -226,7 +215,6 @@ def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
     brackets = []  # per scan window: rows lo, hi, s_lo, s_hi
     n_found = 0
     lo_edge = problem.omega_lo
-    first_cell = True
     while True:
         n_cells = max(1, int(math.ceil((hi_target - lo_edge) / h)))
         omegas = lo_edge + h * np.arange(n_cells + 1)
@@ -235,13 +223,6 @@ def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
         exact = s0 == 0.0
         change = ~exact & ((s0 < 0) != (s1 < 0))
         cells = np.flatnonzero(exact | change)[: count - n_found]
-        if first_cell and cells.size and cells[0] == 0 and change[0]:
-            logger.warning(
-                "characteristic function changes sign in the first "
-                "scan cell; an eigenvalue below omega_lo=%g (or a "
-                "zero eigenvalue, out of scope) may be missed",
-                problem.omega_lo,
-            )
         # an exact zero at a scan point is its own degenerate bracket
         at = exact[cells]
         brackets.append(np.stack([
@@ -249,7 +230,6 @@ def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
             s0[cells], np.where(at, s0[cells], s1[cells]),
         ]))
         n_found += cells.size
-        first_cell = False
         if n_found >= count:
             break
         if hi_target >= limit:
@@ -265,21 +245,9 @@ def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
     omega, residual, width = _refine(
         problem, *np.concatenate(brackets, axis=1)
     )
-    results = [
+    return [
         EigResult(k, w, w * w, r, d)
         for k, (w, r, d) in enumerate(
             zip(omega.tolist(), residual.tolist(), width.tolist()), start=1
         )
     ]
-
-    spacing = math.pi / b
-    for a, c in zip(results, results[1:]):
-        gap = c.omega - a.omega
-        if abs(gap - spacing) > SPACING_WARN_FRACTION * spacing:
-            logger.warning(
-                "omega spacing between eigenvalues %d and %d is %.6g, "
-                "deviating >25%% from the asymptotic pi/b=%.6g; h_scan may "
-                "be too coarse (missed root?)",
-                a.index, c.index, gap, spacing,
-            )
-    return results

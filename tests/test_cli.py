@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -9,12 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nsbf
 from nsbf import build_model, make_grid, oracle
 from nsbf.cli import RunConfig, _resolve_potential, main
 
 from conftest import HOSTILE_NESTINGS
 
 PI = math.pi
+#: the directory that holds the nsbf package, for child processes
+SRC = os.path.dirname(os.path.dirname(nsbf.__file__))
 
 
 def run_cli(args):
@@ -148,19 +154,38 @@ class TestEigsCommand:
         lams = [float(r[1]) for r in rows]
         assert lams == pytest.approx([2.0, 5.0, 10.0], abs=1e-10)
 
-    def test_asymptotic_column_present_only_for_pi(self):
-        rc, out = run_cli(
-            ["eigs", "--potential", "0", "--count", "2", "--M", "600",
-             "--N", "8"]
+    def test_asymptotic_column_for_every_b(self):
+        # (n pi/b + Q(b)/(2 pi n))^2 is within 2.6e-5 of lambda_200 at b = 2
+        rc, out = run_cli(["eigs", "--potential", "exp(x)", "--b", "2",
+                           "--count", "200"])
+        assert rc == 0
+        header, rows = data_rows(out)
+        assert header == ["n", "lambda", "omega", "residual", "asymptotic"]
+        lam, asym = float(rows[-1][1]), float(rows[-1][4])
+        assert abs(asym - lam) <= 1e-4
+
+    @pytest.mark.parametrize("potential", ["20", "-0.9"])
+    def test_correct_spectrum_leaves_stderr_empty(self, potential):
+        # in a child process, where nothing captures logging or warnings
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "nsbf.cli",
+             "eigs", f"--potential={potential}", "--count", "3"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
         )
-        header, _ = data_rows(out)
-        assert "asymptotic" in header
-        rc, out = run_cli(
-            ["eigs", "--potential", "0", "--b", "2.0", "--count", "2",
-             "--M", "600", "--N", "8"]
-        )
-        header, _ = data_rows(out)
-        assert "asymptotic" not in header
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("potential, above", [("70", True),
+                                                  ("exp(x)", False)])
+    def test_metadata_states_eps1_at_b(self, potential, above):
+        # N = 25 cannot resolve q = 70 on [0, pi]: its lambda_1 reads
+        # 66.74 for 71
+        rc, out = run_cli(["eigs", "--potential", potential, "--count", "3",
+                           "--format", "json"])
+        assert rc == 0
+        eps1 = float(json.loads(out)["metadata"]["eps1_at_b"])
+        assert eps1 > 1e6 if above else eps1 < 1e-4
 
     def test_range_exhaustion_exit_4(self):
         rc, _ = run_cli(
@@ -177,6 +202,15 @@ class TestEigsCommand:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_improved_overflowing_omega_lo_exit_3(self):
+        # 1.5e-154 squares to a normal float64, but the improved form's
+        # 1/omega^2 terms overflow there
+        rc, err = run_cli_stderr(["eigs", "--potential", "exp(x)",
+                                  "--omega-lo", "1.5e-154", "--count", "3"])
+        assert rc == 3
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("potential", ["exp(x)", "-0.9"])
     def test_plain_accepts_tiny_omega_lo(self, potential):
         args = ["eigs", "--potential", potential, "--count", "3",
@@ -184,6 +218,20 @@ class TestEigsCommand:
         rc, out = run_cli(args + ["--omega-lo", "1e-300"])
         assert rc == 0
         assert data_rows(out) == data_rows(run_cli(args)[1])
+
+
+@pytest.mark.parametrize("command, args", [
+    ("coeffs", []),
+    ("solve", ["--omega", "2", "--x", "1"]),
+    ("eigs", ["--count", "2"]),
+    ("bench", ["--count", "2"]),
+])
+def test_every_command_states_eps_at_b(command, args):
+    rc, out = run_cli([command, "--potential", "0", *FAST, "--format", "json",
+                       *args])
+    assert rc == 0
+    md = json.loads(out)["metadata"]
+    assert float(md["eps1_at_b"]) >= 0.0 and float(md["eps2_at_b"]) >= 0.0
 
 
 class TestCoeffsCommand:

@@ -153,6 +153,11 @@ class TestEvalImprovedRepresentation:
         with pytest.raises(LimitError):
             eval_uN(model_exp, w, 100)
 
+    def test_overflowing_terms_rejected(self, model_exp):
+        # omega^2 is a normal float64, but (q/4 - Q^2/8)/omega^2 at b is not
+        with pytest.raises(LimitError):
+            eval_uN(model_exp, 1.5e-154, model_exp.grid.M)
+
     def test_constant_potential_closed_form(self, model_one):
         grid = model_one.grid
         worst = 0.0
@@ -278,6 +283,13 @@ class TestSineSolution:
         with pytest.raises(ZeroOmegaError):
             sine_solution(model_exp, 0.0, 10)
 
+    @pytest.mark.parametrize("w", [1e-300, 1e-160 + 1e-160j])
+    def test_improved_not_finite_rejected(self, model_exp, w):
+        # omega^2 underflows to 0, or to a subnormal that the terms divide
+        # into inf and nan
+        with pytest.raises(LimitError):
+            sine_solution(model_exp, w, model_exp.grid.M)
+
     @pytest.mark.parametrize("rep", ["improved", "plain"])
     @pytest.mark.parametrize("c, omegas, tol", [
         (2 + 1.5j, (3.0, 40.0, 2 + 1j), 1e-10),
@@ -340,6 +352,14 @@ class TestCharValues:
         # omega^2 underflows or overflows, as in eval_uN
         with pytest.raises(LimitError):
             char_values(model_exp, np.array([1.0, w]))
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_improved_overflowing_terms_rejected(self, model_exp, derivative):
+        # refused with no overflow warning escaping (warnings are errors
+        # in this suite)
+        with pytest.raises(LimitError, match="omega=1.5e-154"):
+            char_values(model_exp, np.array([1.0, 1.5e-154, 2.0]),
+                        derivative=derivative)
 
 
 class TestErrorEnvelope:

@@ -7,8 +7,8 @@ import nsbf.spectral as spectral
 from nsbf import (
     ConfigError,
     EigProblem,
+    LimitError,
     RangeExhaustedError,
-    UnsupportedIntervalError,
     ZeroOmegaError,
     asymptotic_eigenvalue,
     build_model,
@@ -41,6 +41,12 @@ class TestCharFunction:
     def test_zero_omega(self, model_exp):
         with pytest.raises(ZeroOmegaError):
             char_function(model_exp, 0.0)
+
+    def test_omega_squared_underflow_refused(self, model_exp):
+        # omega^2 underflows to 0: the improved form is refused, not
+        # divided by zero
+        with pytest.raises(LimitError):
+            char_function(model_exp, 1e-300)
 
 
 class TestFindEigenvalues:
@@ -204,16 +210,19 @@ class TestAsymptoticEigenvalue:
         assert asymptotic_eigenvalue(7, 0.0, PI) == 49.0
 
     def test_low_index_hint(self):
-        # direct evaluation: (1 + (e^pi - 1)/(2 pi))^2; a scan-range hint
-        # only, far from the true first eigenvalue 4.8967
+        # direct evaluation: (1 + (e^pi - 1)/(2 pi))^2; a large-index
+        # estimate, far from the true first eigenvalue 4.8967
         v = asymptotic_eigenvalue(1, math.e**PI - 1.0, PI)
         expected = (1.0 + (math.e**PI - 1.0) / (2 * PI)) ** 2
         assert v == pytest.approx(expected, rel=1e-15)
         assert v == pytest.approx(20.4648, abs=1e-4)
 
-    def test_interval_restriction(self):
-        with pytest.raises(UnsupportedIntervalError):
-            asymptotic_eigenvalue(3, 1.0, 2.0)
+    def test_general_interval(self):
+        # lam_n = (n pi/b)^2 + Q(b)/b + O(n^-2) on [0, b] for any b
+        model = build_model("exp(x)", 2.0, 1998, 25)
+        lam = find_eigenvalues(EigProblem(model), 200)[-1].lam
+        v = asymptotic_eigenvalue(200, math.e**2 - 1.0, 2.0)
+        assert abs(v - lam) <= 1e-4
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
