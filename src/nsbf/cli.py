@@ -82,8 +82,6 @@ class RunConfig:
     omega: list = field(default_factory=list)
     x: list = field(default_factory=list)
     count: int | None = None
-    omega_lo: float | None = None
-    omega_hi: float | None = None
     reference: str | None = None
     resampled: bool = field(default=False, init=False)
 
@@ -116,10 +114,6 @@ class RunConfig:
                 raise ConfigError(f"x={value!r} lies outside [0, b={self.b}]")
         if self.count < 1:
             raise ConfigError(f"count must be >= 1, got {self.count}")
-        for name in ("omega_lo", "omega_hi"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
 
 
 def _fits(value, annotation) -> bool:
@@ -180,15 +174,18 @@ def _read_potential_table(path: str):
         if len(parts) not in (2, 3):
             raise ConfigError(f"{path}:{i}: expected 2 or 3 columns")
         try:
-            xs.append(float(parts[0]))
-            re = float(parts[1])
+            x, re = float(parts[0]), float(parts[1])
             im = float(parts[2]) if len(parts) == 3 else 0.0
         except ValueError as exc:
             raise ConfigError(f"{path}:{i}: {exc}") from exc
+        if not all(map(math.isfinite, (x, re, im))):
+            raise ConfigError(f"{path}:{i}: x and q must be finite")
+        xs.append(x)
         vals.append(re + 1j * im if im != 0.0 else re)
     xs = np.asarray(xs, dtype=float)
-    if len(xs) < 2 or xs[0] != 0.0:
-        raise ConfigError(f"{path}: need samples starting at x=0")
+    if len(xs) < 7 or xs[0] != 0.0:
+        # the degree-6 resampling stencil spans 7 rows
+        raise ConfigError(f"{path}: need at least 7 samples starting at x=0")
     steps = np.diff(xs)
     if np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]:
         raise ConfigError(f"{path}: x column must be uniform and increasing")
@@ -429,11 +426,7 @@ def cmd_eigs(cfg: RunConfig, out=None) -> int:
     """Dirichlet eigenvalue table, lowest `count` indices."""
     model, _, desc = _build(cfg)
     rep = "improved" if cfg.representation == "auto" else cfg.representation
-    problem = EigProblem(
-        model, omega_lo=cfg.omega_lo, omega_hi=cfg.omega_hi,
-        representation=rep,
-    )
-    results = find_eigenvalues(problem, cfg.count)
+    results = find_eigenvalues(EigProblem(model, representation=rep), cfg.count)
     Qb = float(np.asarray(model.Q, dtype=complex)[-1].real)
     rows = [[r.index, r.lam, r.omega, r.residual,
              asymptotic_eigenvalue(r.index, Qb, cfg.b)] for r in results]
@@ -549,8 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="which representation to evaluate")
         if name == "eigs":
             p.add_argument("--count", type=int, help="number of eigenvalues")
-            p.add_argument("--omega-lo", type=float, help="scan start")
-            p.add_argument("--omega-hi", type=float, help="scan end")
             p.add_argument("--representation",
                            choices=("improved", "plain"),
                            help="characteristic-function representation")

@@ -33,7 +33,8 @@ class ExpressionSyntaxError(NsbfError):
 
 
 class ExpressionEvalError(NsbfError):
-    """Evaluation of a potential expression failed (domain error, overflow)."""
+    """Evaluation of the potential failed (domain error, overflow, a sample
+    that is not finite)."""
 
 
 class ConvergenceError(NsbfError):

@@ -52,7 +52,12 @@ from .coefficients import (
     build_alpha_table,
     legendre_coeffs,
 )
-from .errors import LimitError, NearVanishingError, ZeroOmegaError
+from .errors import (
+    ExpressionEvalError,
+    LimitError,
+    NearVanishingError,
+    ZeroOmegaError,
+)
 from .formal_powers import (
     FormalPowersTable,
     formal_powers,
@@ -152,17 +157,23 @@ QInput = Union[str, Callable[[np.ndarray], np.ndarray], np.ndarray]
 def _sample_potential(q_input: QInput, grid: Grid) -> SampledFunction:
     if isinstance(q_input, str):
         tree = expr_mod.parse(q_input)
-        return sample(grid, lambda x: expr_mod.evaluate(tree, x))
-    if callable(q_input):
-        return sample(grid, q_input)
-    values = np.asarray(q_input)
-    if values.ndim != 1 or values.size != grid.M + 1:
-        raise ValueError(
-            f"tabulated potential needs {grid.M + 1} samples, got "
-            f"{values.size}"
-        )
-    dtype = PIPELINE_CDTYPE if np.iscomplexobj(values) else PIPELINE_DTYPE
-    return SampledFunction(grid, values.astype(dtype))
+        q = sample(grid, lambda x: expr_mod.evaluate(tree, x))
+    elif callable(q_input):
+        q = sample(grid, q_input)
+    else:
+        values = np.asarray(q_input)
+        if values.ndim != 1 or values.size != grid.M + 1:
+            raise ValueError(
+                f"tabulated potential needs {grid.M + 1} samples, got "
+                f"{values.size}"
+            )
+        dtype = PIPELINE_CDTYPE if np.iscomplexobj(values) else PIPELINE_DTYPE
+        q = SampledFunction(grid, values.astype(dtype))
+    bad = ~np.isfinite(q.values)
+    if bad.any():
+        x = float(grid.nodes[np.argmax(bad)])
+        raise ExpressionEvalError(f"potential is not finite at x={x!r}")
+    return q
 
 
 def build_model(

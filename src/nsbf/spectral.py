@@ -5,13 +5,12 @@ function s(omega, b), the sine-type solution evaluated at the right
 endpoint.  The solver works in three batched stages, each one
 ``char_values`` call over many omegas at once:
 
-* scan: s on an omega grid of step h_scan, one call per bounded scan
-  window, brackets every sign change (windows continue until enough are
-  found or the range ends);
-* refine: safeguarded Newton on all brackets together, from the secant
-  point of each, with the analytic ds/domega; a step that leaves its
-  bracket or fails to halve falls back to bisection, and a root stops
-  when its step is at most BRACKET_TOL * max(1, omega);
+* scan: s on an omega grid of step h_scan from h_scan, one call per
+  scan window of at most SCAN_WINDOW points, brackets every sign change;
+* refine: safeguarded Newton on all brackets of a window together, from
+  the secant point of each, with the analytic ds/domega; a step that
+  leaves its bracket or fails to halve falls back to bisection, and a
+  root stops when its step is at most BRACKET_TOL * max(1, omega);
 * certify: s at omega -+ BRACKET_TOL * max(1, omega) / 2 must change
   sign, which makes that the reported bracket width; a root that shows
   no sign change there keeps bisecting its bracket down to the
@@ -42,20 +41,16 @@ __all__ = [
 
 #: bisection terminates at a bracket width of 1e-13 * max(1, omega)
 BRACKET_TOL = 1e-13
+#: most scan points in one window; a count up to 460 (1,849 points) is one
+SCAN_WINDOW = 4096
 
 
 @dataclass(frozen=True)
 class EigProblem:
-    """A Dirichlet eigenvalue problem over a scan range in omega.
-
-    omega_lo defaults to the scan step.  The scan ends at omega_hi, or
-    with omega_hi left None at a limit set by the asymptotic spacing and
-    the requested count (see ``find_eigenvalues``).
-    """
+    """A Dirichlet eigenvalue problem: a model of real q and the
+    representation of s(omega, b) to solve with."""
 
     model: SolutionModel
-    omega_lo: float | None = None
-    omega_hi: float | None = None
     representation: str = "improved"
 
     def __post_init__(self):
@@ -63,12 +58,6 @@ class EigProblem:
             raise ConfigError(
                 "eigenvalue problems require a real-valued potential"
             )
-        lo = self.omega_lo if self.omega_lo is not None else self.h_scan
-        if not lo > 0:
-            raise ConfigError(f"omega_lo must be positive, got {lo}")
-        object.__setattr__(self, "omega_lo", lo)
-        if self.omega_hi is not None and self.omega_hi <= lo:
-            raise ConfigError("omega_hi must exceed omega_lo")
 
     @property
     def h_scan(self) -> float:
@@ -186,68 +175,64 @@ def _refine(problem: EigProblem, lo, hi, s_lo, s_hi):
 
 
 def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
-    """The lowest ``count`` Dirichlet eigenvalues lam_n = omega_n^2.
+    """The lowest ``count`` Dirichlet eigenvalues lam_n = omega_n^2 with
+    omega_n >= h_scan.
 
-    Scans upward from omega_lo with step h_scan for sign changes of the
+    Scans upward from h_scan with step h_scan for sign changes of the
     characteristic function, one window at a time, and refines each
-    bracket.  The first window spans (count + 2) pi/b, each later one
-    max(5, roots still missing + 2) pi/b (pi/b is the asymptotic root
-    spacing), so a batch stays small whatever the range.  The scan stops
-    at omega_hi, or with omega_hi unset at omega_lo + 10 (count + 2) pi/b.
+    window's brackets before the next.  The first window spans
+    (count + 2) pi/b, each later one max(5, roots still missing + 2) pi/b
+    (pi/b is the asymptotic root spacing), and none holds more than
+    SCAN_WINDOW points, so a batch stays small whatever the count.  The
+    scan ends at h_scan + 10 (count + 2) pi/b.
 
     Raises
     ------
     RangeExhaustedError
-        If the scan range is exhausted first.
+        If the scan range ends first.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     model = problem.model
     b = model.grid.b
     h = problem.h_scan
-    limit = (
-        problem.omega_hi
-        if problem.omega_hi is not None
-        else problem.omega_lo + 10.0 * (count + 2) * math.pi / b
-    )
-    hi_target = min(limit, problem.omega_lo + (count + 2) * math.pi / b)
+    limit = h + 10.0 * (count + 2) * math.pi / b
+    hi_target = min(limit, h + (count + 2) * math.pi / b)
 
-    brackets = []  # per scan window: rows lo, hi, s_lo, s_hi
-    n_found = 0
-    lo_edge = problem.omega_lo
+    results = []
+    lo_edge = h
     while True:
         n_cells = max(1, int(math.ceil((hi_target - lo_edge) / h)))
-        omegas = lo_edge + h * np.arange(n_cells + 1)
+        omegas = lo_edge + h * np.arange(min(n_cells, SCAN_WINDOW - 1) + 1)
         values = char_values(model, omegas, problem.representation)
         s0, s1 = values[:-1], values[1:]
         exact = s0 == 0.0
         change = ~exact & ((s0 < 0) != (s1 < 0))
-        cells = np.flatnonzero(exact | change)[: count - n_found]
-        # an exact zero at a scan point is its own degenerate bracket
-        at = exact[cells]
-        brackets.append(np.stack([
-            omegas[cells], np.where(at, omegas[cells], omegas[cells + 1]),
-            s0[cells], np.where(at, s0[cells], s1[cells]),
-        ]))
-        n_found += cells.size
-        if n_found >= count:
-            break
-        if hi_target >= limit:
+        cells = np.flatnonzero(exact | change)[: count - len(results)]
+        if cells.size:
+            # an exact zero at a scan point is its own degenerate bracket
+            at = exact[cells]
+            omega, residual, width = _refine(
+                problem, omegas[cells],
+                np.where(at, omegas[cells], omegas[cells + 1]),
+                s0[cells], np.where(at, s0[cells], s1[cells]),
+            )
+            results += [
+                EigResult(k, w, w * w, r, d)
+                for k, (w, r, d) in enumerate(
+                    zip(omega.tolist(), residual.tolist(), width.tolist()),
+                    start=len(results) + 1,
+                )
+            ]
+        if len(results) >= count:
+            return results
+        # a capped window stops short of hi_target, so it cannot end the range
+        if n_cells < SCAN_WINDOW and hi_target >= limit:
             raise RangeExhaustedError(
-                f"found {n_found} of {count} sign changes in "
-                f"[{problem.omega_lo:.6g}, {limit:.6g}]"
+                f"found {len(results)} of {count} sign changes in "
+                f"[{h:.6g}, {limit:.6g}]"
             )
         lo_edge = omegas[-1]
         hi_target = min(
-            limit, lo_edge + max(5, count - n_found + 2) * math.pi / b
+            limit, lo_edge + max(5, count - len(results) + 2) * math.pi / b
         )
-
-    omega, residual, width = _refine(
-        problem, *np.concatenate(brackets, axis=1)
-    )
-    return [
-        EigResult(k, w, w * w, r, d)
-        for k, (w, r, d) in enumerate(
-            zip(omega.tolist(), residual.tolist(), width.tolist()), start=1
-        )
-    ]

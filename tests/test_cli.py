@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsbf
-from nsbf import build_model, make_grid, oracle
+from nsbf import build_model, make_grid, oracle, spectral
 from nsbf.cli import RunConfig, _resolve_potential, main
 
 from conftest import HOSTILE_NESTINGS
@@ -187,37 +187,14 @@ class TestEigsCommand:
         eps1 = float(json.loads(out)["metadata"]["eps1_at_b"])
         assert eps1 > 1e6 if above else eps1 < 1e-4
 
-    def test_range_exhaustion_exit_4(self):
-        rc, _ = run_cli(
-            ["eigs", "--potential", "0", "--count", "10", "--omega-lo",
-             "0.5", "--omega-hi", "3.0", "--M", "600", "--N", "8"]
-        )
+    def test_range_exhaustion_exit_4(self, monkeypatch):
+        # a characteristic function without a sign change scans to the end
+        monkeypatch.setattr(spectral, "char_values",
+                            lambda model, omegas, *args: np.ones(len(omegas)))
+        rc, err = run_cli_stderr(["eigs", "--potential", "0", "--count", "10",
+                                  "--M", "600", "--N", "8"])
         assert rc == 4
-
-    def test_improved_omega_lo_squared_out_of_range_exit_3(self):
-        # 1e-300 squares below the normal float64 range
-        rc, err = run_cli_stderr(["eigs", "--potential", "exp(x)",
-                                  "--omega-lo", "1e-300", "--count", "3"])
-        assert rc == 3
-        assert "Traceback" not in err
-        assert len(err.strip().splitlines()) == 1
-
-    def test_improved_overflowing_omega_lo_exit_3(self):
-        # 1.5e-154 squares to a normal float64, but the improved form's
-        # 1/omega^2 terms overflow there
-        rc, err = run_cli_stderr(["eigs", "--potential", "exp(x)",
-                                  "--omega-lo", "1.5e-154", "--count", "3"])
-        assert rc == 3
-        assert "Traceback" not in err
-        assert len(err.strip().splitlines()) == 1
-
-    @pytest.mark.parametrize("potential", ["exp(x)", "-0.9"])
-    def test_plain_accepts_tiny_omega_lo(self, potential):
-        args = ["eigs", "--potential", potential, "--count", "3",
-                "--representation", "plain"]
-        rc, out = run_cli(args + ["--omega-lo", "1e-300"])
-        assert rc == 0
-        assert data_rows(out) == data_rows(run_cli(args)[1])
+        assert "found 0 of 10 sign changes" in err
 
 
 @pytest.mark.parametrize("command, args", [
@@ -364,11 +341,10 @@ class TestHostileInput:
             ["solve", "--omega", "1", "--x", "1", "--N", "-1"],
             ["solve", "--omega", "1", "--x", "1", "--omega-switch", "nan"],
             ["solve", "--omega", "1", "--x", "1", "--b", "inf"],
-            ["eigs", "--count", "2", "--omega-hi", "nan"],
         ],
         ids=["count-0", "count-negative", "omega-inf", "omega-overflow",
              "x-nan", "x-beyond-b", "x-negative", "N-negative",
-             "omega-switch-nan", "b-inf", "omega-hi-nan"],
+             "omega-switch-nan", "b-inf"],
     )
     def test_exit_2_without_traceback(self, args):
         command, rest = args[0], args[1:]
@@ -376,6 +352,28 @@ class TestHostileInput:
         assert rc == 2
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--omega-lo", "10"),
+                                             ("--omega-hi", "3")],
+                             ids=["--omega-lo", "--omega-hi"])
+    def test_scan_range_flags_exit_2_without_traceback(self, flag, value):
+        # the scan always starts at pi/(4b): no option moves it
+        rc, err = run_cli_stderr(["eigs", "--potential", "0", *FAST,
+                                  flag, value])
+        assert rc == 2
+        assert "Traceback" not in err
+        assert f"unrecognized arguments: {flag}" in err
+
+    def test_scan_range_config_field_exit_2_without_traceback(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"schema": 1, "omega_lo": 10.0}))
+        rc, err = run_cli_stderr(["eigs", "--config", str(cfg),
+                                  "--potential", "0", *FAST])
+        assert rc == 2
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == [
+            "nsbf eigs: unknown config field 'omega_lo'"
+        ]
 
     @pytest.mark.parametrize("potential", HOSTILE_NESTINGS.values(),
                              ids=HOSTILE_NESTINGS)
@@ -499,6 +497,22 @@ class TestTabulatedPotential:
             ["eigs", "--potential-file", str(path), "--count", "1", *FAST]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("rows, message", [
+        (["0 1", "1 2", "2 3"], "need at least 7 samples"),
+        ([f"{k} 1" for k in range(6)], "need at least 7 samples"),
+        ([f"{k} 1" for k in range(8)] + ["nan 1", "9 1"], ":10: x and q"),
+        ([f"{k} 1" for k in range(8)] + ["8 inf", "9 1"], ":10: x and q"),
+    ], ids=["3-rows", "6-rows", "nan-x", "inf-q"])
+    def test_bad_table_exit_2_one_line(self, tmp_path, rows, message):
+        path = tmp_path / "pot.txt"
+        path.write_text("# tabulated-potential v1\n" + "\n".join(rows) + "\n")
+        rc, err = run_cli_stderr(["eigs", "--potential-file", str(path),
+                                  "--b", "1", "--count", "1", *FAST])
+        assert rc == 2
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert message in err
 
     def test_complex_tabulated_eigs_rejected(self, tmp_path):
         path = tmp_path / "pot.txt"

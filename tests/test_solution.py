@@ -7,6 +7,7 @@ import pytest
 from scipy import special
 
 from nsbf import (
+    ExpressionEvalError,
     ZeroOmegaError,
     LimitError,
     build_model,
@@ -16,6 +17,7 @@ from nsbf import (
     eval_auto,
     eval_uN,
     eval_uN_tilde,
+    make_grid,
     sine_solution,
     spps_eval,
 )
@@ -53,6 +55,17 @@ class TestBuildModel:
         xs = np.asarray(m1.grid.nodes, dtype=float)
         m2 = build_model(np.exp(xs), PI, 102, 4)
         assert float(np.max(np.abs(m1.q - m2.q))) < 1e-14 * math.exp(PI)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, math.inf)],
+                             ids=["nan", "inf", "complex-inf"])
+    def test_non_finite_samples_refused(self, bad):
+        q = np.ones(103, dtype=type(bad))
+        q[40] = bad
+        x = float(make_grid(PI, 102).nodes[40])
+        for q_input in (q, lambda _: q):
+            with pytest.raises(ExpressionEvalError,
+                               match=rf"potential is not finite at x={x!r}$"):
+                build_model(q_input, PI, 102, 4)
 
     def test_complex_constant_potential_closed_form(self):
         import cmath

@@ -75,15 +75,18 @@ class TestFindEigenvalues:
         for r in res:
             assert r.lam > r.index**2
 
-    def test_explicit_range_exhaustion(self, model_zero):
-        problem = EigProblem(model_zero, omega_lo=0.5, omega_hi=3.5)
-        with pytest.raises(RangeExhaustedError):
-            find_eigenvalues(problem, 10)
+    def test_explicit_range_exhaustion(self, model_zero, monkeypatch):
+        # a characteristic function without a sign change scans to the end
+        monkeypatch.setattr(spectral, "char_values",
+                            lambda model, omegas, *args: np.ones(len(omegas)))
+        with pytest.raises(RangeExhaustedError, match="found 0 of 10"):
+            find_eigenvalues(EigProblem(model_zero), 10)
 
     def test_explicit_range_scanned_in_bounded_windows(
         self, model_exp, monkeypatch
     ):
-        # the batch size depends on the count, not on how far omega_hi is
+        # no batch exceeds the window cap, whatever the count: a single
+        # window of 10,000 roots would hold 40,009 points
         batched, sizes = spectral.char_values, []
 
         def recording(model, omegas, *args, **kwargs):
@@ -91,10 +94,17 @@ class TestFindEigenvalues:
             return batched(model, omegas, *args, **kwargs)
 
         monkeypatch.setattr(spectral, "char_values", recording)
-        for omega_hi in (None, 1e3, 1e4):
-            sizes.clear()
-            find_eigenvalues(EigProblem(model_exp, omega_hi=omega_hi), 3)
-            assert max(sizes) == 21
+        res = find_eigenvalues(EigProblem(model_exp), 10_000)
+        assert [r.index for r in res] == list(range(1, 10_001))
+        # no root lost or counted twice where windows meet: the spacing of
+        # omega_n tends to pi/b = 1
+        spacing = np.diff([r.omega for r in res])
+        assert 0.5 < spacing.min() and spacing.max() < 1.5
+        assert max(sizes) == spectral.SCAN_WINDOW
+        sizes.clear()
+        find_eigenvalues(EigProblem(model_exp), 3)
+        assert max(sizes) == 21
+        assert sizes.count(21) == 1
 
     def test_count_validation(self, model_zero):
         with pytest.raises(ValueError):
@@ -106,7 +116,9 @@ class TestFindEigenvalues:
         self, model_twenty, monkeypatch, count, rep
     ):
         # q = 20: omega_1 = sqrt(21) = 4.58 lies beyond the first window,
-        # [0.25, 3.25] for count 1, and count 3 needs a later window too
+        # [0.25, 3.25] for count 1, whose empty window is not refined; for
+        # count 3 the first window, [0.25, 5.25], holds two roots, refined
+        # before the second window is scanned for the third
         batched, derivative_flags = spectral.char_values, []
 
         def recording(model, omegas, rep, derivative=False):
@@ -116,8 +128,7 @@ class TestFindEigenvalues:
         monkeypatch.setattr(spectral, "char_values", recording)
         res = find_eigenvalues(EigProblem(model_twenty, representation=rep),
                                count)
-        # every scan window is evaluated before the first Newton step
-        assert derivative_flags.index(True) >= 2
+        assert derivative_flags.index(True) == (2 if count == 1 else 1)
         assert [r.index for r in res] == list(range(1, count + 1))
         for r in res:
             exact = r.index**2 + 20.0
@@ -187,12 +198,6 @@ class TestBatchedSolver:
 
 
 class TestEigProblemValidation:
-    def test_positive_range(self, model_zero):
-        with pytest.raises(ConfigError):
-            EigProblem(model_zero, omega_lo=-1.0)
-        with pytest.raises(ConfigError):
-            EigProblem(model_zero, omega_lo=2.0, omega_hi=1.0)
-
     def test_complex_potential_rejected(self):
         model = build_model(
             np.full(103, 1.0 + 0.2j), PI, 102, 4
