@@ -6,12 +6,12 @@ power series for tiny arguments; closed-form j_0 and j_1, by their own
 series below |z| = 0.1; upward three-term recurrence where it is stable
 (|z| above the top order); and otherwise Miller's downward recurrence from
 an arbitrary seed, normalized through j_0 or j_1 (DLMF 10.51; W. Gautschi,
-SIAM Review 9, 1967).  A kernel runs unchanged on a Python scalar, real or
-complex, or on a 1-D float array, and fills the rows of the output it is
-given.  ``spherical_j_sequence`` picks one kernel for its scalar;
+SIAM Review 9, 1967).  A kernel fills the rows of the output it is given,
+for a Python scalar, real or complex; the series and upward kernels run
+unchanged on a 1-D float array too, and Miller's runs once per column.
+``spherical_j_sequence`` picks one kernel for its scalar;
 ``spherical_j_table`` picks one per column mask.  Types are tested only
-where numpy and scalar code must differ: the sine and cosine of j_0/j_1,
-and the per-column choices of Miller's renormalization and normalization.
+where numpy and scalar code must differ: the sine and cosine of j_0/j_1.
 """
 
 from __future__ import annotations
@@ -85,12 +85,11 @@ def _upward(z, out):
 
 
 def _miller(z, out, start):
-    """Miller's downward recurrence from order ``start`` past the top row."""
-    array = isinstance(z, np.ndarray)
+    """Miller's downward recurrence at a scalar z, from order ``start``."""
     # a step grows |j| at most by (2n+1)/|z| + 1, so the whole run by
-    # (2/a)^start Gamma(start + 1 + c)/Gamma(1 + c), a = min |z| and
+    # (2/a)^start Gamma(start + 1 + c)/Gamma(1 + c), a = |z| and
     # c = (1 + a)/2; while that stays below the limit, no step can reach it
-    a = z.min() if array else abs(z)
+    a = abs(z)
     c = 0.5 * (1.0 + a)
     check = (
         start * math.log(2.0 / a) + math.lgamma(start + 1.0 + c)
@@ -102,24 +101,16 @@ def _miller(z, out, start):
         below = (2 * n + 1) / z * cur - above
         if n <= top:
             out[n - 1] = below
-        if check:
-            big = abs(below) > _RENORM_LIMIT
-            if big.any() if array else big:
-                scale = 1.0 / abs(below)
-                if array:
-                    scale = np.where(big, scale, 1.0)
-                below = below * scale
-                cur = cur * scale
-                out *= scale
+        if check and abs(below) > _RENORM_LIMIT:
+            scale = 1.0 / abs(below)
+            below = below * scale
+            cur = cur * scale
+            out *= scale
         above, cur = cur, below
     j0, j1 = _j01(z)
     # cur / above now hold the unnormalized order-0 / order-1 values;
     # j_0 and j_1 have no common zeros
-    use_j0 = abs(j0) >= abs(j1)
-    if array:
-        out *= np.where(use_j0, j0, j1) / np.where(use_j0, cur, above)
-    else:
-        out *= j0 / cur if use_j0 else j1 / above
+    out *= j0 / cur if abs(j0) >= abs(j1) else j1 / above
     # the recurrence cannot resolve j_0, j_1 near their zeros; the closed
     # forms can, so they always win
     out[0] = j0
@@ -195,9 +186,9 @@ def spherical_j_table(N: int, z: np.ndarray) -> np.ndarray:
     -----
     The branches of ``spherical_j_sequence``, chosen per column: the
     series for z < 1e-8, upward recurrence where z > N, and otherwise
-    Miller's downward recurrence from one start order
-    N + ceil(15 + max z) shared by those columns, rescaled per column and
-    normalized through the closed-form j_0 or j_1.
+    Miller's downward recurrence run on each column alone from its own
+    start order N + ceil(15 + z), normalized through the closed-form j_0
+    or j_1, so no column depends on the others in the batch.
     """
     _check_order(N)
     z = np.asarray(z, dtype=float)
@@ -210,9 +201,10 @@ def spherical_j_table(N: int, z: np.ndarray) -> np.ndarray:
     for mask, kernel in ((tiny, _tiny_series), (up, _upward)):
         if mask.any():
             out[:, mask] = kernel(z[mask], np.empty((N + 2, np.count_nonzero(mask))))
+    # zeros: a renormalization also scales the rows not yet written
     if miller.any():
-        zm = z[miller]
-        start = N + math.ceil(15.0 + zm.max())
-        # zeros: a renormalization also scales the rows not yet written
-        out[:, miller] = _miller(zm, np.zeros((N + 2, zm.size)), start)
+        out[:, miller] = np.array([
+            _miller(zk, np.zeros(N + 2), N + math.ceil(15.0 + zk))
+            for zk in z[miller].tolist()
+        ]).T
     return out

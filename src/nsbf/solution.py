@@ -246,7 +246,8 @@ def _series(model: SolutionModel, omega: complex | np.ndarray, x_index: int,
     p = q(0), k = 2, d = omega^2.  Each term is divided by d last, so the
     plain form rounds exactly as e^{i omega x} + 2S.  The omega-derivative
     uses x j_n'(omega x) with j_n'(z) = j_{n-1}(z) - (n+1) j_n(z)/z (DLMF
-    10.51.2) and j_0' = -j_1.
+    10.51.2) and j_0' = -j_1.  From |Re omega| x = 2^52 on, where rounding
+    omega x moves the phase by up to half a radian, it raises LimitError.
     """
     if representation == "improved":
         table, n_top = model._alpha_c, model.N + 2
@@ -255,8 +256,12 @@ def _series(model: SolutionModel, omega: complex | np.ndarray, x_index: int,
     else:
         raise ValueError(f"unknown representation {representation!r}")
     x = float(model.grid.nodes[x_index])
+    array = isinstance(omega, np.ndarray)
+    if (float(omega.max()) if array else abs(omega.real)) * x >= 2.0**52:
+        raise LimitError(f"|Re omega| x reaches 2^52 at x={x}: the rounded "
+                         "omega x keeps no correct digit of the phase")
     z = omega * x
-    if isinstance(omega, np.ndarray):
+    if array:
         jn = spherical_j_table(n_top, z)
         e = np.empty(z.shape, dtype=complex)
         np.cos(z, out=e.real)

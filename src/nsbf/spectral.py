@@ -2,20 +2,23 @@
 
 Eigenvalues are the squares of the positive zeros of the characteristic
 function s(omega, b), the sine-type solution evaluated at the right
-endpoint.  The solver works in three batched stages, each one
-``char_values`` call over many omegas at once:
+endpoint.  The solver works in three stages, batched over many omegas:
 
-* scan: s on an omega grid of step h_scan from h_scan, one call per
-  scan window of at most SCAN_WINDOW points, brackets every sign change;
+* scan: s and ds/domega on an omega grid of step h_scan from h_scan, one
+  ``char_values`` call per window of at most SCAN_WINDOW points, brackets
+  every sign change;
 * refine: safeguarded Newton on all brackets of a window together, from
-  the secant point of each, with the analytic ds/domega; a step that
-  leaves its bracket or fails to halve falls back to bisection, and a
-  root stops when its step is at most BRACKET_TOL * max(1, omega);
+  the root of the cubic Hermite interpolant through each bracket's ends;
+  a step that leaves its bracket or fails to halve falls back to
+  bisection, and a root stops when its step is at most
+  BRACKET_TOL * max(1, omega);
 * certify: s at omega -+ BRACKET_TOL * max(1, omega) / 2 must change
   sign, which makes that the reported bracket width; a root that shows
   no sign change there keeps bisecting its bracket down to the
   tolerance.
 
+Refine and certify share one ``char_values`` call per pass, which also
+gives each finished root its residual: about five calls a window in all.
 Results are indexed from 1 in increasing order.  ``char_function`` stays
 the scalar entry point.  ``asymptotic_eigenvalue`` gives the large-index
 estimate on any interval, for comparison with the computed values.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +69,7 @@ class EigProblem:
         return math.pi / (4.0 * self.model.grid.b)
 
 
-@dataclass(frozen=True)
-class EigResult:
+class EigResult(NamedTuple):
     """One computed eigenvalue with refinement diagnostics."""
 
     index: int
@@ -106,32 +109,67 @@ def _shrink(bracket, i, w, s):
     hi[i[to_hi]], s_hi[i[to_hi]] = w[to_hi], s[to_hi]
 
 
-def _refine(problem: EigProblem, lo, hi, s_lo, s_hi):
+def _hermite_root(lo, hi, s_lo, s_hi, ds_lo, ds_hi):
+    """A root in [lo, hi] of the cubic Hermite interpolant of s through
+    both bracket ends: four Newton steps on it from the secant point, or
+    the midpoint where they end outside the bracket or at nan."""
+    h = hi - lo
+    f0, f1, d0, d1 = s_lo, s_hi, h * ds_lo, h * ds_hi
+    # p(t) = f0 + d0 t + c2 t^2 + c3 t^3 with p(1) = f1, p'(1) = d1
+    c2 = 3.0 * (f1 - f0) - 2.0 * d0 - d1
+    c3 = 2.0 * (f0 - f1) + d0 + d1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = f0 / (f0 - f1)
+        for _ in range(4):
+            p = f0 + t * (d0 + t * (c2 + t * c3))
+            t = t - p / (d0 + t * (2.0 * c2 + 3.0 * t * c3))
+    return np.where((t >= 0.0) & (t <= 1.0), lo + t * h, 0.5 * (lo + hi))
+
+
+def _refine(problem: EigProblem, lo, hi, s_lo, s_hi, ds_lo, ds_hi):
     """Refine every bracket at once: (omega, residual, bracket width).
 
-    Safeguarded Newton from the secant point: a step that leaves its
-    bracket or is not at most half the previous step (a step that is not
-    finite is neither) is replaced by bisection, and every evaluation moves
-    a bracket end in.
+    Safeguarded Newton from the root of the cubic Hermite interpolant
+    through both bracket ends: a step that leaves its bracket or is not at
+    most half the previous step (a step that is not finite is neither) is
+    replaced by bisection, and every evaluation moves a bracket end in.
     A root stops once its step is at most BRACKET_TOL * max(1, omega), and
     is then certified by a sign change across omega -+ half that width.
     A root without one there keeps bisecting its bracket down to the
     tolerance.  A degenerate bracket lo = hi (an exact zero found by the
     scan) is returned as it is, with width 0.
+
+    Each pass is one ``char_values`` call: the Newton points of the open
+    roots, then omega - half, omega + half and omega of the roots that
+    settled in the previous pass (certificate and residual), then omega of
+    those that closed by bisection (residual).
     """
     model, rep = problem.model, problem.representation
     bracket = lo, hi, s_lo, s_hi = [
         np.array(a, dtype=float) for a in (lo, hi, s_lo, s_hi)
     ]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        omega = hi - s_hi * (hi - lo) / (s_hi - s_lo)
-    omega = np.where((omega >= lo) & (omega <= hi), omega, 0.5 * (lo + hi))
+    omega = _hermite_root(lo, hi, s_lo, s_hi, ds_lo, ds_hi)
+    residual = np.zeros(len(lo))
     last_step = hi - lo
     newton = np.ones(len(lo), dtype=bool)
     todo = np.arange(len(lo))
-    while todo.size:
+    certify = closed = todo[:0]
+    while todo.size or certify.size or closed.size:
+        half = 0.5 * BRACKET_TOL * np.maximum(1.0, omega[certify])
+        a, c = omega[certify] - half, omega[certify] + half
         w = omega[todo]
-        s, ds = char_values(model, w, rep, derivative=True)
+        s, ds = char_values(
+            model, np.concatenate([w, a, c, omega[certify], omega[closed]]),
+            rep, derivative=True,
+        )
+        s, s_a, s_c, s_w, s_closed = np.split(
+            s, np.cumsum([todo.size, certify.size, certify.size,
+                          certify.size])
+        )
+        ds = ds[: todo.size]
+        residual[closed] = np.abs(s_closed)
+        residual[certify] = np.abs(s_w)
+
         _shrink(bracket, todo, w, s)
         exact = todo[s == 0.0]
         lo[exact] = hi[exact]
@@ -139,9 +177,9 @@ def _refine(problem: EigProblem, lo, hi, s_lo, s_hi):
         with np.errstate(divide="ignore", invalid="ignore"):
             step = -s / ds
         tol = BRACKET_TOL * np.maximum(1.0, w)
-        closed = hi_t - lo_t <= tol
+        narrow = hi_t - lo_t <= tol
         # a step below the spacing of floats may leave w where it is
-        settled = newton[todo] & ~closed & (np.abs(step) <= tol)
+        settled = newton[todo] & ~narrow & (np.abs(step) <= tol)
         take = (
             newton[todo] & (np.abs(step) <= 0.5 * last_step[todo])
             & (w + step >= lo_t) & (w + step <= hi_t)
@@ -152,25 +190,19 @@ def _refine(problem: EigProblem, lo, hi, s_lo, s_hi):
         )
         omega[todo] = nxt
         last_step[todo] = np.abs(nxt - w)
-        certify = todo[settled]
-        todo = todo[~closed & ~settled]
-        if certify.size:
-            half = 0.5 * BRACKET_TOL * np.maximum(1.0, omega[certify])
-            a, c = omega[certify] - half, omega[certify] + half
-            s_a, s_c = np.split(
-                char_values(model, np.concatenate([a, c]), rep), 2
-            )
-            ok = np.sign(s_a) * np.sign(s_c) <= 0
-            done = certify[ok]
-            lo[done], hi[done] = a[ok], c[ok]
-            s_lo[done], s_hi[done] = s_a[ok], s_c[ok]
-            again = certify[~ok]
-            _shrink(bracket, again, a[~ok], s_a[~ok])
-            _shrink(bracket, again, c[~ok], s_c[~ok])
-            newton[again] = False
-            omega[again] = 0.5 * (lo[again] + hi[again])
-            todo = np.concatenate([todo, again])
-    residual = np.abs(char_values(model, omega, rep))
+
+        ok = np.sign(s_a) * np.sign(s_c) <= 0
+        done = certify[ok]
+        lo[done], hi[done] = a[ok], c[ok]
+        s_lo[done], s_hi[done] = s_a[ok], s_c[ok]
+        again = certify[~ok]
+        _shrink(bracket, again, a[~ok], s_a[~ok])
+        _shrink(bracket, again, c[~ok], s_c[~ok])
+        newton[again] = False
+        omega[again] = 0.5 * (lo[again] + hi[again])
+
+        certify, closed = todo[settled], todo[narrow]
+        todo = np.concatenate([todo[~narrow & ~settled], again])
     return omega, residual, hi - lo
 
 
@@ -204,26 +236,25 @@ def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
     while True:
         n_cells = max(1, int(math.ceil((hi_target - lo_edge) / h)))
         omegas = lo_edge + h * np.arange(min(n_cells, SCAN_WINDOW - 1) + 1)
-        values = char_values(model, omegas, problem.representation)
+        values, slopes = char_values(
+            model, omegas, problem.representation, derivative=True
+        )
         s0, s1 = values[:-1], values[1:]
         exact = s0 == 0.0
         change = ~exact & ((s0 < 0) != (s1 < 0))
         cells = np.flatnonzero(exact | change)[: count - len(results)]
         if cells.size:
             # an exact zero at a scan point is its own degenerate bracket
-            at = exact[cells]
+            end = cells + ~exact[cells]
             omega, residual, width = _refine(
-                problem, omegas[cells],
-                np.where(at, omegas[cells], omegas[cells + 1]),
-                s0[cells], np.where(at, s0[cells], s1[cells]),
+                problem, omegas[cells], omegas[end], values[cells],
+                values[end], slopes[cells], slopes[end],
             )
-            results += [
-                EigResult(k, w, w * w, r, d)
-                for k, (w, r, d) in enumerate(
-                    zip(omega.tolist(), residual.tolist(), width.tolist()),
-                    start=len(results) + 1,
-                )
-            ]
+            index = range(len(results) + 1, len(results) + omega.size + 1)
+            results += map(EigResult._make, zip(
+                index, omega.tolist(), (omega * omega).tolist(),
+                residual.tolist(), width.tolist(),
+            ))
         if len(results) >= count:
             return results
         # a capped window stops short of hi_target, so it cannot end the range

@@ -130,22 +130,36 @@ def test_table_matches_scalar_sequence(N):
         assert float(np.max(err)) <= 1e-14, zk
 
 
-@pytest.mark.parametrize("N", [4, 27, 119])
-def test_table_reference_comparison(N):
-    # every branch straight against mpmath: the tiny-z series; Miller with
-    # j_0, j_1 by their series (z < 0.1), by the closed form and near zeros
-    # of j_0, and with renormalized columns (z = 1e-6 at N = 119); upward
-    # recurrence on both sides of z = N
-    z = np.array([
+def branch_sweep(N):
+    """Every branch of the table: the tiny-z series; Miller with j_0, j_1
+    by their series (z < 0.1), by the closed form and near zeros of j_0,
+    and with renormalized columns (z = 1e-6 at N = 119); upward recurrence
+    on both sides of z = N."""
+    return np.array([
         1e-9, 1e-6, 0.05, 0.78, math.pi, 2 * math.pi - 1e-10, 3 * math.pi,
         N - 0.5, N + 0.5, 1500.0,
     ])
+
+
+@pytest.mark.parametrize("N", [4, 27, 119])
+def test_table_reference_comparison(N):
+    # every branch straight against mpmath
+    z = branch_sweep(N)
     table = spherical_j_table(N, z)
     for k, zk in enumerate(z):
         for n in range(N + 2):
             ref = reference_jn(n, float(zk))
             if abs(ref) > 1e-280:
                 assert abs(table[n, k] - ref) <= 1e-12 * abs(ref), (n, zk)
+
+
+@pytest.mark.parametrize("N", [4, 27, 119])
+def test_table_columns_do_not_depend_on_the_batch(N):
+    z = branch_sweep(N)
+    table = spherical_j_table(N, z)
+    for k in range(z.size):
+        alone = spherical_j_table(N, z[k : k + 1])
+        assert np.array_equal(table[:, k], alone[:, 0]), z[k]
 
 
 def test_table_renormalizes_tiny_arguments():

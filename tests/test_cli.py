@@ -123,6 +123,16 @@ class TestSolveCommand:
         else:
             assert rows[0][4] == ""
 
+    @pytest.mark.parametrize("rep", ["auto", "plain"])
+    def test_omega_past_the_phase_limit_exit_3(self, rep):
+        # omega x = 3e200: the rounded product keeps no digit of the phase
+        rc, err = run_cli_stderr(
+            ["solve", "--potential", "0", "--omega", "1e200", "--x", "3",
+             "--representation", rep, *FAST]
+        )
+        assert rc == 3
+        assert len(err.strip().splitlines()) == 1
+
     def test_malformed_potential_exit_2(self):
         rc, _ = run_cli(["solve", "--potential", "exp(", "--omega", "1",
                          "--x", "1", *FAST])
@@ -189,8 +199,10 @@ class TestEigsCommand:
 
     def test_range_exhaustion_exit_4(self, monkeypatch):
         # a characteristic function without a sign change scans to the end
-        monkeypatch.setattr(spectral, "char_values",
-                            lambda model, omegas, *args: np.ones(len(omegas)))
+        def no_sign_change(model, omegas, rep, derivative=False):
+            return np.ones(len(omegas)), np.zeros(len(omegas))
+
+        monkeypatch.setattr(spectral, "char_values", no_sign_change)
         rc, err = run_cli_stderr(["eigs", "--potential", "0", "--count", "10",
                                   "--M", "600", "--N", "8"])
         assert rc == 4

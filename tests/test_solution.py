@@ -145,6 +145,18 @@ class TestEvalPlainRepresentation:
         ) < 1e-10
 
 
+    def test_phase_without_a_correct_digit_refused(self, model_zero):
+        # from |Re omega| x = 2^52 on, the rounded omega x is off by up to
+        # half a radian; at 1e12 it is off by about 2e-4
+        j = model_zero.grid.M
+        for w in (1e16, -1e16 + 1j, 1e200):
+            with pytest.raises(LimitError, match="2\\^52"):
+                eval_uN_tilde(model_zero, w, j)
+        with pytest.raises(LimitError, match="2\\^52"):
+            char_values(model_zero, np.array([1.0, 1e16]), "plain")
+        assert abs(eval_uN_tilde(model_zero, 1e12, j)) == pytest.approx(1.0)
+
+
 class TestEvalImprovedRepresentation:
     def test_zero_potential_exact(self, model_zero):
         for w in (2.0, 50.0, -7.0):

@@ -77,8 +77,10 @@ class TestFindEigenvalues:
 
     def test_explicit_range_exhaustion(self, model_zero, monkeypatch):
         # a characteristic function without a sign change scans to the end
-        monkeypatch.setattr(spectral, "char_values",
-                            lambda model, omegas, *args: np.ones(len(omegas)))
+        def no_sign_change(model, omegas, rep, derivative=False):
+            return np.ones(len(omegas)), np.zeros(len(omegas))
+
+        monkeypatch.setattr(spectral, "char_values", no_sign_change)
         with pytest.raises(RangeExhaustedError, match="found 0 of 10"):
             find_eigenvalues(EigProblem(model_zero), 10)
 
@@ -116,19 +118,28 @@ class TestFindEigenvalues:
         self, model_twenty, monkeypatch, count, rep
     ):
         # q = 20: omega_1 = sqrt(21) = 4.58 lies beyond the first window,
-        # [0.25, 3.25] for count 1, whose empty window is not refined; for
-        # count 3 the first window, [0.25, 5.25], holds two roots, refined
-        # before the second window is scanned for the third
-        batched, derivative_flags = spectral.char_values, []
+        # [0.25, 3.25] (13 points) for count 1, whose empty window is not
+        # refined; for count 3 the first window, [0.25, 5.25] (21 points),
+        # holds two roots, refined before the second window, [5.25, 10.25]
+        # (21 points), is scanned for the third.  A refine batch holds at
+        # most three points per root of its window.
+        batched, sizes = spectral.char_values, []
 
-        def recording(model, omegas, rep, derivative=False):
-            derivative_flags.append(derivative)
-            return batched(model, omegas, rep, derivative)
+        def recording(model, omegas, *args, **kwargs):
+            sizes.append(len(omegas))
+            return batched(model, omegas, *args, **kwargs)
 
         monkeypatch.setattr(spectral, "char_values", recording)
         res = find_eigenvalues(EigProblem(model_twenty, representation=rep),
                                count)
-        assert derivative_flags.index(True) == (2 if count == 1 else 1)
+        scans = [k for k, n in enumerate(sizes) if n > 6]
+        if count == 1:
+            assert scans == [0, 1] and sizes[:2] == [13, 21]
+            assert max(sizes[2:]) <= 3
+        else:
+            assert len(scans) == 2 and sizes[0] == sizes[scans[1]] == 21
+            assert max(sizes[1 : scans[1]]) <= 6
+            assert max(sizes[scans[1] + 1 :]) <= 3
         assert [r.index for r in res] == list(range(1, count + 1))
         for r in res:
             exact = r.index**2 + 20.0
@@ -195,6 +206,36 @@ class TestBatchedSolver:
                 model, rep, r.omega - 0.05, r.omega + 0.05
             )
             assert abs(r.lam - w * w) <= 1e-12 * w * w
+
+
+    @pytest.mark.parametrize("rep", ["improved", "plain"])
+    @pytest.mark.parametrize("potential", SOLVER_POTENTIALS)
+    def test_few_calls_and_certified_brackets(
+        self, solver_models, monkeypatch, potential, rep
+    ):
+        # the scan and about four refine passes; each root's reported
+        # bracket straddles a sign change of s.  Its ends omega -+ half are
+        # each rounded, so its width can pass the tolerance by an ulp.
+        model = solver_models[potential]
+        batched, calls = spectral.char_values, []
+
+        def counting(model, omegas, *args, **kwargs):
+            calls.append(len(omegas))
+            return batched(model, omegas, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "char_values", counting)
+        res = find_eigenvalues(EigProblem(model, representation=rep), 240)
+        assert [r.index for r in res] == list(range(1, 241))
+        assert len(calls) <= 5
+        omega = np.array([r.omega for r in res])
+        width = np.array([r.bracket_width for r in res])
+        tol = spectral.BRACKET_TOL * np.maximum(1.0, omega)
+        assert np.all(width <= tol + 2 * np.spacing(omega))
+        s_a, s_c = np.split(
+            batched(model, np.concatenate([omega - width / 2,
+                                           omega + width / 2]), rep), 2
+        )
+        assert np.all(np.sign(s_a) * np.sign(s_c) <= 0)
 
 
 class TestEigProblemValidation:
