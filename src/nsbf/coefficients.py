@@ -17,11 +17,11 @@ All formulas are evaluated through the monomial deviations
 Legendre sums still cancel violently as n grows (the coefficients grow
 like 2^n while the sums stay bounded), so badly cancelling entries are
 flagged and entries below a noise floor of NOISE_FLOOR_EPS_FACTOR eps
-times the largest summand are zeroed.  Each sum is a plain one, one matrix
-product per parity class: a recursive sum of at most 36 terms is off by at
-most about 35 * 36 eps ~ 1260 eps of its largest term (Higham, SIAM J.
-Sci. Comput. 14, 1993), below that floor, so compensation would buy no
-usable digit.  Orders are capped at 60.
+times the largest summand are zeroed.  Each sum is a plain one, one
+``np.dot`` per row over ascending k: a recursive sum of at most 36 terms
+is off by at most about 35 * 36 eps ~ 1260 eps of its largest term
+(Higham, SIAM J. Sci. Comput. 14, 1993), below that floor, so
+compensation would buy no usable digit.  Orders are capped at 60.
 
 Precision.  The tables are computed in the dtype of the formal powers,
 extended (``numpy.longdouble``) where the platform has it, in the two
@@ -174,7 +174,7 @@ def beta_coeffs(
     Legendre coefficients of every P_n sum to 1, the subtracted 1 cancels
     against the monomial parts of the ratios, leaving the sum of
     l[n][k] (phi_k - x^k)/x^k.  Row by row, the sum over the nonzero
-    l[n][k] (k <= n, of the parity of n) is one product in the pipeline
+    l[n][k] (k <= n, of the parity of n) is one ``np.dot`` in the pipeline
     dtype, written into the output, followed by the row's flags, floors
     and scaling, so no temporary is as large as the table.  Node 0 keeps
     the limit 0.
@@ -200,7 +200,7 @@ def beta_coeffs(
         # l[n][k] = 0 when k > n or n - k is odd
         ks = slice(n % 2, n + 1, 2)
         row = beta[n, 1:]
-        np.matmul(leg.l[n, ks], dev[ks], out=row)
+        np.dot(leg.l[n, ks], dev[ks], out=row)
         peak = np.max(absl[n, ks, None] * absdev[ks], axis=0)
         w = 0.5 * (2 * n + 1)
         np.abs(row, out=absrow, casting="unsafe")

@@ -18,6 +18,11 @@ for complex128 input, such as f0 + i*f1 on the nonvanishing route of
 (``perfbench``): a float64 Picard iteration moves the ``spectrum``
 median from 12.78 to 12.37 digits (plain N=25 on q = -0.9 loses 2), and
 float64 weights for complex128 integrals give 12.34.
+
+The block products and derivative stencils are ``np.dot`` calls, not
+``matmul``: numpy has no BLAS for ``longdouble``, so ``matmul`` runs its
+generic loop, 2-3x slower than the dtype's own dot kernel.  Both add the
+terms of each sum in ascending order, so the results are the same bits.
 """
 
 from __future__ import annotations
@@ -186,7 +191,7 @@ def indefinite_integral(f: SampledFunction) -> SampledFunction:
 
     # partial integrals from each block start to its 6 interior/end nodes,
     # in the extended dtype of the weights, also for complex128 values
-    partials = blocks @ _W_BLOCK.T  # shape (..., B, 6)
+    partials = np.dot(blocks, _W_BLOCK.T)  # shape (..., B, 6)
     partials *= h
 
     # block offsets in the same dtype: rounding them to v's dtype first
@@ -261,7 +266,7 @@ def derivative(f: SampledFunction) -> SampledFunction:
 
     centered = _stencil_weights(np.arange(-3, 4))
     idx = np.arange(3, M - 2)[:, None] + np.arange(-3, 4)[None, :]
-    out[3 : M - 2] = (v[idx] @ centered.astype(v.dtype)) / h
+    out[3 : M - 2] = np.dot(v[idx], centered.astype(v.dtype)) / h
 
     for j in (0, 1, 2, M - 2, M - 1, M):
         start = min(max(j - 3, 0), M - 6)

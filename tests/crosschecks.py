@@ -4,7 +4,7 @@
   moments of the twice-differentiated transmutation kernel, to check the
   library's seed-plus-recurrence route.  It carries its own compensated
   Legendre sum, ``_legendre_sum``, which the beta tests also check the
-  library's plain matrix product against.
+  library's plain row products against.
 * ``solution_reference_extended``: u(omega, b) from a fixed-step
   extended-precision run of the oracle's sixth-order Magnus step (three
   Gauss samples of q per step), for comparisons below ~1e-11 at large

@@ -223,6 +223,18 @@ class TestBetaSum:
                 for g, e in zip((np.real(got), np.imag(got)), exact):
                     assert abs(float(_exact(g) - e)) <= tol, n
 
+    def test_rows_are_sums_over_ascending_k(self, beta_build):
+        # each row is l[n][k] dev_k summed over ascending k in the dtype of
+        # the formal powers, then scaled and cut at its floor
+        beta, leg, dev = beta_build
+        for n in range(beta.n_max + 1):
+            acc = np.zeros(dev.shape[1], dtype=dev.dtype)
+            for k in range(n % 2, n + 1, 2):
+                acc = acc + leg.l[n, k] * dev[k]
+            acc = acc * (0.5 * (2 * n + 1))
+            acc[np.abs(acc) < beta.noise_floor[n, 1:]] = 0.0
+            assert np.array_equal(beta.beta[n, 1:], acc), n
+
     def test_peak_memory_stays_near_outputs(self):
         # the largest build_sweep cell; a stacked full-size temporary on
         # top of the outputs would exceed the bound

@@ -12,7 +12,7 @@ from nsbf import (
     sample,
     solve_homogeneous,
 )
-from nsbf.grid import SampledFunction
+from nsbf.grid import _W_BLOCK, SampledFunction, _stencil_weights
 from nsbf.oracle import propagate
 
 PI = math.pi
@@ -104,6 +104,36 @@ class TestIndefiniteIntegral:
         F_ext = indefinite_integral(SampledFunction(g, v.astype(extended))).values
         assert np.array_equal(F, F_ext.astype(dtype))
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize(
+        "dtype", [np.longdouble, np.clongdouble, np.complex128]
+    )
+    def test_block_sums_run_left_to_right(self, dtype, stacked):
+        # each partial integral is the sum over the 7 block nodes in
+        # ascending order, in the extended dtype of the weights, and the
+        # block offsets add up block by block
+        g = make_grid(PI, 600)
+        x = np.asarray(g.nodes, dtype=float)
+        v = np.stack((np.exp(x) * np.sin(3 * x), np.cos(x) / (1 + x)))
+        if np.issubdtype(dtype, np.complexfloating):
+            v = v + 1j * v[::-1]
+        v = v.astype(dtype)
+        if not stacked:
+            v = v[0]
+        ext = np.result_type(v.dtype, _W_BLOCK.dtype)
+        h = np.longdouble(g.b) / g.M
+        expected = np.zeros(v.shape, dtype=v.dtype)
+        offset = np.zeros(v.shape[:-1], dtype=ext)
+        for j in range(0, g.M, 6):
+            acc = np.zeros((*v.shape[:-1], 6), dtype=ext)
+            for i in range(7):
+                acc = acc + v[..., j + i, None].astype(ext) * _W_BLOCK[:, i]
+            acc = acc * h
+            expected[..., j + 1 : j + 7] = offset[..., None] + acc
+            offset = offset + acc[..., 5]
+        F = indefinite_integral(SampledFunction(g, v)).values
+        assert np.array_equal(F, expected)
+
     def test_convergence_order(self):
         # halving h must shrink the error by at least 2^6
         errs = []
@@ -161,3 +191,24 @@ def test_derivative_sixth_order():
     d = derivative(sample(g, np.sin))
     xs = np.asarray(g.nodes, dtype=float)
     assert float(np.max(np.abs(np.asarray(d.values, float) - np.cos(xs)))) < 1e-11
+
+
+@pytest.mark.parametrize("dtype", [np.longdouble, np.clongdouble])
+def test_derivative_stencil_sums_run_left_to_right(dtype):
+    # every node is its 7-point stencil summed over ascending nodes in
+    # the dtype of the values, then divided by h
+    g = make_grid(PI, 600)
+    M = g.M
+    v = sample(g, lambda x: np.exp(x) * np.sin(3 * x)).values
+    if dtype is np.clongdouble:
+        v = v + 1j * sample(g, np.cos).values
+    h = np.longdouble(g.b) / M
+    expected = np.zeros(M + 1, dtype=v.dtype)
+    for j in range(M + 1):
+        start = min(max(j - 3, 0), M - 6)
+        w = _stencil_weights(np.arange(start, start + 7) - j).astype(dtype)
+        acc = dtype(0)
+        for i in range(7):
+            acc = acc + w[i] * v[start + i]
+        expected[j] = acc / h
+    assert np.array_equal(derivative(SampledFunction(g, v)).values, expected)
