@@ -200,7 +200,9 @@ def beta_coeffs(
         # l[n][k] = 0 when k > n or n - k is odd
         ks = slice(n % 2, n + 1, 2)
         row = beta[n, 1:]
-        np.dot(leg.l[n, ks], dev[ks], out=row)
+        # not out=row: np.dot takes only an output of its result dtype,
+        # and complex128 deviations give a clongdouble sum, rounded here
+        row[...] = np.dot(leg.l[n, ks], dev[ks])
         peak = np.max(absl[n, ks, None] * absdev[ks], axis=0)
         w = 0.5 * (2 * n + 1)
         np.abs(row, out=absrow, casting="unsafe")

@@ -12,10 +12,10 @@ endpoint.  The solver works in three stages, batched over many omegas:
   a step that leaves its bracket or fails to halve falls back to
   bisection, and a root stops when its step is at most
   BRACKET_TOL * max(1, omega);
-* certify: s at omega -+ BRACKET_TOL * max(1, omega) / 2, each end
-  rounded inward, must change sign, which makes the reported bracket
-  width at most that tolerance; a root that shows no sign change there
-  keeps bisecting its bracket down to the tolerance.
+* certify: s at omega -+ BRACKET_TOL * max(1, omega) / 2, each end one
+  spacing of omega inward, must change sign, which makes the reported
+  bracket width at most that tolerance; a root that shows no sign change
+  there keeps bisecting its bracket down to the tolerance.
 
 Refine and certify share one ``char_values`` call per pass, which also
 gives each finished root its residual: about five calls a window in all.
@@ -135,7 +135,8 @@ def _refine(problem: EigProblem, lo, hi, s_lo, s_hi, ds_lo, ds_hi):
     replaced by bisection, and every evaluation moves a bracket end in.
     A root stops once its step is at most BRACKET_TOL * max(1, omega), and
     is then certified by a sign change across omega -+ half that width,
-    its ends rounded inward so that the bracket is no wider.
+    its ends one spacing of omega inward so that their rounding leaves
+    the bracket no wider.
     A root without one there keeps bisecting its bracket down to the
     tolerance.  A degenerate bracket lo = hi (an exact zero found by the
     scan) is returned as it is, with width 0.
@@ -157,13 +158,10 @@ def _refine(problem: EigProblem, lo, hi, s_lo, s_hi, ds_lo, ds_hi):
     certify = closed = todo[:0]
     while todo.size or certify.size or closed.size:
         w_cert = omega[certify]
-        half = 0.5 * BRACKET_TOL * np.maximum(1.0, w_cert)
+        # each end is rounded by at most one spacing of omega, so ends one
+        # spacing inside keep the bracket within the tolerance
+        half = 0.5 * BRACKET_TOL * np.maximum(1.0, w_cert) - np.spacing(w_cert)
         a, c = w_cert - half, w_cert + half
-        # each end is rounded: where that widens the bracket past the
-        # tolerance, both ends move one float in, toward omega
-        wide = c - a > 2.0 * half
-        np.nextafter(a, w_cert, out=a, where=wide)
-        np.nextafter(c, w_cert, out=c, where=wide)
         w = omega[todo]
         s, ds = char_values(
             model, np.concatenate([w, a, c, w_cert, omega[closed]]),

@@ -149,11 +149,14 @@ class TestBetaCoeffs:
 
 #: builds whose beta table is checked against the compensated sum: the
 #: primary route, the f0 + i f1 route (f0 changes sign for q = -3), a
-#: complex tabulated potential, Paine's steep one and the top order N = 60
+#: complex tabulated potential, one whose complex f0 nearly vanishes at
+#: pi/2 (the f0 + i f1 route in complex128, summed in clongdouble), Paine's
+#: steep one and the top order N = 60
 BETA_BUILDS = {
     "exp": ("exp(x)", 25),
     "minus3": ("-3", 25),
     "complex_tabulated": (np.full(1999, 2.0 + 1.5j), 25),
+    "complex_fallback": (np.full(1999, -1.0 + 1e-4j), 25),
     "paine": ("1/(x+0.1)^2", 25),
     "exp_N60": ("exp(x)", 60),
 }
@@ -163,7 +166,9 @@ BETA_BUILDS = {
 def beta_build(request):
     q, N = BETA_BUILDS[request.param]
     model = build_model(q, PI, 1998, N)
-    assert model.powers.used_nonvanishing == (request.param == "minus3")
+    assert model.powers.used_nonvanishing == (
+        request.param in ("minus3", "complex_fallback")
+    )
     leg = legendre_coeffs(model.beta.n_max)
     dev = model.powers.dev_ratio[: model.beta.n_max + 1, 1:]
     return model.beta, leg, dev
@@ -225,13 +230,14 @@ class TestBetaSum:
 
     def test_rows_are_sums_over_ascending_k(self, beta_build):
         # each row is l[n][k] dev_k summed over ascending k in the dtype of
-        # the formal powers, then scaled and cut at its floor
+        # their product, rounded to the dtype of the formal powers, then
+        # scaled and cut at its floor
         beta, leg, dev = beta_build
         for n in range(beta.n_max + 1):
             acc = np.zeros(dev.shape[1], dtype=dev.dtype)
             for k in range(n % 2, n + 1, 2):
                 acc = acc + leg.l[n, k] * dev[k]
-            acc = acc * (0.5 * (2 * n + 1))
+            acc = acc.astype(dev.dtype) * (0.5 * (2 * n + 1))
             acc[np.abs(acc) < beta.noise_floor[n, 1:]] = 0.0
             assert np.array_equal(beta.beta[n, 1:], acc), n
 
