@@ -10,16 +10,7 @@ by recursive integration on a uniform grid.
 """
 
 from .bessel import spherical_j_sequence, spherical_j_table
-from .coefficients import (
-    AlphaTable,
-    BetaTable,
-    LegendreCoeffs,
-    accuracy_indicators,
-    alpha_seed,
-    beta_coeffs,
-    build_alpha_table,
-    legendre_coeffs,
-)
+from .coefficients import accuracy_indicators
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -35,12 +26,6 @@ from .errors import (
 )
 from .expr import evaluate as eval_expression
 from .expr import parse as parse_expression
-from .formal_powers import (
-    FormalPowersTable,
-    formal_powers,
-    formal_powers_nonvanishing,
-    spps_eval,
-)
 from .grid import (
     Grid,
     SampledFunction,

@@ -76,7 +76,6 @@ class RunConfig:
     b: float = math.pi
     M: int = 1998
     N: int = 25
-    omega_switch: float = 1.0
     format: str = "csv"
     representation: str = "auto"
     omega: list = field(default_factory=list)
@@ -94,10 +93,6 @@ class RunConfig:
             raise ConfigError(f"b must be positive and finite, got {self.b}")
         if self.N < 0:
             raise ConfigError(f"N must be >= 0, got {self.N}")
-        if not 0.0 <= self.omega_switch < math.inf:
-            raise ConfigError(
-                f"omega_switch must be >= 0 and finite, got {self.omega_switch}"
-            )
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
         if self.representation not in ("auto", "improved", "plain"):
@@ -330,7 +325,6 @@ def _metadata(cfg: RunConfig, desc: str, model: SolutionModel) -> dict:
         "b": _fmt(cfg.b),
         "M": cfg.M,
         "N": cfg.N,
-        "omega_switch": _fmt(cfg.omega_switch),
         "eps1_at_b": _fmt(eps1[-1]),
         "eps2_at_b": _fmt(eps2[-1]),
     }
@@ -341,10 +335,7 @@ def _metadata(cfg: RunConfig, desc: str, model: SolutionModel) -> dict:
 
 def _build(cfg: RunConfig):
     q_input, q_callable, desc = _resolve_potential(cfg)
-    model = build_model(
-        q_input, cfg.b, cfg.M, cfg.N, omega_switch=cfg.omega_switch
-    )
-    return model, q_callable, desc
+    return build_model(q_input, cfg.b, cfg.M, cfg.N), q_callable, desc
 
 
 def cmd_coeffs(cfg: RunConfig, out=None) -> int:
@@ -529,8 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--b", type=float, help="interval endpoint (default pi)")
         p.add_argument("--M", type=int, help="grid subintervals (default 1998)")
         p.add_argument("--N", type=int, help="series truncation (default 25)")
-        p.add_argument("--omega-switch", type=float,
-                       help="representation switch point (default 1)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
         if name == "solve":
             p.add_argument("--omega", action="append", default=None,

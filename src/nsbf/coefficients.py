@@ -6,9 +6,9 @@ Computes, on the grid:
 * beta_n, the coefficients of the plain Bessel-series representation,
   from the formal powers via the explicit Legendre-sum formula;
 * alpha_n, the Fourier-Legendre coefficients of the twice-differentiated
-  transmutation kernel: rows 0..3 from closed-form seeds (``alpha_seed``),
-  rows >= 4 by the recurrence that reuses beta, written once in
-  ``build_alpha_table`` beside the propagation of the noise floors;
+  transmutation kernel, all in ``build_alpha_table``: rows 0..3 from
+  closed-form seeds, rows >= 4 by the recurrence that reuses beta, beside
+  the propagation of the noise floors;
 * the eps1/eps2 accuracy indicators comparing the alpha sums against the
   kernel's closed boundary values.
 
@@ -49,18 +49,14 @@ from .formal_powers import FormalPowersTable
 from .grid import Grid, SampledFunction, derivative
 
 __all__ = [
-    "LegendreCoeffs",
     "BetaTable",
     "AlphaTable",
     "legendre_coeffs",
     "beta_coeffs",
-    "alpha_seed",
     "build_alpha_table",
     "accuracy_indicators",
 ]
 
-#: order cap for Legendre coefficient tables (documented overflow risk)
-LEGENDRE_CAP = 120
 #: cap on coefficient table rows: the solution truncation is capped at 60
 #: (beyond which the Legendre sums carry no trustworthy digits in double
 #: precision), plus headroom for the error-surrogate tail rows
@@ -79,18 +75,6 @@ NOISE_FLOOR_EPS_FACTOR = 2000.0
 #: at that node are noise and are stored as zero (truncation of an
 #: asymptotic-like sequence at its smallest term)
 NOISE_ONSET_RISE = 30.0
-
-
-@dataclass(frozen=True)
-class LegendreCoeffs:
-    """l[n][k] = coefficient of x^k in the Legendre polynomial P_n.
-
-    ``l`` is a read-only view of a table that ``legendre_coeffs`` shares
-    between all callers.
-    """
-
-    n_max: int
-    l: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -130,8 +114,9 @@ class AlphaTable:
 _legendre_table = np.zeros((0, 0), dtype=np.longdouble)
 
 
-def legendre_coeffs(n_max: int) -> LegendreCoeffs:
-    """Coefficient arrays of P_0 .. P_{n_max} in closed form.
+def legendre_coeffs(n_max: int) -> np.ndarray:
+    """l[n][k], the coefficient of x^k in the Legendre polynomial P_n, for
+    n, k = 0 .. n_max, in closed form.
 
     l[n][n-2m] = (-1)^m C(n, m) C(2n-2m, n) / 2^n (DLMF 18.5.8): an exact
     integer over a power of two, so each entry is rounded once.  The
@@ -144,11 +129,8 @@ def legendre_coeffs(n_max: int) -> LegendreCoeffs:
     returns a read-only view of its leading corner.
     """
     global _legendre_table
-    if n_max > LEGENDRE_CAP:
-        raise LimitError(
-            f"Legendre order {n_max} exceeds cap {LEGENDRE_CAP}; "
-            "coefficients overflow double precision beyond it"
-        )
+    if n_max > ORDER_CAP:
+        raise LimitError(f"Legendre order {n_max} exceeds cap {ORDER_CAP}")
     if n_max >= len(_legendre_table):
         l = np.zeros((n_max + 1, n_max + 1), dtype=np.longdouble)
         for n in range(n_max + 1):
@@ -158,17 +140,16 @@ def legendre_coeffs(n_max: int) -> LegendreCoeffs:
                 l[n, n - 2 * m] = np.longdouble((-1) ** m * c) / scale
         l.flags.writeable = False
         _legendre_table = l
-    return LegendreCoeffs(n_max, _legendre_table[: n_max + 1, : n_max + 1])
+    return _legendre_table[: n_max + 1, : n_max + 1]
 
 
 def _pipeline_eps(dtype) -> float:
     return float(np.finfo(dtype).eps) * NOISE_FLOOR_EPS_FACTOR
 
 
-def beta_coeffs(
-    phi: FormalPowersTable, leg: LegendreCoeffs, n_max: int
-) -> BetaTable:
-    """Coefficients of the plain Bessel-series representation.
+def beta_coeffs(phi: FormalPowersTable, l: np.ndarray) -> BetaTable:
+    """Coefficients of the plain Bessel-series representation, one row per
+    row of the Legendre table ``l``.
 
     beta_n(x) = (2n+1)/2 * (sum_k l[n][k] phi_k(x)/x^k - 1): since the
     Legendre coefficients of every P_n sum to 1, the subtracted 1 cancels
@@ -179,8 +160,7 @@ def beta_coeffs(
     and scaling, so no temporary is as large as the table.  Node 0 keeps
     the limit 0.
     """
-    if n_max > ORDER_CAP:
-        raise LimitError(f"beta order {n_max} exceeds cap {ORDER_CAP}")
+    n_max = len(l) - 1
     if phi.k_max < n_max:
         raise ValueError(f"need phi up to k={n_max}, table has {phi.k_max}")
     grid = phi.grid
@@ -194,7 +174,7 @@ def beta_coeffs(
     # float64 will do
     absdev = np.empty(dev.shape)
     np.abs(dev, out=absdev, casting="unsafe")
-    absl = np.abs(leg.l[: n_max + 1, : n_max + 1]).astype(float)
+    absl = np.abs(l).astype(float)
     absrow = np.empty(grid.M)
     for n in range(n_max + 1):
         # l[n][k] = 0 when k > n or n - k is odd
@@ -202,7 +182,7 @@ def beta_coeffs(
         row = beta[n, 1:]
         # not out=row: np.dot takes only an output of its result dtype,
         # and complex128 deviations give a clongdouble sum, rounded here
-        row[...] = np.dot(leg.l[n, ks], dev[ks])
+        row[...] = np.dot(l[n, ks], dev[ks])
         peak = np.max(absl[n, ks, None] * absdev[ks], axis=0)
         w = 0.5 * (2 * n + 1)
         np.abs(row, out=absrow, casting="unsafe")
@@ -215,39 +195,6 @@ def beta_coeffs(
     return BetaTable(grid, n_max, beta, flags, floor)
 
 
-def alpha_seed(
-    q: SampledFunction,
-    Q: SampledFunction,
-    phi: FormalPowersTable,
-) -> np.ndarray:
-    """Closed-form alpha rows 0..3.
-
-    With q_+- = q/4 - Q^2/8 +- q(0)/4:
-
-        alpha_0 = q_-/2
-        alpha_1 = 3/2 (q_+ - Q/(2x))
-        alpha_2 = 5/2 (q_- + 3(phi_0 - 1)/x^2 - 3Q/(2x))
-        alpha_3 = 7/2 (q_+ + 15(phi_1 - x)/x^3 - 3Q/x)
-
-    All four rows tend to 0 as x -> 0; node 0 keeps that limit.
-    """
-    grid = q.grid
-    q0 = q.values[0]
-    core = q.values[1:] / 4.0 - Q.values[1:] * Q.values[1:] / 8.0
-    qplus = core + q0 / 4.0
-    qminus = core - q0 / 4.0
-    Qx = Q.values[1:]
-    dev = phi.dev_ratio[:2, 1:]
-
-    x = grid.nodes[1:].astype(phi.dev_ratio.dtype)
-    rows = np.zeros((4, grid.M + 1), dtype=phi.dev_ratio.dtype)
-    rows[0, 1:] = 0.5 * qminus
-    rows[1, 1:] = 1.5 * (qplus - Qx / (2.0 * x))
-    rows[2, 1:] = 2.5 * (qminus + 3.0 * dev[0] / (x * x) - 1.5 * Qx / x)
-    rows[3, 1:] = 3.5 * (qplus + 15.0 * dev[1] / (x * x) - 3.0 * Qx / x)
-    return rows
-
-
 def build_alpha_table(
     q: SampledFunction,
     Q: SampledFunction,
@@ -255,7 +202,15 @@ def build_alpha_table(
     beta: BetaTable,
     n_max: int,
 ) -> AlphaTable:
-    """Alpha rows 0..n_max: closed-form seeds, then, for n >= 4,
+    """Alpha rows 0..n_max.  Rows 0..3 are closed forms: with
+    q_+- = q/4 - Q^2/8 +- q(0)/4,
+
+        alpha_0 = q_-/2
+        alpha_1 = 3/2 (q_+ - Q/(2x))
+        alpha_2 = 5/2 (q_- + 3(phi_0 - 1)/x^2 - 3Q/(2x))
+        alpha_3 = 7/2 (q_+ + 15(phi_1 - x)/x^3 - 3Q/x),
+
+    all tending to 0 as x -> 0, the limit node 0 keeps.  For n >= 4,
 
     alpha_n = (2n-1)(2n+1) ( beta_{n-2}/x^2
                              + 2 alpha_{n-2}/((2n-5)(2n-1))
@@ -264,11 +219,24 @@ def build_alpha_table(
     if n_max > ORDER_CAP:
         raise LimitError(f"alpha order {n_max} exceeds cap {ORDER_CAP}")
     grid = q.grid
-    seed = alpha_seed(q, Q, phi)
-    rows = min(3, n_max) + 1
     alpha = np.zeros((n_max + 1, grid.M + 1), dtype=phi.dev_ratio.dtype)
-    alpha[:rows] = seed[:rows]
-    x2 = grid.nodes[1:].astype(alpha.dtype) ** 2
+    x = grid.nodes[1:].astype(alpha.dtype)
+    q0 = q.values[0]
+    core = q.values[1:] / 4.0 - Q.values[1:] * Q.values[1:] / 8.0
+    qplus = core + q0 / 4.0
+    qminus = core - q0 / 4.0
+    Qx = Q.values[1:]
+    dev = phi.dev_ratio[:2, 1:]
+    seeds = (
+        0.5 * qminus,
+        1.5 * (qplus - Qx / (2.0 * x)),
+        2.5 * (qminus + 3.0 * dev[0] / (x * x) - 1.5 * Qx / x),
+        3.5 * (qplus + 15.0 * dev[1] / (x * x) - 3.0 * Qx / x),
+    )
+    rows = min(3, n_max) + 1
+    for n in range(rows):
+        alpha[n, 1:] = seeds[n]
+    x2 = x**2
     # seed rows are closed forms: their floor is ordinary round-off
     floor = np.zeros((n_max + 1, grid.M + 1))
     eps = _pipeline_eps(phi.dev_ratio.real.dtype)

@@ -211,8 +211,8 @@ def spps_eval(
     """Partial sum of the solution's power series in the spectral parameter.
 
     u(omega, x) = sum_n (i omega)^n phi_n(x) / n!, truncated at k_trunc.
-    Accurate for moderate |omega| * b; used in production only below the
-    omega switch of the solution module.
+    Accurate for moderate |omega| * b; ``eval_auto`` calls it only at
+    omega = 0, where the sum is phi_0 = f0.
     """
     if k_trunc > table.k_max:
         raise ValueError(

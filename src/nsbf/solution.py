@@ -19,11 +19,11 @@ normalized as Fourier-Legendre coefficients of the underlying kernels
 (beta_0 = (phi_0 - 1)/2 and so on); that pairing is fixed by u(0, x) = f0
 and is verified against the independent integrator in the tests.
 
-``eval_auto`` dispatches on |omega|: the improved form above an omega
-switch (default 1), the plain form below it, and the power series at
-omega = 0 exactly.  ``char_values`` evaluates the characteristic function
-s(omega, b) = Im u_N(omega, b)/omega, with its omega-derivative, for a whole
-array of real omegas at once.
+``eval_auto`` dispatches on |omega|: the improved form from |omega| = 1
+(``SolutionModel.omega_switch``) on, the plain form below it, and the power
+series at omega = 0 exactly.  ``char_values`` evaluates the characteristic
+function s(omega, b) = Im u_N(omega, b)/omega and its omega-derivative for
+a whole array of real omegas at once.
 
 Both formulas, and their omega-derivative, are written once, in the
 private kernel ``_series``; every evaluator here is a thin front end over
@@ -39,7 +39,7 @@ import copy
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
@@ -111,7 +111,8 @@ class SolutionModel:
     beta: BetaTable = field(repr=False)
     alpha: AlphaTable = field(repr=False)
     N: int
-    omega_switch: float = 1.0
+    #: |omega| from which ``eval_auto`` takes the improved form
+    omega_switch: ClassVar[float] = 1.0
     # set once: every scalar improved-form evaluation reads it
     is_complex: bool = field(init=False)
     # i^n c_n(x_j) in complex128, one contiguous row per node j
@@ -181,7 +182,6 @@ def build_model(
     b: float,
     M: int = 1998,
     N: int = 25,
-    omega_switch: float = 1.0,
 ) -> SolutionModel:
     """Run the full coefficient pipeline and return an evaluation model.
 
@@ -209,13 +209,11 @@ def build_model(
         f1 = solve_homogeneous(q, grid.nodes)
         powers = formal_powers_nonvanishing(f0, f1, k_max)
 
-    leg = legendre_coeffs(k_max)
-    beta = beta_coeffs(powers, leg, k_max)
+    beta = beta_coeffs(powers, legendre_coeffs(k_max))
     alpha = build_alpha_table(q, Q, powers, beta, N + 2 + EXTRA_ROWS)
     return SolutionModel(
         grid, np.asarray(q.values), np.asarray(Q.values),
-        np.asarray(Q2.values), complex(q.values[0]), powers, beta, alpha,
-        N, omega_switch,
+        np.asarray(Q2.values), complex(q.values[0]), powers, beta, alpha, N,
     )
 
 
@@ -347,8 +345,8 @@ def _finite(compute, omega, what="the improved representation"):
 
 
 def eval_auto(model: SolutionModel, omega: complex, x_index: int) -> complex:
-    """Dispatch: improved form for |omega| >= switch, plain form below,
-    power series exactly at omega = 0."""
+    """Dispatch: improved form for |omega| >= ``model.omega_switch`` (1),
+    plain form below, power series exactly at omega = 0."""
     a = math.hypot(omega.real, omega.imag)  # abs() raises past float64
     if a == 0.0:
         return spps_eval(model.powers, 0.0, x_index, model.powers.k_max)
@@ -392,18 +390,14 @@ def sine_solution(
 
 
 def char_values(
-    model: SolutionModel,
-    omegas: np.ndarray,
-    representation: str = "improved",
-    derivative: bool = False,
+    model: SolutionModel, omegas: np.ndarray, representation: str = "improved"
 ):
-    """s(omega, b) = Im u_N(omega, b)/omega for an array of real omegas > 0;
-    the improved form refuses them unless finite at each, as ``eval_uN``
-    does (see ``_finite``).
+    """(s, ds/domega) at x = b for an array of real omegas > 0, where
+    s(omega, b) = Im u_N(omega, b)/omega; the improved form refuses them
+    unless finite at each, as ``eval_uN`` does (see ``_finite``).
 
     The batched form of ``sine_solution`` at x = b for a real potential:
-    one Bessel table for all omegas.  With ``derivative=True`` it returns
-    (s, ds/domega), from the omega-derivative of u_N.
+    one Bessel table for all omegas, the derivative from that of u_N.
     """
     if model.is_complex:
         raise ValueError("char_values needs a real potential")
@@ -412,8 +406,6 @@ def char_values(
         raise ValueError("char_values needs a 1-D array of omega > 0")
 
     def values():
-        if not derivative:
-            return _series(model, w, model.grid.M, representation).imag / w
         u, du = _series(model, w, model.grid.M, representation, True)
         s = u.imag / w
         return s, (du.imag - s) / w
@@ -450,9 +442,10 @@ def error_envelope(
     model: SolutionModel,
     omega: complex,
     x_index: int,
-    eps: np.ndarray | None = None,
+    eps: np.ndarray,
 ) -> float:
-    """Truncation-error envelope for the improved representation.
+    """Truncation-error envelope for the improved representation, from
+    ``eps = epsN_surrogate(model)``.
 
     eps_hat_N(x) * sqrt(sinh(2 a x)/a) / |omega|^2 with a = |Im omega|,
     evaluated as exp(a x) sqrt(-expm1(-4 a x)/(2 a)) so that sinh does
@@ -464,8 +457,6 @@ def error_envelope(
     LimitError
         If the envelope leaves the float64 range (see ``_finite``).
     """
-    if eps is None:
-        eps = epsN_surrogate(model)
     x = float(model.grid.nodes[x_index])
     a = abs(omega.imag) if isinstance(omega, complex) else 0.0
 

@@ -100,11 +100,13 @@ def asymptotic_eigenvalue(n: int, Qb: float, b: float) -> float:
 
 def _shrink(bracket, i, w, s):
     """Move the ends of brackets ``i`` in to the points ``w`` by the sign
-    of ``s`` there; points outside a bracket leave it as it is."""
+    of ``s`` there; points not strictly inside a bracket leave it as it
+    is, so lo <= hi holds."""
     lo, hi, s_lo, s_hi = bracket
     left = np.sign(s) == np.sign(s_lo[i])
-    to_lo = left & (w > lo[i])
-    to_hi = ~left & (w < hi[i])
+    inside = (w > lo[i]) & (w < hi[i])
+    to_lo = left & inside
+    to_hi = ~left & inside
     lo[i[to_lo]], s_lo[i[to_lo]] = w[to_lo], s[to_lo]
     hi[i[to_hi]], s_hi[i[to_hi]] = w[to_hi], s[to_hi]
 
@@ -164,8 +166,7 @@ def _refine(problem: EigProblem, lo, hi, s_lo, s_hi, ds_lo, ds_hi):
         a, c = w_cert - half, w_cert + half
         w = omega[todo]
         s, ds = char_values(
-            model, np.concatenate([w, a, c, w_cert, omega[closed]]),
-            rep, derivative=True,
+            model, np.concatenate([w, a, c, w_cert, omega[closed]]), rep
         )
         s, s_a, s_c, s_w, s_closed = np.split(
             s, np.cumsum([todo.size, certify.size, certify.size,
@@ -241,12 +242,11 @@ def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
     while True:
         n_cells = max(1, int(math.ceil((hi_target - lo_edge) / h)))
         omegas = lo_edge + h * np.arange(min(n_cells, SCAN_WINDOW - 1) + 1)
-        values, slopes = char_values(
-            model, omegas, problem.representation, derivative=True
-        )
+        values, slopes = char_values(model, omegas, problem.representation)
         s0, s1 = values[:-1], values[1:]
         exact = s0 == 0.0
-        change = ~exact & ((s0 < 0) != (s1 < 0))
+        # a zero at the right end is the next cell's exact zero
+        change = ~exact & (s1 != 0.0) & ((s0 < 0) != (s1 < 0))
         cells = np.flatnonzero(exact | change)[: count - len(results)]
         if cells.size:
             # an exact zero at a scan point is its own degenerate bracket

@@ -41,7 +41,7 @@ def _legendre_sum(leg, rows: np.ndarray, n: int):
     comp = np.zeros_like(s)
     peak = np.zeros(rows.shape[1], dtype=np.longdouble)
     for k in range(n % 2, n + 1, 2):  # l[n][k] = 0 when n - k is odd
-        term = leg.l[n, k] * rows[k]
+        term = leg[n, k] * rows[k]
         peak = np.maximum(peak, np.abs(term))
         s, comp = _kahan_add(s, comp, term)
     total = s + comp

@@ -18,9 +18,9 @@ from nsbf import (
     eval_uN,
     eval_uN_tilde,
     find_eigenvalues,
-    legendre_coeffs,
     spherical_j_sequence,
 )
+from nsbf.coefficients import legendre_coeffs
 from nsbf.grid import SampledFunction
 from nsbf.oracle import eigenvalues_reference
 

@@ -164,6 +164,15 @@ class TestEigsCommand:
         lams = [float(r[1]) for r in rows]
         assert lams == pytest.approx([2.0, 5.0, 10.0], abs=1e-10)
 
+    def test_root_at_a_scan_point_printed_once(self):
+        # q = -3: s(omega, pi) is exactly 0 at the scan point omega = 1,
+        # whose cell to the left used to count it a second time
+        rc, out = run_cli(["eigs", "--potential=-3", "--count", "3"])
+        assert rc == 0
+        _, rows = data_rows(out)
+        lams = [float(r[1]) for r in rows]
+        assert lams == pytest.approx([1.0, 6.0, 13.0], rel=1e-12)
+
     def test_asymptotic_column_for_every_b(self):
         # (n pi/b + Q(b)/(2 pi n))^2 is within 2.6e-5 of lambda_200 at b = 2
         rc, out = run_cli(["eigs", "--potential", "exp(x)", "--b", "2",
@@ -199,7 +208,7 @@ class TestEigsCommand:
 
     def test_range_exhaustion_exit_4(self, monkeypatch):
         # a characteristic function without a sign change scans to the end
-        def no_sign_change(model, omegas, rep, derivative=False):
+        def no_sign_change(model, omegas, rep):
             return np.ones(len(omegas)), np.zeros(len(omegas))
 
         monkeypatch.setattr(spectral, "char_values", no_sign_change)
@@ -351,12 +360,11 @@ class TestHostileInput:
             ["solve", "--omega", "1", "--x", "3.2"],
             ["solve", "--omega", "1", "--x", "-0.5"],
             ["solve", "--omega", "1", "--x", "1", "--N", "-1"],
-            ["solve", "--omega", "1", "--x", "1", "--omega-switch", "nan"],
             ["solve", "--omega", "1", "--x", "1", "--b", "inf"],
         ],
         ids=["count-0", "count-negative", "omega-inf", "omega-overflow",
              "x-nan", "x-beyond-b", "x-negative", "N-negative",
-             "omega-switch-nan", "b-inf"],
+             "b-inf"],
     )
     def test_exit_2_without_traceback(self, args):
         command, rest = args[0], args[1:]

@@ -8,18 +8,20 @@ import pytest
 from nsbf import (
     LimitError,
     accuracy_indicators,
-    alpha_seed,
-    beta_coeffs,
-    build_alpha_table,
     build_model,
-    formal_powers,
     indefinite_integral,
-    legendre_coeffs,
     make_grid,
     sample,
     solve_homogeneous,
 )
-from nsbf.coefficients import NOISE_FLOOR_EPS_FACTOR
+from nsbf.coefficients import (
+    NOISE_FLOOR_EPS_FACTOR,
+    ORDER_CAP,
+    beta_coeffs,
+    build_alpha_table,
+    legendre_coeffs,
+)
+from nsbf.formal_powers import formal_powers
 from nsbf.grid import SampledFunction
 from nsbf.oracle import propagate
 
@@ -43,7 +45,7 @@ def exp_tables():
     f0 = solve_homogeneous(q, 1.0)
     phi = formal_powers(f0, 33)
     leg = legendre_coeffs(40)
-    beta = beta_coeffs(phi, leg, 30)
+    beta = beta_coeffs(phi, legendre_coeffs(30))
     moments = moment_table(q, Q, phi, 28)
     alpha = build_alpha_table(q, Q, phi, beta, 32)
     return grid, q, Q, Q2, phi, leg, beta, moments, alpha
@@ -57,7 +59,7 @@ def zero_tables():
     f0 = solve_homogeneous(q, 1.0)
     phi = formal_powers(f0, 14)
     leg = legendre_coeffs(14)
-    beta = beta_coeffs(phi, leg, 12)
+    beta = beta_coeffs(phi, legendre_coeffs(12))
     moments = moment_table(q, Q, phi, 12)
     alpha = build_alpha_table(q, Q, phi, beta, 12)
     return grid, q, Q, phi, leg, beta, moments, alpha
@@ -66,14 +68,14 @@ def zero_tables():
 class TestLegendreCoeffs:
     def test_low_orders(self):
         leg = legendre_coeffs(3)
-        assert leg.l[0, 0] == 1.0
-        assert leg.l[2, 0] == pytest.approx(-0.5)
-        assert leg.l[2, 2] == pytest.approx(1.5)
-        assert leg.l[2, 1] == 0.0
+        assert leg[0, 0] == 1.0
+        assert leg[2, 0] == pytest.approx(-0.5)
+        assert leg[2, 2] == pytest.approx(1.5)
+        assert leg[2, 1] == 0.0
 
     def test_row_sums_are_one(self):
         leg = legendre_coeffs(20)
-        s = float(np.sum(leg.l[10]))
+        s = float(np.sum(leg[10]))
         assert abs(s - 1.0) < 1e-10
 
     def test_parity_zeros(self):
@@ -81,31 +83,31 @@ class TestLegendreCoeffs:
         for n in range(10):
             for k in range(n + 1):
                 if (n - k) % 2 == 1:
-                    assert leg.l[n, k] == 0.0
+                    assert leg[n, k] == 0.0
 
     def test_bonnet_consistency(self):
         leg = legendre_coeffs(15)
         for n in range(1, 15):
-            lhs = (n + 1) * leg.l[n + 1]
+            lhs = (n + 1) * leg[n + 1]
             rhs = np.zeros_like(lhs)
-            rhs[1:] = (2 * n + 1) * leg.l[n, :-1]
-            rhs -= n * leg.l[n - 1]
+            rhs[1:] = (2 * n + 1) * leg[n, :-1]
+            rhs -= n * leg[n - 1]
             assert float(np.max(np.abs(lhs - rhs))) < 1e-14 * float(
                 np.max(np.abs(lhs))
             )
 
     def test_order_cap(self):
         with pytest.raises(LimitError):
-            legendre_coeffs(121)
+            legendre_coeffs(ORDER_CAP + 1)
 
     def test_shared_table_is_read_only(self):
         leg = legendre_coeffs(10)
         with pytest.raises(ValueError):
-            leg.l[2, 0] = 0.0
+            leg[2, 0] = 0.0
         # a larger order rebuilds the shared table; smaller ones read its
         # corner with the same entries
-        assert np.array_equal(legendre_coeffs(60).l[:11, :11], leg.l)
-        assert np.array_equal(legendre_coeffs(10).l, leg.l)
+        assert np.array_equal(legendre_coeffs(60)[:11, :11], leg)
+        assert np.array_equal(legendre_coeffs(10), leg)
 
 
 class TestBetaCoeffs:
@@ -118,7 +120,7 @@ class TestBetaCoeffs:
         q = sample(grid, lambda x: 1.0)
         f0 = solve_homogeneous(q, 1.0)
         phi = formal_powers(f0, 4)
-        beta = beta_coeffs(phi, legendre_coeffs(4), 4)
+        beta = beta_coeffs(phi, legendre_coeffs(4))
         xs = np.asarray(grid.nodes, dtype=float)
         mask = xs >= 0.01 * PI
         target = (np.cosh(xs) - 1.0) / 2.0
@@ -176,7 +178,7 @@ def beta_build(request):
 
 def _largest_summand(leg, dev, n):
     ks = slice(n % 2, n + 1, 2)
-    return np.max(np.abs(leg.l[n, ks, None] * dev[ks]), axis=0)
+    return np.max(np.abs(leg[n, ks, None] * dev[ks]), axis=0)
 
 
 def _exact(v):
@@ -217,7 +219,7 @@ class TestBetaSum:
                 w = 0.5 * (2 * n + 1)
                 peak = float(_largest_summand(leg, dev[:, j - 1 : j], n)[0])
                 exact = [
-                    w * mpmath.fsum(_exact(leg.l[n, k]) * _exact(part(col[k]))
+                    w * mpmath.fsum(_exact(leg[n, k]) * _exact(part(col[k]))
                                     for k in range(n % 2, n + 1, 2))
                     for part in (np.real, np.imag)
                 ]
@@ -236,7 +238,7 @@ class TestBetaSum:
         for n in range(beta.n_max + 1):
             acc = np.zeros(dev.shape[1], dtype=dev.dtype)
             for k in range(n % 2, n + 1, 2):
-                acc = acc + leg.l[n, k] * dev[k]
+                acc = acc + leg[n, k] * dev[k]
             acc = acc.astype(dev.dtype) * (0.5 * (2 * n + 1))
             acc[np.abs(acc) < beta.noise_floor[n, 1:]] = 0.0
             assert np.array_equal(beta.beta[n, 1:], acc), n
@@ -250,7 +252,7 @@ class TestBetaSum:
         leg = legendre_coeffs(42)
         tracemalloc.start()
         try:
-            out = beta_coeffs(phi, leg, 42)
+            out = beta_coeffs(phi, leg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -301,18 +303,18 @@ class TestAlphaSeed:
         alpha = zero_tables[7]
         assert float(np.max(np.abs(alpha.alpha[:4]))) <= 1e-12
 
+    # rows 0..3 of the alpha table are the closed-form seeds
     def test_exponential_spot_value(self, exp_tables):
-        grid, q, Q, _, phi, *_ = exp_tables
-        moments = exp_tables[7]
-        rows = alpha_seed(q, Q, phi)
+        grid, *_, moments, alpha = exp_tables
+        rows = alpha.alpha
         j = grid.nearest_index(1.0)
         assert float(rows[0, j]) == pytest.approx(
             float(moments.k[0, j]) / 2.0, abs=1e-16
         )
 
     def test_seed_matches_direct(self, exp_tables):
-        grid, q, Q, _, phi, leg, _, moments, _ = exp_tables
-        rows = alpha_seed(q, Q, phi)
+        grid, q, Q, _, phi, leg, _, moments, alpha = exp_tables
+        rows = alpha.alpha
         xs = np.asarray(grid.nodes, dtype=float)
         mask = xs >= 0.01 * PI
         for n in range(4):

@@ -3,13 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nsbf import (
-    NearVanishingError,
+from nsbf import NearVanishingError, make_grid, sample, solve_homogeneous
+from nsbf.formal_powers import (
     formal_powers,
     formal_powers_nonvanishing,
-    make_grid,
-    sample,
-    solve_homogeneous,
     spps_eval,
 )
 from nsbf.oracle import propagate, solution_reference

@@ -1,15 +1,18 @@
-"""The names the benchmark's tracer (perfbench/spans.py) looks up in nsbf.
+"""The names the benchmark (perfbench/) calls and looks up in nsbf.
 
 ``python3 perfbench/run.py --trace 1`` wraps nsbf's functions by name and
-reads attributes of every built model; a rename in nsbf would break it with
-an AttributeError that no other test sees.
+reads attributes of every built model, and its workloads call nsbf's
+functions in fixed forms; a rename or a changed signature in nsbf would
+break it with an error that no other test sees.
 """
 
+import cmath
 import importlib
 import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -71,3 +74,50 @@ def test_traced_build_sees_the_integrals(spans, owner_modules):
     metrics = spans.layer_metrics(arrays, tracer.counts, 0, 0.0)
     assert metrics["grid.picard_integrals"]["value"] > 0
     assert metrics["grid.indefinite_integral_ms"]["value"] > 0
+
+
+def test_workload_calls_keep_their_form():
+    # every call perfbench/workloads.py makes into nsbf, in the form it
+    # makes it (positional or by keyword), on small models
+    nsbf = {name: importlib.import_module(f"nsbf.{name}")
+            for name in ("expr", "solution", "spectral", "oracle")}
+    solution, spectral = nsbf["solution"], nsbf["spectral"]
+
+    # spectrum: eigenvalues of a prebuilt model, truncated per request
+    model = solution.build_model("exp(x)", math.pi, 102, 8)
+    problem = spectral.EigProblem(model.with_truncation(5),
+                                  representation="improved")
+    results = spectral.find_eigenvalues(problem, 3)
+    assert [r.index for r in results] == [1, 2, 3]
+    assert all(r.lam > r.index**2 for r in results)
+
+    # solve_grid: a complex constant as samples, its surrogate, and an
+    # envelope for each value that eval_auto takes from the improved form
+    model = solution.build_model(np.full(103, complex(1.0, 2.0)), math.pi,
+                                 102, 8)
+    eps = solution.epsN_surrogate(model)
+    switch = model.omega_switch
+    assert switch == 1.0
+    for omega in (0.5, 7.5, 3.0 + 2.0j):
+        u = solution.eval_auto(model, omega, 51)
+        if abs(omega) >= switch:
+            assert u == solution.eval_uN(model, omega, 51)
+            assert solution.error_envelope(model, omega, 51, eps) >= 0.0
+        else:
+            assert u == solution.eval_uN_tilde(model, omega, 51)
+
+    # build_sweep: a real potential as float samples, checked by eval_auto
+    x = np.arange(103) * (math.pi / 102)
+    model = solution.build_model(1.0 / (x + 0.1) ** 2, math.pi, 102, 8)
+    assert cmath.isfinite(solution.eval_auto(model, complex(4.0, 1.0), 102))
+
+    # reference: the oracle, handed a parsed expression tree
+    expr, oracle = nsbf["expr"], nsbf["oracle"]
+    tree = expr.parse("exp(x)")
+    q = lambda x: expr.evaluate(tree, x)
+    u = oracle.solution_reference(q, math.pi, np.array([2.0]))
+    s = oracle.characteristic_reference(q, math.pi, np.array([5.0]))
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(s))
+    lam = np.array([r.lam for r in results])
+    ref = oracle.eigenvalues_reference(q, math.pi, lam)
+    assert np.all(np.abs(ref - lam) <= 1e-2 * lam)

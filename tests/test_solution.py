@@ -19,9 +19,9 @@ from nsbf import (
     eval_uN_tilde,
     make_grid,
     sine_solution,
-    spps_eval,
 )
 from nsbf import solution
+from nsbf.formal_powers import spps_eval
 from nsbf.grid import PIPELINE_CDTYPE, PIPELINE_DTYPE
 from nsbf.oracle import solution_reference
 
@@ -339,7 +339,7 @@ class TestCharValues:
     @pytest.mark.parametrize("rep", ["improved", "plain"])
     def test_matches_scalar_sine_solution(self, model_exp, rep):
         j = model_exp.grid.M
-        got = char_values(model_exp, self.OMEGAS, rep)
+        got, _ = char_values(model_exp, self.OMEGAS, rep)
         for w, s in zip(self.OMEGAS, got):
             ref = sine_solution(model_exp, float(w), j, representation=rep)
             # s is of size 1/omega away from its zeros
@@ -348,10 +348,9 @@ class TestCharValues:
     @pytest.mark.parametrize("rep", ["improved", "plain"])
     def test_derivative_against_finite_differences(self, model_exp, rep):
         w = self.OMEGAS
-        s, ds = char_values(model_exp, w, rep, derivative=True)
-        assert np.array_equal(s, char_values(model_exp, w, rep))
+        s, ds = char_values(model_exp, w, rep)
         h = 1e-5 * np.maximum(1.0, w)
-        f = lambda d: char_values(model_exp, w + d, rep)
+        f = lambda d: char_values(model_exp, w + d, rep)[0]
         fd = (8.0 * (f(h) - f(-h)) - (f(2 * h) - f(-2 * h))) / (12.0 * h)
         assert np.all(np.abs(ds - fd) <= 1e-7 * np.abs(fd))
 
@@ -364,7 +363,7 @@ class TestCharValues:
         k = np.sqrt(w * w - 1.0)
         exact = np.sin(k * b) / k
         d_exact = (b * np.cos(k * b) / k - np.sin(k * b) / k**2) * w / k
-        s, ds = char_values(model_one, w, rep, derivative=True)
+        s, ds = char_values(model_one, w, rep)
         assert np.all(np.abs(s - exact) <= 1e-10 / w)
         assert np.all(np.abs(ds - d_exact) <= 1e-10 / w)
 
@@ -378,13 +377,11 @@ class TestCharValues:
         with pytest.raises(LimitError):
             char_values(model_exp, np.array([1.0, w]))
 
-    @pytest.mark.parametrize("derivative", [False, True])
-    def test_improved_overflowing_terms_rejected(self, model_exp, derivative):
+    def test_improved_overflowing_terms_rejected(self, model_exp):
         # refused with no overflow warning escaping (warnings are errors
         # in this suite)
         with pytest.raises(LimitError, match="omega=1.5e-154"):
-            char_values(model_exp, np.array([1.0, 1.5e-154, 2.0]),
-                        derivative=derivative)
+            char_values(model_exp, np.array([1.0, 1.5e-154, 2.0]))
 
 
 class TestErrorEnvelope:
@@ -408,8 +405,9 @@ class TestErrorEnvelope:
 
     def test_imaginary_limit_continuity(self, model_exp):
         j = model_exp.grid.M
-        a = error_envelope(model_exp, 5.0 + 1e-12j, j)
-        b = error_envelope(model_exp, 5.0, j)
+        eps = epsN_surrogate(model_exp)
+        a = error_envelope(model_exp, 5.0 + 1e-12j, j, eps)
+        b = error_envelope(model_exp, 5.0, j, eps)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_complex_omega_matches_sinh_form(self, model_exp):
@@ -428,13 +426,15 @@ class TestErrorEnvelope:
     def test_large_imaginary_part_stays_finite(self, model_exp):
         # sinh(2 * 120 * 3) overflows; the envelope, about 1e149, does not
         j = model_exp.grid.nearest_index(3.0)
-        env = error_envelope(model_exp, 200 + 120j, j)
+        eps = epsN_surrogate(model_exp)
+        env = error_envelope(model_exp, 200 + 120j, j, eps)
         assert math.isfinite(env) and env > 0.0
         with pytest.raises(LimitError):
-            error_envelope(model_exp, 1 + 300j, model_exp.grid.M)
+            error_envelope(model_exp, 1 + 300j, model_exp.grid.M, eps)
 
     def test_complex_omega_positive(self, model_exp):
-        env = error_envelope(model_exp, 3 + 2j, model_exp.grid.M)
+        env = error_envelope(model_exp, 3 + 2j, model_exp.grid.M,
+                             epsN_surrogate(model_exp))
         assert math.isfinite(env) and env > 0.0
 
     def test_scaled_residual_bounded_by_envelope(self, model_exp):
@@ -449,9 +449,9 @@ class TestErrorEnvelope:
 
     def test_zero_omega_rejected(self, model_exp):
         with pytest.raises(ZeroOmegaError):
-            error_envelope(model_exp, 0.0, 10)
+            error_envelope(model_exp, 0.0, 10, epsN_surrogate(model_exp))
 
     @pytest.mark.parametrize("w", [1e300, 1e300 + 1j, 1e-200, 1e-200j])
     def test_omega_squared_out_of_range_rejected(self, model_exp, w):
         with pytest.raises(LimitError):
-            error_envelope(model_exp, w, 10)
+            error_envelope(model_exp, w, 10, epsN_surrogate(model_exp))

@@ -77,12 +77,29 @@ class TestFindEigenvalues:
 
     def test_explicit_range_exhaustion(self, model_zero, monkeypatch):
         # a characteristic function without a sign change scans to the end
-        def no_sign_change(model, omegas, rep, derivative=False):
+        def no_sign_change(model, omegas, rep):
             return np.ones(len(omegas)), np.zeros(len(omegas))
 
         monkeypatch.setattr(spectral, "char_values", no_sign_change)
         with pytest.raises(RangeExhaustedError, match="found 0 of 10"):
             find_eigenvalues(EigProblem(model_zero), 10)
+
+    def test_exact_zero_at_a_scan_point_is_one_root(
+        self, model_zero, monkeypatch
+    ):
+        # s = (w - c)(c2 - w) is negative below the scan point c, exactly 0
+        # there and positive up to c2: the roots are c and c2, c once
+        h = EigProblem(model_zero).h_scan
+        c = h + h * 2.0
+        c2 = c + 2.5 * h
+
+        def two_roots(model, omegas, rep):
+            return (omegas - c) * (c2 - omegas), c + c2 - 2.0 * omegas
+
+        monkeypatch.setattr(spectral, "char_values", two_roots)
+        res = find_eigenvalues(EigProblem(model_zero), 2)
+        assert res[0].omega == c
+        assert res[1].omega == pytest.approx(c2, rel=1e-13)
 
     def test_explicit_range_scanned_in_bounded_windows(
         self, model_exp, monkeypatch
@@ -233,9 +250,20 @@ class TestBatchedSolver:
         assert np.all(width <= tol)
         s_a, s_c = np.split(
             batched(model, np.concatenate([omega - width / 2,
-                                           omega + width / 2]), rep), 2
+                                           omega + width / 2]), rep)[0], 2
         )
         assert np.all(np.sign(s_a) * np.sign(s_c) <= 0)
+
+
+    def test_bracket_widths_within_tolerance(self):
+        # the plain form's s on q = 20 is noisy near its roots; an end moved
+        # to a point outside its bracket used to leave lo > hi on root 5
+        model = build_model("20", PI, 1998, 25)
+        res = find_eigenvalues(EigProblem(model, representation="plain"), 40)
+        omega = np.array([r.omega for r in res])
+        width = np.array([r.bracket_width for r in res])
+        tol = spectral.BRACKET_TOL * np.maximum(1.0, omega)
+        assert np.all((width >= 0.0) & (width <= tol))
 
 
 class TestEigProblemValidation:
