@@ -377,11 +377,13 @@ class TestCharValues:
         with pytest.raises(LimitError):
             char_values(model_exp, np.array([1.0, w]))
 
-    def test_improved_overflowing_terms_rejected(self, model_exp):
-        # refused with no overflow warning escaping (warnings are errors
-        # in this suite)
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_improved_overflowing_terms_rejected(self, model_exp, batched):
+        # refused, alone or among finite omegas, with no overflow warning
+        # escaping (warnings are errors in this suite)
+        w = [1.0, 1.5e-154, 2.0] if batched else [1.5e-154]
         with pytest.raises(LimitError, match="omega=1.5e-154"):
-            char_values(model_exp, np.array([1.0, 1.5e-154, 2.0]))
+            char_values(model_exp, np.array(w))
 
 
 class TestErrorEnvelope:
