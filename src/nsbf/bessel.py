@@ -1,17 +1,30 @@
 """Stable evaluation of spherical Bessel functions j_n(z), n = 0..N, for
 real and complex arguments.
 
-There are four branches, each one private kernel in plain arithmetic: the
-power series for tiny arguments; closed-form j_0 and j_1, by their own
-series below |z| = 0.1; upward three-term recurrence where it is stable
-(|z| above the top order); and otherwise Miller's downward recurrence from
-an arbitrary seed, normalized through j_0 or j_1 (DLMF 10.51; W. Gautschi,
-SIAM Review 9, 1967).  A kernel fills the rows of the output it is given,
-for a Python scalar, real or complex; the series and upward kernels run
-unchanged on a 1-D float array too, and Miller's runs once per column.
-``spherical_j_sequence`` picks one kernel for its scalar;
-``spherical_j_table`` picks one per column mask.  Types are tested only
-where numpy and scalar code must differ: the sine and cosine of j_0/j_1.
+There are four branches: the power series for tiny arguments; closed-form
+j_0 and j_1, by their own series below |z| = 0.1; upward three-term
+recurrence where it is stable (|z| above the top order); and otherwise
+Miller's downward recurrence from an arbitrary seed, normalized through
+j_0 or j_1 (DLMF 10.51; W. Gautschi, SIAM Review 9, 1967).
+
+``spherical_j_sequence`` picks one branch for its Python scalar and runs
+it in Python arithmetic: ``_upward`` and ``_miller`` step on Python floats
+or complexes, take each factor 2n+1 from the float list ``_ODD``, collect
+the values in a list and write the output array once.  Miller's run makes
+no store above the top order, and only a run whose growth bound could
+overflow takes the renormalizing loop.  ``spherical_j_table`` serves a
+1-D array of real arguments: ``_upward_table`` runs over every column, one
+division for the whole (2n+1)/z table and two ufunc calls per order, and
+the columns at or below the top order are then overwritten, each by the
+tiny series or by the scalar Miller run from its own start order.
+
+Every value is rounded by the same IEEE operations, in the same order, as
+the straightforward recurrence ``(2*n + 1)/z * j_n - j_{n-1}`` that stores
+each order as it goes (``tests/crosschecks.py`` keeps that form): a float
+2n+1 divides as the int does, storing a Python number in the output is
+exact whether it is done per order or once, a float64 ufunc element rounds
+as the Python float operation does, and no element of a ufunc result
+depends on the other columns; so the tests compare with ``np.array_equal``.
 """
 
 from __future__ import annotations
@@ -33,6 +46,11 @@ IM_CAP = 700.0
 
 _TINY_Z = 1e-8
 _RENORM_LIMIT = 1e250
+
+#: 2n+1 for every order a recurrence reaches: Miller starts at most at
+#: N_CAP + ceil(15 + N_CAP)
+_ODD = [2.0 * n + 1.0 for n in range(2 * N_CAP + 16)]
+_ODD_COLUMN = np.array(_ODD)[:, None]
 
 
 def _tiny_series(z, out):
@@ -75,12 +93,25 @@ def _j01(z):
 
 
 def _upward(z, out):
-    """Upward recurrence from j_0, j_1: stable while the order stays below |z|."""
+    """Upward recurrence from j_0, j_1 at a scalar z: stable while the
+    order stays below |z|."""
     jm, jc = _j01(z)
-    out[0] = jm
-    for n in range(1, len(out)):
-        out[n] = jc
-        jm, jc = jc, (2 * n + 1) / z * jc - jm
+    values = [jm]
+    store = values.append
+    for f in _ODD[1 : len(out)]:
+        store(jc)
+        jm, jc = jc, f / z * jc - jm
+    out[:] = values
+    return out
+
+
+def _upward_table(z, out):
+    """``_upward`` on every column of an array of real z at once."""
+    out[0], out[1] = _j01(z)
+    ratio = _ODD_COLUMN[1 : len(out) - 1] / z
+    for n in range(1, len(out) - 1):
+        np.multiply(ratio[n - 1], out[n], out=out[n + 1])
+        np.subtract(out[n + 1], out[n - 1], out=out[n + 1])
     return out
 
 
@@ -91,22 +122,31 @@ def _miller(z, out, start):
     # c = (1 + a)/2; while that stays below the limit, no step can reach it
     a = abs(z)
     c = 0.5 * (1.0 + a)
-    check = (
-        start * math.log(2.0 / a) + math.lgamma(start + 1.0 + c)
-        - math.lgamma(1.0 + c) > math.log(_RENORM_LIMIT / 1e-30)
-    )
     top = len(out)
     above, cur = 0.0, 1e-30
-    for n in range(start, 0, -1):
-        below = (2 * n + 1) / z * cur - above
-        if n <= top:
-            out[n - 1] = below
-        if check and abs(below) > _RENORM_LIMIT:
-            scale = 1.0 / abs(below)
-            below = below * scale
-            cur = cur * scale
-            out *= scale
-        above, cur = cur, below
+    if (
+        start * math.log(2.0 / a) + math.lgamma(start + 1.0 + c)
+        - math.lgamma(1.0 + c) > math.log(_RENORM_LIMIT / 1e-30)
+    ):
+        for n in range(start, 0, -1):
+            below = (2 * n + 1) / z * cur - above
+            if n <= top:
+                out[n - 1] = below
+            if abs(below) > _RENORM_LIMIT:
+                scale = 1.0 / abs(below)
+                below = below * scale
+                cur = cur * scale
+                out *= scale
+            above, cur = cur, below
+    else:
+        for f in _ODD[start:top:-1]:
+            above, cur = cur, f / z * cur - above
+        values = []
+        store = values.append
+        for f in _ODD[top:0:-1]:
+            above, cur = cur, f / z * cur - above
+            store(cur)
+        out[::-1] = values
     j0, j1 = _j01(z)
     # cur / above now hold the unnormalized order-0 / order-1 values;
     # j_0 and j_1 have no common zeros
@@ -134,7 +174,8 @@ def spherical_j_sequence(N: int, z: complex) -> np.ndarray:
     N : int
         Highest order, at most 120.
     z : real or complex
-        Argument; |Im z| must not exceed 700.
+        Argument; |Im z| must not exceed 700.  A numpy scalar is read as
+        the Python float or complex of its value.
 
     Returns
     -------
@@ -150,6 +191,8 @@ def spherical_j_sequence(N: int, z: complex) -> np.ndarray:
     series j_n(z) = z^n/(2n+1)!! (1 - z^2/(2(2n+3))) is used instead.
     """
     _check_order(N)
+    if isinstance(z, np.generic):
+        z = complex(z) if isinstance(z, np.complexfloating) else float(z)
     is_complex = isinstance(z, complex) and z.imag != 0.0
     if is_complex and abs(z.imag) > IM_CAP:
         raise LimitError(
@@ -188,23 +231,24 @@ def spherical_j_table(N: int, z: np.ndarray) -> np.ndarray:
     series for z < 1e-8, upward recurrence where z > N, and otherwise
     Miller's downward recurrence run on each column alone from its own
     start order N + ceil(15 + z), normalized through the closed-form j_0
-    or j_1, so no column depends on the others in the batch.
+    or j_1, so no column depends on the others in the batch.  The upward
+    recurrence runs over every column first; the others are overwritten.
     """
     _check_order(N)
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or not np.all(z > 0):
         raise ValueError("spherical_j_table needs a 1-D array of z > 0")
     out = np.empty((N + 2, z.size))
-    tiny = z < _TINY_Z
-    up = ~tiny & (z > N)
-    miller = ~(tiny | up)
-    for mask, kernel in ((tiny, _tiny_series), (up, _upward)):
-        if mask.any():
-            out[:, mask] = kernel(z[mask], np.empty((N + 2, np.count_nonzero(mask))))
+    # the unstable columns may overflow; they are overwritten below
+    with np.errstate(all="ignore"):
+        _upward_table(z, out)
+    low = np.flatnonzero((z <= N) | (z < _TINY_Z))
+    zl = z[low]
+    tiny = zl < _TINY_Z
+    if tiny.any():
+        rows = np.empty((N + 2, np.count_nonzero(tiny)))
+        out[:, low[tiny]] = _tiny_series(zl[tiny], rows)
     # zeros: a renormalization also scales the rows not yet written
-    if miller.any():
-        out[:, miller] = np.array([
-            _miller(zk, np.zeros(N + 2), N + math.ceil(15.0 + zk))
-            for zk in z[miller].tolist()
-        ]).T
+    for k, zk in zip(low[~tiny].tolist(), zl[~tiny].tolist()):
+        out[:, k] = _miller(zk, np.zeros(N + 2), N + math.ceil(15.0 + zk))
     return out

@@ -59,7 +59,7 @@ from .solution import (
     eval_uN,
     eval_uN_tilde,
 )
-from .spectral import EigProblem, asymptotic_eigenvalue, find_eigenvalues
+from .spectral import EigProblem, find_eigenvalues
 
 __all__ = ["RunConfig", "main", "cmd_coeffs", "cmd_solve", "cmd_eigs", "cmd_bench"]
 
@@ -419,8 +419,11 @@ def cmd_eigs(cfg: RunConfig, out=None) -> int:
     rep = "improved" if cfg.representation == "auto" else cfg.representation
     results = find_eigenvalues(EigProblem(model, representation=rep), cfg.count)
     Qb = float(np.asarray(model.Q, dtype=complex)[-1].real)
+    # the classical lam_n = (n pi/b)^2 + Q(b)/b + O(n^-2), exact for a
+    # constant q; the squared form of ``asymptotic_eigenvalue`` adds
+    # Q(b)^2/(4 pi^2 n^2), which is far off at low n
     rows = [[r.index, r.lam, r.omega, r.residual,
-             asymptotic_eigenvalue(r.index, Qb, cfg.b)] for r in results]
+             (r.index * (math.pi / cfg.b)) ** 2 + Qb / cfg.b] for r in results]
     md = _metadata(cfg, desc, model)
     md["representation"] = rep
     md["count"] = cfg.count

@@ -25,11 +25,22 @@ series at omega = 0 exactly.  ``char_values`` evaluates the characteristic
 function s(omega, b) = Im u_N(omega, b)/omega and its omega-derivative for
 a whole array of real omegas at once.
 
-Both formulas, and their omega-derivative, are written once, in the
-private kernel ``_series``; every evaluator here is a thin front end over
-it.  The kernel takes a scalar omega (Bessel values from
-``spherical_j_sequence``) or an array of real omegas (from
-``spherical_j_table``) and runs the same arithmetic on either.
+Both formulas are assembled once, in ``_assemble``.  Two front ends feed
+it.  ``_evaluate`` is the scalar kernel behind ``eval_uN``, ``eval_uN_tilde``,
+``eval_auto`` and ``sine_solution``: it reads x, Q and q at the node from
+Python numbers that the model makes once, takes the Bessel values from
+``spherical_j_sequence`` and works in Python arithmetic.  ``_series`` serves
+``char_values``: a 1-D array of real omegas, Bessel values from
+``spherical_j_table``, and the omega-derivative too.  The public scalar
+entries read a numpy scalar omega as the Python float or complex of its
+value, so a float32 or complex64 omega is evaluated in double precision.
+
+The scalar kernel keeps the bits of the straightforward evaluation that
+``tests/crosschecks.py`` holds: a per-node number is the value that
+reading the extended-precision array at the call rounds to, the Bessel sum
+is the same ``np.dot``, and the terms are combined by the same operations
+in the same order.  Python numbers instead of numpy ones only spare the
+interpreter's work per call.
 """
 
 from __future__ import annotations
@@ -113,8 +124,13 @@ class SolutionModel:
     N: int
     #: |omega| from which ``eval_auto`` takes the improved form
     omega_switch: ClassVar[float] = 1.0
-    # set once: every scalar improved-form evaluation reads it
+    # set once: sine_solution and char_values read it at every call
     is_complex: bool = field(init=False)
+    # x, Q and q at each node as Python floats (complexes for a complex q):
+    # the scalar kernel reads one of each per evaluation
+    _x: list = field(init=False, repr=False)
+    _Q: list = field(init=False, repr=False)
+    _q: list = field(init=False, repr=False)
     # i^n c_n(x_j) in complex128, one contiguous row per node j
     _beta_c: np.ndarray = field(init=False, repr=False)
     _alpha_c: np.ndarray = field(init=False, repr=False)
@@ -138,12 +154,17 @@ class SolutionModel:
             out = np.empty(c.shape[::-1], dtype=complex)
             object.__setattr__(self, name, np.multiply(ipow, c64.T, out=out))
         object.__setattr__(self, "is_complex", np.iscomplexobj(self.q))
+        num = complex if self.is_complex else float
+        object.__setattr__(self, "_x", self.grid.nodes.astype(float).tolist())
+        object.__setattr__(self, "_Q", self.Q.astype(num).tolist())
+        object.__setattr__(self, "_q", self.q.astype(num).tolist())
 
     def with_truncation(self, N: int) -> "SolutionModel":
         """A view of the same tables truncated at a smaller N.
 
-        A shallow copy, so the complex128 copies are shared too; a smaller
-        N passes the table-extent checks that this model passed.
+        A shallow copy, so the complex128 copies and the per-node Python
+        numbers are shared too; a smaller N passes the table-extent checks
+        that this model passed.
         """
         if not 0 <= N <= self.N:
             raise ValueError(f"N must be in [0, {self.N}], got {N}")
@@ -217,68 +238,50 @@ def build_model(
     )
 
 
-def _scalar_dot(c: np.ndarray, jn: np.ndarray) -> complex:
-    # a Python complex, so the scalar path rounds in Python's complex
-    # arithmetic, not numpy's
-    return complex(np.dot(c, jn))
-
-
 def _table_dot(c: np.ndarray, jn: np.ndarray) -> np.ndarray:
     # sum_n c_n jn[n, k] for real jn: one real product on the (re, im)
     # pairs of c, read back as complex
     return (jn.T @ c.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 
-def _series(model: SolutionModel, omega: complex | np.ndarray, x_index: int,
-            representation: str, derivative: bool = False):
-    """u_N(omega, x_j) of either representation, and du_N/domega if asked.
+def _improved(representation: str) -> bool:
+    if representation not in ("improved", "plain"):
+        raise ValueError(f"unknown representation {representation!r}")
+    return representation == "improved"
 
-    omega is a Python scalar, real or complex, or a 1-D ndarray of real
-    omega > 0.  Both representations are
+
+def _check_phase(omega_x: float, x: float) -> None:
+    if omega_x >= 2.0**52:
+        raise LimitError(f"|Re omega| x reaches 2^52 at x={x}: the rounded "
+                         "omega x keeps no correct digit of the phase")
+
+
+def _python(omega):
+    """A numpy scalar as the Python float or complex of its value; any other
+    omega as it is, so a Python number keeps its bits."""
+    if isinstance(omega, np.generic):
+        return complex(omega) if isinstance(omega, np.complexfloating) else float(omega)
+    return omega
+
+
+def _assemble(model: SolutionModel, omega, x_index: int, improved: bool,
+              e, em, S, dS=None):
+    """u_N(omega, x_j) from e = e^{i omega x}, em = e^{-i omega x} and
+    S = sum_n i^n c_n(x) j_n(omega x); with dS = dS/domega, also du_N/domega.
+
+    Both representations are
 
         u = a e^{i omega x} - p e^{-i omega x}/(4 d) - k S/d,
-        S = sum_n i^n c_n(x) j_n(omega x),
 
     plain (c = beta): a = 1, p = 0, k = -2, d = 1, so u = e^{i omega x} + 2S;
     improved (c = alpha): a = 1 + Q/(2 i omega) + (q/4 - Q^2/8)/omega^2,
     p = q(0), k = 2, d = omega^2.  Each term is divided by d last, so the
-    plain form rounds exactly as e^{i omega x} + 2S.  The omega-derivative
-    uses x j_n'(omega x) with j_n'(z) = j_{n-1}(z) - (n+1) j_n(z)/z (DLMF
-    10.51.2) and j_0' = -j_1.  From |Re omega| x = 2^52 on, where rounding
-    omega x moves the phase by up to half a radian, it raises LimitError.
+    plain form rounds exactly as e^{i omega x} + 2S.  omega is a Python
+    scalar or an array of real omegas, and so are e, em, S and dS.
     """
-    if representation == "improved":
-        table, n_top = model._alpha_c, model.N + 2
-    elif representation == "plain":
-        table, n_top = model._beta_c, model.N
-    else:
-        raise ValueError(f"unknown representation {representation!r}")
-    x = float(model.grid.nodes[x_index])
-    array = isinstance(omega, np.ndarray)
-    if (float(omega.max()) if array else abs(omega.real)) * x >= 2.0**52:
-        raise LimitError(f"|Re omega| x reaches 2^52 at x={x}: the rounded "
-                         "omega x keeps no correct digit of the phase")
-    z = omega * x
-    if array:
-        jn = spherical_j_table(n_top, z)
-        e = np.empty(z.shape, dtype=complex)
-        np.cos(z, out=e.real)
-        np.sin(z, out=e.imag)
-        em = e.conj()
-        dot = _table_dot
-    else:
-        if isinstance(z, complex) and z.imag == 0.0:
-            z = z.real
-        jn = spherical_j_sequence(n_top + 1 if derivative else n_top, z)
-        e, em = cmath.exp(1j * omega * x), cmath.exp(-1j * omega * x)
-        dot = _scalar_dot
-    col = table[x_index, : n_top + 1]
-    S = dot(col, jn[: n_top + 1])
-    if representation == "improved":
-        # floats for a real q: core/d is then a real division on arrays
-        num = complex if model.is_complex else float
-        Q = num(model.Q[x_index])
-        core = num(model.q[x_index]) / 4.0 - Q * Q / 8.0
+    if improved:
+        Q = model._Q[x_index]
+        core = model._q[x_index] / 4.0 - Q * Q / 8.0
         d = omega * omega
         a = 1.0 + Q / (2j * omega) + core / d
         p, k = model.q0, 2.0
@@ -287,66 +290,119 @@ def _series(model: SolutionModel, omega: complex | np.ndarray, x_index: int,
     t_p = p * em / (4.0 * d)
     t_k = k * S / d
     u = e * a - t_p - t_k
-    if not derivative:
+    if dS is None:
         return u
-    n1 = np.arange(2, n_top + 2)
-    dS = x * (
-        dot(col[1:], jn[:n_top]) - col[0] * jn[1]
-        - dot(n1 * col[1:], jn[1 : n_top + 1]) / z
-    )
     # da/domega and (dd/domega)/d: zero for the plain form
     da, dd_d = 0.0, 0.0
-    if representation == "improved":
+    if improved:
         da, dd_d = -Q / (2j * d) - 2.0 * core / (d * omega), 2.0 / omega
+    x = model._x[x_index]
     du = e * (1j * x * a + da) + 1j * x * t_p + (t_p + t_k) * dd_d - k * dS / d
     return u, du
 
 
-def eval_uN_tilde(model: SolutionModel, omega: complex, x_index: int) -> complex:
-    """Plain truncated representation; entire in omega (omega = 0 is fine)."""
-    return _series(model, omega, x_index, "plain")
+def _evaluate(model: SolutionModel, omega, x_index: int, improved: bool):
+    """u_N(omega, x_j) at a Python scalar omega, real or complex.
+
+    From |Re omega| x = 2^52 on, where rounding omega x moves the phase by
+    up to half a radian, it raises LimitError.
+    """
+    table, n_top = ((model._alpha_c, model.N + 2) if improved
+                    else (model._beta_c, model.N))
+    x = model._x[x_index]
+    _check_phase(abs(omega.real) * x, x)
+    z = omega * x
+    if isinstance(z, complex) and z.imag == 0.0:
+        z = z.real
+    jn = spherical_j_sequence(n_top, z)
+    # a Python complex, so the rest rounds in Python's complex arithmetic,
+    # not numpy's
+    S = complex(np.dot(table[x_index, : n_top + 1], jn))
+    return _assemble(model, omega, x_index, improved,
+                     cmath.exp(1j * omega * x), cmath.exp(-1j * omega * x), S)
 
 
-def eval_uN(model: SolutionModel, omega: complex, x_index: int) -> complex:
-    """Omega-improved truncated representation at any complex omega where
-    it is finite (``_finite``); pass -omega for the -omega solution (plain
-    sign substitution, valid for complex q too)."""
-    return _finite(lambda: _series(model, omega, x_index, "improved"), omega)
+def _series(model: SolutionModel, omega: np.ndarray, x_index: int,
+            representation: str):
+    """u_N(omega, x_j) of either representation and du_N/domega, at a 1-D
+    ndarray of real omega > 0 (see ``_assemble``).
+
+    The omega-derivative uses x j_n'(omega x) with
+    j_n'(z) = j_{n-1}(z) - (n+1) j_n(z)/z (DLMF 10.51.2) and j_0' = -j_1.
+    From omega x = 2^52 on it raises LimitError, as ``_evaluate`` does.
+    """
+    improved = _improved(representation)
+    table, n_top = ((model._alpha_c, model.N + 2) if improved
+                    else (model._beta_c, model.N))
+    x = model._x[x_index]
+    _check_phase(float(omega.max()) * x, x)
+    z = omega * x
+    jn = spherical_j_table(n_top, z)
+    e = np.empty(z.shape, dtype=complex)
+    np.cos(z, out=e.real)
+    np.sin(z, out=e.imag)
+    col = table[x_index, : n_top + 1]
+    S = _table_dot(col, jn[: n_top + 1])
+    n1 = np.arange(2, n_top + 2)
+    dS = x * (
+        _table_dot(col[1:], jn[:n_top]) - col[0] * jn[1]
+        - _table_dot(n1 * col[1:], jn[1 : n_top + 1]) / z
+    )
+    return _assemble(model, omega, x_index, improved, e, e.conj(), S, dS)
 
 
-def _finite(compute, omega, what="the improved representation"):
-    """``compute()``, the value of ``what`` at ``omega``, if it and
-    omega^2 are finite; else ZeroOmegaError at 0, LimitError elsewhere.
+def _refuse(omega, what="the improved representation"):
+    """ZeroOmegaError at omega = 0, else LimitError: ``what`` is not finite.
 
     ``what`` divides by omega^2: where that underflows a term overflows,
-    and where it overflows the 1/omega^2 terms drop out unseen.  A Python
-    float error counts as a value that is not finite.  For a 1-D array of
-    real omegas ``compute()`` gives an array, or a pair of them, over
-    those omegas; it runs with numpy's warnings off.
+    and where it overflows the 1/omega^2 terms drop out unseen.
     """
-    if isinstance(omega, np.ndarray):
-        with np.errstate(all="ignore"):
-            value = compute()
-        ok = np.isfinite(np.atleast_2d(value)).all(axis=0)
-        top = float(omega.max())
-        if ok.all() and math.isfinite(top * top):
-            return value
-        omega = float(omega[~ok][0]) if not ok.all() else top
-    else:
-        try:
-            value = compute()
-        except (ZeroDivisionError, OverflowError):
-            value = math.nan
-        if cmath.isfinite(value) and cmath.isfinite(omega * omega):
-            return value
     if omega == 0:
         raise ZeroOmegaError(f"{what} divides by omega^2")
     raise LimitError(f"{what} leaves the float64 range at omega={omega}")
 
 
+def _finite(compute, omega: np.ndarray):
+    """``compute()``, the improved representation over a 1-D array of real
+    omegas (an array, or a pair of them), if it and omega^2 are finite at
+    every omega; else ``_refuse`` at the first omega where it is not.
+    ``compute`` runs with numpy's warnings off.  The scalar evaluators make
+    the same test inline.
+    """
+    with np.errstate(all="ignore"):
+        value = compute()
+    ok = np.isfinite(np.atleast_2d(value)).all(axis=0)
+    top = float(omega.max())
+    if ok.all() and math.isfinite(top * top):
+        return value
+    _refuse(float(omega[~ok][0]) if not ok.all() else top)
+
+
+def eval_uN_tilde(model: SolutionModel, omega: complex, x_index: int) -> complex:
+    """Plain truncated representation; entire in omega (omega = 0 is fine)."""
+    return _evaluate(model, _python(omega), x_index, False)
+
+
+def eval_uN(model: SolutionModel, omega: complex, x_index: int) -> complex:
+    """Omega-improved truncated representation at any complex omega where
+    it and omega^2 are finite (else ZeroOmegaError at 0, LimitError
+    elsewhere; a Python float error counts as a value that is not finite);
+    pass -omega for the -omega solution (plain sign substitution, valid for
+    complex q too)."""
+    omega = _python(omega)
+    try:
+        u = _evaluate(model, omega, x_index, True)
+    except (ZeroDivisionError, OverflowError):
+        u = math.nan
+    if cmath.isfinite(u) and cmath.isfinite(omega * omega):
+        return u
+    _refuse(omega)
+
+
 def eval_auto(model: SolutionModel, omega: complex, x_index: int) -> complex:
     """Dispatch: improved form for |omega| >= ``model.omega_switch`` (1),
     plain form below, power series exactly at omega = 0."""
+    omega = _python(omega)
     a = math.hypot(omega.real, omega.imag)  # abs() raises past float64
     if a == 0.0:
         return spps_eval(model.powers, 0.0, x_index, model.powers.k_max)
@@ -369,24 +425,31 @@ def sine_solution(
     Im u(omega, x)/omega, which is what gets evaluated then (one series
     evaluation instead of two).
 
-    representation: "improved" uses the omega-improved form, "plain" the
-    entire Bessel series.
+    representation: "improved" uses the omega-improved form (refused where
+    it is not finite, as in ``eval_uN``), "plain" the entire Bessel series.
     """
+    omega = _python(omega)
     if omega == 0:
         raise ZeroOmegaError("sine_solution divides by omega")
-
-    def s():
+    improved = _improved(representation)
+    try:
         if not model.is_complex and not (
             isinstance(omega, complex) and omega.imag != 0.0
         ):
-            w = float(omega)
-            return _series(model, w, x_index, representation).imag / w
-        return (
-            _series(model, omega, x_index, representation)
-            - _series(model, -omega, x_index, representation)
-        ) / (2j * omega)
-
-    return s() if representation == "plain" else _finite(s, omega)
+            w = float(omega.real)
+            s = _evaluate(model, w, x_index, improved).imag / w
+        else:
+            s = (
+                _evaluate(model, omega, x_index, improved)
+                - _evaluate(model, -omega, x_index, improved)
+            ) / (2j * omega)
+    except (ZeroDivisionError, OverflowError):
+        if not improved:
+            raise
+        s = math.nan
+    if not improved or (cmath.isfinite(s) and cmath.isfinite(omega * omega)):
+        return s
+    _refuse(omega)
 
 
 def char_values(
@@ -406,7 +469,7 @@ def char_values(
         raise ValueError("char_values needs a 1-D array of omega > 0")
 
     def values():
-        u, du = _series(model, w, model.grid.M, representation, True)
+        u, du = _series(model, w, model.grid.M, representation)
         s = u.imag / w
         return s, (du.imag - s) / w
 
@@ -455,20 +518,26 @@ def error_envelope(
     Raises
     ------
     LimitError
-        If the envelope leaves the float64 range (see ``_finite``).
+        If the envelope or omega^2 leaves the float64 range; at omega = 0,
+        ZeroOmegaError.
     """
-    x = float(model.grid.nodes[x_index])
+    omega = _python(omega)
+    x = model._x[x_index]
     a = abs(omega.imag) if isinstance(omega, complex) else 0.0
-
-    def envelope():
+    try:
         scale = float(eps[x_index]) / abs(omega) ** 2
         if a < 1e-8:
-            return scale * math.sqrt(2.0 * x)
-        scale *= math.sqrt(-math.expm1(-4.0 * a * x) / (2.0 * a))
-        if scale == 0.0:
-            return 0.0
-        if a * x < _LOG_FLOAT_MAX:
-            return scale * math.exp(a * x)
-        return math.exp(a * x + math.log(scale))
-
-    return _finite(envelope, omega, "the error envelope")
+            value = scale * math.sqrt(2.0 * x)
+        else:
+            scale *= math.sqrt(-math.expm1(-4.0 * a * x) / (2.0 * a))
+            if scale == 0.0:
+                value = 0.0
+            elif a * x < _LOG_FLOAT_MAX:
+                value = scale * math.exp(a * x)
+            else:
+                value = math.exp(a * x + math.log(scale))
+    except (ZeroDivisionError, OverflowError):
+        value = math.nan
+    if math.isfinite(value) and cmath.isfinite(omega * omega):
+        return value
+    _refuse(omega, "the error envelope")

@@ -9,15 +9,23 @@
   extended-precision run of the oracle's sixth-order Magnus step (three
   Gauss samples of q per step), for comparisons below ~1e-11 at large
   omega.
+* ``sequence_reference``, ``table_reference``, ``series_reference`` and
+  ``envelope_reference``: the Bessel recurrences and the scalar evaluation
+  written straightforwardly, each order stored as it is computed and every
+  model number read from its array at the call.  The library's kernels
+  make the same IEEE operations in the same order, so the tests require
+  equal bits, not a tolerance.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
 import numpy as np
 
+from nsbf.bessel import _j01, _tiny_series, spherical_j_sequence
 from nsbf.grid import Grid
 from nsbf.oracle import _NODES, _propagators
 
@@ -172,3 +180,117 @@ def solution_reference_extended(q, b: float, omegas) -> np.ndarray:
     for i in range(n_steps):
         y0, y1 = p11[i] * y0 + p12[i] * y1, p21[i] * y0 + p22[i] * y1
     return y0.astype(complex)
+
+
+def upward_reference(z, out):
+    """Upward recurrence at a scalar z or an array of real z."""
+    jm, jc = _j01(z)
+    out[0] = jm
+    for n in range(1, len(out)):
+        out[n] = jc
+        jm, jc = jc, (2 * n + 1) / z * jc - jm
+    return out
+
+
+def miller_reference(z, out, start):
+    """Miller's downward recurrence at a scalar z, from order ``start``,
+    renormalized wherever the growth bound could reach 1e250."""
+    a = abs(z)
+    c = 0.5 * (1.0 + a)
+    check = (
+        start * math.log(2.0 / a) + math.lgamma(start + 1.0 + c)
+        - math.lgamma(1.0 + c) > math.log(1e250 / 1e-30)
+    )
+    top = len(out)
+    above, cur = 0.0, 1e-30
+    for n in range(start, 0, -1):
+        below = (2 * n + 1) / z * cur - above
+        if n <= top:
+            out[n - 1] = below
+        if check and abs(below) > 1e250:
+            scale = 1.0 / abs(below)
+            below = below * scale
+            cur = cur * scale
+            out *= scale
+        above, cur = cur, below
+    j0, j1 = _j01(z)
+    out *= j0 / cur if abs(j0) >= abs(j1) else j1 / above
+    out[0] = j0
+    if top > 1:
+        out[1] = j1
+    return out
+
+
+def sequence_reference(N: int, z) -> np.ndarray:
+    """j_0(z) .. j_N(z) by the branches of ``spherical_j_sequence``."""
+    is_complex = isinstance(z, complex) and z.imag != 0.0
+    z = complex(z) if is_complex else float(z)
+    az = abs(z)
+    out = np.zeros(N + 1, dtype=complex if is_complex else float)
+    if az == 0.0:
+        out[0] = 1.0
+        return out
+    if az < 1e-8:
+        return _tiny_series(z, out)
+    if az > N:
+        return upward_reference(z, out)
+    return miller_reference(z, out, N + math.ceil(15.0 + az))
+
+
+def table_reference(N: int, z: np.ndarray) -> np.ndarray:
+    """j_n(z_k), n = 0..N+1, by the branches of ``spherical_j_table``, each
+    run on the columns it serves alone."""
+    out = np.empty((N + 2, z.size))
+    tiny = z < 1e-8
+    up = ~tiny & (z > N)
+    miller = ~(tiny | up)
+    for mask, kernel in ((tiny, _tiny_series), (up, upward_reference)):
+        if mask.any():
+            out[:, mask] = kernel(z[mask], np.empty((N + 2, np.count_nonzero(mask))))
+    if miller.any():
+        out[:, miller] = np.array([
+            miller_reference(zk, np.zeros(N + 2), N + math.ceil(15.0 + zk))
+            for zk in z[miller].tolist()
+        ]).T
+    return out
+
+
+def series_reference(model, omega, x_index: int, representation: str) -> complex:
+    """u_N(omega, x_j) of either representation at a Python scalar omega,
+    u = a e^{i omega x} - p e^{-i omega x}/(4 d) - k S/d (see
+    ``nsbf.solution._assemble``)."""
+    improved = representation == "improved"
+    table = model._alpha_c if improved else model._beta_c
+    n_top = model.N + 2 if improved else model.N
+    x = float(model.grid.nodes[x_index])
+    z = omega * x
+    if isinstance(z, complex) and z.imag == 0.0:
+        z = z.real
+    jn = spherical_j_sequence(n_top, z)
+    e, em = cmath.exp(1j * omega * x), cmath.exp(-1j * omega * x)
+    S = complex(np.dot(table[x_index, : n_top + 1], jn))
+    if improved:
+        num = complex if model.is_complex else float
+        Q = num(model.Q[x_index])
+        core = num(model.q[x_index]) / 4.0 - Q * Q / 8.0
+        d = omega * omega
+        a = 1.0 + Q / (2j * omega) + core / d
+        p, k = model.q0, 2.0
+    else:
+        a, p, k, d = 1.0, 0.0, -2.0, 1.0
+    return e * a - p * em / (4.0 * d) - k * S / d
+
+
+def envelope_reference(model, omega, x_index: int, eps: np.ndarray) -> float:
+    """The value of ``error_envelope`` where it is finite."""
+    x = float(model.grid.nodes[x_index])
+    a = abs(omega.imag) if isinstance(omega, complex) else 0.0
+    scale = float(eps[x_index]) / abs(omega) ** 2
+    if a < 1e-8:
+        return scale * math.sqrt(2.0 * x)
+    scale *= math.sqrt(-math.expm1(-4.0 * a * x) / (2.0 * a))
+    if scale == 0.0:
+        return 0.0
+    if a * x < math.log(1.7976931348623157e308):
+        return scale * math.exp(a * x)
+    return math.exp(a * x + math.log(scale))

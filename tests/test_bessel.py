@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from nsbf import LimitError, spherical_j_sequence, spherical_j_table
+
+from crosschecks import sequence_reference, table_reference
 
 mp.mp.dps = 40
 
@@ -177,3 +180,67 @@ def test_table_input_validation():
         spherical_j_table(121, np.array([1.0]))
     with pytest.raises(ValueError):
         spherical_j_table(5, np.array([0.0, 1.0]))
+
+
+#: orders whose bits the recurrences are checked on: the smallest tables,
+#: the solution layer's truncations and the cap
+BIT_ORDERS = [0, 1, 2, 15, 27, 60, 120]
+
+
+def seeded_real_arguments(N, seed=2024):
+    """Positive z on every branch at order N: the tiny series; Miller with
+    j_0, j_1 by their series (z < 0.1) and by the closed form, renormalized
+    for z <= 1e-3 at high N; upward recurrence on both sides of z = N."""
+    rng = np.random.default_rng(seed + N)
+    return np.concatenate([
+        rng.uniform(1e-12, 1e-8, 3),
+        rng.uniform(1e-8, 1e-3, 4),
+        rng.uniform(1e-3, 0.1, 4),
+        rng.uniform(0.1, max(N, 0.1), 8),
+        N + rng.uniform(1e-9, 50.0, 8),
+        rng.uniform(50.0, 3000.0, 4),
+    ])
+
+
+@pytest.mark.parametrize("N", BIT_ORDERS)
+def test_sequence_bits_equal_the_straightforward_recurrence(N):
+    rng = np.random.default_rng(N)
+    real = seeded_real_arguments(N).tolist()
+    # complex z on the same radii, |Im z| within the overflow guard
+    angles = rng.uniform(-math.pi, math.pi, len(real))
+    cplx = [r * complex(math.cos(t), math.sin(t))
+            for r, t in zip(real, angles) if r < 600.0]
+    for z in real + [-z for z in real] + cplx:
+        seq, ref = spherical_j_sequence(N, z), sequence_reference(N, z)
+        assert seq.dtype == ref.dtype and np.array_equal(seq, ref), z
+
+
+def test_renormalized_miller_bits():
+    # at N = 120 the downward run from z <= 1e-3 passes 1e250: the
+    # renormalizing loop, not the two-run one
+    for z in np.geomspace(1e-8, 1e-3, 12).tolist():
+        for w in (z, complex(z, z / 3)):
+            assert np.array_equal(spherical_j_sequence(120, w),
+                                  sequence_reference(120, w)), w
+
+
+@pytest.mark.parametrize("N", BIT_ORDERS)
+def test_table_bits_equal_the_straightforward_recurrence(N):
+    z = np.random.default_rng(7).permutation(seeded_real_arguments(N))
+    table = spherical_j_table(N, z)
+    assert np.array_equal(table, table_reference(N, z))
+    for k in range(z.size):
+        assert np.array_equal(table[:, k], spherical_j_table(N, z[k : k + 1])[:, 0])
+
+
+@pytest.mark.parametrize("z", [np.complex64(3 + 2j), np.float32(5.0),
+                               np.complex128(0.5 - 1j), np.longdouble(2.5)],
+                         ids=["complex64", "float32", "complex128", "longdouble"])
+def test_numpy_scalar_argument_is_its_python_value(z):
+    # a complex64 used to lose its imaginary part (with a ComplexWarning)
+    value = complex(z) if np.iscomplexobj(z) else float(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seq = spherical_j_sequence(12, z)
+    ref = spherical_j_sequence(12, value)
+    assert seq.dtype == ref.dtype and np.array_equal(seq, ref)

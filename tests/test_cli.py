@@ -173,8 +173,19 @@ class TestEigsCommand:
         lams = [float(r[1]) for r in rows]
         assert lams == pytest.approx([1.0, 6.0, 13.0], rel=1e-12)
 
+    def test_asymptotic_column_exact_for_a_constant(self):
+        # (n pi/b)^2 + Q(b)/b is lambda_n for constant q at every n, the
+        # missed lambda_1 = -2 of q = -3 included; the squared form
+        # (n pi/b + Q(b)/(2 pi n))^2 read 0.25, 1.5625 and 6.25 here
+        rc, out = run_cli(["eigs", "--potential=-3", "--count", "3"])
+        assert rc == 0
+        _, rows = data_rows(out)
+        asym = [float(r[4]) for r in rows]
+        assert asym == pytest.approx([-2.0, 1.0, 6.0], rel=1e-12)
+
     def test_asymptotic_column_for_every_b(self):
-        # (n pi/b + Q(b)/(2 pi n))^2 is within 2.6e-5 of lambda_200 at b = 2
+        # (n pi/b)^2 + Q(b)/b is within 5e-10 of lambda_200 at b = 2 (the
+        # squared form of asymptotic_eigenvalue within 2.6e-5)
         rc, out = run_cli(["eigs", "--potential", "exp(x)", "--b", "2",
                            "--count", "200"])
         assert rc == 0

@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,11 @@ from nsbf.grid import PIPELINE_CDTYPE, PIPELINE_DTYPE
 from nsbf.oracle import solution_reference
 
 from conftest import const_q_solution
-from crosschecks import solution_reference_extended
+from crosschecks import (
+    envelope_reference,
+    series_reference,
+    solution_reference_extended,
+)
 
 PI = math.pi
 
@@ -457,3 +462,99 @@ class TestErrorEnvelope:
     def test_omega_squared_out_of_range_rejected(self, model_exp, w):
         with pytest.raises(LimitError):
             error_envelope(model_exp, w, 10, epsN_surrogate(model_exp))
+
+
+@pytest.fixture(scope="module")
+def bit_models():
+    """A real potential, and a complex tabulated one."""
+    x = np.asarray(make_grid(PI, 600).nodes, dtype=float)
+    return {
+        "real": build_model("exp(x)", PI, 600, 20),
+        "complex": build_model(np.exp(x) * (1.0 + 0.5j) - 2.0j, PI, 600, 20),
+    }
+
+
+def seeded_points(seed=11, count=150):
+    """(omega, node) pairs: real and complex omega from 1e-3 to 2000, the
+    sign of each part at random, at nodes 0..600."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for k in range(count):
+        w = float(10.0 ** rng.uniform(-3.0, math.log10(2000.0)))
+        w *= rng.choice([-1.0, 1.0])
+        if k % 2:
+            w = complex(w, rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 20.0))
+        points.append((w, int(rng.integers(0, 601))))
+    return points
+
+
+class TestScalarBits:
+    """The scalar kernel rounds as the straightforward evaluation does."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_evaluators_equal_the_straightforward_series(self, bit_models, kind):
+        model = bit_models[kind]
+        eps = epsN_surrogate(model)
+        for w, j in seeded_points():
+            plain = series_reference(model, w, j, "plain")
+            improved = series_reference(model, w, j, "improved")
+            assert eval_uN_tilde(model, w, j) == plain, (w, j)
+            assert eval_uN(model, w, j) == improved, (w, j)
+            assert eval_auto(model, w, j) == (improved if abs(w) >= 1 else plain)
+            assert error_envelope(model, w, j, eps) == envelope_reference(
+                model, w, j, eps), (w, j)
+            for rep in ("plain", "improved"):
+                if kind == "real" and not isinstance(w, complex):
+                    ref = series_reference(model, w, j, rep).imag / w
+                else:
+                    ref = (series_reference(model, w, j, rep)
+                           - series_reference(model, -w, j, rep)) / (2j * w)
+                assert sine_solution(model, w, j, rep) == ref, (w, j, rep)
+
+    def test_truncated_view_reads_the_same_nodes(self, bit_models):
+        model = bit_models["complex"]
+        view = model.with_truncation(7)
+        assert view._Q is model._Q
+        for w, j in seeded_points(seed=5, count=20):
+            assert eval_uN(view, w, j) == series_reference(view, w, j, "improved")
+
+
+class TestNumpyScalarOmega:
+    """A numpy scalar omega is evaluated as the Python number of its value;
+    a complex64 used to run in single precision and drop its imaginary
+    part in the Bessel values, with a ComplexWarning."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return build_model("exp(x)", PI, 600, 10)
+
+    @pytest.mark.parametrize("w", [np.complex64(3 + 2j), np.float32(5.0),
+                                   np.float64(0.5), np.complex128(2 - 1j)],
+                             ids=["complex64", "float32", "float64", "complex128"])
+    def test_same_value_as_the_python_number(self, model, w):
+        value = complex(w) if np.iscomplexobj(w) else float(w)
+        eps = epsN_surrogate(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [eval_auto(model, w, 300), eval_uN(model, w, 300),
+                   eval_uN_tilde(model, w, 300), sine_solution(model, w, 300),
+                   error_envelope(model, w, 300, eps)]
+        assert got == [eval_auto(model, value, 300), eval_uN(model, value, 300),
+                       eval_uN_tilde(model, value, 300),
+                       sine_solution(model, value, 300),
+                       error_envelope(model, value, 300, eps)]
+
+    @pytest.mark.parametrize("w", [3 + 0j, np.complex64(3 + 0j)],
+                             ids=["complex", "complex64"])
+    def test_sine_solution_at_a_real_complex_omega(self, model, w):
+        # a complex omega with a zero imaginary part used to raise TypeError
+        # from float(omega) on a real potential
+        for rep in ("improved", "plain"):
+            expected = sine_solution(model, 3.0, 300, rep)
+            assert sine_solution(model, w, 300, rep) == expected
+
+    def test_complex64_value(self, model):
+        u = eval_auto(model, np.complex64(3 + 2j), 300)
+        assert u == pytest.approx(-0.4809 - 0.5322j, abs=1e-4)
+        env = error_envelope(model, np.complex64(3 + 2j), 300, epsN_surrogate(model))
+        assert env == pytest.approx(7.27e-7, rel=1e-3)
