@@ -24,19 +24,25 @@ A step size that falls below what x resolves (a singular q) raises
 
 All entry points are vectorized over a batch of spectral parameters; the
 step size is shared across the batch (controlled by the worst member).
-One kernel, ``_propagators``, builds the propagators of a stack of steps
-for the whole batch at once.  ``propagate`` attempts a pass of equal steps
-at a time: one call of q on the nine Gauss nodes of each step and its two
-halves, one kernel call on that stack, the states after every step from
-one prefix product of the step matrices in log2 of the pass length
-levels (``_advance``), and a vectorised error test of every step on the
-state it starts from.  The steps before the first rejected one are
-accepted and the rest discarded; the next step size comes from the
-rejected step, or from the pass's worst error.  The first pass is one step
-long; a pass doubles after a clean pass and halves after a rejection, and
-never exceeds STEP_BLOCK steps nor REPLAY_BLOCK steps times spectral
-parameters.  q maps an ndarray of x to an array of q(x), or to a scalar
-for a constant.
+They refuse with ``ValueError`` a b that is not finite and positive and
+a batch member that is not finite, and give an empty result for an empty
+batch.  One kernel, ``_propagators``, builds the propagators of a stack
+of steps for the whole batch at once, evaluating cos and sin only on its
+oscillatory entries and cosh and sinh only on the others.  ``propagate``
+attempts a pass of equal steps at a time: one call of q on the nine
+Gauss nodes of each step and its two halves, one kernel call on that
+stack, the states after every step from one prefix product of the step
+matrices in log2 of the pass length levels (``_advance``), and a
+vectorised error test of every step on the state it starts from.  The
+steps before the first rejected one are accepted and the rest discarded;
+the next step size comes from the rejected step, or from the pass's
+worst error.  The first pass is one step long; a pass doubles after a
+clean pass and halves after a rejection, and never exceeds STEP_BLOCK
+steps nor REPLAY_BLOCK steps times spectral parameters.  A pass makes
+nearly the same number of numpy calls whatever its length, so fewer and
+longer passes cost less, up to where a pass held at one step size for
+longer costs extra steps (STEP_BLOCK's comment has the measurement).  q
+maps an ndarray of x to an array of q(x), or to a scalar for a constant.
 
 ``eigenvalues_reference`` adapts the mesh once, in one ``propagate`` over
 the initial bracket endpoints, and records each accepted step's size and
@@ -85,8 +91,26 @@ REPLAY_BLOCK = 4096
 #: most steps in a pass of the adaptive integrator, which is also held to
 #: REPLAY_BLOCK steps times spectral parameters: numpy's per-call overhead
 #: sets the cost of a pass, and a pass starts at one step, so no long pass
-#: commits steps of an unverified size
-STEP_BLOCK = 32
+#: commits steps of an unverified size.  A seed-1 round of the benchmark's
+#: reference workload makes 587 kernel calls at 64 against 838 at 32; over
+#: rounds of seeds 4-6 run in process, caps of 48, 64, 96 and 128 took
+#: 0.89-0.91, 0.81-0.83, 0.79-0.80 and 0.75-0.80 of the time at 32 (2-core
+#: x86-64, numpy 2.4).  In benchmark runs 96 and 128 read within the
+#: run-to-run spread of 64, with a larger working set
+STEP_BLOCK = 64
+
+
+def _batch(b, name: str, values) -> np.ndarray:
+    """``values`` as a 1-d float array, once b is found finite and positive
+    and every entry finite.  Over any other b the loop would not run and
+    the initial state would come back; a nan or inf entry would drive the
+    step to its floor, and the error would blame q."""
+    if not (math.isfinite(b) and b > 0.0):
+        raise ValueError(f"right endpoint b must be finite and positive, got {b!r}")
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"every {name} must be finite")
+    return values
 
 
 def _propagators(q1, q2, q3, h, lam: np.ndarray, scale: np.ndarray):
@@ -121,20 +145,33 @@ def _propagators(q1, q2, q3, h, lam: np.ndarray, scale: np.ndarray):
     d = D * (K / 7200.0 - 1.0 / 12.0) + (D / 180.0) * (hs * hv)
     b = hs * (e - f)
     c = hv * (e + f) + (K * (1.0 / 12.0 + K / 3600.0) - D * D / 120.0) / hs
+    # each full-size temporary is freed once spent, so that the working set
+    # of a long pass stays near its outputs
+    del hs, hv
 
     delta2 = d * d + b * c
     s = np.sqrt(np.abs(delta2))
     osc = delta2 < 0.0
+    hyp = ~osc
     small = s < 1e-8
 
-    # evaluate each branch only on its own side to avoid spurious overflow
-    s_o = np.where(osc, s, 1.0)
-    s_h = np.where(osc, 1.0, s)
-    ch = np.where(osc, np.cos(s_o), np.cosh(s_h))
-    shc = np.where(osc, np.sin(s_o) / s_o, np.sinh(s_h) / s_h)
+    # each branch only on its own entries, written into one output: no
+    # spurious overflow, and every transcendental runs once per entry
+    ch = np.empty_like(s)
+    shc = np.empty_like(s)
+    np.cos(s, out=ch, where=osc)
+    np.cosh(s, out=ch, where=hyp)
+    np.sin(s, out=shc, where=osc)
+    np.sinh(s, out=shc, where=hyp)
+    np.divide(shc, s, out=shc, where=~small)
     # both branches degenerate to 1 + delta2/6 + O(delta2^2) near 0
-    shc = np.where(small, 1.0 + delta2 / 6.0, shc)
-    return ch + shc * d, shc * b, shc * c, ch - shc * d
+    np.copyto(shc, 1.0 + delta2 / 6.0, where=small)
+    del delta2, s
+    # in place: a product has the same bits in either order
+    d *= shc
+    b *= shc
+    c *= shc
+    return ch + d, b, c, ch - d
 
 
 def _step_matrices(rows: np.ndarray, lam: np.ndarray, scale: np.ndarray):
@@ -158,7 +195,8 @@ def _step_matrices(rows: np.ndarray, lam: np.ndarray, scale: np.ndarray):
          p11[2] * p12[1] + p12[2] * p22[1],
          p21[2] * p11[1] + p22[2] * p21[1],
          p21[2] * p12[1] + p22[2] * p22[1])
-    B = (p11[0], p12[0], p21[0], p22[0])
+    # copies, so that the stacked propagators are freed on return
+    B = (p11[0].copy(), p12[0].copy(), p21[0].copy(), p22[0].copy())
     E = tuple(f + (f - g) / 63.0 for f, g in zip(F, B))
     return F, B, E
 
@@ -203,7 +241,8 @@ def _attempt(rows: np.ndarray, lam: np.ndarray, scale: np.ndarray, u, v):
         Fy = np.array((F[0] * U + F[1] * V, F[2] * U + F[3] * V))
         By = np.array((B[0] * U + B[1] * V, B[2] * U + B[3] * V))
         err = np.max(np.abs(Fy - By) / (ATOL + RTOL * np.abs(Fy)), axis=(0, 2))
-    return states_u, states_v, np.nan_to_num(err, nan=np.inf)
+    err[np.isnan(err)] = np.inf
+    return states_u, states_v, err
 
 
 def propagate(
@@ -245,16 +284,20 @@ def propagate(
 
     Raises
     ------
+    ValueError
+        If b is not finite and positive, or a lam is not finite.
     OracleError
         If the step count budget is exhausted, or if the step size falls
         below what x resolves (a singular q).
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    lam = _batch(b, "lam", lam)
     y0 = np.asarray(y0)
     if y0.ndim == 1:
         y0 = y0[:, None]
     y = np.array(np.broadcast_to(y0, (2, lam.size)))
     y = y.astype(complex) if np.iscomplexobj(y) else y.astype(float)
+    if not lam.size:
+        return y, 0
     scale = np.sqrt(np.maximum(np.abs(lam), 1.0))
     u, v = y[0], y[1] / scale
 
@@ -332,7 +375,7 @@ def solution_reference(q, b: float, omegas) -> np.ndarray:
 
     omegas is a batch of real spectral parameters; returns complex values.
     """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    omegas = _batch(b, "omega", omegas)
     lam = omegas**2
     y0 = np.stack(
         (np.ones_like(omegas, dtype=complex), 1j * omegas.astype(complex))
@@ -343,7 +386,6 @@ def solution_reference(q, b: float, omegas) -> np.ndarray:
 
 def characteristic_reference(q, b: float, lams) -> np.ndarray:
     """Dirichlet shooting function s(lam) = u(b) with u(0)=0, u'(0)=1."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
     y, _ = propagate(q, b, lams, np.array([0.0, 1.0]))
     return y[0]
 
@@ -363,11 +405,15 @@ def eigenvalues_reference(q, b: float, seeds) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If b is not finite and positive, or a seed is not finite.
     OracleError
         If a bracket cannot be established, or if a bracket is still
         wider than its tolerance after ``MAX_SWEEPS`` sweeps.
     """
-    seeds = np.asarray(seeds, dtype=float)
+    seeds = _batch(b, "seed", seeds)
+    if not seeds.size:
+        return seeds
     delta = np.maximum(1e-6, 1e-9 * np.abs(seeds))
     lo = seeds - delta
     hi = seeds + delta

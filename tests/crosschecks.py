@@ -9,6 +9,9 @@
   extended-precision run of the oracle's sixth-order Magnus step (three
   Gauss samples of q per step), for comparisons below ~1e-11 at large
   omega.
+* ``propagators_reference``: the oracle's step propagators with each
+  branch evaluated over the whole stack and picked by ``np.where``, the
+  form the library's masked kernel must reproduce bit for bit.
 * ``sequence_reference``, ``table_reference``, ``series_reference`` and
   ``envelope_reference``: the Bessel recurrences and the scalar evaluation
   written straightforwardly, each order stored as it is computed and every
@@ -27,7 +30,7 @@ import numpy as np
 
 from nsbf.bessel import _j01, _tiny_series, spherical_j_sequence
 from nsbf.grid import Grid
-from nsbf.oracle import _NODES, _propagators
+from nsbf.oracle import _NODES, _SQRT15_3, _propagators
 
 #: an entry is flagged when its largest summand exceeds this multiple of
 #: the result
@@ -180,6 +183,40 @@ def solution_reference_extended(q, b: float, omegas) -> np.ndarray:
     for i in range(n_steps):
         y0, y1 = p11[i] * y0 + p12[i] * y1, p21[i] * y0 + p22[i] * y1
     return y0.astype(complex)
+
+
+def exponent_reference(q1, q2, q3, h, lam, scale):
+    """Entries (d, b, c) of the oracle's sixth-order exponent
+    [[d, b], [c, -d]] of a stack of steps, as ``_propagators`` forms them."""
+    hs = h * scale
+    hv = h * (q2 - lam) / scale
+    hh = h * h
+    D = _SQRT15_3 * hh * (q3 - q1)
+    K = (10.0 / 3.0) * hh * (q3 - 2.0 * q2 + q1)
+    e = 1.0 + D * D / 3600.0
+    f = K / 180.0
+    d = D * (K / 7200.0 - 1.0 / 12.0) + (D / 180.0) * (hs * hv)
+    b = hs * (e - f)
+    c = hv * (e + f) + (K * (1.0 / 12.0 + K / 3600.0) - D * D / 120.0) / hs
+    return d, b, c
+
+
+def propagators_reference(q1, q2, q3, h, lam, scale):
+    """Entries (p11, p12, p21, p22) of exp([[d, b], [c, -d]]): cos and
+    sin/s of the whole stack where delta2 = d^2 + bc < 0, cosh and sinh/s
+    where not, each taken from an argument of 1 on the other side, then
+    1 + delta2/6 where s < 1e-8."""
+    d, b, c = exponent_reference(q1, q2, q3, h, lam, scale)
+    delta2 = d * d + b * c
+    s = np.sqrt(np.abs(delta2))
+    osc = delta2 < 0.0
+    small = s < 1e-8
+    s_o = np.where(osc, s, 1.0)
+    s_h = np.where(osc, 1.0, s)
+    ch = np.where(osc, np.cos(s_o), np.cosh(s_h))
+    shc = np.where(osc, np.sin(s_o) / s_o, np.sinh(s_h) / s_h)
+    shc = np.where(small, 1.0 + delta2 / 6.0, shc)
+    return ch + shc * d, shc * b, shc * c, ch - shc * d
 
 
 def upward_reference(z, out):

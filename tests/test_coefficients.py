@@ -9,6 +9,7 @@ from nsbf import (
     LimitError,
     accuracy_indicators,
     build_model,
+    coefficients,
     indefinite_integral,
     make_grid,
     sample,
@@ -174,6 +175,27 @@ def beta_build(request):
     leg = legendre_coeffs(model.beta.n_max)
     dev = model.powers.dev_ratio[: model.beta.n_max + 1, 1:]
     return model.beta, leg, dev
+
+
+@pytest.mark.parametrize(
+    "name", ["exp", "paine", "minus3", "complex_tabulated", "complex_fallback"])
+def test_magnitudes_equal_the_casting_abs(name, monkeypatch):
+    # a real table's float64 magnitudes are rounded before the sign is
+    # dropped, not by the ufunc's casting loop: the cancellation flags, both
+    # noise floors and alpha, which the noise-tail cut reads them for, keep
+    # every bit
+    q, N = BETA_BUILDS[name]
+    model = build_model(q, PI, 1998, N)
+    monkeypatch.setattr(
+        coefficients, "_abs_into",
+        lambda x, out: np.abs(x, out=out, casting="unsafe"))
+    casting = build_model(q, PI, 1998, N)
+    assert model.beta.flags.any()
+    for got, want in ((model.beta.flags, casting.beta.flags),
+                      (model.beta.noise_floor, casting.beta.noise_floor),
+                      (model.alpha.noise_floor, casting.alpha.noise_floor),
+                      (model.alpha.alpha, casting.alpha.alpha)):
+        assert np.array_equal(got, want)
 
 
 def _largest_summand(leg, dev, n):

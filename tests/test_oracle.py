@@ -12,7 +12,11 @@ from nsbf.oracle import (
     solution_reference,
 )
 
-from crosschecks import solution_reference_extended
+from crosschecks import (
+    exponent_reference,
+    propagators_reference,
+    solution_reference_extended,
+)
 
 PI = math.pi
 
@@ -224,6 +228,42 @@ def test_propagator_is_sixth_order():
     assert min(orders) >= 5.5
 
 
+def _mixed_stack(seed, dtype):
+    """Gauss samples, sizes, batch and scales of a seeded stack of steps
+    whose entries are oscillatory, hyperbolic, below s = 1e-8, exactly at
+    delta2 = 0 (a constant q equal to lam) and overflowing (h = 50)."""
+    rng = np.random.default_rng(seed)
+    lam = np.array([-5.0, 0.0, 1.0, 3.0, 40.0, 1e4])
+    S = 120
+    h = rng.choice([1e-10, 1e-3, 0.1, 1.0, 50.0], size=(S, 1))
+    q = rng.normal(0.0, 20.0, size=(3, S, 1))
+    # a third of the steps sample a constant q, one of the batch's lam
+    flat = rng.random((S, 1)) < 1.0 / 3.0
+    q = np.where(flat, rng.choice(lam, size=(S, 1)), q)
+    lam = lam.astype(dtype)
+    scale = np.sqrt(np.maximum(np.abs(lam), 1.0))
+    return (*q.astype(dtype), h.astype(dtype), lam, scale)
+
+
+@pytest.mark.parametrize("dtype", [float, np.longdouble])
+@pytest.mark.parametrize("seed", range(4))
+def test_propagators_equal_the_two_branch_kernel(seed, dtype):
+    stack = _mixed_stack(seed, dtype)
+    d, b, c = exponent_reference(*stack)
+    delta2 = d * d + b * c
+    s = np.sqrt(np.abs(delta2))
+    assert np.any(delta2 < 0) and np.any(delta2 > 0) and np.any(delta2 == 0)
+    assert np.any((s < 1e-8) & (delta2 != 0))
+    with np.errstate(all="ignore"):
+        got = oracle._propagators(*stack)
+        want = propagators_reference(*stack)
+    # the h = 50 steps overflow
+    assert np.any(~np.isfinite(want[0]))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w, equal_nan=True)
+
+
 def test_characteristic_matches_bessel_closed_form():
     # -u'' + u/(x+a)^2 = lam u has the solutions sqrt(t) Z_nu(k t), t = x + a,
     # nu = sqrt(5)/2, k = sqrt(lam); their Wronskian is 2/pi, so
@@ -265,6 +305,8 @@ def test_propagate_samples_q_once_per_block(q):
         _, n_steps = propagate(counted, PI, np.linspace(1.0, 2e4, K),
                                np.array([0.0, 1.0]), mesh=mesh)
         cap = min(oracle.STEP_BLOCK, oracle.REPLAY_BLOCK // K)
+        # 12 lam leave the cap at STEP_BLOCK, which every sweep reaches
+        assert cap == oracle.STEP_BLOCK or K == 920
         length, rejections, halved = 1, 0, 0
         for (starts, ends), following in zip(passes, passes[1:] + [None]):
             n = starts.size
@@ -284,6 +326,38 @@ def test_propagate_samples_q_once_per_block(q):
         assert max(starts.size for starts, _ in passes) == cap
         # the smooth potentials reject only their first one-step passes
         assert halved > 0 or q is not _peak
+
+
+#: each entry point on exp(x) over [0, b], as a function of b and the batch
+ENTRY_POINTS = {
+    "propagate": lambda b, batch: propagate(np.exp, b, batch,
+                                            np.array([0.0, 1.0]))[0][0],
+    "solution": lambda b, batch: solution_reference(np.exp, b, batch),
+    "characteristic": lambda b, batch: characteristic_reference(np.exp, b, batch),
+    "eigenvalues": lambda b, batch: eigenvalues_reference(np.exp, b, batch),
+}
+
+
+@pytest.mark.parametrize("b", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_interval_must_be_finite_and_positive(name, b):
+    # the loop over [0, b] never ran: the initial state came back as u(b)
+    with pytest.raises(ValueError, match="finite and positive"):
+        ENTRY_POINTS[name](b, [1.0])
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_empty_batch_gives_an_empty_result(name):
+    # REPLAY_BLOCK // 0 raised ZeroDivisionError
+    assert ENTRY_POINTS[name](PI, []).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_non_finite_batch_member_refused(name, bad):
+    # an OracleError once blamed q ("is q singular there?")
+    with pytest.raises(ValueError, match="must be finite"):
+        ENTRY_POINTS[name](PI, [4.0, bad])
 
 
 def _sequential_states(E, u, v):
