@@ -28,7 +28,6 @@ from .expr import evaluate as eval_expression
 from .expr import parse as parse_expression
 from .grid import (
     Grid,
-    SampledFunction,
     derivative,
     indefinite_integral,
     make_grid,

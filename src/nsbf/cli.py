@@ -17,7 +17,8 @@ input is resampled onto the working grid by local degree-6 interpolation
 when the grids differ, and that is flagged in the output metadata.
 
 Exit codes: 0 success, 2 config/parse errors, 3 evaluation errors,
-4 spectral errors, 5 reference-oracle failure.
+4 spectral errors, 5 reference-oracle failure: the ``exit_code`` of each
+error class.
 """
 
 from __future__ import annotations
@@ -36,20 +37,8 @@ import numpy as np
 from . import expr as expr_mod
 from . import oracle
 from .coefficients import accuracy_indicators
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    ExpressionEvalError,
-    ExpressionSyntaxError,
-    GridError,
-    LimitError,
-    NearVanishingError,
-    NsbfError,
-    OracleError,
-    RangeExhaustedError,
-    ZeroOmegaError,
-)
-from .grid import PIPELINE_CDTYPE, PIPELINE_DTYPE, SampledFunction, make_grid
+from .errors import ConfigError, NsbfError
+from .grid import PIPELINE_CDTYPE, PIPELINE_DTYPE, make_grid
 from .solution import (
     SolutionModel,
     build_model,
@@ -314,11 +303,7 @@ def _emit(cfg: RunConfig, command: str, metadata: dict, columns: list,
 
 def _metadata(cfg: RunConfig, desc: str, model: SolutionModel) -> dict:
     """The run's settings, and the accuracy indicators eps1/eps2 at b."""
-    grid = model.grid
-    eps1, eps2 = accuracy_indicators(
-        SampledFunction(grid, model.q), SampledFunction(grid, model.Q),
-        SampledFunction(grid, model.Q2), model.alpha, model.N,
-    )
+    eps1, eps2 = accuracy_indicators(model.q, model.Q, model.alpha, model.N)
     md = {
         "generated": datetime.now(timezone.utc).isoformat(),
         "potential": desc,
@@ -556,15 +541,6 @@ def _merge_config(args) -> RunConfig:
     return cfg
 
 
-_EXIT_CODES = (
-    ((ExpressionSyntaxError, ConfigError, GridError), 2),
-    ((ZeroOmegaError, ExpressionEvalError, ConvergenceError,
-      NearVanishingError, LimitError), 3),
-    ((RangeExhaustedError,), 4),
-    ((OracleError,), 5),
-)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
@@ -578,10 +554,7 @@ def main(argv=None) -> int:
         return handler(cfg)
     except NsbfError as exc:
         print(f"nsbf {args.command}: {exc}", file=sys.stderr)
-        for types, code in _EXIT_CODES:
-            if isinstance(exc, types):
-                return code
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import LimitError
 from .formal_powers import FormalPowersTable
-from .grid import Grid, SampledFunction, derivative
+from .grid import Grid, derivative, indefinite_integral
 
 __all__ = [
     "BetaTable",
@@ -212,8 +212,8 @@ def beta_coeffs(phi: FormalPowersTable, l: np.ndarray) -> BetaTable:
 
 
 def build_alpha_table(
-    q: SampledFunction,
-    Q: SampledFunction,
+    q: np.ndarray,
+    Q: np.ndarray,
     phi: FormalPowersTable,
     beta: BetaTable,
     n_max: int,
@@ -234,14 +234,13 @@ def build_alpha_table(
     """
     if n_max > ORDER_CAP:
         raise LimitError(f"alpha order {n_max} exceeds cap {ORDER_CAP}")
-    grid = q.grid
+    grid = phi.grid
     alpha = np.zeros((n_max + 1, grid.M + 1), dtype=phi.dev_ratio.dtype)
     x = grid.nodes[1:].astype(alpha.dtype)
-    q0 = q.values[0]
-    core = q.values[1:] / 4.0 - Q.values[1:] * Q.values[1:] / 8.0
-    qplus = core + q0 / 4.0
-    qminus = core - q0 / 4.0
-    Qx = Q.values[1:]
+    Qx = Q[1:]
+    core = q[1:] / 4.0 - Qx * Qx / 8.0
+    qplus = core + q[0] / 4.0
+    qminus = core - q[0] / 4.0
     dev = phi.dev_ratio[:2, 1:]
     seeds = (
         0.5 * qminus,
@@ -297,11 +296,7 @@ def _suppress_noise_tail(alpha: np.ndarray):
 
 
 def accuracy_indicators(
-    q: SampledFunction,
-    Q: SampledFunction,
-    Q2: SampledFunction,
-    alpha: AlphaTable,
-    n_trunc: int,
+    q: np.ndarray, Q: np.ndarray, alpha: AlphaTable, n_trunc: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The eps1/eps2 diagnostics for a truncation at n_trunc.
 
@@ -313,20 +308,20 @@ def accuracy_indicators(
     while the Fourier-Legendre expansion gives (1/x) sum alpha_n and
     (1/x) sum (-1)^n alpha_n for the same quantities.  eps1/eps2 are the
     absolute differences, per node; they measure how well the truncated
-    expansion resolves the kernel.  q' comes from 6th-order finite
-    differences, so tabulated potentials work unchanged.
+    expansion resolves the kernel.  q and Q are the node values of the
+    potential and of its running integral; q' comes from 6th-order finite
+    differences and int q^2 from the grid's indefinite integral, so
+    tabulated potentials work unchanged.
     """
     if n_trunc > alpha.n_max:
         raise ValueError(
             f"truncation {n_trunc} exceeds alpha table n_max={alpha.n_max}"
         )
-    grid = q.grid
-    qp = derivative(q).values
-    q0 = q.values[0]
-    diag_same = (
-        qp - q.values * Q.values - Q2.values + Q.values**3 / 6.0
-    ) / 8.0
-    diag_opp = (qp[0] + q0 * Q.values) / 8.0
+    grid = alpha.grid
+    qp = derivative(grid, q)
+    Q2 = indefinite_integral(grid, q * q)
+    diag_same = (qp - q * Q - Q2 + Q**3 / 6.0) / 8.0
+    diag_opp = (qp[0] + q[0] * Q) / 8.0
 
     x = grid.nodes[1:].astype(alpha.alpha.dtype)
     ssum = np.zeros(x.size, dtype=alpha.alpha.dtype)

@@ -1,19 +1,28 @@
 """Exception hierarchy shared by all nsbf modules.
 
-The CLI maps these onto process exit codes; see :mod:`nsbf.cli`.
+Each class carries the process exit code that the CLI returns for it: 2
+for bad input, 3 (the default) for evaluation errors, 4 when the
+eigenvalue scan runs out, 5 when the reference integrator fails.
 """
 
 
 class NsbfError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 3
+
 
 class ConfigError(NsbfError):
     """Invalid run configuration (bad flags, malformed config file, ...)."""
 
+    exit_code = 2
+
 
 class GridError(NsbfError):
-    """Invalid grid parameters (b <= 0, M too small or not divisible by 6)."""
+    """Invalid grid parameters (b not positive and finite, M too small or
+    not divisible by 6, values that do not match the grid)."""
+
+    exit_code = 2
 
 
 class ExpressionSyntaxError(NsbfError):
@@ -22,6 +31,8 @@ class ExpressionSyntaxError(NsbfError):
     Carries the byte offset of the failure and a description of what was
     expected there.
     """
+
+    exit_code = 2
 
     def __init__(self, message: str, offset: int, expected: str = ""):
         self.offset = offset
@@ -59,6 +70,10 @@ class RangeExhaustedError(NsbfError):
     """The eigenvalue scan range was exhausted before finding the requested
     number of eigenvalues."""
 
+    exit_code = 4
+
 
 class OracleError(NsbfError):
     """The built-in reference integrator failed to reach its tolerance."""
+
+    exit_code = 5

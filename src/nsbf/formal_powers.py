@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NearVanishingError
-from .grid import Grid, SampledFunction, indefinite_integral
+from .grid import Grid, indefinite_integral
 
 __all__ = [
     "FormalPowersTable",
@@ -77,7 +77,7 @@ def _monomials(grid: Grid, k_max: int, dtype) -> np.ndarray:
     return np.multiply.accumulate(xk, out=xk)
 
 
-def _deviation_recursion(f: SampledFunction, k_max: int) -> np.ndarray:
+def _deviation_recursion(grid: Grid, f: np.ndarray, k_max: int) -> np.ndarray:
     """Deviations of the two recursive-integral families from x^n.
 
     With w_n the weight (f^2)^(+-1) of family member n, the deviations
@@ -90,52 +90,49 @@ def _deviation_recursion(f: SampledFunction, k_max: int) -> np.ndarray:
     that phi_k uses, D^(k) for odd k and Dt^(k) for even k, as one array
     of shape (k_max+1, M+1); row 0 is zero.
     """
-    grid = f.grid
-    dev_sq, dev_inv = _weight_deviations(f.values)
-    w_sq = f.values * f.values
+    dev_sq, dev_inv = _weight_deviations(f)
+    w_sq = f * f
     w_inv = 1.0 / w_sq
 
     # row 0 of each stack is the D family, row 1 the Dt family: odd orders
     # weight D by 1/f^2 and Dt by f^2, even orders the other way round
     w_odd, dev_odd = np.stack((w_inv, w_sq)), np.stack((dev_inv, dev_sq))
     w_even, dev_even = w_odd[::-1], dev_odd[::-1]
-    D = np.zeros((k_max + 1, grid.M + 1), dtype=f.values.dtype)
-    pair = np.zeros((2, grid.M + 1), dtype=f.values.dtype)  # order n-1
-    xk = _monomials(grid, k_max - 1, f.values.real.dtype)
+    D = np.zeros((k_max + 1, grid.M + 1), dtype=f.dtype)
+    pair = np.zeros((2, grid.M + 1), dtype=f.dtype)  # order n-1
+    xk = _monomials(grid, k_max - 1, f.real.dtype)
     for n in range(1, k_max + 1):
         w, dev = (w_odd, dev_odd) if n % 2 == 1 else (w_even, dev_even)
-        pair = n * indefinite_integral(
-            SampledFunction(grid, pair * w + xk[n - 1] * dev)
-        ).values
+        pair = n * indefinite_integral(grid, pair * w + xk[n - 1] * dev)
         D[n] = pair[(n + 1) % 2]
     return D
 
 
 def _power_deviations(
-    f: SampledFunction, k_max: int
+    grid: Grid, f: np.ndarray, k_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """phi_k - x^k = f D^(k) + (f - 1) x^k for k = 0..k_max, in f's dtype,
     and the x^k rows (extended) that it used."""
-    dev = _deviation_recursion(f, k_max)
-    xk = _monomials(f.grid, k_max, np.longdouble)
-    dev_f = f.values - 1.0
+    dev = _deviation_recursion(grid, f, k_max)
+    xk = _monomials(grid, k_max, np.longdouble)
+    dev_f = f - 1.0
     # row by row, so no temporary is as large as the table; f first, as
     # numpy's complex product need not commute bit for bit
     for k in range(k_max + 1):
-        dev[k] = f.values * dev[k] + np.multiply(dev_f, xk[k], dtype=dev.dtype)
+        dev[k] = f * dev[k] + np.multiply(dev_f, xk[k], dtype=dev.dtype)
     return dev, xk
 
 
-def _check_nonvanishing(f0: SampledFunction):
-    fmin = float(np.min(np.abs(f0.values)))
+def _check_nonvanishing(f0: np.ndarray):
+    fmin = float(np.min(np.abs(f0)))
     if fmin <= F0_MIN:
         raise NearVanishingError(
             f"min |f0| = {fmin:.3e} <= {F0_MIN}; use the nonvanishing route"
         )
     # a zero of a real solution is simple (a double zero would force
     # f0 = 0), so one that falls between two nodes shows as a sign change
-    if not f0.is_complex:
-        sign = np.signbit(f0.values)
+    if not np.iscomplexobj(f0):
+        sign = np.signbit(f0)
         if np.any(sign[1:] != sign[:-1]):
             raise NearVanishingError(
                 "f0 changes sign between grid nodes; use the nonvanishing "
@@ -144,28 +141,28 @@ def _check_nonvanishing(f0: SampledFunction):
 
 
 def _assemble_table(
-    f: SampledFunction, dev_phi: np.ndarray, xk: np.ndarray, **meta
+    grid: Grid, dev_phi: np.ndarray, xk: np.ndarray, **meta
 ) -> FormalPowersTable:
     """phi_k and dev_phi_k/x^k, x^k rounded to dev_phi's dtype."""
     dtype = dev_phi.dtype
     phi = np.add(xk, dev_phi, dtype=dtype)
     dev_ratio = np.zeros_like(dev_phi)
     np.divide(dev_phi[:, 1:], xk[:, 1:], out=dev_ratio[:, 1:], dtype=dtype)
-    return FormalPowersTable(f.grid, phi, dev_ratio, len(xk) - 1, **meta)
+    return FormalPowersTable(grid, phi, dev_ratio, len(xk) - 1, **meta)
 
 
-def formal_powers(f0: SampledFunction, k_max: int) -> FormalPowersTable:
+def formal_powers(grid: Grid, f0: np.ndarray, k_max: int) -> FormalPowersTable:
     """Formal powers built directly from a nonvanishing f0.
 
     phi_k = f0 * X^(k) for odd k and f0 * Xt^(k) for even k; phi_k = x^k
     exactly when q = 0.
     """
     _check_nonvanishing(f0)
-    return _assemble_table(f0, *_power_deviations(f0, k_max))
+    return _assemble_table(grid, *_power_deviations(grid, f0, k_max))
 
 
 def formal_powers_nonvanishing(
-    f0: SampledFunction, f1: SampledFunction, k_max: int
+    grid: Grid, f0: np.ndarray, f1: np.ndarray, k_max: int
 ) -> FormalPowersTable:
     """Formal powers through the nonvanishing combination f = f0 + i*f1.
 
@@ -179,17 +176,14 @@ def formal_powers_nonvanishing(
     NearVanishingError
         If |f| dips below 1e-6 (possible only for complex q).
     """
-    grid = f0.grid
-    f = SampledFunction(
-        grid, f0.values.astype(complex) + 1j * f1.values.astype(complex)
-    )
-    fmin = float(np.min(np.abs(f.values)))
+    f = f0.astype(complex) + 1j * f1.astype(complex)
+    fmin = float(np.min(np.abs(f)))
     if fmin <= F_COMBINED_MIN:
         raise NearVanishingError(
             f"min |f0 + i f1| = {fmin:.3e} <= {F_COMBINED_MIN}; no "
             "nonvanishing solution available for this potential"
         )
-    dev, xk = _power_deviations(f, k_max + 1)
+    dev, xk = _power_deviations(grid, f, k_max + 1)
     # even k, in place: Phi_{k+1} = x^{k+1} + dev_Phi_{k+1}, f'(0) = i, and
     # x^{k+1} rounded as the complex128 product of x^k and x
     even, odd = slice(0, k_max + 1, 2), slice(1, k_max + 2, 2)
@@ -200,9 +194,9 @@ def formal_powers_nonvanishing(
     dev[even] -= np.multiply(fprime0_k, Phi_next, out=Phi_next)
     dev = dev[: k_max + 1]
     # for real q the converted powers are real up to round-off
-    if not (f0.is_complex or f1.is_complex):
-        dev = dev.real.astype(f0.values.dtype)
-    return _assemble_table(f0, dev, xk[: k_max + 1], used_nonvanishing=True)
+    if not (np.iscomplexobj(f0) or np.iscomplexobj(f1)):
+        dev = dev.real.astype(f0.dtype)
+    return _assemble_table(grid, dev, xk[: k_max + 1], used_nonvanishing=True)
 
 
 def spps_eval(

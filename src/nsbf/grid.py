@@ -1,6 +1,11 @@
 """Uniform grids, high-order indefinite integration, and the homogeneous
 solutions f0, f1 of f'' = q f.
 
+A function on a grid is a plain ndarray of its values at the M+1 nodes:
+the last axis runs over the nodes, and leading axes, if any, stack several
+functions on the same grid.  Every stage takes the grid and its arrays
+separately.
+
 The indefinite integral is a composite Newton-Cotes rule of degree 6: the
 grid is processed in blocks of 6 subintervals, and within each block the
 cumulative integral at every interior node is the exact integral of the
@@ -27,6 +32,7 @@ terms of each sum in ascending order, so the results are the same bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,7 +42,6 @@ from .errors import ConvergenceError, GridError
 
 __all__ = [
     "Grid",
-    "SampledFunction",
     "make_grid",
     "sample",
     "indefinite_integral",
@@ -118,36 +123,16 @@ class Grid:
         return min(max(j, 0), self.M)
 
 
-@dataclass(frozen=True)
-class SampledFunction:
-    """Values of a (possibly complex) function at every node of a grid.
-
-    The last axis runs over the nodes; leading axes, if any, stack several
-    functions on the same grid.
-    """
-
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if np.shape(self.values)[-1] != self.grid.M + 1:
-            raise GridError(
-                f"value count {np.shape(self.values)[-1]} does not match "
-                f"grid with M={self.grid.M}"
-            )
-
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.values)
-
-
 def make_grid(b: float, M: int) -> Grid:
     """Build the uniform grid on [0, b] with M subintervals.
 
-    M must be at least 64 and divisible by 6 (the quadrature block size).
+    b must be positive and finite; M must be at least 64 and divisible by 6
+    (the quadrature block size).
     """
-    if not (b > 0):
-        raise GridError(f"interval endpoint must be positive, got b={b}")
+    if not (b > 0 and math.isfinite(b)):
+        raise GridError(
+            f"interval endpoint must be positive and finite, got b={b}"
+        )
     if M < 64:
         raise GridError(f"M must be at least 64, got {M}")
     if M % 6 != 0:
@@ -155,7 +140,7 @@ def make_grid(b: float, M: int) -> Grid:
     return Grid(float(b), int(M))
 
 
-def sample(grid: Grid, func) -> SampledFunction:
+def sample(grid: Grid, func) -> np.ndarray:
     """Sample q on every grid node in one call.
 
     ``func`` maps the ndarray of nodes (as float64) to an array of values,
@@ -166,19 +151,32 @@ def sample(grid: Grid, func) -> SampledFunction:
     x = np.asarray(grid.nodes, dtype=float)
     raw = np.broadcast_to(np.asarray(func(x)), x.shape)
     dtype = PIPELINE_CDTYPE if np.iscomplexobj(raw) else PIPELINE_DTYPE
-    return SampledFunction(grid, raw.astype(dtype))
+    return raw.astype(dtype)
 
 
-def indefinite_integral(f: SampledFunction) -> SampledFunction:
+def _check_shape(grid: Grid, values: np.ndarray, shape: tuple):
+    if np.shape(values) != shape:
+        raise GridError(
+            f"values of shape {np.shape(values)} do not match the grid with "
+            f"M={grid.M}"
+        )
+
+
+def indefinite_integral(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Indefinite integral F(x_j) = int_0^{x_j} f, with F(0) = 0 exactly.
 
     Composite Newton-Cotes of degree 6 on consecutive 6-subinterval blocks;
     interior nodes of a block integrate the local degree-6 interpolant.
-    Exact for polynomials up to degree 6.  Leading axes of ``f.values``
-    are integrated independently, each row exactly as on its own.
+    Exact for polynomials up to degree 6.  Leading axes of ``values`` are
+    integrated independently, each row exactly as on its own.
+
+    Raises
+    ------
+    GridError
+        If the last axis of ``values`` is not M+1 long.
     """
-    grid = f.grid
-    v = np.ascontiguousarray(f.values)
+    _check_shape(grid, values, (*np.shape(values)[:-1], grid.M + 1))
+    v = np.ascontiguousarray(values)
     h = np.longdouble(grid.b) / grid.M
 
     # blocks[..., k, i] = v[..., 6k + i], i = 0..6: a strided view of v,
@@ -201,14 +199,14 @@ def indefinite_integral(f: SampledFunction) -> SampledFunction:
     partials += offsets[..., None]
     F = np.zeros(v.shape, dtype=v.dtype)
     F[..., 1:] = partials.reshape(*v.shape[:-1], -1)
-    return SampledFunction(grid, F)
+    return F
 
 
 def _sup(values: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
 
 
-def solve_homogeneous(q: SampledFunction, seed) -> SampledFunction:
+def solve_homogeneous(grid: Grid, q: np.ndarray, seed) -> np.ndarray:
     """The solution of f'' = q f whose Picard iteration starts at ``seed``.
 
     ``seed`` is g_0, a scalar or the M+1 node values: 1 gives f0, with
@@ -216,28 +214,33 @@ def solve_homogeneous(q: SampledFunction, seed) -> SampledFunction:
     f1'(0)=1.  The solution is the series sum of g_0 and
     g_{m+1}(x) = int_0^x int_0^s q g_m.  Iteration stops when the sup norm
     of the last increment drops below PICARD_RTOL * (1 + sup|partial sum|).
+    It runs with numpy's floating-point warnings off.
 
     Raises
     ------
     ConvergenceError
-        If PICARD_MAX_ITER increments do not reach the tolerance (b too
-        large or q too rough for the grid).
+        If PICARD_MAX_ITER increments do not reach the tolerance, or the
+        partial sum stops being finite (b too large or q too rough for the
+        grid).
     """
-    grid = q.grid
-    total = np.broadcast_to(seed, q.values.shape).astype(q.values.dtype)
-    g = SampledFunction(grid, total)
-    for _ in range(PICARD_MAX_ITER):
-        inner = indefinite_integral(SampledFunction(grid, q.values * g.values))
-        g = indefinite_integral(inner)
-        total = total + g.values
-        if _sup(g.values) < PICARD_RTOL * (1.0 + _sup(total)):
-            break
-    else:
-        raise ConvergenceError(
-            f"Picard iteration did not converge in {PICARD_MAX_ITER} "
-            f"iterations (last increment {_sup(g.values):.3e})"
-        )
-    return SampledFunction(grid, total)
+    total = np.broadcast_to(seed, q.shape).astype(q.dtype)
+    g = total
+    with np.errstate(all="ignore"):
+        for m in range(PICARD_MAX_ITER):
+            g = indefinite_integral(grid, indefinite_integral(grid, q * g))
+            total = total + g
+            top = _sup(total)
+            if not math.isfinite(top):
+                raise ConvergenceError(
+                    f"Picard iteration left the float range at increment "
+                    f"{m + 1}"
+                )
+            if _sup(g) < PICARD_RTOL * (1.0 + top):
+                return total
+    raise ConvergenceError(
+        f"Picard iteration did not converge in {PICARD_MAX_ITER} "
+        f"iterations (last increment {_sup(g):.3e})"
+    )
 
 
 def _stencil_weights(offsets: np.ndarray) -> np.ndarray:
@@ -253,15 +256,19 @@ def _stencil_weights(offsets: np.ndarray) -> np.ndarray:
     return np.linalg.solve(V, rhs)
 
 
-def derivative(f: SampledFunction) -> SampledFunction:
-    """6th-order finite-difference derivative on the grid.
+def derivative(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """6th-order finite-difference derivative of the node values ``v``.
 
     Centered 7-point stencils in the interior, one-sided near the ends.
+
+    Raises
+    ------
+    GridError
+        If ``v`` is not one row of M+1 values.
     """
-    grid = f.grid
+    _check_shape(grid, v, (grid.M + 1,))
     M = grid.M
     h = np.longdouble(grid.b) / M
-    v = f.values
     out = np.zeros(M + 1, dtype=v.dtype)
 
     centered = _stencil_weights(np.arange(-3, 4))
@@ -273,4 +280,4 @@ def derivative(f: SampledFunction) -> SampledFunction:
         offsets = np.arange(start, start + 7) - j
         w = _stencil_weights(offsets).astype(v.dtype)
         out[j] = np.dot(w, v[start : start + 7]) / h
-    return SampledFunction(grid, out)
+    return out

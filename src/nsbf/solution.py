@@ -76,10 +76,7 @@ from .formal_powers import (
     spps_eval,
 )
 from .grid import (
-    PIPELINE_CDTYPE,
-    PIPELINE_DTYPE,
     Grid,
-    SampledFunction,
     indefinite_integral,
     make_grid,
     sample,
@@ -116,7 +113,6 @@ class SolutionModel:
     grid: Grid
     q: np.ndarray = field(repr=False)
     Q: np.ndarray = field(repr=False)
-    Q2: np.ndarray = field(repr=False)
     q0: complex
     powers: FormalPowersTable = field(repr=False)
     beta: BetaTable = field(repr=False)
@@ -176,7 +172,7 @@ class SolutionModel:
 QInput = Union[str, Callable[[np.ndarray], np.ndarray], np.ndarray]
 
 
-def _sample_potential(q_input: QInput, grid: Grid) -> SampledFunction:
+def _sample_potential(q_input: QInput, grid: Grid) -> np.ndarray:
     if isinstance(q_input, str):
         tree = expr_mod.parse(q_input)
         q = sample(grid, lambda x: expr_mod.evaluate(tree, x))
@@ -189,9 +185,8 @@ def _sample_potential(q_input: QInput, grid: Grid) -> SampledFunction:
                 f"tabulated potential needs {grid.M + 1} samples, got "
                 f"{values.size}"
             )
-        dtype = PIPELINE_CDTYPE if np.iscomplexobj(values) else PIPELINE_DTYPE
-        q = SampledFunction(grid, values.astype(dtype))
-    bad = ~np.isfinite(q.values)
+        q = sample(grid, lambda x: values)
+    bad = ~np.isfinite(q)
     if bad.any():
         x = float(grid.nodes[np.argmax(bad)])
         raise ExpressionEvalError(f"potential is not finite at x={x!r}")
@@ -212,6 +207,8 @@ def build_model(
     vanishes somewhere on the grid, f1 is iterated too and the nonvanishing
     fallback route is used automatically (always possible for real q).
     """
+    if N < 0:
+        raise ValueError(f"N must be non-negative, got {N}")
     if N > 60:
         raise LimitError(
             f"truncation N={N} exceeds the cap 60; higher orders carry no "
@@ -219,23 +216,19 @@ def build_model(
         )
     grid = make_grid(b, M)
     q = _sample_potential(q_input, grid)
-    Q = indefinite_integral(q)
-    Q2 = indefinite_integral(SampledFunction(grid, q.values * q.values))
-    f0 = solve_homogeneous(q, 1.0)
+    Q = indefinite_integral(grid, q)
+    f0 = solve_homogeneous(grid, q, 1.0)
 
     k_max = N + EXTRA_ROWS
     try:
-        powers = formal_powers(f0, k_max)
+        powers = formal_powers(grid, f0, k_max)
     except NearVanishingError:
-        f1 = solve_homogeneous(q, grid.nodes)
-        powers = formal_powers_nonvanishing(f0, f1, k_max)
+        f1 = solve_homogeneous(grid, q, grid.nodes)
+        powers = formal_powers_nonvanishing(grid, f0, f1, k_max)
 
     beta = beta_coeffs(powers, legendre_coeffs(k_max))
     alpha = build_alpha_table(q, Q, powers, beta, N + 2 + EXTRA_ROWS)
-    return SolutionModel(
-        grid, np.asarray(q.values), np.asarray(Q.values),
-        np.asarray(Q2.values), complex(q.values[0]), powers, beta, alpha, N,
-    )
+    return SolutionModel(grid, q, Q, complex(q[0]), powers, beta, alpha, N)
 
 
 def _table_dot(c: np.ndarray, jn: np.ndarray) -> np.ndarray:

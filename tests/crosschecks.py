@@ -76,20 +76,20 @@ def moment_table(q, Q, phi, n_max: int) -> MomentTable:
     k_n = n(n-1)(phi_{n-2} - x^{n-2})
           + (q/4 - Q^2/8 - (-1)^n q(0)/4) x^n - n Q x^{n-1}/2,   n >= 2.
     """
-    grid = q.grid
+    grid = phi.grid
     x = np.asarray(grid.nodes, dtype=phi.dev_ratio.dtype)
     mask = np.asarray(grid.nodes) >= X_MIN_FRACTION * grid.b
     xq = x[mask]
-    q0 = q.values[0]
-    core = q.values / 4.0 - Q.values * Q.values / 8.0
+    q0 = q[0]
+    core = q / 4.0 - Q * Q / 8.0
 
     k = np.zeros((n_max + 1, grid.M + 1), dtype=phi.dev_ratio.dtype)
     ratio = np.zeros_like(k)
     k[0] = core - q0 / 4.0
     ratio[0][mask] = k[0][mask]
     if n_max >= 1:
-        k[1] = (core + q0 / 4.0) * x - Q.values / 2.0
-        ratio[1][mask] = (core + q0 / 4.0)[mask] - Q.values[mask] / (2.0 * xq)
+        k[1] = (core + q0 / 4.0) * x - Q / 2.0
+        ratio[1][mask] = (core + q0 / 4.0)[mask] - Q[mask] / (2.0 * xq)
     xnm2 = np.ones_like(x)  # x^(n-2)
     for n in range(2, n_max + 1):
         xnm1 = xnm2 * x
@@ -97,12 +97,12 @@ def moment_table(q, Q, phi, n_max: int) -> MomentTable:
         k[n] = (
             n * (n - 1) * (phi.dev_ratio[n - 2] * xnm2)
             + (core - sign * q0 / 4.0) * (xnm1 * x)
-            - 0.5 * n * Q.values * xnm1
+            - 0.5 * n * Q * xnm1
         )
         ratio[n][mask] = (
             n * (n - 1) * phi.dev_ratio[n - 2][mask] / (xq * xq)
             + (core - sign * q0 / 4.0)[mask]
-            - 0.5 * n * Q.values[mask] / xq
+            - 0.5 * n * Q[mask] / xq
         )
         xnm2 = xnm1
     return MomentTable(grid, k, ratio)

@@ -21,7 +21,6 @@ from nsbf import (
     spherical_j_sequence,
 )
 from nsbf.coefficients import legendre_coeffs
-from nsbf.grid import SampledFunction
 from nsbf.oracle import eigenvalues_reference
 
 from conftest import const_q_solution
@@ -205,10 +204,8 @@ def test_criterion_6_constant_potential(model_one):
 
 def test_criterion_7_dual_route_agreement(model_exp):
     grid = model_exp.grid
-    q = SampledFunction(grid, model_exp.q)
-    Q = SampledFunction(grid, model_exp.Q)
     leg = legendre_coeffs(30)
-    moments = moment_table(q, Q, model_exp.powers, 25)
+    moments = moment_table(model_exp.q, model_exp.Q, model_exp.powers, 25)
     # route agreement on every entry the library certifies (unflagged);
     # flagged entries are cancellation-dominated by construction and the
     # spec's own diagnostic marks them untrustworthy
@@ -226,12 +223,9 @@ def test_criterion_7_dual_route_agreement(model_exp):
 
 
 def test_criterion_8_indicator_convergence(model_exp):
-    grid = model_exp.grid
-    q = SampledFunction(grid, model_exp.q)
-    Q = SampledFunction(grid, model_exp.Q)
-    Q2 = SampledFunction(grid, model_exp.Q2)
-    e1_5, e2_5 = accuracy_indicators(q, Q, Q2, model_exp.alpha, 5)
-    e1_25, e2_25 = accuracy_indicators(q, Q, Q2, model_exp.alpha, 25)
+    q, Q = model_exp.q, model_exp.Q
+    e1_5, e2_5 = accuracy_indicators(q, Q, model_exp.alpha, 5)
+    e1_25, e2_25 = accuracy_indicators(q, Q, model_exp.alpha, 25)
     r1 = float(e1_5[-1] / e1_25[-1])
     r2 = float(e2_5[-1] / e2_25[-1])
     report(

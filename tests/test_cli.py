@@ -229,6 +229,63 @@ class TestEigsCommand:
         assert "found 0 of 10 sign changes" in err
 
 
+#: the README's exit code of each error class, and a command raising it;
+#: a (module, attribute, value) patch makes the failure where no input does
+ERROR_COMMANDS = {
+    "ConfigError": (2, ["eigs", "--potential", "0", "--count", "0"], None),
+    "GridError": (2, ["eigs", "--potential", "0", "--M", "100"], None),
+    "ExpressionSyntaxError": (2, ["eigs", "--potential", "1+"], None),
+    "ExpressionEvalError": (3, ["eigs", "--potential", "1/x"], None),
+    "ConvergenceError": (
+        3, ["eigs", "--potential", "1", "--b", "1e20", "--count", "2"], None),
+    "NearVanishingError": (
+        3, ["eigs", "--potential", "-1", *FAST, "--count", "2"],
+        ("formal_powers", "F_COMBINED_MIN", 1e300)),
+    "LimitError": (
+        3, ["solve", "--potential", "0", "--omega", "1e200", "--x", "3"], None),
+    "ZeroOmegaError": (
+        3, ["solve", "--potential", "0", "--omega", "0", "--x", "1",
+            "--representation", "improved"], None),
+    "RangeExhaustedError": (
+        4, ["eigs", "--potential", "0", "--count", "10", "--M", "600",
+            "--N", "8"], ("spectral", "char_values",
+                          lambda model, w, rep: (np.ones(len(w)),
+                                                 np.zeros(len(w))))),
+    "OracleError": (
+        5, ["bench", "--potential", "0", "--count", "5", "--M", "600",
+            "--N", "8"], ("oracle", "MAX_SWEEPS", 0)),
+}
+
+
+def test_error_classes_cover_the_documented_codes():
+    subclasses = {name for name, cls in vars(nsbf.errors).items()
+                  if isinstance(cls, type) and issubclass(cls, nsbf.NsbfError)
+                  and cls is not nsbf.NsbfError}
+    assert subclasses == set(ERROR_COMMANDS)
+    assert nsbf.NsbfError.exit_code == 3
+
+
+@pytest.mark.parametrize("name", ERROR_COMMANDS)
+def test_each_error_class_exits_with_its_code(monkeypatch, name):
+    code, argv, patch = ERROR_COMMANDS[name]
+    cls = getattr(nsbf.errors, name)
+    if patch is not None:
+        module, attr, value = patch
+        monkeypatch.setattr(getattr(nsbf, module), attr, value)
+    raised = []
+    original = cls.__init__
+
+    def recording(self, *args, **kwargs):
+        raised.append(type(self))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", recording)
+    rc, err = run_cli_stderr(argv)
+    assert raised and raised[-1] is cls
+    assert cls.exit_code == rc == code
+    assert len(err.splitlines()) == 1 and err.startswith(f"nsbf {argv[0]}: ")
+
+
 @pytest.mark.parametrize("command, args", [
     ("coeffs", []),
     ("solve", ["--omega", "2", "--x", "1"]),

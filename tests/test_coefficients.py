@@ -23,7 +23,6 @@ from nsbf.coefficients import (
     legendre_coeffs,
 )
 from nsbf.formal_powers import formal_powers
-from nsbf.grid import SampledFunction
 from nsbf.oracle import propagate
 
 from crosschecks import (
@@ -41,24 +40,23 @@ PI = math.pi
 def exp_tables():
     grid = make_grid(PI, 1998)
     q = sample(grid, np.exp)
-    Q = indefinite_integral(q)
-    Q2 = indefinite_integral(SampledFunction(grid, q.values * q.values))
-    f0 = solve_homogeneous(q, 1.0)
-    phi = formal_powers(f0, 33)
+    Q = indefinite_integral(grid, q)
+    f0 = solve_homogeneous(grid, q, 1.0)
+    phi = formal_powers(grid, f0, 33)
     leg = legendre_coeffs(40)
     beta = beta_coeffs(phi, legendre_coeffs(30))
     moments = moment_table(q, Q, phi, 28)
     alpha = build_alpha_table(q, Q, phi, beta, 32)
-    return grid, q, Q, Q2, phi, leg, beta, moments, alpha
+    return grid, q, Q, phi, leg, beta, moments, alpha
 
 
 @pytest.fixture(scope="module")
 def zero_tables():
     grid = make_grid(PI, 1998)
-    q = SampledFunction(grid, np.zeros(grid.M + 1, dtype=np.longdouble))
-    Q = indefinite_integral(q)
-    f0 = solve_homogeneous(q, 1.0)
-    phi = formal_powers(f0, 14)
+    q = np.zeros(grid.M + 1, dtype=np.longdouble)
+    Q = indefinite_integral(grid, q)
+    f0 = solve_homogeneous(grid, q, 1.0)
+    phi = formal_powers(grid, f0, 14)
     leg = legendre_coeffs(14)
     beta = beta_coeffs(phi, legendre_coeffs(12))
     moments = moment_table(q, Q, phi, 12)
@@ -119,8 +117,8 @@ class TestBetaCoeffs:
     def test_constant_potential_first_row(self):
         grid = make_grid(PI, 1998)
         q = sample(grid, lambda x: 1.0)
-        f0 = solve_homogeneous(q, 1.0)
-        phi = formal_powers(f0, 4)
+        f0 = solve_homogeneous(grid, q, 1.0)
+        phi = formal_powers(grid, f0, 4)
         beta = beta_coeffs(phi, legendre_coeffs(4))
         xs = np.asarray(grid.nodes, dtype=float)
         mask = xs >= 0.01 * PI
@@ -130,19 +128,19 @@ class TestBetaCoeffs:
 
     def test_exponential_first_row_against_reference(self, exp_tables):
         grid, *_ = exp_tables
-        beta = exp_tables[6]
+        beta = exp_tables[5]
         y, _ = propagate(np.exp, PI, [0.0], np.array([1.0, 0.0]))
         phi0_ref = float(y[0, 0].real)
         expected = (phi0_ref - 1.0) / 2.0
         assert abs(float(beta.beta[0, -1]) - expected) < 1e-9 * abs(expected)
 
     def test_real_potential_gives_real_table(self, exp_tables):
-        beta = exp_tables[6]
+        beta = exp_tables[5]
         assert not np.iscomplexobj(beta.beta)
 
     def test_cancellation_flags_mark_deep_cancellation(self, exp_tables):
         grid = exp_tables[0]
-        beta = exp_tables[6]
+        beta = exp_tables[5]
         # low rows are fully resolved from b/100 on, high rows cancel by
         # many orders
         xs = np.asarray(grid.nodes, dtype=float)
@@ -269,8 +267,8 @@ class TestBetaSum:
         # the largest build_sweep cell; a stacked full-size temporary on
         # top of the outputs would exceed the bound
         grid = make_grid(PI, 2952)
-        f0 = solve_homogeneous(sample(grid, np.exp), 1.0)
-        phi = formal_powers(f0, 42)
+        f0 = solve_homogeneous(grid, sample(grid, np.exp), 1.0)
+        phi = formal_powers(grid, f0, 42)
         leg = legendre_coeffs(42)
         tracemalloc.start()
         try:
@@ -289,7 +287,7 @@ class TestMoments:
 
     def test_first_moment_closed_form(self, exp_tables):
         grid = exp_tables[0]
-        moments = exp_tables[7]
+        moments = exp_tables[6]
         j = grid.nearest_index(1.0)
         x = float(grid.nodes[j])
         expected = math.exp(x) / 4.0 - (math.exp(x) - 1.0) ** 2 / 8.0 - 0.25
@@ -303,8 +301,8 @@ class TestMoments:
         # moment row against the alpha rows through an independent
         # quadrature
         grid = exp_tables[0]
-        moments = exp_tables[7]
-        alpha = exp_tables[8]
+        moments = exp_tables[6]
+        alpha = exp_tables[7]
         j = grid.M
         x = float(grid.nodes[j])
         t = np.linspace(-x, x, 4001)
@@ -335,7 +333,7 @@ class TestAlphaSeed:
         )
 
     def test_seed_matches_direct(self, exp_tables):
-        grid, q, Q, _, phi, leg, _, moments, alpha = exp_tables
+        grid, q, Q, phi, leg, _, moments, alpha = exp_tables
         rows = alpha.alpha
         xs = np.asarray(grid.nodes, dtype=float)
         mask = xs >= 0.01 * PI
@@ -390,29 +388,29 @@ class TestAccuracyIndicators:
     def test_zero_potential(self, zero_tables):
         grid, q, Q, *_ = zero_tables
         alpha = zero_tables[7]
-        eps1, eps2 = accuracy_indicators(q, Q, Q, alpha, 10)
+        eps1, eps2 = accuracy_indicators(q, Q, alpha, 10)
         assert float(np.max(eps1)) <= 1e-12
         assert float(np.max(eps2)) <= 1e-12
 
     def test_convergence_with_truncation(self, exp_tables):
-        grid, q, Q, Q2, *_ = exp_tables
-        alpha = exp_tables[8]
-        e1_5, e2_5 = accuracy_indicators(q, Q, Q2, alpha, 5)
-        e1_25, e2_25 = accuracy_indicators(q, Q, Q2, alpha, 25)
+        grid, q, Q, *_ = exp_tables
+        alpha = exp_tables[7]
+        e1_5, e2_5 = accuracy_indicators(q, Q, alpha, 5)
+        e1_25, e2_25 = accuracy_indicators(q, Q, alpha, 25)
         assert float(e1_5[-1]) >= 10.0 * float(e1_25[-1])
         assert float(e2_5[-1]) >= 10.0 * float(e2_25[-1])
 
     def test_antidiagonal_closed_form_exabout(self, exp_tables):
         # for q = e^x the antidiagonal kernel value reduces to e^x/8
-        grid, q, Q, Q2, *_ = exp_tables
-        alpha = exp_tables[8]
+        grid, q, Q, *_ = exp_tables
+        alpha = exp_tables[7]
         j = grid.M
         x = float(grid.nodes[j])
         alt = sum(
             (-1) ** n * float(alpha.alpha[n, j]) for n in range(26)
         )
         assert abs(alt / x - math.exp(x) / 8.0) < 1e-3
-        _, eps2 = accuracy_indicators(q, Q, Q2, alpha, 25)
+        _, eps2 = accuracy_indicators(q, Q, alpha, 25)
         assert abs(alt / x - math.exp(x) / 8.0) == pytest.approx(
             float(eps2[j]), rel=1e-6
         )

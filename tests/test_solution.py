@@ -9,6 +9,7 @@ from scipy import special
 
 from nsbf import (
     ExpressionEvalError,
+    GridError,
     ZeroOmegaError,
     LimitError,
     build_model,
@@ -55,6 +56,18 @@ class TestBuildModel:
         assert sub.N == 5
         assert sub.alpha is model_exp.alpha
 
+    def test_negative_truncation_refused(self, model_exp):
+        # N = -1 used to build a model whose plain form failed at every call
+        with pytest.raises(ValueError, match="non-negative"):
+            build_model("exp(x)", PI, 102, -1)
+        with pytest.raises(ValueError):
+            model_exp.with_truncation(-1)
+
+    def test_infinite_interval_refused(self):
+        # b = inf used to end in ConvergenceError "last increment nan"
+        with pytest.raises(GridError, match="positive and finite"):
+            build_model("1", math.inf, 66, 4)
+
     def test_callable_and_array_inputs(self):
         m1 = build_model(np.exp, PI, 102, 4)
         xs = np.asarray(m1.grid.nodes, dtype=float)
@@ -92,9 +105,9 @@ class TestBuildModel:
         seeds = []
         picard = solution.solve_homogeneous
 
-        def counting(q_sampled, seed):
+        def counting(grid, q_sampled, seed):
             seeds.append(seed)
-            return picard(q_sampled, seed)
+            return picard(grid, q_sampled, seed)
 
         monkeypatch.setattr(solution, "solve_homogeneous", counting)
         model = build_model(q, PI, 600, 8)
