@@ -8,15 +8,18 @@ Miller's downward recurrence from an arbitrary seed, normalized through
 j_0 or j_1 (DLMF 10.51; W. Gautschi, SIAM Review 9, 1967).
 
 ``spherical_j_sequence`` picks one branch for its Python scalar and runs
-it in Python arithmetic: ``_upward`` and ``_miller`` step on Python floats
-or complexes, take each factor 2n+1 from the float list ``_ODD``, collect
-the values in a list and write the output array once.  Miller's run makes
-no store above the top order, and only a run whose growth bound could
-overflow takes the renormalizing loop.  ``spherical_j_table`` serves a
-1-D array of real arguments: ``_upward_table`` runs over every column, one
-division for the whole (2n+1)/z table and two ufunc calls per order, and
-the columns at or below the top order are then overwritten, each by the
-tiny series or by the scalar Miller run from its own start order.
+it in Python arithmetic: ``_upward`` and ``_miller_run`` step on Python
+floats or complexes, take each factor 2n+1 from the float list ``_ODD``,
+collect the values in a list and write the output array once.  Miller's
+run makes no store above the top order, and only a run whose growth bound
+could overflow takes the renormalizing loop.  ``spherical_j_table``
+serves a 1-D array of real arguments: ``_upward_table`` runs over every
+column, one division for the whole (2n+1)/z table and two ufunc calls per
+order, and the columns at or below the top order are then overwritten by
+the tiny series or by Miller's run.  Each column's run starts from its own
+order in Python arithmetic; their unnormalized lists are then normalized
+together, by one product with the row of their factors, and written in one
+pass (a run that renormalizes writes its own column).
 
 Every value is rounded by the same IEEE operations, in the same order, as
 the straightforward recurrence ``(2*n + 1)/z * j_n - j_{n-1}`` that stores
@@ -115,47 +118,52 @@ def _upward_table(z, out):
     return out
 
 
-def _miller(z, out, start):
-    """Miller's downward recurrence at a scalar z, from order ``start``."""
+def _miller_run(z, top, start):
+    """Miller's run at a scalar z from order ``start``: the unnormalized
+    j_{top-1} .. j_0 as a list, the factor that normalizes them, and the
+    closed-form j_0, j_1; or None where the run could overflow."""
     # a step grows |j| at most by (2n+1)/|z| + 1, so the whole run by
     # (2/a)^start Gamma(start + 1 + c)/Gamma(1 + c), a = |z| and
     # c = (1 + a)/2; while that stays below the limit, no step can reach it
     a = abs(z)
     c = 0.5 * (1.0 + a)
-    top = len(out)
-    above, cur = 0.0, 1e-30
     if (
         start * math.log(2.0 / a) + math.lgamma(start + 1.0 + c)
         - math.lgamma(1.0 + c) > math.log(_RENORM_LIMIT / 1e-30)
     ):
-        for n in range(start, 0, -1):
-            below = (2 * n + 1) / z * cur - above
-            if n <= top:
-                out[n - 1] = below
-            if abs(below) > _RENORM_LIMIT:
-                scale = 1.0 / abs(below)
-                below = below * scale
-                cur = cur * scale
-                out *= scale
-            above, cur = cur, below
-    else:
-        for f in _ODD[start:top:-1]:
-            above, cur = cur, f / z * cur - above
-        values = []
-        store = values.append
-        for f in _ODD[top:0:-1]:
-            above, cur = cur, f / z * cur - above
-            store(cur)
-        out[::-1] = values
+        return None
+    above, cur = 0.0, 1e-30
+    for f in _ODD[start:top:-1]:
+        above, cur = cur, f / z * cur - above
+    values = []
+    store = values.append
+    for f in _ODD[top:0:-1]:
+        above, cur = cur, f / z * cur - above
+        store(cur)
     j0, j1 = _j01(z)
     # cur / above now hold the unnormalized order-0 / order-1 values;
     # j_0 and j_1 have no common zeros
+    return values, j0 / cur if abs(j0) >= abs(j1) else j1 / above, j0, j1
+
+
+def _miller_renormalized(z, out, start):
+    """Miller's run where ``_miller_run`` could overflow: every value, and
+    every one stored, is rescaled once the run passes the limit."""
+    top = len(out)
+    above, cur = 0.0, 1e-30
+    for n in range(start, 0, -1):
+        below = (2 * n + 1) / z * cur - above
+        if n <= top:
+            out[n - 1] = below
+        if abs(below) > _RENORM_LIMIT:
+            scale = 1.0 / abs(below)
+            below = below * scale
+            cur = cur * scale
+            out *= scale
+        above, cur = cur, below
+    j0, j1 = _j01(z)
     out *= j0 / cur if abs(j0) >= abs(j1) else j1 / above
-    # the recurrence cannot resolve j_0, j_1 near their zeros; the closed
-    # forms can, so they always win
-    out[0] = j0
-    if top > 1:
-        out[1] = j1
+    out[0], out[1] = j0, j1
     return out
 
 
@@ -208,7 +216,17 @@ def spherical_j_sequence(N: int, z: complex) -> np.ndarray:
         return _tiny_series(z, out)
     if az > N:
         return _upward(z, out)
-    return _miller(z, out, N + math.ceil(15.0 + az))
+    start = N + math.ceil(15.0 + az)
+    run = _miller_run(z, N + 1, start)
+    if run is None:
+        return _miller_renormalized(z, out, start)
+    values, factor, j0, j1 = run
+    out[::-1] = values
+    out *= factor
+    # the recurrence cannot resolve j_0, j_1 near their zeros; the closed
+    # forms can, so they always win
+    out[0], out[1] = j0, j1
+    return out
 
 
 def spherical_j_table(N: int, z: np.ndarray) -> np.ndarray:
@@ -231,8 +249,10 @@ def spherical_j_table(N: int, z: np.ndarray) -> np.ndarray:
     series for z < 1e-8, upward recurrence where z > N, and otherwise
     Miller's downward recurrence run on each column alone from its own
     start order N + ceil(15 + z), normalized through the closed-form j_0
-    or j_1, so no column depends on the others in the batch.  The upward
-    recurrence runs over every column first; the others are overwritten.
+    or j_1, so no column depends on the others in the batch (the runs
+    are normalized together, each element by its own column's factor).
+    The upward recurrence runs over every column first; the others are
+    overwritten.
     """
     _check_order(N)
     z = np.asarray(z, dtype=float)
@@ -248,7 +268,20 @@ def spherical_j_table(N: int, z: np.ndarray) -> np.ndarray:
     if tiny.any():
         rows = np.empty((N + 2, np.count_nonzero(tiny)))
         out[:, low[tiny]] = _tiny_series(zl[tiny], rows)
-    # zeros: a renormalization also scales the rows not yet written
+    runs, columns = [], []
     for k, zk in zip(low[~tiny].tolist(), zl[~tiny].tolist()):
-        out[:, k] = _miller(zk, np.zeros(N + 2), N + math.ceil(15.0 + zk))
+        start = N + math.ceil(15.0 + zk)
+        run = _miller_run(zk, N + 2, start)
+        if run is None:
+            # zeros: a renormalization also scales the rows not yet written
+            out[:, k] = _miller_renormalized(zk, np.zeros(N + 2), start)
+        else:
+            runs.append(run)
+            columns.append(k)
+    if runs:
+        values, factor, j0, j1 = zip(*runs)
+        block = np.array(values).T[::-1] * np.array(factor)
+        # the closed forms win, as in spherical_j_sequence
+        block[0], block[1] = j0, j1
+        out[:, columns] = block
     return out

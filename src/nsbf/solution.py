@@ -233,7 +233,11 @@ def build_model(
 
 def _table_dot(c: np.ndarray, jn: np.ndarray) -> np.ndarray:
     # sum_n c_n jn[n, k] for real jn: one real product on the (re, im)
-    # pairs of c, read back as complex
+    # pairs of c, read back as complex.  numpy multiplies a single column
+    # by another BLAS route, whose sums round otherwise, so it is taken as
+    # the first of two and keeps the bits it has in any wider batch
+    if jn.shape[1] == 1:
+        return _table_dot(c, np.repeat(jn, 2, axis=1))[:1]
     return (jn.T @ c.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 

@@ -10,15 +10,17 @@ endpoint.  The solver works in three stages, batched over many omegas:
 * refine: safeguarded Newton on all brackets of a window together, from
   the root of the cubic Hermite interpolant through each bracket's ends;
   a step that leaves its bracket or fails to halve falls back to
-  bisection, and a root stops when its step is at most
-  BRACKET_TOL * max(1, omega);
-* certify: s at omega -+ BRACKET_TOL * max(1, omega) / 2, each end one
-  spacing of omega inward, must change sign, which makes the reported
-  bracket width at most that tolerance; a root that shows no sign change
-  there keeps bisecting its bracket down to the tolerance.
+  bisection;
+* certify: a Newton point w whose previous step was small enough
+  (CERTIFY_STEP) is evaluated together with w -+ BRACKET_TOL * max(1, w)
+  / 2, each end one spacing of w inward.  Where s changes sign across
+  them the root is done at w, with a bracket no wider than that
+  tolerance; elsewhere the two values move its bracket in and Newton goes
+  on.  A bracket that bisection narrows to the tolerance closes its root.
 
 Refine and certify share one ``char_values`` call per pass, which also
-gives each finished root its residual: about five calls a window in all.
+gives each finished root its residual |s(omega)|: typically three calls a
+window after its scan.
 Results are indexed from 1 in increasing order.  ``char_function`` stays
 the scalar entry point.  ``asymptotic_eigenvalue`` gives the large-index
 estimate on any interval, for comparison with the computed values.
@@ -43,10 +45,19 @@ __all__ = [
     "asymptotic_eigenvalue",
 ]
 
-#: bisection terminates at a bracket width of 1e-13 * max(1, omega)
+#: a root's bracket is at most 1e-13 * max(1, omega) wide
 BRACKET_TOL = 1e-13
 #: most scan points in one window; a count up to 460 (1,849 points) is one
 SCAN_WINDOW = 4096
+#: a Newton point w gets its certificate pair in its own pass when the step
+#: to it was at most CERTIFY_STEP sqrt(BRACKET_TOL max(1, w)): Newton's
+#: error after a step d is about K d^2, so w is then predicted within half
+#: the tolerance for K up to about 1/(2 CERTIFY_STEP^2).  A seed-1 round
+#: of the benchmark's spectrum workload evaluates s per root 8.68 times at
+#: 0.3, 8.48 at 1, 8.38 at 2, 8.33 at 3, 8.30 at 4, 8.29 at 5, 8.30 at 6
+#: and 8.43 at 10; every request takes four calls from 1 up, and 16 of its
+#: 56 take a fifth at 0.3 (a separate certificate pass took 9.22 in five)
+CERTIFY_STEP = 5.0
 
 
 @dataclass(frozen=True)
@@ -135,18 +146,19 @@ def _refine(problem: EigProblem, lo, hi, s_lo, s_hi, ds_lo, ds_hi):
     through both bracket ends: a step that leaves its bracket or is not at
     most half the previous step (a step that is not finite is neither) is
     replaced by bisection, and every evaluation moves a bracket end in.
-    A root stops once its step is at most BRACKET_TOL * max(1, omega), and
-    is then certified by a sign change across omega -+ half that width,
-    its ends one spacing of omega inward so that their rounding leaves
-    the bracket no wider.
-    A root without one there keeps bisecting its bracket down to the
-    tolerance.  A degenerate bracket lo = hi (an exact zero found by the
-    scan) is returned as it is, with width 0.
+    A Newton point w whose previous step was at most CERTIFY_STEP
+    sqrt(BRACKET_TOL max(1, w)) is evaluated together with w -+ half that
+    tolerance, its ends one spacing of w inward so that their rounding
+    leaves the bracket no wider.  Where s changes sign across them the
+    root is done at omega = w with that bracket; elsewhere they move its
+    bracket in like any other point, and Newton goes on.  A root whose
+    bracket narrows to the tolerance otherwise is closed where it stands.
+    A degenerate bracket lo = hi (an exact zero found by the scan) is
+    returned as it is, with width 0.
 
     Each pass is one ``char_values`` call: the Newton points of the open
-    roots, then omega - half, omega + half and omega of the roots that
-    settled in the previous pass (certificate and residual), then omega of
-    those that closed by bisection (residual).
+    roots with the certificate pairs of some, then omega of the roots
+    closed in the previous pass (residual).
     """
     model, rep = problem.model, problem.representation
     bracket = lo, hi, s_lo, s_hi = [
@@ -155,60 +167,48 @@ def _refine(problem: EigProblem, lo, hi, s_lo, s_hi, ds_lo, ds_hi):
     omega = _hermite_root(lo, hi, s_lo, s_hi, ds_lo, ds_hi)
     residual = np.zeros(len(lo))
     last_step = hi - lo
-    newton = np.ones(len(lo), dtype=bool)
-    todo = np.arange(len(lo))
-    certify = closed = todo[:0]
-    while todo.size or certify.size or closed.size:
-        w_cert = omega[certify]
-        # each end is rounded by at most one spacing of omega, so ends one
-        # spacing inside keep the bracket within the tolerance
-        half = 0.5 * BRACKET_TOL * np.maximum(1.0, w_cert) - np.spacing(w_cert)
-        a, c = w_cert - half, w_cert + half
+    todo, closed = np.flatnonzero(lo < hi), np.flatnonzero(lo == hi)
+    while todo.size or closed.size:
         w = omega[todo]
+        tol = BRACKET_TOL * np.maximum(1.0, w)
+        near = last_step[todo] <= CERTIFY_STEP * np.sqrt(tol)
+        pair, w_pair = todo[near], w[near]
+        # each end is rounded by at most one spacing of w, so ends one
+        # spacing inside keep the bracket within the tolerance
+        half = 0.5 * tol[near] - np.spacing(w_pair)
+        a, c = w_pair - half, w_pair + half
         s, ds = char_values(
-            model, np.concatenate([w, a, c, w_cert, omega[closed]]), rep
+            model, np.concatenate([w, a, c, omega[closed]]), rep
         )
-        s, s_a, s_c, s_w, s_closed = np.split(
-            s, np.cumsum([todo.size, certify.size, certify.size,
-                          certify.size])
+        s, s_a, s_c, s_closed = np.split(
+            s, np.cumsum([todo.size, pair.size, pair.size])
         )
         ds = ds[: todo.size]
         residual[closed] = np.abs(s_closed)
-        residual[certify] = np.abs(s_w)
+        residual[todo] = np.abs(s)
 
         _shrink(bracket, todo, w, s)
         exact = todo[s == 0.0]
         lo[exact] = hi[exact]
+        _shrink(bracket, pair, a, s_a)
+        _shrink(bracket, pair, c, s_c)
+        ok = np.sign(s_a) * np.sign(s_c) <= 0
+        lo[pair[ok]], hi[pair[ok]] = a[ok], c[ok]
+        done = np.zeros(todo.size, dtype=bool)
+        done[near] = ok
+
         lo_t, hi_t = lo[todo], hi[todo]
         with np.errstate(divide="ignore", invalid="ignore"):
             step = -s / ds
-        tol = BRACKET_TOL * np.maximum(1.0, w)
-        narrow = hi_t - lo_t <= tol
-        # a step below the spacing of floats may leave w where it is
-        settled = newton[todo] & ~narrow & (np.abs(step) <= tol)
         take = (
-            newton[todo] & (np.abs(step) <= 0.5 * last_step[todo])
+            (np.abs(step) <= 0.5 * last_step[todo])
             & (w + step >= lo_t) & (w + step <= hi_t)
         )
-        nxt = np.where(
-            settled, np.clip(w + step, lo_t, hi_t),
-            np.where(take, w + step, 0.5 * (lo_t + hi_t)),
-        )
-        omega[todo] = nxt
+        nxt = np.where(take, w + step, 0.5 * (lo_t + hi_t))
+        omega[todo] = np.where(done, w, nxt)
         last_step[todo] = np.abs(nxt - w)
-
-        ok = np.sign(s_a) * np.sign(s_c) <= 0
-        done = certify[ok]
-        lo[done], hi[done] = a[ok], c[ok]
-        s_lo[done], s_hi[done] = s_a[ok], s_c[ok]
-        again = certify[~ok]
-        _shrink(bracket, again, a[~ok], s_a[~ok])
-        _shrink(bracket, again, c[~ok], s_c[~ok])
-        newton[again] = False
-        omega[again] = 0.5 * (lo[again] + hi[again])
-
-        certify, closed = todo[settled], todo[narrow]
-        todo = np.concatenate([todo[~narrow & ~settled], again])
+        narrow = hi_t - lo_t <= tol
+        closed, todo = todo[narrow & ~done], todo[~narrow]
     return omega, residual, hi - lo
 
 

@@ -385,6 +385,17 @@ class TestCharValues:
         assert np.all(np.abs(s - exact) <= 1e-10 / w)
         assert np.all(np.abs(ds - d_exact) <= 1e-10 / w)
 
+    @pytest.mark.parametrize("rep", ["improved", "plain"])
+    def test_columns_do_not_depend_on_the_batch(self, model_exp, rep):
+        # alone, in pairs or all together: the same bits for s and ds
+        w = self.OMEGAS
+        whole = char_values(model_exp, w, rep)
+        for size in (1, 2):
+            parts = [char_values(model_exp, w[k : k + size], rep)
+                     for k in range(0, w.size, size)]
+            for got, ref in zip(map(np.concatenate, zip(*parts)), whole):
+                assert np.array_equal(got, ref)
+
     def test_rejects_nonpositive_omega(self, model_exp):
         with pytest.raises(ValueError):
             char_values(model_exp, np.array([1.0, 0.0]))

@@ -215,7 +215,7 @@ class TestBatchedSolver:
         monkeypatch.setattr(spectral, "char_values", counting)
         res = find_eigenvalues(EigProblem(model, representation=rep), 460)
         assert [r.index for r in res] == list(range(1, 461))
-        assert sum(evaluated) <= 14 * 460
+        assert sum(evaluated) <= 9 * 460
         for r in res:
             assert r.bracket_width <= 1e-13 * max(1.0, r.omega)
         for r in res[::23]:
@@ -230,9 +230,10 @@ class TestBatchedSolver:
     def test_few_calls_and_certified_brackets(
         self, solver_models, monkeypatch, potential, rep
     ):
-        # the scan and about four refine passes; each root's reported
-        # bracket straddles a sign change of s, and its width is within the
-        # tolerance although each end omega -+ half is rounded.
+        # the scan and three refine passes, fewer than 9 values of s per
+        # root; each root's reported bracket straddles a sign change of s,
+        # and its width is within the tolerance although each end
+        # omega -+ half is rounded.
         model = solver_models[potential]
         batched, calls = spectral.char_values, []
 
@@ -243,7 +244,8 @@ class TestBatchedSolver:
         monkeypatch.setattr(spectral, "char_values", counting)
         res = find_eigenvalues(EigProblem(model, representation=rep), 240)
         assert [r.index for r in res] == list(range(1, 241))
-        assert len(calls) <= 5
+        assert len(calls) <= 4
+        assert sum(calls) <= 9 * 240
         omega = np.array([r.omega for r in res])
         width = np.array([r.bracket_width for r in res])
         tol = spectral.BRACKET_TOL * np.maximum(1.0, omega)
@@ -254,6 +256,52 @@ class TestBatchedSolver:
         )
         assert np.all(np.sign(s_a) * np.sign(s_c) <= 0)
 
+
+    @pytest.mark.parametrize("rep", ["improved", "plain"])
+    @pytest.mark.parametrize("trunc", [15, 25])
+    @pytest.mark.parametrize("potential", SOLVER_POTENTIALS)
+    def test_residual_is_s_at_omega(self, solver_models, potential, trunc,
+                                    rep):
+        # a root certified at its Newton point takes |s| there from the
+        # same batch, and a column does not depend on its batch
+        model = solver_models[potential].with_truncation(trunc)
+        res = find_eigenvalues(EigProblem(model, representation=rep), 460)
+        for r in res:
+            s = spectral.char_values(model, np.array([r.omega]), rep)[0]
+            assert r.residual == abs(s[0])
+
+    @pytest.mark.parametrize("rep", ["improved", "plain"])
+    def test_failed_certificate_pair(self, model_exp, monkeypatch, rep):
+        # the first certificate pair of root 7 shows no sign change: the
+        # end beyond the Newton point w, away from the root, reads with its
+        # sign reversed.  The pair only moves the bracket in, to half the
+        # tolerance between w and the other end, where the root closes.
+        problem = EigProblem(model_exp, representation=rep)
+        target = find_eigenvalues(problem, 12)[6].omega
+        batched, calls, flipped = spectral.char_values, [], []
+
+        def one_pair_wrong(model, omegas, *args, **kwargs):
+            calls.append(len(omegas))
+            s, ds = batched(model, omegas, *args, **kwargs)
+            near = np.flatnonzero(np.abs(omegas - target) < 1e-6)
+            if len(calls) > 1 and near.size == 3 and not flipped:
+                a, w, c = near[np.argsort(omegas[near])]
+                end = c if np.sign(s[c]) == np.sign(s[w]) else a
+                s[end] = -s[end]
+                flipped.append(omegas[end])
+            return s, ds
+
+        monkeypatch.setattr(spectral, "char_values", one_pair_wrong)
+        res = find_eigenvalues(problem, 12)
+        assert flipped and len(calls) <= 6
+        r = res[6]
+        assert 0.0 <= r.bracket_width <= spectral.BRACKET_TOL * r.omega
+        # omega lies in its bracket, which need not be centred on it
+        s_a, s_c = batched(model_exp, np.array(
+            [r.omega - r.bracket_width, r.omega + r.bracket_width]
+        ), rep)[0]
+        assert np.sign(s_a) * np.sign(s_c) <= 0
+        assert abs(r.omega - target) <= spectral.BRACKET_TOL * target
 
     def test_bracket_widths_within_tolerance(self):
         # the plain form's s on q = 20 is noisy near its roots; an end moved
