@@ -372,7 +372,7 @@ def cmd_solve(cfg: RunConfig, out=None) -> int:
     if not cfg.x:
         raise ConfigError("solve needs at least one --x")
     model, _, desc = _build(cfg)
-    eps = epsN_surrogate(model)
+    eps = None  # the surrogate, made for the first envelope
     evaluator = {
         "auto": eval_auto,
         "improved": eval_uN,
@@ -389,7 +389,11 @@ def cmd_solve(cfg: RunConfig, out=None) -> int:
             improved = cfg.representation == "improved" or (
                 cfg.representation == "auto" and abs(w) >= model.omega_switch
             )
-            env = error_envelope(model, w, j, eps) if improved else ""
+            env = ""
+            if improved:
+                if eps is None:
+                    eps = epsN_surrogate(model)
+                env = error_envelope(model, w, j, eps)
             rows.append((w_text, float(model.grid.nodes[j]), u.real, u.imag, env))
     md = _metadata(cfg, desc, model)
     md["representation"] = cfg.representation

@@ -8,7 +8,8 @@ Computes, on the grid:
 * alpha_n, the Fourier-Legendre coefficients of the twice-differentiated
   transmutation kernel, all in ``build_alpha_table``: rows 0..3 from
   closed-form seeds, rows >= 4 by the recurrence that reuses beta, beside
-  the propagation of the noise floors;
+  the propagation of the noise floors; ``alpha_tail`` resumes that
+  recurrence for the rows past a table's end;
 * the eps1/eps2 accuracy indicators comparing the alpha sums against the
   kernel's closed boundary values.
 
@@ -54,6 +55,7 @@ __all__ = [
     "legendre_coeffs",
     "beta_coeffs",
     "build_alpha_table",
+    "alpha_tail",
     "accuracy_indicators",
 ]
 
@@ -107,6 +109,9 @@ class AlphaTable:
     n_max: int
     alpha: np.ndarray = field(repr=False)
     noise_floor: np.ndarray = field(repr=False)
+    #: the recurrence past n_max, resumed by ``alpha_tail``
+    _recurrence: "_AlphaRecurrence | None" = field(
+        default=None, repr=False, compare=False)
 
 
 #: the Legendre table of the largest order asked for so far (read-only);
@@ -163,6 +168,43 @@ def _abs_into(x: np.ndarray, out: np.ndarray):
         np.abs(out, out=out)
 
 
+def _beta_rows(dev_ratio: np.ndarray, l: np.ndarray, first: int):
+    """beta, flags and floors of the rows first .. len(l)-1 from the
+    formal powers' deviation ratios (see ``beta_coeffs``), as arrays whose
+    row 0 is row ``first``."""
+    n_max = len(l) - 1
+    eps = _pipeline_eps(dev_ratio.real.dtype)
+
+    dev = dev_ratio[: n_max + 1, 1:]
+    shape = (n_max + 1 - first, dev_ratio.shape[1])
+    beta = np.zeros(shape, dtype=dev_ratio.dtype)
+    flags = np.zeros(shape, dtype=bool)
+    floor = np.zeros(shape)
+    # the largest summand and |row| only set the floor and the flag:
+    # float64 will do
+    absdev = np.empty(dev.shape)
+    _abs_into(dev, absdev)
+    absl = np.abs(l).astype(float)
+    absrow = np.empty(dev.shape[1])
+    for i, n in enumerate(range(first, n_max + 1)):
+        # l[n][k] = 0 when k > n or n - k is odd
+        ks = slice(n % 2, n + 1, 2)
+        row = beta[i, 1:]
+        # not out=row: np.dot takes only an output of its result dtype,
+        # and complex128 deviations give a clongdouble sum, rounded here
+        row[...] = np.dot(l[n, ks], dev[ks])
+        peak = np.max(absl[n, ks, None] * absdev[ks], axis=0)
+        w = 0.5 * (2 * n + 1)
+        _abs_into(row, absrow)
+        flags[i, 1:] = peak > CANCEL_FLAG_RATIO * absrow
+        # a float64 product, so the floor is exact in either dtype and
+        # the test below compares the extended |row| with it exactly
+        floor[i, 1:] = eps * w * peak
+        row *= w
+        row[np.abs(row) < floor[i, 1:]] = 0.0
+    return beta, flags, floor
+
+
 def beta_coeffs(phi: FormalPowersTable, l: np.ndarray) -> BetaTable:
     """Coefficients of the plain Bessel-series representation, one row per
     row of the Legendre table ``l``.
@@ -174,41 +216,105 @@ def beta_coeffs(phi: FormalPowersTable, l: np.ndarray) -> BetaTable:
     l[n][k] (k <= n, of the parity of n) is one ``np.dot`` in the pipeline
     dtype, written into the output, followed by the row's flags, floors
     and scaling, so no temporary is as large as the table.  Node 0 keeps
-    the limit 0.
+    the limit 0.  A row reads only the formal powers up to its order, so
+    it has the same bits in a table of any extent.
     """
     n_max = len(l) - 1
     if phi.k_max < n_max:
         raise ValueError(f"need phi up to k={n_max}, table has {phi.k_max}")
-    grid = phi.grid
-    eps = _pipeline_eps(phi.dev_ratio.real.dtype)
+    return BetaTable(phi.grid, n_max, *_beta_rows(phi.dev_ratio, l, 0))
 
-    dev = phi.dev_ratio[: n_max + 1, 1:]
-    beta = np.zeros((n_max + 1, grid.M + 1), dtype=phi.dev_ratio.dtype)
-    flags = np.zeros((n_max + 1, grid.M + 1), dtype=bool)
-    floor = np.zeros((n_max + 1, grid.M + 1))
-    # the largest summand and |row| only set the floor and the flag:
-    # float64 will do
-    absdev = np.empty(dev.shape)
-    _abs_into(dev, absdev)
-    absl = np.abs(l).astype(float)
-    absrow = np.empty(grid.M)
-    for n in range(n_max + 1):
-        # l[n][k] = 0 when k > n or n - k is odd
-        ks = slice(n % 2, n + 1, 2)
-        row = beta[n, 1:]
-        # not out=row: np.dot takes only an output of its result dtype,
-        # and complex128 deviations give a clongdouble sum, rounded here
-        row[...] = np.dot(l[n, ks], dev[ks])
-        peak = np.max(absl[n, ks, None] * absdev[ks], axis=0)
-        w = 0.5 * (2 * n + 1)
-        _abs_into(row, absrow)
-        flags[n, 1:] = peak > CANCEL_FLAG_RATIO * absrow
-        # a float64 product, so the floor is exact in either dtype and
-        # the test below compares the extended |row| with it exactly
-        floor[n, 1:] = eps * w * peak
-        row *= w
-        row[np.abs(row) < floor[n, 1:]] = 0.0
-    return BetaTable(grid, n_max, beta, flags, floor)
+
+class _AlphaRecurrence:
+    """The alpha rows of ``build_alpha_table`` in order, resumable: between
+    calls of ``rows`` it holds what the next rows read.
+
+    That is the last four rows as the recurrence made them (before the
+    noise-tail cut, and until row 4 the closed-form seeds), their floors
+    and the last one's magnitudes, and the cut's per-node onset and
+    running minimum.  Arrays cover the nodes x > 0.
+    """
+
+    def __init__(self, q: np.ndarray, Q: np.ndarray, phi: FormalPowersTable):
+        self.dtype = phi.dev_ratio.dtype
+        x = phi.grid.nodes[1:].astype(self.dtype)
+        Qx = Q[1:]
+        core = q[1:] / 4.0 - Qx * Qx / 8.0
+        qplus = core + q[0] / 4.0
+        qminus = core - q[0] / 4.0
+        dev = phi.dev_ratio[:2, 1:]
+        seeds = (
+            0.5 * qminus,
+            1.5 * (qplus - Qx / (2.0 * x)),
+            2.5 * (qminus + 3.0 * dev[0] / (x * x) - 1.5 * Qx / x),
+            3.5 * (qplus + 15.0 * dev[1] / (x * x) - 3.0 * Qx / x),
+        )
+        self.last = [np.asarray(seed, dtype=self.dtype) for seed in seeds]
+        # seed rows are closed forms: their floor is ordinary round-off
+        eps = _pipeline_eps(phi.dev_ratio.real.dtype)
+        self.floors = [_magnitude(row) * ((eps / NOISE_FLOOR_EPS_FACTOR) * 8.0)
+                       for row in self.last]
+        self.x2 = x**2
+        self.x2_floor = phi.grid.nodes[1:].astype(float) ** 2
+        self.n = 0
+        self.mag = None
+        self.run_min = np.full(x.size, np.inf)
+        self.onset = np.zeros(x.size, dtype=bool)
+
+    def rows(self, beta: np.ndarray, beta_floor: np.ndarray, first: int,
+             stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows self.n .. stop-1 and their floors.  Row n >= 4 reads
+        beta_{n-2} and its floor from row n-2-first of ``beta`` and
+        ``beta_floor``.
+
+        The noise-tail cut: for the smooth potentials in scope the true
+        magnitudes |alpha_n(x)| decay with n while recurrence noise grows
+        by a factor of a few per row, so a sustained climb back above the
+        running minimum of the (parity-smoothed) magnitude sequence marks
+        where information ends.  From there on a node's stored rows are
+        zero; the recurrence reads the rows as it made them.
+        """
+        if stop - 1 > ORDER_CAP:
+            raise LimitError(f"alpha order {stop - 1} exceeds cap {ORDER_CAP}")
+        alpha = np.zeros((stop - self.n, self.x2.size + 1), dtype=self.dtype)
+        floor = np.zeros(alpha.shape)
+        for i, n in enumerate(range(self.n, stop)):
+            if n < 4:
+                row, row_floor = self.last[n], self.floors[n]
+            else:
+                a, f = self.last, self.floors
+                row = (2 * n - 1) * (2 * n + 1) * (
+                    beta[n - 2 - first, 1:] / self.x2
+                    + 2.0 * a[-2] / ((2 * n - 5) * (2 * n - 1))
+                    - a[-4] / ((2 * n - 7) * (2 * n - 5))
+                )
+                # worst-case floor propagation, for the error surrogate
+                # only: the actual recurrence error largely cancels and
+                # sits far below this
+                row_floor = (2 * n - 1) * (2 * n + 1) * (
+                    beta_floor[n - 2 - first, 1:] / self.x2_floor
+                    + 2.0 * f[-2] / ((2 * n - 5) * (2 * n - 1))
+                    + f[-4] / ((2 * n - 7) * (2 * n - 5))
+                )
+                self.last, self.floors = a[1:] + [row], f[1:] + [row_floor]
+            alpha[i, 1:], floor[i, 1:] = row, row_floor
+            mag = _magnitude(row)
+            if n >= 4:
+                pair = np.maximum(mag, self.mag)
+                self.onset |= pair > NOISE_ONSET_RISE * self.run_min
+                alpha[i, 1:][self.onset] = 0.0
+                # past its onset a node stays zeroed, whatever its minimum
+                np.minimum(self.run_min, pair, out=self.run_min,
+                           where=pair > 0)
+            self.mag = mag
+        self.n = stop
+        return alpha, floor
+
+
+def _magnitude(row: np.ndarray) -> np.ndarray:
+    out = np.empty(row.shape)
+    _abs_into(row, out)
+    return out
 
 
 def build_alpha_table(
@@ -231,68 +337,34 @@ def build_alpha_table(
     alpha_n = (2n-1)(2n+1) ( beta_{n-2}/x^2
                              + 2 alpha_{n-2}/((2n-5)(2n-1))
                              - alpha_{n-4}/((2n-7)(2n-5)) ).
+
+    Stored rows are zero past each node's noise onset (see
+    ``_AlphaRecurrence.rows``).  A row reads only lower rows, so it has the
+    same bits in a table of any extent; ``alpha_tail`` continues the table.
     """
-    if n_max > ORDER_CAP:
-        raise LimitError(f"alpha order {n_max} exceeds cap {ORDER_CAP}")
-    grid = phi.grid
-    alpha = np.zeros((n_max + 1, grid.M + 1), dtype=phi.dev_ratio.dtype)
-    x = grid.nodes[1:].astype(alpha.dtype)
-    Qx = Q[1:]
-    core = q[1:] / 4.0 - Qx * Qx / 8.0
-    qplus = core + q[0] / 4.0
-    qminus = core - q[0] / 4.0
-    dev = phi.dev_ratio[:2, 1:]
-    seeds = (
-        0.5 * qminus,
-        1.5 * (qplus - Qx / (2.0 * x)),
-        2.5 * (qminus + 3.0 * dev[0] / (x * x) - 1.5 * Qx / x),
-        3.5 * (qplus + 15.0 * dev[1] / (x * x) - 3.0 * Qx / x),
-    )
-    rows = min(3, n_max) + 1
-    for n in range(rows):
-        alpha[n, 1:] = seeds[n]
-    x2 = x**2
-    # seed rows are closed forms: their floor is ordinary round-off
-    floor = np.zeros((n_max + 1, grid.M + 1))
-    eps = _pipeline_eps(phi.dev_ratio.real.dtype)
-    _abs_into(alpha[:rows], floor[:rows])
-    floor[:rows] *= (eps / NOISE_FLOOR_EPS_FACTOR) * 8.0
-    x2_floor = grid.nodes[1:].astype(float) ** 2
-    for n in range(4, n_max + 1):
-        alpha[n, 1:] = (2 * n - 1) * (2 * n + 1) * (
-            beta.beta[n - 2, 1:] / x2
-            + 2.0 * alpha[n - 2, 1:] / ((2 * n - 5) * (2 * n - 1))
-            - alpha[n - 4, 1:] / ((2 * n - 7) * (2 * n - 5))
-        )
-        # worst-case floor propagation, for the error surrogate only: the
-        # actual recurrence error largely cancels and sits far below this
-        floor[n, 1:] = (2 * n - 1) * (2 * n + 1) * (
-            beta.noise_floor[n - 2, 1:] / x2_floor
-            + 2.0 * floor[n - 2, 1:] / ((2 * n - 5) * (2 * n - 1))
-            + floor[n - 4, 1:] / ((2 * n - 7) * (2 * n - 5))
-        )
-    _suppress_noise_tail(alpha)
-    return AlphaTable(grid, n_max, alpha, floor)
+    recurrence = _AlphaRecurrence(q, Q, phi)
+    rows = recurrence.rows(beta.beta, beta.noise_floor, 0, n_max + 1)
+    return AlphaTable(phi.grid, n_max, *rows, _recurrence=recurrence)
 
 
-def _suppress_noise_tail(alpha: np.ndarray):
-    """Zero rows past the per-node noise onset, in place.
+def alpha_tail(
+    alpha: AlphaTable, dev_ratio: np.ndarray, l: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``alpha`` past its n_max, to len(l)+1, and their floors.
 
-    For the smooth potentials in scope the true magnitudes |alpha_n(x)|
-    decay with n while recurrence noise grows by a factor of a few per
-    row, so a sustained climb back above the running minimum of the
-    (parity-smoothed) magnitude sequence marks where information ends.
+    Beta rows n_max-1 .. len(l)-1 come from the formal powers' deviation
+    ratios ``dev_ratio`` (rows 0..len(l)-1) as in ``beta_coeffs``; then the
+    recurrence resumes where ``build_alpha_table`` stopped it.  Every row
+    has the bits of a table built to len(l)+1.  Once only: ``alpha`` drops
+    its recurrence state.
     """
-    mags = np.empty(alpha.shape)
-    _abs_into(alpha, mags)
-    run_min = np.full(alpha.shape[1], np.inf)
-    onset = np.zeros(alpha.shape[1], dtype=bool)
-    for n in range(4, alpha.shape[0]):
-        pair = np.maximum(mags[n], mags[n - 1])
-        onset |= pair > NOISE_ONSET_RISE * run_min
-        alpha[n][onset] = 0.0
-        # past its onset a node stays zeroed, whatever its minimum
-        np.minimum(run_min, pair, out=run_min, where=pair > 0)
+    if alpha._recurrence is None:
+        raise ValueError("this table has no recurrence to resume")
+    first = alpha.n_max - 1
+    beta, _, beta_floor = _beta_rows(dev_ratio, l, first)
+    rows = alpha._recurrence.rows(beta, beta_floor, first, len(l) + 2)
+    object.__setattr__(alpha, "_recurrence", None)
+    return rows
 
 
 def accuracy_indicators(

@@ -16,13 +16,18 @@ magnitudes when it is not.
 When the default homogeneous solution f0 has zeros on the interval (q = -1
 on [0, pi] is the classic case), the table is built from the combination
 f = f0 + i*f1 instead, which never vanishes for real q, and converted back.
-Both routes share the deviations f D^(k) + (f - 1) x^k and the assembly,
-and take every x^k row from one running product, ``_monomials``.
+Both routes share the deviations f D^(k) + (f - 1) x^k, their running
+x^k rows and the assembly.  The rows come from an iterator that keeps
+the recursion's state, so a table built to some k is extended later by
+resuming its build, not by starting over
+(``FormalPowersTable.dev_ratio_to``).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -60,6 +65,26 @@ class FormalPowersTable:
     dev_ratio: np.ndarray = field(repr=False)
     k_max: int
     used_nonvanishing: bool = False
+    #: the iterator of the rows past k_max, resumed by ``dev_ratio_to``
+    _rows: Iterator | None = field(default=None, repr=False, compare=False)
+
+    def dev_ratio_to(self, k_max: int) -> np.ndarray:
+        """dev_ratio rows 0..k_max: this table's, continued by resuming its
+        build where it stopped.  Every row has the bits that a table built
+        to k_max gives it.
+
+        Once only: the table drops its build state.
+        """
+        if self._rows is None:
+            raise ValueError("this table has no build to resume")
+        dtype = self.dev_ratio.dtype
+        dev_ratio = np.zeros((k_max + 1, self.grid.M + 1), dtype)
+        dev_ratio[: self.k_max + 1] = self.dev_ratio
+        rows = itertools.islice(self._rows, k_max - self.k_max)
+        for k, (dev, xk) in enumerate(rows, self.k_max + 1):
+            np.divide(dev[1:], xk[1:], out=dev_ratio[k, 1:], dtype=dtype)
+        object.__setattr__(self, "_rows", None)
+        return dev_ratio
 
 
 def _weight_deviations(fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -70,57 +95,89 @@ def _weight_deviations(fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dev_sq, dev_inv
 
 
-def _monomials(grid: Grid, k_max: int, dtype) -> np.ndarray:
-    """Rows x^0 .. x^k_max on the grid, running products in ``dtype``."""
-    xk = np.empty((k_max + 1, grid.M + 1), dtype=dtype)
-    xk[:1], xk[1:] = 1.0, grid.nodes
-    return np.multiply.accumulate(xk, out=xk)
+class _PowerRows:
+    """phi_k - x^k = f D^(k) + (f - 1) x^k in f's dtype, with the extended
+    x^k row, for k = 0, 1, 2, ...: an iterator.
 
-
-def _deviation_recursion(grid: Grid, f: np.ndarray, k_max: int) -> np.ndarray:
-    """Deviations of the two recursive-integral families from x^n.
-
-    With w_n the weight (f^2)^(+-1) of family member n, the deviations
-    D^(n) = X^(n) - x^n obey
+    D^(k) = X^(k) - x^k or Xt^(k) - x^k, the deviation of the member of the
+    two recursive-integral families that phi_k uses.  With w_n the weight
+    (f^2)^(+-1) of family member n, the deviations obey
 
         D^(n) = n * int_0^x ( D^(n-1) w + s^(n-1) (w - 1) ) ds,
 
     which vanishes identically when f = 1.  The two families advance
-    together, one stacked (2, M+1) integral per order.  Returns the member
-    that phi_k uses, D^(k) for odd k and Dt^(k) for even k, as one array
-    of shape (k_max+1, M+1); row 0 is zero.
+    together, one stacked (2, M+1) integral per order, and D^(0) = 0.
+
+    Between rows it holds the last pair of the recursion and the running
+    x^k rows (in f's real dtype for the recursion, extended for the
+    result), so a table that stopped at some k is extended by resuming it.
+    The next order's integral is taken only when its row is asked for.
     """
-    dev_sq, dev_inv = _weight_deviations(f)
-    w_sq = f * f
-    w_inv = 1.0 / w_sq
 
-    # row 0 of each stack is the D family, row 1 the Dt family: odd orders
-    # weight D by 1/f^2 and Dt by f^2, even orders the other way round
-    w_odd, dev_odd = np.stack((w_inv, w_sq)), np.stack((dev_inv, dev_sq))
-    w_even, dev_even = w_odd[::-1], dev_odd[::-1]
-    D = np.zeros((k_max + 1, grid.M + 1), dtype=f.dtype)
-    pair = np.zeros((2, grid.M + 1), dtype=f.dtype)  # order n-1
-    xk = _monomials(grid, k_max - 1, f.real.dtype)
-    for n in range(1, k_max + 1):
-        w, dev = (w_odd, dev_odd) if n % 2 == 1 else (w_even, dev_even)
-        pair = n * indefinite_integral(grid, pair * w + xk[n - 1] * dev)
-        D[n] = pair[(n + 1) % 2]
-    return D
+    def __init__(self, grid: Grid, f: np.ndarray):
+        dev_sq, dev_inv = _weight_deviations(f)
+        w_sq = f * f
+        w_inv = 1.0 / w_sq
+        self.grid, self.f, self.dev_f = grid, f, f - 1.0
+        # row 0 of each stack is the D family, row 1 the Dt family: odd
+        # orders weight D by 1/f^2 and Dt by f^2, even orders the other way
+        w_odd, dev_odd = np.stack((w_inv, w_sq)), np.stack((dev_inv, dev_sq))
+        self.odd, self.even = (w_odd, dev_odd), (w_odd[::-1], dev_odd[::-1])
+        self.pair = np.zeros((2, grid.M + 1), dtype=f.dtype)  # order k
+        # running products: x^(k-1) in f's real dtype, and x^k extended
+        self.x = grid.nodes.astype(f.real.dtype)
+        self.x_ext = grid.nodes.astype(np.longdouble)
+        self.xk_prev, self.xk = np.ones_like(self.x), np.ones_like(self.x_ext)
+        self.k = -1
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> tuple[np.ndarray, np.ndarray]:
+        k = self.k = self.k + 1
+        if k > 0:
+            w, dev = self.odd if k % 2 == 1 else self.even
+            self.pair = k * indefinite_integral(
+                self.grid, self.pair * w + self.xk_prev * dev)
+            self.xk_prev, self.xk = self.xk_prev * self.x, self.xk * self.x_ext
+        # f first, as numpy's complex product need not commute bit for bit
+        f = self.f
+        dev_phi = f * self.pair[(k + 1) % 2] + np.multiply(
+            self.dev_f, self.xk, dtype=f.dtype)
+        return dev_phi, self.xk
 
 
-def _power_deviations(
-    grid: Grid, f: np.ndarray, k_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """phi_k - x^k = f D^(k) + (f - 1) x^k for k = 0..k_max, in f's dtype,
-    and the x^k rows (extended) that it used."""
-    dev = _deviation_recursion(grid, f, k_max)
-    xk = _monomials(grid, k_max, np.longdouble)
-    dev_f = f - 1.0
-    # row by row, so no temporary is as large as the table; f first, as
-    # numpy's complex product need not commute bit for bit
-    for k in range(k_max + 1):
-        dev[k] = f * dev[k] + np.multiply(dev_f, xk[k], dtype=dev.dtype)
-    return dev, xk
+class _ConvertedRows:
+    """The rows of ``_PowerRows`` for f = f0 + i f1, converted back to the
+    powers of f0 with f'(0) = i: phi_k = Phi_k for odd k, and
+    Phi_k - f'(0)/(k+1) * Phi_{k+1} for even k, in ``dtype``.
+
+    An iterator one row ahead of what it returns: it holds Phi's next row.
+    """
+
+    def __init__(self, grid: Grid, f: np.ndarray, dtype):
+        self.rows = _PowerRows(grid, f)
+        self.x = np.asarray(grid.nodes, dtype=complex)
+        self.dtype = dtype
+        self.ahead = next(self.rows)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> tuple[np.ndarray, np.ndarray]:
+        k = self.rows.k
+        (dev, xk), self.ahead = self.ahead, next(self.rows)
+        if k % 2 == 0:
+            # Phi_{k+1} = x^{k+1} + dev_Phi_{k+1}, with x^{k+1} rounded as
+            # the complex128 product of x^k and x
+            Phi_next = xk.astype(complex)
+            Phi_next *= self.x
+            Phi_next += self.ahead[0]
+            dev = dev - np.multiply(1j / (k + 1), Phi_next, out=Phi_next)
+        # for real q the converted powers are real up to round-off
+        if dev.dtype != self.dtype:
+            dev = dev.real.astype(self.dtype)
+        return dev, xk
 
 
 def _check_nonvanishing(f0: np.ndarray):
@@ -140,15 +197,22 @@ def _check_nonvanishing(f0: np.ndarray):
             )
 
 
-def _assemble_table(
-    grid: Grid, dev_phi: np.ndarray, xk: np.ndarray, **meta
-) -> FormalPowersTable:
-    """phi_k and dev_phi_k/x^k, x^k rounded to dev_phi's dtype."""
-    dtype = dev_phi.dtype
-    phi = np.add(xk, dev_phi, dtype=dtype)
-    dev_ratio = np.zeros_like(dev_phi)
-    np.divide(dev_phi[:, 1:], xk[:, 1:], out=dev_ratio[:, 1:], dtype=dtype)
-    return FormalPowersTable(grid, phi, dev_ratio, len(xk) - 1, **meta)
+def _take(grid: Grid, rows: Iterator, count: int, dtype):
+    """The next ``count`` rows of a row iterator as the tables phi_k and
+    dev_phi_k/x^k in ``dtype``, x^k rounded to it."""
+    phi = np.empty((count, grid.M + 1), dtype=dtype)
+    dev_ratio = np.zeros_like(phi)
+    for i, (dev, xk) in enumerate(itertools.islice(rows, count)):
+        np.add(xk, dev, out=phi[i], dtype=dtype)
+        np.divide(dev[1:], xk[1:], out=dev_ratio[i, 1:], dtype=dtype)
+    return phi, dev_ratio
+
+
+def _table(grid: Grid, rows: Iterator, k_max: int, dtype, **meta):
+    """The table of rows 0..k_max of a fresh row iterator, which it keeps
+    for ``FormalPowersTable.dev_ratio_to``."""
+    phi, dev_ratio = _take(grid, rows, k_max + 1, dtype)
+    return FormalPowersTable(grid, phi, dev_ratio, k_max, _rows=rows, **meta)
 
 
 def formal_powers(grid: Grid, f0: np.ndarray, k_max: int) -> FormalPowersTable:
@@ -158,7 +222,7 @@ def formal_powers(grid: Grid, f0: np.ndarray, k_max: int) -> FormalPowersTable:
     exactly when q = 0.
     """
     _check_nonvanishing(f0)
-    return _assemble_table(grid, *_power_deviations(grid, f0, k_max))
+    return _table(grid, _PowerRows(grid, f0), k_max, f0.dtype)
 
 
 def formal_powers_nonvanishing(
@@ -183,20 +247,10 @@ def formal_powers_nonvanishing(
             f"min |f0 + i f1| = {fmin:.3e} <= {F_COMBINED_MIN}; no "
             "nonvanishing solution available for this potential"
         )
-    dev, xk = _power_deviations(grid, f, k_max + 1)
-    # even k, in place: Phi_{k+1} = x^{k+1} + dev_Phi_{k+1}, f'(0) = i, and
-    # x^{k+1} rounded as the complex128 product of x^k and x
-    even, odd = slice(0, k_max + 1, 2), slice(1, k_max + 2, 2)
-    Phi_next = xk[even].astype(complex)
-    Phi_next *= np.asarray(grid.nodes, dtype=complex)
-    Phi_next += dev[odd]
-    fprime0_k = 1j / np.arange(1, k_max + 2, 2)[:, None]
-    dev[even] -= np.multiply(fprime0_k, Phi_next, out=Phi_next)
-    dev = dev[: k_max + 1]
-    # for real q the converted powers are real up to round-off
-    if not (np.iscomplexobj(f0) or np.iscomplexobj(f1)):
-        dev = dev.real.astype(f0.dtype)
-    return _assemble_table(grid, dev, xk[: k_max + 1], used_nonvanishing=True)
+    real = not (np.iscomplexobj(f0) or np.iscomplexobj(f1))
+    dtype = f0.dtype if real else f.dtype
+    return _table(grid, _ConvertedRows(grid, f, dtype), k_max, dtype,
+                  used_nonvanishing=True)
 
 
 def spps_eval(

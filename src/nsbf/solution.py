@@ -59,6 +59,7 @@ from .bessel import spherical_j_sequence, spherical_j_table
 from .coefficients import (
     AlphaTable,
     BetaTable,
+    alpha_tail,
     beta_coeffs,
     build_alpha_table,
     legendre_coeffs,
@@ -95,7 +96,7 @@ __all__ = [
     "error_envelope",
 ]
 
-#: alpha rows kept beyond N+2 for the truncation-error surrogate
+#: alpha rows past N+2 that the truncation-error surrogate reads
 EXTRA_ROWS = 8
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -105,9 +106,16 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 class SolutionModel:
     """Immutable bundle from which u_N(omega, x) is evaluated for any omega.
 
-    The coefficient tables extend ``EXTRA_ROWS`` beyond what the truncated
-    sums use, so the same model serves the error surrogate and can be
-    re-truncated downward with :meth:`with_truncation` at no cost.
+    The tables hold what the truncated sums use: ``beta`` rows 0..N with
+    their flags, ``alpha`` rows 0..N+2, both with their noise floors, and
+    the formal powers to k = N (to k = 1 at N = 0, for alpha's closed-form
+    rows).  :meth:`with_truncation` re-truncates downward at no cost.
+
+    The error surrogate also reads the ``EXTRA_ROWS`` alpha rows past N+2.
+    ``build_model`` leaves them out and keeps its build state instead; the
+    first ``epsN_surrogate`` call on the model or on any of its views
+    resumes the build for them, once, and drops that state.  Evaluation
+    (``eval_*``, ``char_values``, the spectrum) never builds them.
     """
 
     grid: Grid
@@ -130,6 +138,10 @@ class SolutionModel:
     # i^n c_n(x_j) in complex128, one contiguous row per node j
     _beta_c: np.ndarray = field(init=False, repr=False)
     _alpha_c: np.ndarray = field(init=False, repr=False)
+    # the surrogate's alpha rows N+3..N+2+EXTRA_ROWS and their floors, once
+    # made: a list that with_truncation's shallow copy shares, so the model
+    # and all its views make them once
+    _tail: list = field(init=False, repr=False, default_factory=list)
 
     def __post_init__(self):
         if self.alpha.n_max < self.N + 2:
@@ -158,9 +170,9 @@ class SolutionModel:
     def with_truncation(self, N: int) -> "SolutionModel":
         """A view of the same tables truncated at a smaller N.
 
-        A shallow copy, so the complex128 copies and the per-node Python
-        numbers are shared too; a smaller N passes the table-extent checks
-        that this model passed.
+        A shallow copy, so the complex128 copies, the per-node Python
+        numbers and the surrogate's tail rows are shared too; a smaller N
+        passes the table-extent checks that this model passed.
         """
         if not 0 <= N <= self.N:
             raise ValueError(f"N must be in [0, {self.N}], got {N}")
@@ -206,6 +218,12 @@ def build_model(
     The homogeneous solution f0 comes from Picard iteration; if it
     vanishes somewhere on the grid, f1 is iterated too and the nonvanishing
     fallback route is used automatically (always possible for real q).
+
+    The model's tables stop at what the truncated sums use (see
+    ``SolutionModel``): each row reads only lower rows, so it has the bits
+    a larger build gives it.  The build state is kept on the tables, and
+    the first ``epsN_surrogate`` call resumes it for the ``EXTRA_ROWS``
+    alpha rows past N+2; evaluation never does.
     """
     if N < 0:
         raise ValueError(f"N must be non-negative, got {N}")
@@ -219,15 +237,16 @@ def build_model(
     Q = indefinite_integral(grid, q)
     f0 = solve_homogeneous(grid, q, 1.0)
 
-    k_max = N + EXTRA_ROWS
+    # the closed-form alpha rows 0..3 read phi_0 and phi_1
+    k_max = max(N, 1)
     try:
         powers = formal_powers(grid, f0, k_max)
     except NearVanishingError:
         f1 = solve_homogeneous(grid, q, grid.nodes)
         powers = formal_powers_nonvanishing(grid, f0, f1, k_max)
 
-    beta = beta_coeffs(powers, legendre_coeffs(k_max))
-    alpha = build_alpha_table(q, Q, powers, beta, N + 2 + EXTRA_ROWS)
+    beta = beta_coeffs(powers, legendre_coeffs(N))
+    alpha = build_alpha_table(q, Q, powers, beta, N + 2)
     return SolutionModel(grid, q, Q, complex(q[0]), powers, beta, alpha, N)
 
 
@@ -473,6 +492,28 @@ def char_values(
     return values() if representation == "plain" else _finite(values, w)
 
 
+def _surrogate_row(model: SolutionModel, n: int):
+    """alpha row n and its noise floor, for n <= N + 2 + EXTRA_ROWS of the
+    build.
+
+    Rows to N+2 are the model's own.  Past them is the build's tail, which
+    the first call that needs it makes by resuming the build (formal
+    powers, then beta, then alpha) from where ``build_model`` stopped it,
+    once for the model and all its views; its rows have the bits of a
+    build to N + EXTRA_ROWS.
+    """
+    top = model.alpha.n_max
+    if n <= top:
+        return model.alpha.alpha[n], model.alpha.noise_floor[n]
+    if not model._tail:
+        k_max = model.beta.n_max + EXTRA_ROWS
+        model._tail.extend(alpha_tail(
+            model.alpha, model.powers.dev_ratio_to(k_max),
+            legendre_coeffs(k_max)))
+    alpha, floor = model._tail
+    return alpha[n - top - 1], floor[n - top - 1]
+
+
 def epsN_surrogate(model: SolutionModel) -> np.ndarray:
     """Computable tail estimate of the kernel truncation error, per node.
 
@@ -483,14 +524,19 @@ def epsN_surrogate(model: SolutionModel) -> np.ndarray:
     It is lower-biased by construction (a finite chunk of the tail); rows
     that fell below the coefficient noise floor contribute that floor
     instead, since the surrogate cannot see beneath it.
+
+    Rows past the model's alpha table come from the build's tail, which
+    the first call on the model or on any of its ``with_truncation`` views
+    makes by resuming the build; later calls reuse it.
     """
     grid = model.grid
     x = np.asarray(grid.nodes, dtype=float)
     acc = np.zeros(grid.M + 1)
     for n in range(model.N + 3, model.N + 3 + EXTRA_ROWS):
+        alpha, floor = _surrogate_row(model, n)
         mag = np.maximum(
-            np.abs(np.asarray(model.alpha.alpha[n], dtype=complex)),
-            np.asarray(model.alpha.noise_floor[n], dtype=float),
+            np.abs(np.asarray(alpha, dtype=complex)),
+            np.asarray(floor, dtype=float),
         )
         acc += mag**2 / (2 * n + 1)
     out = np.zeros(grid.M + 1)

@@ -81,13 +81,21 @@ class EigProblem:
 
 
 class EigResult(NamedTuple):
-    """One computed eigenvalue with refinement diagnostics."""
+    """One computed eigenvalue with refinement diagnostics.
+
+    ``lo`` and ``hi`` are the ends of the root's final bracket: s(omega, b)
+    has opposite signs there, or vanishes at one of them, so the root's
+    certificate can be checked from the result.  omega lies in the bracket
+    but need not be its centre.  ``bracket_width`` is hi - lo.
+    """
 
     index: int
     omega: float
     lam: float
     residual: float
     bracket_width: float
+    lo: float
+    hi: float
 
 
 def char_function(
@@ -140,7 +148,8 @@ def _hermite_root(lo, hi, s_lo, s_hi, ds_lo, ds_hi):
 
 
 def _refine(problem: EigProblem, lo, hi, s_lo, s_hi, ds_lo, ds_hi):
-    """Refine every bracket at once: (omega, residual, bracket width).
+    """Refine every bracket at once: (omega, residual, lo, hi), with
+    [lo, hi] the final bracket.
 
     Safeguarded Newton from the root of the cubic Hermite interpolant
     through both bracket ends: a step that leaves its bracket or is not at
@@ -154,7 +163,7 @@ def _refine(problem: EigProblem, lo, hi, s_lo, s_hi, ds_lo, ds_hi):
     bracket in like any other point, and Newton goes on.  A root whose
     bracket narrows to the tolerance otherwise is closed where it stands.
     A degenerate bracket lo = hi (an exact zero found by the scan) is
-    returned as it is, with width 0.
+    returned as it is.
 
     Each pass is one ``char_values`` call: the Newton points of the open
     roots with the certificate pairs of some, then omega of the roots
@@ -209,7 +218,7 @@ def _refine(problem: EigProblem, lo, hi, s_lo, s_hi, ds_lo, ds_hi):
         last_step[todo] = np.abs(nxt - w)
         narrow = hi_t - lo_t <= tol
         closed, todo = todo[narrow & ~done], todo[~narrow]
-    return omega, residual, hi - lo
+    return omega, residual, lo, hi
 
 
 def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
@@ -251,14 +260,15 @@ def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
         if cells.size:
             # an exact zero at a scan point is its own degenerate bracket
             end = cells + ~exact[cells]
-            omega, residual, width = _refine(
+            omega, residual, lo, hi = _refine(
                 problem, omegas[cells], omegas[end], values[cells],
                 values[end], slopes[cells], slopes[end],
             )
             index = range(len(results) + 1, len(results) + omega.size + 1)
             results += map(EigResult._make, zip(
                 index, omega.tolist(), (omega * omega).tolist(),
-                residual.tolist(), width.tolist(),
+                residual.tolist(), (hi - lo).tolist(), lo.tolist(),
+                hi.tolist(),
             ))
         if len(results) >= count:
             return results

@@ -43,7 +43,7 @@ def report(num: str, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="session")
-def paine_bench(model_exp):
+def exp_bench(model_exp):
     """Eigenvalue runs for both representations at N in {5, 15, 25},
     plus the reference table."""
     runs = {}
@@ -74,8 +74,8 @@ def test_criterion_1_paine_headline():
     )
 
 
-def test_criterion_2_asymptotic_cross_check(paine_bench):
-    runs, _ = paine_bench
+def test_criterion_2_asymptotic_cross_check(exp_bench):
+    runs, _ = exp_bench
     asym = asymptotic_eigenvalue(460, math.e**PI - 1.0, PI)
     lam460 = runs[("improved", 25)][-1]
     dev_formula = abs(asym - ASYMPTOTIC_460)
@@ -106,8 +106,8 @@ def test_criterion_3_omega_uniformity(model_exp):
     report("3", variation <= 50.0 and slope <= -1.8, detail)
 
 
-def test_criterion_4a_representation_majority_at_N5(paine_bench):
-    runs, lam_ref = paine_bench
+def test_criterion_4a_representation_majority_at_N5(exp_bench):
+    runs, lam_ref = exp_bench
     e_improved = np.abs(runs[("improved", 5)] - lam_ref)
     e_plain = np.abs(runs[("plain", 5)] - lam_ref)
     wins = int(np.sum(e_improved < e_plain))
@@ -118,8 +118,8 @@ def test_criterion_4a_representation_majority_at_N5(paine_bench):
     )
 
 
-def test_criterion_4b_error_flatness(paine_bench):
-    runs, lam_ref = paine_bench
+def test_criterion_4b_error_flatness(exp_bench):
+    runs, lam_ref = exp_bench
     errs = np.abs(runs[("improved", 25)] - lam_ref)
     first = float(np.median(errs[: BENCH_COUNT // 4]))
     last = float(np.median(errs[-BENCH_COUNT // 4 :]))
@@ -145,8 +145,8 @@ def test_criterion_4b_error_flatness(paine_bench):
         "ledger for the full analysis."
     ),
 )
-def test_criterion_4c_median_agreement_at_N25(paine_bench):
-    runs, lam_ref = paine_bench
+def test_criterion_4c_median_agreement_at_N25(exp_bench):
+    runs, lam_ref = exp_bench
     med_improved = float(np.median(np.abs(runs[("improved", 25)] - lam_ref)))
     med_plain = float(np.median(np.abs(runs[("plain", 25)] - lam_ref)))
     ratio = max(med_improved, med_plain) / min(med_improved, med_plain)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsbf
-from nsbf import build_model, make_grid, oracle, spectral
+from nsbf import build_model, cli, make_grid, oracle, spectral
 from nsbf.cli import RunConfig, _resolve_potential, main
 
 from conftest import HOSTILE_NESTINGS
@@ -109,13 +109,20 @@ class TestSolveCommand:
         ("improved", "0.5", True),
         ("auto", "841.65", True),
     ])
-    def test_envelope_only_for_the_improved_form(self, rep, omega,
-                                                 has_envelope):
+    def test_envelope_only_for_the_improved_form(self, monkeypatch, rep,
+                                                 omega, has_envelope):
+        # the surrogate, which builds the model's rows past N+2, is made
+        # only for an envelope
+        calls = []
+        surrogate = cli.epsN_surrogate
+        monkeypatch.setattr(cli, "epsN_surrogate",
+                            lambda model: calls.append(1) or surrogate(model))
         rc, out = run_cli(
             ["solve", "--potential=-1.5", "--omega", omega, "--x", "0.0425",
              "--representation", rep]
         )
         assert rc == 0
+        assert len(calls) == has_envelope
         _, rows = data_rows(out)
         if has_envelope:
             env = float(rows[0][4])

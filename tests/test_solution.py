@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import time
 import warnings
 
@@ -22,7 +24,7 @@ from nsbf import (
     make_grid,
     sine_solution,
 )
-from nsbf import solution
+from nsbf import formal_powers, solution
 from nsbf.formal_powers import spps_eval
 from nsbf.grid import PIPELINE_CDTYPE, PIPELINE_DTYPE
 from nsbf.oracle import solution_reference
@@ -486,6 +488,83 @@ class TestErrorEnvelope:
     def test_omega_squared_out_of_range_rejected(self, model_exp, w):
         with pytest.raises(LimitError):
             error_envelope(model_exp, w, 10, epsN_surrogate(model_exp))
+
+
+#: a real potential on the primary route, one on the f0 + i f1 route (f0 =
+#: cos(2x) of q = -4 changes sign) and a complex array
+TAIL_BUILDS = {
+    "exp": ("exp(x)", 25),
+    "minus4": ("-4", 25),
+    "complex": (np.full(1999, 1.0 + 2.0j), 25),
+}
+
+
+class TestSurrogateTail:
+    """build_model stops at the rows the sums use; the EXTRA_ROWS alpha
+    rows that only epsN_surrogate reads are made on its first call, by
+    resuming the build, with the bits of an eager build to N + EXTRA_ROWS."""
+
+    @pytest.fixture(scope="class", params=list(TAIL_BUILDS))
+    def eager(self, request):
+        q, N = TAIL_BUILDS[request.param]
+        return q, N, build_model(q, PI, 1998, N + solution.EXTRA_ROWS)
+
+    @staticmethod
+    def _forbid_builds(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the tail was built again")
+
+        monkeypatch.setattr(solution, "legendre_coeffs", fail)
+        monkeypatch.setattr(formal_powers, "indefinite_integral", fail)
+
+    def test_tail_rows_are_the_eager_rows(self, eager, monkeypatch):
+        q, N, big = eager
+        model = build_model(q, PI, 1998, N)
+        assert (model.powers.k_max, model.beta.n_max, model.alpha.n_max) == (
+            N, N, N + 2)
+        for got, want in ((model.beta.beta, big.beta.beta[: N + 1]),
+                          (model.beta.noise_floor,
+                           big.beta.noise_floor[: N + 1]),
+                          (model.alpha.alpha, big.alpha.alpha[: N + 3]),
+                          (model.alpha.noise_floor,
+                           big.alpha.noise_floor[: N + 3])):
+            assert np.array_equal(got, want)
+        assert not model._tail
+        eps = epsN_surrogate(model)
+        assert np.array_equal(eps, epsN_surrogate(big.with_truncation(N)))
+        tail = list(model._tail)
+        rows = slice(N + 3, N + 3 + solution.EXTRA_ROWS)
+        assert np.array_equal(tail[0], big.alpha.alpha[rows])
+        assert np.array_equal(tail[1], big.alpha.noise_floor[rows])
+        # the build state is dropped, and a second call builds nothing
+        assert model.powers._rows is None
+        assert model.alpha._recurrence is None
+        self._forbid_builds(monkeypatch)
+        assert np.array_equal(epsN_surrogate(model), eps)
+        assert len(model._tail) == 2
+        assert all(a is b for a, b in zip(model._tail, tail))
+
+    def test_a_copy_keeps_the_build_state(self, eager):
+        # the state is plain arrays, so a model still pickles and copies
+        q, N, big = eager
+        model = build_model(q, PI, 1998, N)
+        for other in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert np.array_equal(epsN_surrogate(other),
+                                  epsN_surrogate(big.with_truncation(N)))
+        assert not model._tail
+
+    def test_a_view_builds_the_tail_once(self, eager, monkeypatch):
+        q, N, big = eager
+        model = build_model(q, PI, 1998, N)
+        view = model.with_truncation(N - 2)
+        eps_view = epsN_surrogate(view)
+        assert np.array_equal(
+            eps_view, epsN_surrogate(big.with_truncation(N - 2)))
+        assert len(model._tail) == 2 and view._tail is model._tail
+        self._forbid_builds(monkeypatch)
+        assert np.array_equal(epsN_surrogate(model),
+                              epsN_surrogate(big.with_truncation(N)))
+        assert np.array_equal(epsN_surrogate(view), eps_view)
 
 
 @pytest.fixture(scope="module")

@@ -314,6 +314,30 @@ class TestBatchedSolver:
         assert np.all((width >= 0.0) & (width <= tol))
 
 
+class TestCertificateFromResult:
+    """Each result carries its bracket's ends, so its certificate can be
+    checked from the result alone."""
+
+    @pytest.mark.parametrize("rep", ["improved", "plain"])
+    @pytest.mark.parametrize("case", ["minus3_N15", "exp_460"])
+    def test_sign_change_across_reported_ends(self, model_exp, case, rep):
+        # root 1 of q = -3 at N = 15 (improved) is closed by narrowing, and
+        # its omega -+ width/2 showed no sign change of s
+        if case == "exp_460":
+            model, count = model_exp, 460
+        else:
+            model = build_model("-3", PI, 1998, 25).with_truncation(15)
+            count = 40
+        res = find_eigenvalues(EigProblem(model, representation=rep), count)
+        lo, hi, omega = (np.array([getattr(r, name) for r in res])
+                         for name in ("lo", "hi", "omega"))
+        assert np.all((lo <= omega) & (omega <= hi))
+        assert [r.bracket_width for r in res] == (hi - lo).tolist()
+        s_lo, s_hi = np.split(
+            spectral.char_values(model, np.concatenate([lo, hi]), rep)[0], 2)
+        assert np.all(np.sign(s_lo) * np.sign(s_hi) <= 0)
+
+
 class TestEigProblemValidation:
     def test_complex_potential_rejected(self):
         model = build_model(
