@@ -31,9 +31,12 @@ it.  ``_evaluate`` is the scalar kernel behind ``eval_uN``, ``eval_uN_tilde``,
 Python numbers that the model makes once, takes the Bessel values from
 ``spherical_j_sequence`` and works in Python arithmetic.  ``_series`` serves
 ``char_values``: a 1-D array of real omegas, Bessel values from
-``spherical_j_table``, and the omega-derivative too.  The public scalar
-entries read a numpy scalar omega as the Python float or complex of its
-value, so a float32 or complex64 omega is evaluated in double precision.
+``spherical_j_table``, s = Im u_N/omega and its omega-derivative.  The
+public scalar entries read a numpy scalar omega as the Python float or
+complex of its value, so a float32 or complex64 omega is evaluated in
+double precision.  Both forms grow like e^{|Im omega| x}, and the improved
+one divides by omega^2: each kernel refuses (``_refuse``) a value that is
+not finite and, for the improved form, an omega^2 that is not.
 
 The scalar kernel keeps the bits of the straightforward evaluation that
 ``tests/crosschecks.py`` holds: a per-node number is the value that
@@ -66,6 +69,7 @@ from .coefficients import (
 )
 from .errors import (
     ExpressionEvalError,
+    GridError,
     LimitError,
     NearVanishingError,
     ZeroOmegaError,
@@ -138,6 +142,10 @@ class SolutionModel:
     # i^n c_n(x_j) in complex128, one contiguous row per node j
     _beta_c: np.ndarray = field(init=False, repr=False)
     _alpha_c: np.ndarray = field(init=False, repr=False)
+    # |Im omega x| below which no Bessel sum can overflow: with |j_n(z)| <=
+    # e^{|Im z|} (DLMF 10.54.2) and m the largest |Re c_n| or |Im c_n|, its
+    # n terms stay within 4 m n e^{|Im z|}; e^16 is to spare
+    _im_safe: float = field(init=False, repr=False)
     # the surrogate's alpha rows N+3..N+2+EXTRA_ROWS and their floors, once
     # made: a list that with_truncation's shallow copy shares, so the model
     # and all its views make them once
@@ -161,6 +169,10 @@ class SolutionModel:
             c64 = c.astype(complex if np.iscomplexobj(c) else float)
             out = np.empty(c.shape[::-1], dtype=complex)
             object.__setattr__(self, name, np.multiply(ipow, c64.T, out=out))
+        top = max(max(c.view(float).max(), -c.view(float).min()) * c.shape[1]
+                  for c in (self._beta_c, self._alpha_c))
+        object.__setattr__(self, "_im_safe",
+                           _LOG_FLOAT_MAX - math.log1p(4.0 * top) - 16.0)
         object.__setattr__(self, "is_complex", np.iscomplexobj(self.q))
         num = complex if self.is_complex else float
         object.__setattr__(self, "_x", self.grid.nodes.astype(float).tolist())
@@ -233,6 +245,12 @@ def build_model(
             "trustworthy digits in double precision"
         )
     grid = make_grid(b, M)
+    # the build divides by x^2 in float64, by x^(N + EXTRA_ROWS) in x1's dtype
+    x1 = grid.nodes[1]
+    if (float(x1) ** 2 < sys.float_info.min
+            or x1 ** (N + EXTRA_ROWS) < np.finfo(x1.dtype).tiny):
+        raise GridError(f"b={b} is too small for M={M} and N={N}: a power "
+                        f"of the first node x={float(x1)!r} underflows")
     q = _sample_potential(q_input, grid)
     Q = indefinite_integral(grid, q)
     f0 = solve_homogeneous(grid, q, 1.0)
@@ -264,12 +282,6 @@ def _improved(representation: str) -> bool:
     if representation not in ("improved", "plain"):
         raise ValueError(f"unknown representation {representation!r}")
     return representation == "improved"
-
-
-def _check_phase(omega_x: float, x: float) -> None:
-    if omega_x >= 2.0**52:
-        raise LimitError(f"|Re omega| x reaches 2^52 at x={x}: the rounded "
-                         "omega x keeps no correct digit of the phase")
 
 
 def _python(omega):
@@ -317,102 +329,101 @@ def _assemble(model: SolutionModel, omega, x_index: int, improved: bool,
     return u, du
 
 
-def _evaluate(model: SolutionModel, omega, x_index: int, improved: bool):
-    """u_N(omega, x_j) at a Python scalar omega, real or complex.
-
-    From |Re omega| x = 2^52 on, where rounding omega x moves the phase by
-    up to half a radian, it raises LimitError.
-    """
-    table, n_top = ((model._alpha_c, model.N + 2) if improved
-                    else (model._beta_c, model.N))
-    x = model._x[x_index]
-    _check_phase(abs(omega.real) * x, x)
-    z = omega * x
-    if isinstance(z, complex) and z.imag == 0.0:
-        z = z.real
-    jn = spherical_j_sequence(n_top, z)
-    # a Python complex, so the rest rounds in Python's complex arithmetic,
-    # not numpy's
-    S = complex(np.dot(table[x_index, : n_top + 1], jn))
-    return _assemble(model, omega, x_index, improved,
-                     cmath.exp(1j * omega * x), cmath.exp(-1j * omega * x), S)
+_FORMS = ("the plain representation", "the improved representation")
+_PHASE_LOST = ("|Re omega| x reaches 2^52 at x={}: the rounded omega x "
+               "keeps no correct digit of the phase")
 
 
-def _series(model: SolutionModel, omega: np.ndarray, x_index: int,
-            representation: str):
-    """u_N(omega, x_j) of either representation and du_N/domega, at a 1-D
-    ndarray of real omega > 0 (see ``_assemble``).
-
-    The omega-derivative uses x j_n'(omega x) with
-    j_n'(z) = j_{n-1}(z) - (n+1) j_n(z)/z (DLMF 10.51.2) and j_0' = -j_1.
-    From omega x = 2^52 on it raises LimitError, as ``_evaluate`` does.
-    """
-    improved = _improved(representation)
-    table, n_top = ((model._alpha_c, model.N + 2) if improved
-                    else (model._beta_c, model.N))
-    x = model._x[x_index]
-    _check_phase(float(omega.max()) * x, x)
-    z = omega * x
-    jn = spherical_j_table(n_top, z)
-    e = np.empty(z.shape, dtype=complex)
-    np.cos(z, out=e.real)
-    np.sin(z, out=e.imag)
-    col = table[x_index, : n_top + 1]
-    S = _table_dot(col, jn[: n_top + 1])
-    n1 = np.arange(2, n_top + 2)
-    dS = x * (
-        _table_dot(col[1:], jn[:n_top]) - col[0] * jn[1]
-        - _table_dot(n1 * col[1:], jn[1 : n_top + 1]) / z
-    )
-    return _assemble(model, omega, x_index, improved, e, e.conj(), S, dS)
-
-
-def _refuse(omega, what="the improved representation"):
+def _refuse(omega, what):
     """ZeroOmegaError at omega = 0, else LimitError: ``what`` is not finite.
-
-    ``what`` divides by omega^2: where that underflows a term overflows,
-    and where it overflows the 1/omega^2 terms drop out unseen.
-    """
+    What divides by omega^2 is refused where omega^2 overflows too, as its
+    1/omega^2 terms would drop out unseen."""
     if omega == 0:
         raise ZeroOmegaError(f"{what} divides by omega^2")
     raise LimitError(f"{what} leaves the float64 range at omega={omega}")
 
 
-def _finite(compute, omega: np.ndarray):
-    """``compute()``, the improved representation over a 1-D array of real
-    omegas (an array, or a pair of them), if it and omega^2 are finite at
-    every omega; else ``_refuse`` at the first omega where it is not.
-    ``compute`` runs with numpy's warnings off.  The scalar evaluators make
-    the same test inline.
+def _evaluate(model: SolutionModel, omega, x_index: int, improved: bool):
+    """u_N(omega, x_j) at a Python scalar omega, real or complex, refused
+    where not finite (a Python float error or numpy's overflow in the Bessel
+    sum counts as such) and from |Re omega| x = 2^52 on, where rounding
+    omega x moves the phase by up to half a radian."""
+    table, n_top = ((model._alpha_c, model.N + 2) if improved
+                    else (model._beta_c, model.N))
+    x = model._x[x_index]
+    if abs(omega.real) * x >= 2.0**52:
+        raise LimitError(_PHASE_LOST.format(x))
+    z = omega * x
+    col = table[x_index, : n_top + 1]
+    try:
+        if not isinstance(z, complex) or -model._im_safe < z.imag < model._im_safe:
+            # a complex z on the real axis takes the real Bessel branch
+            S = np.dot(col, spherical_j_sequence(n_top, z if z.imag else z.real))
+        else:
+            with np.errstate(all="ignore"):
+                S = np.dot(col, spherical_j_sequence(n_top, z))
+        # a Python complex, so the rest rounds in Python's complex
+        # arithmetic, not numpy's
+        u = _assemble(model, omega, x_index, improved,
+                      cmath.exp(1j * omega * x), cmath.exp(-1j * omega * x),
+                      complex(S))
+    except (ZeroDivisionError, OverflowError):
+        u = math.nan
+    if cmath.isfinite(u) and (not improved or cmath.isfinite(omega * omega)):
+        return u
+    _refuse(omega, _FORMS[improved])
+
+
+def _series(model: SolutionModel, omega: np.ndarray, x_index: int,
+            improved: bool):
+    """(s, ds/domega) at x_j for a real potential and a 1-D ndarray of real
+    omega > 0, where s = Im u_N(omega, x_j)/omega (see ``_assemble``).
+
+    The omega-derivative uses x j_n'(omega x) with
+    j_n'(z) = j_{n-1}(z) - (n+1) j_n(z)/z (DLMF 10.51.2) and j_0' = -j_1.
+    It refuses as ``_evaluate`` does, at the first omega where s or ds is
+    not finite, or at the largest if the improved form's omega^2 is not.
     """
-    with np.errstate(all="ignore"):
-        value = compute()
-    ok = np.isfinite(np.atleast_2d(value)).all(axis=0)
+    table, n_top = ((model._alpha_c, model.N + 2) if improved
+                    else (model._beta_c, model.N))
+    x = model._x[x_index]
     top = float(omega.max())
-    if ok.all() and math.isfinite(top * top):
-        return value
-    _refuse(float(omega[~ok][0]) if not ok.all() else top)
+    if top * x >= 2.0**52:
+        raise LimitError(_PHASE_LOST.format(x))
+    with np.errstate(all="ignore"):
+        z = omega * x
+        jn = spherical_j_table(n_top, z)
+        e = np.empty(z.shape, dtype=complex)
+        np.cos(z, out=e.real)
+        np.sin(z, out=e.imag)
+        col = table[x_index, : n_top + 1]
+        S = _table_dot(col, jn[: n_top + 1])
+        n1 = np.arange(2, n_top + 2)
+        dS = x * (
+            _table_dot(col[1:], jn[:n_top]) - col[0] * jn[1]
+            - _table_dot(n1 * col[1:], jn[1 : n_top + 1]) / z
+        )
+        u, du = _assemble(model, omega, x_index, improved, e, e.conj(), S, dS)
+        s = u.imag / omega
+        ds = (du.imag - s) / omega
+    ok = np.isfinite(s) & np.isfinite(ds)
+    if ok.all() and (not improved or math.isfinite(top * top)):
+        return s, ds
+    _refuse(float(omega[~ok][0]) if not ok.all() else top, _FORMS[improved])
 
 
 def eval_uN_tilde(model: SolutionModel, omega: complex, x_index: int) -> complex:
-    """Plain truncated representation; entire in omega (omega = 0 is fine)."""
+    """Plain truncated representation; entire in omega (omega = 0 is fine);
+    LimitError where it is not finite."""
     return _evaluate(model, _python(omega), x_index, False)
 
 
 def eval_uN(model: SolutionModel, omega: complex, x_index: int) -> complex:
     """Omega-improved truncated representation at any complex omega where
     it and omega^2 are finite (else ZeroOmegaError at 0, LimitError
-    elsewhere; a Python float error counts as a value that is not finite);
-    pass -omega for the -omega solution (plain sign substitution, valid for
-    complex q too)."""
-    omega = _python(omega)
-    try:
-        u = _evaluate(model, omega, x_index, True)
-    except (ZeroDivisionError, OverflowError):
-        u = math.nan
-    if cmath.isfinite(u) and cmath.isfinite(omega * omega):
-        return u
-    _refuse(omega)
+    elsewhere; see ``_evaluate``); pass -omega for the -omega solution
+    (plain sign substitution, valid for complex q too)."""
+    return _evaluate(model, _python(omega), x_index, True)
 
 
 def eval_auto(model: SolutionModel, omega: complex, x_index: int) -> complex:
@@ -441,39 +452,31 @@ def sine_solution(
     Im u(omega, x)/omega, which is what gets evaluated then (one series
     evaluation instead of two).
 
-    representation: "improved" uses the omega-improved form (refused where
-    it is not finite, as in ``eval_uN``), "plain" the entire Bessel series.
+    representation: "improved" uses the omega-improved form, "plain" the
+    entire Bessel series.  Either is refused where u or s is not finite:
+    the difference of two finite u, over an omega below 1, can overflow.
     """
     omega = _python(omega)
     if omega == 0:
         raise ZeroOmegaError("sine_solution divides by omega")
     improved = _improved(representation)
-    try:
-        if not model.is_complex and not (
-            isinstance(omega, complex) and omega.imag != 0.0
-        ):
-            w = float(omega.real)
-            s = _evaluate(model, w, x_index, improved).imag / w
-        else:
-            s = (
-                _evaluate(model, omega, x_index, improved)
-                - _evaluate(model, -omega, x_index, improved)
-            ) / (2j * omega)
-    except (ZeroDivisionError, OverflowError):
-        if not improved:
-            raise
-        s = math.nan
-    if not improved or (cmath.isfinite(s) and cmath.isfinite(omega * omega)):
+    if model.is_complex or (isinstance(omega, complex) and omega.imag != 0.0):
+        s = (_evaluate(model, omega, x_index, improved)
+             - _evaluate(model, -omega, x_index, improved)) / (2j * omega)
+    else:
+        w = float(omega.real)
+        s = _evaluate(model, w, x_index, improved).imag / w
+    if cmath.isfinite(s):
         return s
-    _refuse(omega)
+    _refuse(omega, _FORMS[improved])
 
 
 def char_values(
     model: SolutionModel, omegas: np.ndarray, representation: str = "improved"
 ):
     """(s, ds/domega) at x = b for an array of real omegas > 0, where
-    s(omega, b) = Im u_N(omega, b)/omega; the improved form refuses them
-    unless finite at each, as ``eval_uN`` does (see ``_finite``).
+    s(omega, b) = Im u_N(omega, b)/omega; either form refuses them unless
+    finite at each, as ``eval_uN`` does (see ``_series``).
 
     The batched form of ``sine_solution`` at x = b for a real potential:
     one Bessel table for all omegas, the derivative from that of u_N.
@@ -483,13 +486,7 @@ def char_values(
     w = np.asarray(omegas, dtype=float)
     if w.ndim != 1 or not np.all(w > 0):
         raise ValueError("char_values needs a 1-D array of omega > 0")
-
-    def values():
-        u, du = _series(model, w, model.grid.M, representation)
-        s = u.imag / w
-        return s, (du.imag - s) / w
-
-    return values() if representation == "plain" else _finite(values, w)
+    return _series(model, w, model.grid.M, _improved(representation))
 
 
 def _surrogate_row(model: SolutionModel, n: int):

@@ -107,6 +107,8 @@ def test_orthogonality_quadrature():
 def test_order_cap():
     with pytest.raises(LimitError):
         spherical_j_sequence(121, 1.0)
+    with pytest.raises(LimitError, match="non-negative"):
+        spherical_j_sequence(-1, 1.0)
 
 
 def test_imaginary_overflow_guard():

@@ -397,9 +397,10 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "extra",
         [{"M": "600"}, {"threads": 2}, {"omega": ["abc"]}, {"x": ["abc"]},
-         {"x": [[1.0]]}, {"count": 2.5}, {"b": True}],
+         {"x": [[1.0]]}, {"count": 2.5}, {"b": True}, {"format": "xml"},
+         {"representation": "both"}],
         ids=["M-string", "threads", "omega-item", "x-item", "x-nested",
-             "count-float", "b-bool"],
+             "count-float", "b-bool", "format-choice", "representation-choice"],
     )
     def test_bad_config_value_one_line_exit_2(self, tmp_path, extra):
         cfg = tmp_path / "run.json"
@@ -411,6 +412,20 @@ class TestConfigHandling:
         )
         assert rc == 2
         assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config"), ("{", "cannot read config"),
+        ("[1]", "must hold a JSON object"),
+    ], ids=["missing", "not-json", "not-object"])
+    def test_unreadable_config_one_line_exit_2(self, tmp_path, text, message):
+        cfg = tmp_path / "run.json"
+        if text is not None:
+            cfg.write_text(text)
+        rc, err = run_cli_stderr(["solve", "--config", str(cfg), "--potential",
+                                  "0", "--omega", "1", "--x", "1", *FAST])
+        assert rc == 2
+        assert message in err
         assert len(err.strip().splitlines()) == 1
 
     def test_int_accepted_for_float_field(self, tmp_path):
@@ -436,10 +451,12 @@ class TestHostileInput:
             ["solve", "--omega", "1", "--x", "-0.5"],
             ["solve", "--omega", "1", "--x", "1", "--N", "-1"],
             ["solve", "--omega", "1", "--x", "1", "--b", "inf"],
+            ["solve", "--x", "1"],
+            ["solve", "--omega", "1"],
         ],
         ids=["count-0", "count-negative", "omega-inf", "omega-overflow",
              "x-nan", "x-beyond-b", "x-negative", "N-negative",
-             "b-inf"],
+             "b-inf", "omega-missing", "x-missing"],
     )
     def test_exit_2_without_traceback(self, args):
         command, rest = args[0], args[1:]
@@ -489,6 +506,25 @@ class TestHostileInput:
                                   "--x", "1", "--representation", rep, *FAST])
         assert rc == 3
         assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_plain_form_overflow_exit_3_without_traceback(self):
+        # the plain form's Bessel sum overflows at |Im omega| x = 699
+        rc, err = run_cli_stderr(["solve", "--potential=-1.5", "--omega",
+                                  "1+444500j", "--x", "0.0016",
+                                  "--representation", "plain"])
+        assert rc == 3
+        assert err.startswith("nsbf solve: the plain representation leaves")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("b", ["1e-160", "1e-300"])
+    def test_tiny_b_exit_2_without_warning(self, b):
+        # x_1^2 (1e-160) and x_1^k (1e-300) underflow: refused before the
+        # build, which used to warn from the coefficients or formal powers
+        rc, err = run_cli_stderr(["eigs", "--potential", "1", "--b", b,
+                                  "--count", "2"])
+        assert rc == 2
+        assert "too small" in err
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("potential", ["x^-1", "x^(-0.5)"])
@@ -598,7 +634,12 @@ class TestTabulatedPotential:
         ([f"{k} 1" for k in range(6)], "need at least 7 samples"),
         ([f"{k} 1" for k in range(8)] + ["nan 1", "9 1"], ":10: x and q"),
         ([f"{k} 1" for k in range(8)] + ["8 inf", "9 1"], ":10: x and q"),
-    ], ids=["3-rows", "6-rows", "nan-x", "inf-q"])
+        ([f"{k} 1" for k in range(8)] + ["8 1 0 0"], ":10: expected 2 or 3"),
+        ([f"{k} 1" for k in range(8)] + ["8 abc"], ":10: could not convert"),
+        ([f"{k} 1" for k in range(8)] + ["8.5 1"], "uniform and increasing"),
+        ([f"{k / 10} 1" for k in range(8)], "exceeds tabulated span"),
+    ], ids=["3-rows", "6-rows", "nan-x", "inf-q", "4-columns", "not-a-number",
+            "non-uniform-x", "span-below-b"])
     def test_bad_table_exit_2_one_line(self, tmp_path, rows, message):
         path = tmp_path / "pot.txt"
         path.write_text("# tabulated-potential v1\n" + "\n".join(rows) + "\n")
@@ -672,3 +713,18 @@ class TestBenchCommand:
         )
         assert rc == 0
         assert "summary" in out
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read reference file"),
+        ("1,1\nn,abc\n", "cannot read reference file"),
+        ("1,1\n", "has 1 eigenvalues, need 2"),
+    ], ids=["missing", "not-a-number", "too-short"])
+    def test_bad_reference_file_one_line_exit_2(self, tmp_path, text, message):
+        ref = tmp_path / "ref.csv"
+        if text is not None:
+            ref.write_text(text)
+        rc, err = run_cli_stderr(["bench", "--potential", "0", "--count", "2",
+                                  *FAST, "--reference", str(ref)])
+        assert rc == 2
+        assert message in err
+        assert len(err.strip().splitlines()) == 1

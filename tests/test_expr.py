@@ -156,6 +156,7 @@ def test_unknown_identifier():
         ("exp(x)", 1e4),
         ("x^-1", 0.0),
         ("x^(-0.5)", 0.0),
+        ("1e400", 1.0),
     ],
 )
 def test_domain_and_overflow_errors(src, x):

@@ -70,6 +70,27 @@ class TestBuildModel:
         with pytest.raises(GridError, match="positive and finite"):
             build_model("1", math.inf, 66, 4)
 
+    def test_truncation_cap(self):
+        with pytest.raises(LimitError, match="exceeds the cap 60"):
+            build_model("1", PI, 102, 61)
+
+    def test_wrong_sample_count_refused(self):
+        with pytest.raises(ValueError, match="needs 103 samples, got 102"):
+            build_model(np.ones(102), PI, 102, 4)
+
+    @pytest.mark.parametrize("b, N", [(1e-160, 25), (1e-300, 25), (1e-75, 60)])
+    def test_underflowing_node_powers_refused(self, b, N):
+        # x_1^2 underflows in float64 at b = 1e-160 and 1e-300 (at 1e-300
+        # x_1^25 too, in the pipeline dtype); at 1e-75 with N = 60 only the
+        # surrogate tail's x_1^68 does.  Each used to end in a numpy warning.
+        with pytest.raises(GridError, match="too small"):
+            build_model("1", b, 1998, N)
+
+    def test_small_b_above_the_limit_builds(self):
+        model = build_model("1", 1e-140, 1998, 25)
+        assert np.all(np.isfinite(epsN_surrogate(model)))
+        assert cmath.isfinite(eval_uN(model, 1e140, model.grid.M))
+
     def test_callable_and_array_inputs(self):
         m1 = build_model(np.exp, PI, 102, 4)
         xs = np.asarray(m1.grid.nodes, dtype=float)
@@ -300,6 +321,49 @@ class TestSmallX:
         ) <= 1e-10
 
 
+class TestNotFiniteRefused:
+    """Both forms refuse a value that leaves float64, and the numpy
+    overflow warning of the Bessel sum does not escape (warnings are errors
+    in this suite)."""
+
+    @pytest.fixture(scope="class")
+    def model_neg(self):
+        return build_model("-1.5", PI, 1998, 25)
+
+    def test_plain_bessel_sum_overflow(self, model_neg):
+        # |Im omega| x_1 = 699: the sum overflows, e^{i omega x} does not
+        w = 1 + 699j / float(model_neg.grid.nodes[1])
+        with pytest.raises(LimitError, match="plain representation"):
+            eval_uN_tilde(model_neg, w, 1)
+        with pytest.raises(LimitError, match="plain representation"):
+            sine_solution(model_neg, w, 1, "plain")
+
+    def test_no_overflow_below_the_silenced_range(self, model_neg):
+        # numpy is silenced only from |Im omega x| = _im_safe on: below it
+        # every sum stays finite, or its overflow warning would fail here
+        for j in (1, 10, 100, model_neg.grid.M):
+            x = float(model_neg.grid.nodes[j])
+            for im in (0.999, -0.999):
+                w = 1 + 1j * im * model_neg._im_safe / x
+                for evaluate in (eval_uN_tilde, eval_uN):
+                    assert cmath.isfinite(evaluate(model_neg, w, j))
+
+    def test_improved_bessel_sum_overflow(self):
+        model = build_model("50", PI, 1998, 25)
+        with pytest.raises(LimitError, match="improved representation"):
+            eval_uN(model, 1 + (699 / PI) * 1j, model.grid.M)
+
+    def test_sine_of_two_finite_values_refused(self):
+        # u(omega, b) and u(-omega, b) are finite, but their difference
+        # over 2i omega, |omega| < 1, is not
+        model = build_model("-0.01", 700.0, 1998, 25)
+        j, w = model.grid.M, -0.8427445258467778 - 0.9807078285006849j
+        assert cmath.isfinite(eval_uN_tilde(model, w, j))
+        assert cmath.isfinite(eval_uN_tilde(model, -w, j))
+        with pytest.raises(LimitError, match="plain representation"):
+            sine_solution(model, w, j, "plain")
+
+
 class TestSineSolution:
     def test_zero_potential(self, model_zero):
         for w in (3.3, 11.0):
@@ -397,6 +461,11 @@ class TestCharValues:
                      for k in range(0, w.size, size)]
             for got, ref in zip(map(np.concatenate, zip(*parts)), whole):
                 assert np.array_equal(got, ref)
+
+    def test_rejects_complex_potential(self):
+        model = build_model(np.full(103, 1 + 1j), PI, 102, 4)
+        with pytest.raises(ValueError, match="needs a real potential"):
+            char_values(model, np.array([1.0]))
 
     def test_rejects_nonpositive_omega(self, model_exp):
         with pytest.raises(ValueError):
