@@ -28,22 +28,27 @@ a whole array of real omegas at once.
 Both formulas are assembled once, in ``_assemble``.  Two front ends feed
 it.  ``_evaluate`` is the scalar kernel behind ``eval_uN``, ``eval_uN_tilde``,
 ``eval_auto`` and ``sine_solution``: it reads x, Q and q at the node from
-Python numbers that the model makes once, takes the Bessel values from
-``spherical_j_sequence`` and works in Python arithmetic.  ``_series`` serves
+Python numbers that the model makes once, takes the Bessel sum from
+``spherical_j_sum`` over the node's coefficient row and works in Python
+arithmetic, with no numpy call past reading that row.  ``_series`` serves
 ``char_values``: a 1-D array of real omegas, Bessel values from
 ``spherical_j_table``, s = Im u_N/omega and its omega-derivative.  The
 public scalar entries read a numpy scalar omega as the Python float or
 complex of its value, so a float32 or complex64 omega is evaluated in
 double precision.  Both forms grow like e^{|Im omega| x}, and the improved
 one divides by omega^2: each kernel refuses (``_refuse``) a value that is
-not finite and, for the improved form, an omega^2 that is not.
+not finite and, for the improved form, an omega^2 that is not.  Below
+|omega| = 1 the improved form's 1/omega^2 terms cancel, and each kernel
+also refuses it where their rounding bound reaches the value
+(``_digits_lost``).
 
-The scalar kernel keeps the bits of the straightforward evaluation that
-``tests/crosschecks.py`` holds: a per-node number is the value that
-reading the extended-precision array at the call rounds to, the Bessel sum
-is the same ``np.dot``, and the terms are combined by the same operations
-in the same order.  Python numbers instead of numpy ones only spare the
-interpreter's work per call.
+The scalar kernel does not keep the bits of the straightforward
+evaluation (``np.dot`` over ``spherical_j_sequence``) that
+``tests/crosschecks.py`` holds: the sum is added in the order the
+recurrence reaches the terms.  The tests hold it to the rounding bound of
+the sum; a per-node number is still the value that reading the
+extended-precision array at the call rounds to, and the terms are still
+combined by the same operations in the same order.
 """
 
 from __future__ import annotations
@@ -58,7 +63,9 @@ from typing import Callable, ClassVar, Union
 import numpy as np
 
 from . import expr as expr_mod
-from .bessel import spherical_j_sequence, spherical_j_table
+# spherical_j_sequence is not called here, but stays bound: the
+# benchmark's tracer (perfbench/spans.py) wraps it by this module's name
+from .bessel import spherical_j_sequence, spherical_j_sum, spherical_j_table
 from .coefficients import (
     AlphaTable,
     BetaTable,
@@ -104,6 +111,7 @@ __all__ = [
 EXTRA_ROWS = 8
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -142,10 +150,6 @@ class SolutionModel:
     # i^n c_n(x_j) in complex128, one contiguous row per node j
     _beta_c: np.ndarray = field(init=False, repr=False)
     _alpha_c: np.ndarray = field(init=False, repr=False)
-    # |Im omega x| below which no Bessel sum can overflow: with |j_n(z)| <=
-    # e^{|Im z|} (DLMF 10.54.2) and m the largest |Re c_n| or |Im c_n|, its
-    # n terms stay within 4 m n e^{|Im z|}; e^16 is to spare
-    _im_safe: float = field(init=False, repr=False)
     # the surrogate's alpha rows N+3..N+2+EXTRA_ROWS and their floors, once
     # made: a list that with_truncation's shallow copy shares, so the model
     # and all its views make them once
@@ -169,10 +173,6 @@ class SolutionModel:
             c64 = c.astype(complex if np.iscomplexobj(c) else float)
             out = np.empty(c.shape[::-1], dtype=complex)
             object.__setattr__(self, name, np.multiply(ipow, c64.T, out=out))
-        top = max(max(c.view(float).max(), -c.view(float).min()) * c.shape[1]
-                  for c in (self._beta_c, self._alpha_c))
-        object.__setattr__(self, "_im_safe",
-                           _LOG_FLOAT_MAX - math.log1p(4.0 * top) - 16.0)
         object.__setattr__(self, "is_complex", np.iscomplexobj(self.q))
         num = complex if self.is_complex else float
         object.__setattr__(self, "_x", self.grid.nodes.astype(float).tolist())
@@ -343,35 +343,65 @@ def _refuse(omega, what):
     raise LimitError(f"{what} leaves the float64 range at omega={omega}")
 
 
-def _evaluate(model: SolutionModel, omega, x_index: int, improved: bool):
+def _digits_lost(model: SolutionModel, omega, x_index: int, S, size,
+                 e=1.0, em=1.0):
+    """Whether the improved form's rounding bound at |omega| < 1 reaches
+    ``size``, the size of what is returned.
+
+    Its terms grow like 1/omega and 1/omega^2 as omega -> 0 and cancel to
+    u, so they bound its rounding error by eps (|e| (|Q|/(2|omega|)
+    + |q/4 - Q^2/8|/|omega|^2) + (|em| |q(0)|/4 + 2|S|)/|omega|^2), with
+    e, em = e^{+-i omega x} (1 on real omega).  omega, S and size are
+    Python scalars or arrays of real omegas.
+
+    For u the size is |u|.  For s = Im u/omega it is min(1, |omega| x)
+    |u|, the envelope of |Im u| (sin(omega x) for q = 0), not |Im u|
+    itself: Im u vanishes at every root of s, where that would refuse
+    the points that close in on an eigenvalue below omega = 1.
+    """
+    Q = model._Q[x_index]
+    core = model._q[x_index] / 4.0 - Q * Q / 8.0
+    ae, aem, w = abs(e), abs(em), abs(omega)
+    # the bound times |omega|: where its last division by |omega| would
+    # overflow, so would u's 1/omega^2 terms, and u was refused already
+    return _EPS * (0.5 * ae * abs(Q) + (ae * abs(core) + 0.25 * aem * abs(model.q0)
+                                       + 2.0 * abs(S)) / w) >= size * w
+
+
+def _no_digit(omega):
+    raise LimitError(f"the improved representation keeps no correct digit "
+                     f"at omega={omega}: its 1/omega^2 terms cancel in "
+                     "float64 (the plain one holds there)")
+
+
+def _evaluate(model: SolutionModel, omega, x_index: int, improved: bool,
+              sine: bool = False):
     """u_N(omega, x_j) at a Python scalar omega, real or complex, refused
-    where not finite (a Python float error or numpy's overflow in the Bessel
-    sum counts as such) and from |Re omega| x = 2^52 on, where rounding
-    omega x moves the phase by up to half a radian."""
+    where not finite (a Python float error counts as such), from
+    |Re omega| x = 2^52 on, where rounding omega x moves the phase by up
+    to half a radian, and for the improved form where its rounding bound
+    reaches the size of what is returned (``_digits_lost``), u or, with
+    ``sine``, Im u/omega."""
     table, n_top = ((model._alpha_c, model.N + 2) if improved
                     else (model._beta_c, model.N))
     x = model._x[x_index]
     if abs(omega.real) * x >= 2.0**52:
         raise LimitError(_PHASE_LOST.format(x))
-    z = omega * x
-    col = table[x_index, : n_top + 1]
     try:
-        if not isinstance(z, complex) or -model._im_safe < z.imag < model._im_safe:
-            # a complex z on the real axis takes the real Bessel branch
-            S = np.dot(col, spherical_j_sequence(n_top, z if z.imag else z.real))
-        else:
-            with np.errstate(all="ignore"):
-                S = np.dot(col, spherical_j_sequence(n_top, z))
-        # a Python complex, so the rest rounds in Python's complex
-        # arithmetic, not numpy's
-        u = _assemble(model, omega, x_index, improved,
-                      cmath.exp(1j * omega * x), cmath.exp(-1j * omega * x),
-                      complex(S))
+        # a Python number, so the rest rounds in Python's arithmetic
+        S = spherical_j_sum(table[x_index, : n_top + 1].tolist(), omega * x)
+        e, em = cmath.exp(1j * omega * x), cmath.exp(-1j * omega * x)
+        u = _assemble(model, omega, x_index, improved, e, em, S)
     except (ZeroDivisionError, OverflowError):
         u = math.nan
-    if cmath.isfinite(u) and (not improved or cmath.isfinite(omega * omega)):
-        return u
-    _refuse(omega, _FORMS[improved])
+    if not cmath.isfinite(u) or improved and not cmath.isfinite(omega * omega):
+        _refuse(omega, _FORMS[improved])
+    if improved and abs(omega) < 1.0 and not (sine and x == 0.0):
+        # s(omega, 0) = 0 comes out exactly: every term is real at x = 0
+        size = abs(u) * min(1.0, abs(omega) * x) if sine else abs(u)
+        if _digits_lost(model, omega, x_index, S, size, e, em):
+            _no_digit(omega)
+    return u
 
 
 def _series(model: SolutionModel, omega: np.ndarray, x_index: int,
@@ -382,7 +412,8 @@ def _series(model: SolutionModel, omega: np.ndarray, x_index: int,
     The omega-derivative uses x j_n'(omega x) with
     j_n'(z) = j_{n-1}(z) - (n+1) j_n(z)/z (DLMF 10.51.2) and j_0' = -j_1.
     It refuses as ``_evaluate`` does, at the first omega where s or ds is
-    not finite, or at the largest if the improved form's omega^2 is not.
+    not finite, or at the largest if the improved form's omega^2 is not,
+    or at the first where the improved form keeps no digit of s.
     """
     table, n_top = ((model._alpha_c, model.N + 2) if improved
                     else (model._beta_c, model.N))
@@ -407,9 +438,16 @@ def _series(model: SolutionModel, omega: np.ndarray, x_index: int,
         s = u.imag / omega
         ds = (du.imag - s) / omega
     ok = np.isfinite(s) & np.isfinite(ds)
-    if ok.all() and (not improved or math.isfinite(top * top)):
-        return s, ds
-    _refuse(float(omega[~ok][0]) if not ok.all() else top, _FORMS[improved])
+    if not ok.all() or improved and not math.isfinite(top * top):
+        _refuse(float(omega[~ok][0]) if not ok.all() else top, _FORMS[improved])
+    if improved and float(omega.min()) < 1.0:
+        small = omega < 1.0
+        w = omega[small]
+        lost = _digits_lost(model, w, x_index, S[small],
+                            np.abs(u[small]) * np.minimum(1.0, w * x))
+        if lost.any():
+            _no_digit(float(w[lost][0]))
+    return s, ds
 
 
 def eval_uN_tilde(model: SolutionModel, omega: complex, x_index: int) -> complex:
@@ -433,9 +471,7 @@ def eval_auto(model: SolutionModel, omega: complex, x_index: int) -> complex:
     a = math.hypot(omega.real, omega.imag)  # abs() raises past float64
     if a == 0.0:
         return spps_eval(model.powers, 0.0, x_index, model.powers.k_max)
-    if a >= model.omega_switch:
-        return eval_uN(model, omega, x_index)
-    return eval_uN_tilde(model, omega, x_index)
+    return _evaluate(model, omega, x_index, a >= model.omega_switch)
 
 
 def sine_solution(
@@ -465,7 +501,7 @@ def sine_solution(
              - _evaluate(model, -omega, x_index, improved)) / (2j * omega)
     else:
         w = float(omega.real)
-        s = _evaluate(model, w, x_index, improved).imag / w
+        s = _evaluate(model, w, x_index, improved, sine=True).imag / w
     if cmath.isfinite(s):
         return s
     _refuse(omega, _FORMS[improved])

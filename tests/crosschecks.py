@@ -12,12 +12,16 @@
 * ``propagators_reference``: the oracle's step propagators with each
   branch evaluated over the whole stack and picked by ``np.where``, the
   form the library's masked kernel must reproduce bit for bit.
-* ``sequence_reference``, ``table_reference``, ``series_reference`` and
-  ``envelope_reference``: the Bessel recurrences and the scalar evaluation
-  written straightforwardly, each order stored as it is computed and every
-  model number read from its array at the call.  The library's kernels
-  make the same IEEE operations in the same order, so the tests require
+* ``sequence_reference``, ``table_reference`` and ``envelope_reference``:
+  the Bessel recurrences and the envelope written straightforwardly, each
+  order stored as it is computed and every number read from its array at
+  the call.  The library's kernels make the same IEEE operations in the
+  same order (from the same Miller start order), so the tests require
   equal bits, not a tolerance.
+* ``series_reference``: the scalar evaluation by ``np.dot`` over
+  ``spherical_j_sequence``.  The library sums the series while it recurs,
+  in another order, so the tests hold it to the rounding bound of the
+  sum, not to equal bits.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from nsbf.bessel import _j01, _tiny_series, spherical_j_sequence
+from nsbf.bessel import _j01, _miller_start, _tiny_series, spherical_j_sequence
 from nsbf.grid import Grid
 from nsbf.oracle import _NODES, _SQRT15_3, _propagators
 
@@ -271,7 +275,7 @@ def sequence_reference(N: int, z) -> np.ndarray:
         return _tiny_series(z, out)
     if az > N:
         return upward_reference(z, out)
-    return miller_reference(z, out, N + math.ceil(15.0 + az))
+    return miller_reference(z, out, _miller_start(N, az))
 
 
 def table_reference(N: int, z: np.ndarray) -> np.ndarray:
@@ -286,7 +290,7 @@ def table_reference(N: int, z: np.ndarray) -> np.ndarray:
             out[:, mask] = kernel(z[mask], np.empty((N + 2, np.count_nonzero(mask))))
     if miller.any():
         out[:, miller] = np.array([
-            miller_reference(zk, np.zeros(N + 2), N + math.ceil(15.0 + zk))
+            miller_reference(zk, np.zeros(N + 2), _miller_start(N + 1, zk))
             for zk in z[miller].tolist()
         ]).T
     return out

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from nsbf import LimitError, spherical_j_sequence, spherical_j_table
+from nsbf.bessel import _ODD, N_CAP, _miller_start, spherical_j_sum
 
-from crosschecks import sequence_reference, table_reference
+from crosschecks import miller_reference, sequence_reference, table_reference
 
 mp.mp.dps = 40
 
@@ -246,3 +247,105 @@ def test_numpy_scalar_argument_is_its_python_value(z):
         seq = spherical_j_sequence(12, z)
     ref = spherical_j_sequence(12, value)
     assert seq.dtype == ref.dtype and np.array_equal(seq, ref)
+
+
+def start_rule_grid(top):
+    """z with |z| <= top on the Miller branch: real, and complex at three
+    angles with |Im z| at most 50."""
+    points = []
+    for r in (0.3, top / 3.0, 2.0 * top / 3.0, float(top)):
+        points.append(r)
+        for angle in (math.pi / 6, math.pi / 3, math.pi / 2):
+            im = min(r * math.sin(angle), 50.0)
+            points.append(complex(math.sqrt(r * r - im * im), im))
+    return list(dict.fromkeys(points))
+
+
+def relative_errors(runs, z):
+    """Largest relative error of each run of orders 0.. against mpmath."""
+    worst = [0.0] * len(runs)
+    for n in range(len(runs[0])):
+        ref = reference_jn(n, z)
+        if abs(ref) > 1e-280:
+            for k, run in enumerate(runs):
+                worst[k] = max(worst[k], abs(complex(run[n]) - ref) / abs(ref))
+    return worst
+
+
+@pytest.mark.parametrize("top", [5, 17, 27, 62, 120])
+def test_miller_start_rule_against_mpmath(top):
+    # the Debye start is at most as wrong, within a factor 2, as the
+    # fixed margin top + ceil(15 + |z|) it replaced, on the same grid
+    new = old = 0.0
+    for z in start_rule_grid(top):
+        a = abs(z)
+        start, fixed = _miller_start(top, a), top + math.ceil(15.0 + a)
+        assert top < start <= fixed, z
+        out = np.zeros(top + 1, complex if isinstance(z, complex) else float)
+        errors = relative_errors([miller_reference(z, out.copy(), start),
+                                  miller_reference(z, out.copy(), fixed)], z)
+        new, old = max(new, errors[0]), max(old, errors[1])
+    assert new <= 2.0 * old, (new, old)
+    assert new <= 1e-12
+
+
+def test_miller_start_grows_with_the_argument():
+    # the Debye margin F(n) - F(top) falls as |z| grows, so the start
+    # order read at the next integer up from |z| is never short of it
+    for top in (1, 27, 121):
+        starts = [_miller_start(top, a) for a in np.linspace(1e-8, top, 97)]
+        assert starts == sorted(starts)
+    assert _miller_start(62, 62.0) == 93
+    # every run, up to the table's top order N_CAP + 1, finds its 2n+1
+    assert max(_miller_start(top, float(top - 1 if top > N_CAP else top))
+               for top in range(1, N_CAP + 2)) < len(_ODD)
+
+
+#: every branch of the sum: zero, the tiny series, Miller with j_0, j_1 by
+#: their series and by the closed form, a renormalizing run (1e-6 at
+#: N = 120), upward on both sides of |z| = N, real and complex
+SUM_ARGUMENTS = [0.0, 1e-9, 1e-6, 0.05, 0.78, math.pi, 26.5, 27.5, 1500.0,
+                 -20.0, 3 + 2j, 0.04 - 0.03j, 20 - 15j, 300 + 600j, 1e-7j]
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 27, 120])
+def test_sum_meets_the_dot_product(N):
+    rng = np.random.default_rng(N)
+    for z in SUM_ARGUMENTS:
+        c = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
+        seq = spherical_j_sequence(N, z)
+        total = spherical_j_sum(c.tolist(), z)
+        assert isinstance(total, complex)
+        bound = 2 * (N + 2) * np.finfo(float).eps * np.sum(np.abs(c * seq))
+        assert abs(total - complex(np.dot(c, seq))) <= bound, z
+
+
+def test_sum_of_real_coefficients_is_a_float():
+    assert isinstance(spherical_j_sum([1.0, 2.0, 0.5], 1.3), float)
+    assert spherical_j_sum([2.5], 0.0) == 2.5
+
+
+def test_sum_refusals():
+    with pytest.raises(LimitError):
+        spherical_j_sum([1.0] * 5, 1.0 + 701.0j)
+    with pytest.raises(LimitError):
+        spherical_j_sum([1.0] * 122, 1.0)
+    with pytest.raises(LimitError, match="non-negative"):
+        spherical_j_sum([], 1.0)
+
+
+def test_sum_overflows_without_a_warning():
+    # no numpy runs in the sum: a term past float64 is inf, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        total = spherical_j_sum([1e300] * 28, 10.0 + 699.0j)
+    assert not np.isfinite(total)
+
+
+def test_complex_argument_on_the_real_axis():
+    # a complex z with a zero imaginary part used to raise TypeError
+    for N in (3, 30):
+        assert np.array_equal(spherical_j_sequence(N, 3 + 0j),
+                              spherical_j_sequence(N, 3.0))
+        c = [1.0 + 1j] * (N + 1)
+        assert spherical_j_sum(c, 3 - 0j) == spherical_j_sum(c, 3.0)

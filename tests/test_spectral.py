@@ -13,6 +13,7 @@ from nsbf import (
     asymptotic_eigenvalue,
     build_model,
     char_function,
+    char_values,
     find_eigenvalues,
 )
 
@@ -373,3 +374,16 @@ class TestAsymptoticEigenvalue:
     def test_index_validation(self):
         with pytest.raises(ValueError):
             asymptotic_eigenvalue(0, 1.0, PI)
+
+
+@pytest.mark.parametrize("q", ["exp(x)", "1/(x+0.1)^2", "-0.9", "-3"])
+def test_scan_from_h_scan_refuses_nothing(q):
+    # the improved form refuses omega < 1 where its 1/omega^2 terms leave
+    # no digit; the scan's first points, from pi/(4b), keep theirs, and so
+    # do the points that close in on a root below 1 (-0.9: omega_1 = 0.316;
+    # -3: omega = 1, its lambda_1 = -2 is missed)
+    model = build_model(q, PI, 1998, 25)
+    problem = EigProblem(model)
+    char_values(model, problem.h_scan * np.arange(1.0, 9.0), "improved")
+    roots = find_eigenvalues(problem, 3)
+    assert [r.index for r in roots] == [1, 2, 3]
