@@ -10,20 +10,19 @@ run starts at ``_miller_start(top, |z|)``, the lowest order from which the
 Debye estimate of its error at the top order wanted is below e^-40.
 
 ``spherical_j_sequence`` picks one branch for its Python scalar and runs
-it in Python arithmetic: ``_upward`` and ``_miller_run`` step on Python
-floats or complexes, take each factor 2n+1 from the float list ``_ODD``,
-collect the values in a list and write the output array once.  Miller's
-run makes no store above the top order, and only a run whose growth bound
-could overflow takes the renormalizing loop.  ``spherical_j_sum`` runs the
+it on Python floats or complexes: ``_upward``, or Miller's
+``_miller_renormalized``, which rescales only a run that passes the
+limit.  It serves the sum's cold branches.  ``spherical_j_sum`` runs the
 same branches for sum_n c_n j_n(z) and keeps no value: it adds each term
 as the recurrence reaches it.  ``spherical_j_table`` serves a 1-D array
 of real arguments: ``_upward_table`` runs over every column, one division
 for the whole (2n+1)/z table and two ufunc calls per order, and the
 columns at or below the top order are then overwritten by the tiny series
-or by Miller's run.  Each column's run starts from its own order in Python
-arithmetic; their unnormalized lists are then normalized together, by one
-product with the row of their factors, and written in one pass (a run
-that renormalizes writes its own column).
+or by Miller's run.  Each column's run (``_miller_run``) starts from its
+own order in Python arithmetic; their unnormalized lists are then
+normalized together, by one product with the row of their factors, and
+written in one pass (a run that could overflow renormalizes and writes
+its own column).
 
 Every value of the sequence and of the table is rounded by the same IEEE
 operations, in the same order, as the straightforward recurrence
@@ -193,8 +192,10 @@ def _miller_run(z, top, start):
 
 
 def _miller_renormalized(z, out, start):
-    """Miller's run where ``_miller_run`` could overflow: every value, and
-    every one stored, is rescaled once the run passes the limit."""
+    """Miller's run at a scalar z from order ``start`` into ``out``, of
+    length 2 at least: every value, and every one stored, is rescaled once
+    the run passes the limit.  A run that does not rescale rounds every
+    value by the operations of ``_miller_run``, in the same order."""
     top = len(out)
     above, cur = 0.0, 1e-30
     for n in range(start, 0, -1):
@@ -209,22 +210,33 @@ def _miller_renormalized(z, out, start):
         above, cur = cur, below
     j0, j1 = _j01(z)
     out *= j0 / cur if abs(j0) >= abs(j1) else j1 / above
+    # the recurrence cannot resolve j_0, j_1 near their zeros; the closed
+    # forms can, so they always win
     out[0], out[1] = j0, j1
     return out
 
 
+def _python(z):
+    """A numpy scalar as the Python float or complex of its value; any other
+    z as it is, so a Python number keeps its bits."""
+    if isinstance(z, np.generic):
+        return complex(z) if isinstance(z, np.complexfloating) else float(z)
+    return z
+
+
 def _scalar(z):
     """A Python scalar z as a float, or as a complex off the real axis;
-    LimitError past the |Im z| guard."""
-    if isinstance(z, complex):
-        if z.imag == 0.0:
-            return float(z.real)
+    LimitError where z is not finite or past the |Im z| guard."""
+    if isinstance(z, complex) and z.imag != 0.0:
         if abs(z.imag) > IM_CAP:
             raise LimitError(
                 f"|Im z| = {abs(z.imag):.3g} exceeds the overflow guard {IM_CAP}"
             )
+        if cmath.isfinite(z):
+            return z
+    elif math.isfinite(z := float(z.real)):
         return z
-    return float(z)
+    raise LimitError(f"the Bessel argument z = {z} is not finite")
 
 
 def _check_order(N: int) -> None:
@@ -261,9 +273,7 @@ def spherical_j_sequence(N: int, z: complex) -> np.ndarray:
     complex z on the real axis takes the real branches.
     """
     _check_order(N)
-    if isinstance(z, np.generic):
-        z = complex(z) if isinstance(z, np.complexfloating) else float(z)
-    z = _scalar(z)
+    z = _scalar(_python(z))
     az = abs(z)
     is_complex = isinstance(z, complex)
     out = np.zeros(N + 1, dtype=np.complex128 if is_complex else np.float64)
@@ -274,17 +284,7 @@ def spherical_j_sequence(N: int, z: complex) -> np.ndarray:
         return _tiny_series(z, out)
     if az > N:
         return _upward(z, out)
-    start = _miller_start(N, az)
-    run = _miller_run(z, N + 1, start)
-    if run is None:
-        return _miller_renormalized(z, out, start)
-    values, factor, j0, j1 = run
-    out[::-1] = values
-    out *= factor
-    # the recurrence cannot resolve j_0, j_1 near their zeros; the closed
-    # forms can, so they always win
-    out[0], out[1] = j0, j1
-    return out
+    return _miller_renormalized(z, out, _miller_start(N, az))
 
 
 def _upward_sum(coeffs, z):
@@ -300,6 +300,10 @@ def _upward_sum(coeffs, z):
             jm, jc = jc, w * f * jc - jm
             acc += c * jc
     else:
+        # a real z keeps its own loop, stepping by f / z: stepping by
+        # w = 1/z, as the complex loop does, is no faster on floats and
+        # rounds z once more at every order (sine_solution on exp(x) at
+        # omega = 2.23 then moves by 2e-14)
         for c, f in rest:
             jm, jc = jc, f / z * jc - jm
             acc += c * jc
@@ -326,6 +330,7 @@ def _miller_sum(coeffs, z, start):
             above, cur = cur, w * f * cur - above
         below = w * 3.0 * cur - above
     else:
+        # f / z for a real z, as in _upward_sum
         for f in _ODD[start:N:-1]:
             above, cur = cur, f / z * cur - above
         for c, f in down:
@@ -429,7 +434,7 @@ def spherical_j_table(N: int, z: np.ndarray) -> np.ndarray:
     if runs:
         values, factor, j0, j1 = zip(*runs)
         block = np.array(values).T[::-1] * np.array(factor)
-        # the closed forms win, as in spherical_j_sequence
+        # the closed forms win, as in _miller_renormalized
         block[0], block[1] = j0, j1
         out[:, columns] = block
     return out

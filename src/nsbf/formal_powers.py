@@ -3,9 +3,9 @@ spectral parameter.
 
 The formal powers phi_k generalize the monomials x^k: they are built from a
 nonvanishing solution of f'' = q f by alternating weighted indefinite
-integrals, and reduce to x^k exactly when q = 0.  They feed both the
-series coefficients downstream and, through ``spps_eval``, a small-omega
-evaluation path that doubles as an independent test oracle.
+integrals, and reduce to x^k exactly when q = 0.  They feed the series
+coefficients downstream; ``spps_eval`` sums the power series in omega from
+them, which no evaluation path calls: it is an independent test oracle.
 
 Everything downstream consumes phi_k through the deviation ratios
 (phi_k - x^k)/x^k, so the recursions here track the deviations from the
@@ -77,14 +77,10 @@ class FormalPowersTable:
         """
         if self._rows is None:
             raise ValueError("this table has no build to resume")
-        dtype = self.dev_ratio.dtype
-        dev_ratio = np.zeros((k_max + 1, self.grid.M + 1), dtype)
-        dev_ratio[: self.k_max + 1] = self.dev_ratio
-        rows = itertools.islice(self._rows, k_max - self.k_max)
-        for k, (dev, xk) in enumerate(rows, self.k_max + 1):
-            np.divide(dev[1:], xk[1:], out=dev_ratio[k, 1:], dtype=dtype)
+        _, tail = _take(self.grid, self._rows, k_max - self.k_max,
+                        self.dev_ratio.dtype)
         object.__setattr__(self, "_rows", None)
-        return dev_ratio
+        return np.concatenate((self.dev_ratio, tail))
 
 
 def _weight_deviations(fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,8 +255,8 @@ def spps_eval(
     """Partial sum of the solution's power series in the spectral parameter.
 
     u(omega, x) = sum_n (i omega)^n phi_n(x) / n!, truncated at k_trunc.
-    Accurate for moderate |omega| * b; ``eval_auto`` calls it only at
-    omega = 0, where the sum is phi_0 = f0.
+    Accurate for moderate |omega| * b; the tests check the Bessel-series
+    forms against it (at omega = 0 the sum is phi_0 = f0).
     """
     if k_trunc > table.k_max:
         raise ValueError(

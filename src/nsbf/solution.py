@@ -20,10 +20,10 @@ normalized as Fourier-Legendre coefficients of the underlying kernels
 and is verified against the independent integrator in the tests.
 
 ``eval_auto`` dispatches on |omega|: the improved form from |omega| = 1
-(``SolutionModel.omega_switch``) on, the plain form below it, and the power
-series at omega = 0 exactly.  ``char_values`` evaluates the characteristic
-function s(omega, b) = Im u_N(omega, b)/omega and its omega-derivative for
-a whole array of real omegas at once.
+(``SolutionModel.omega_switch``) on, the plain form below it, omega = 0
+included, where it reads 1 + 2 beta_0 = f0.  ``char_values`` evaluates
+the characteristic function s(omega, b) = Im u_N(omega, b)/omega and its
+omega-derivative for a whole array of real omegas at once.
 
 Both formulas are assembled once, in ``_assemble``.  Two front ends feed
 it.  ``_evaluate`` is the scalar kernel behind ``eval_uN``, ``eval_uN_tilde``,
@@ -63,9 +63,7 @@ from typing import Callable, ClassVar, Union
 import numpy as np
 
 from . import expr as expr_mod
-# spherical_j_sequence is not called here, but stays bound: the
-# benchmark's tracer (perfbench/spans.py) wraps it by this module's name
-from .bessel import spherical_j_sequence, spherical_j_sum, spherical_j_table
+from .bessel import _python, spherical_j_sum, spherical_j_table
 from .coefficients import (
     AlphaTable,
     BetaTable,
@@ -85,7 +83,6 @@ from .formal_powers import (
     FormalPowersTable,
     formal_powers,
     formal_powers_nonvanishing,
-    spps_eval,
 )
 from .grid import (
     Grid,
@@ -94,6 +91,11 @@ from .grid import (
     sample,
     solve_homogeneous,
 )
+
+# not called here, but bound: the benchmark's tracer (perfbench/spans.py)
+# wraps them by this module's names
+from .bessel import spherical_j_sequence
+from .formal_powers import spps_eval
 
 __all__ = [
     "SolutionModel",
@@ -284,14 +286,6 @@ def _improved(representation: str) -> bool:
     return representation == "improved"
 
 
-def _python(omega):
-    """A numpy scalar as the Python float or complex of its value; any other
-    omega as it is, so a Python number keeps its bits."""
-    if isinstance(omega, np.generic):
-        return complex(omega) if isinstance(omega, np.complexfloating) else float(omega)
-    return omega
-
-
 def _assemble(model: SolutionModel, omega, x_index: int, improved: bool,
               e, em, S, dS=None):
     """u_N(omega, x_j) from e = e^{i omega x}, em = e^{-i omega x} and
@@ -466,11 +460,9 @@ def eval_uN(model: SolutionModel, omega: complex, x_index: int) -> complex:
 
 def eval_auto(model: SolutionModel, omega: complex, x_index: int) -> complex:
     """Dispatch: improved form for |omega| >= ``model.omega_switch`` (1),
-    plain form below, power series exactly at omega = 0."""
+    plain form below, omega = 0 included (the plain form is entire)."""
     omega = _python(omega)
     a = math.hypot(omega.real, omega.imag)  # abs() raises past float64
-    if a == 0.0:
-        return spps_eval(model.powers, 0.0, x_index, model.powers.k_max)
     return _evaluate(model, omega, x_index, a >= model.omega_switch)
 
 

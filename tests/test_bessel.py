@@ -54,6 +54,17 @@ def test_reference_comparison_sweep(z):
             assert abs(complex(seq[n]) - ref) <= 1e-12 * abs(ref)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND 68: near the imaginary axis, with |z| just above N, j_n falls "
+    "with n and the upward branch is unstable"))
+def test_upward_branch_near_the_imaginary_axis():
+    for z in (1 + 33j, 33j):
+        seq = spherical_j_sequence(27, z)
+        for n in range(28):
+            ref = reference_jn(n, z)
+            assert abs(complex(seq[n]) - ref) <= 1e-12 * abs(ref), (z, n)
+
+
 def test_identity_three_term_combination():
     # j_n(z)/z^2 expressed through orders n-2, n, n+2
     for z in (1.0, 5.5, 20.0, 3 + 2j):

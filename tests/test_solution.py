@@ -24,8 +24,8 @@ from nsbf import (
     make_grid,
     sine_solution,
 )
-from nsbf import formal_powers, solution
-from nsbf.bessel import IM_CAP
+from nsbf import char_function, formal_powers, solution
+from nsbf.bessel import IM_CAP, spherical_j_sequence, spherical_j_sum
 from nsbf.formal_powers import spps_eval
 from nsbf.grid import PIPELINE_CDTYPE, PIPELINE_DTYPE
 from nsbf.oracle import solution_reference
@@ -261,10 +261,30 @@ class TestEvalImprovedRepresentation:
             assert abs(eval_uN_tilde(model_exp, w, j) - ref) < 1e-6
 
 
+ZERO_OMEGA_BUILDS = {
+    "exp": "exp(x)",
+    "paine": "1/(x+0.1)^2",
+    "minus1.5": "-1.5",
+    "minus4": "-4",
+    "complex": np.full(1999, 2.0 + 1.5j),
+}
+
+
 class TestEvalAuto:
-    def test_zero_omega_uses_power_series(self, model_one):
+    def test_zero_omega_constant_potential_closed_form(self, model_one):
         j = model_one.grid.M
         assert abs(eval_auto(model_one, 0.0, j) - math.cosh(PI)) < 1e-10
+
+    @pytest.mark.parametrize("q", list(ZERO_OMEGA_BUILDS))
+    def test_zero_omega_is_the_plain_form(self, q):
+        # one route at omega = 0: the plain form, 1 + 2 beta_0 = f0, which
+        # the power series (phi_0 = f0) meets to the last bit or so
+        model = build_model(ZERO_OMEGA_BUILDS[q], PI, 1998, 25)
+        for j in range(model.grid.M + 1):
+            u = eval_auto(model, 0.0, j)
+            assert u == eval_uN_tilde(model, 0.0, j), j
+            series = spps_eval(model.powers, 0.0, j, model.powers.k_max)
+            assert abs(u - series) <= 2.3e-16 * abs(u), j
 
     def test_continuity_across_tiny_omega(self, model_exp):
         j = model_exp.grid.M
@@ -330,6 +350,27 @@ class TestNotFiniteRefused:
     @pytest.fixture(scope="class")
     def model_neg(self):
         return build_model("-1.5", PI, 1998, 25)
+
+    @pytest.mark.parametrize("call", [
+        lambda m: spherical_j_sequence(5, math.nan),
+        lambda m: spherical_j_sum([1.0] * 6, math.nan),
+        lambda m: spherical_j_sequence(5, complex(1.0, math.nan)),
+        lambda m: spherical_j_sequence(5, math.inf),
+        lambda m: spherical_j_sequence(5, -math.inf),
+        lambda m: spherical_j_sequence(5, complex(math.inf, 1.0)),
+        lambda m: spherical_j_sequence(5, complex(math.inf, math.nan)),
+        lambda m: eval_uN(m, math.nan, m.grid.M),
+        lambda m: eval_uN_tilde(m, math.nan, m.grid.M),
+        lambda m: eval_auto(m, math.nan, m.grid.M),
+        lambda m: sine_solution(m, math.nan, m.grid.M),
+        lambda m: char_function(m, math.nan),
+    ], ids=["sequence-nan", "sum-nan", "sequence-1+nanj", "sequence-inf",
+            "sequence--inf", "sequence-inf+1j", "sequence-inf+nanj",
+            "eval_uN-nan", "eval_uN_tilde-nan", "eval_auto-nan",
+            "sine_solution-nan", "char_function-nan"])
+    def test_non_finite_argument_refused(self, model_exp, call):
+        with pytest.raises(LimitError, match="not finite"):
+            call(model_exp)
 
     def test_plain_bessel_sum_overflow(self, model_neg):
         # |Im omega| x_1 = 699: the sum overflows, e^{i omega x} does not
