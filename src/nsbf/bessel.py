@@ -10,19 +10,18 @@ run starts at ``_miller_start(top, |z|)``, the lowest order from which the
 Debye estimate of its error at the top order wanted is below e^-40.
 
 ``spherical_j_sequence`` picks one branch for its Python scalar and runs
-it on Python floats or complexes: ``_upward``, or Miller's
-``_miller_renormalized``, which rescales only a run that passes the
-limit.  It serves the sum's cold branches.  ``spherical_j_sum`` runs the
-same branches for sum_n c_n j_n(z) and keeps no value: it adds each term
-as the recurrence reaches it.  ``spherical_j_table`` serves a 1-D array
-of real arguments: ``_upward_table`` runs over every column, one division
+it on Python floats or complexes: ``_upward``, or Miller's run.  It
+serves the sum's cold branches.  ``spherical_j_sum`` runs the same
+branches for sum_n c_n j_n(z) and keeps no value: it adds each term as
+the recurrence reaches it.  ``spherical_j_table`` serves a 1-D array of
+real arguments: ``_upward_table`` runs over every column, one division
 for the whole (2n+1)/z table and two ufunc calls per order, and the
 columns at or below the top order are then overwritten by the tiny series
-or by Miller's run.  Each column's run (``_miller_run``) starts from its
-own order in Python arithmetic; their unnormalized lists are then
-normalized together, by one product with the row of their factors, and
-written in one pass (a run that could overflow renormalizes and writes
-its own column).
+or by Miller's run.  ``_miller_run`` is the one Miller kernel of both: it
+starts from its own order in Python arithmetic, and a run that could
+overflow takes a checked loop that rescales once it passes the limit.
+``_normalized`` then scales the unnormalized lists of a sequence, or of
+all the table's columns at once, by one product with their factors.
 
 Every value of the sequence and of the table is rounded by the same IEEE
 operations, in the same order, as the straightforward recurrence
@@ -174,46 +173,43 @@ def _could_overflow(a, start):
 def _miller_run(z, top, start):
     """Miller's run at a scalar z from order ``start``: the unnormalized
     j_{top-1} .. j_0 as a list, the factor that normalizes them, and the
-    closed-form j_0, j_1; or None where the run could overflow."""
-    if _could_overflow(abs(z), start):
-        return None
+    closed-form j_0, j_1."""
     above, cur = 0.0, 1e-30
-    for f in _ODD[start:top:-1]:
-        above, cur = cur, f / z * cur - above
     values = []
     store = values.append
-    for f in _ODD[top:0:-1]:
-        above, cur = cur, f / z * cur - above
-        store(cur)
+    if _could_overflow(abs(z), start):
+        # once a value passes the limit, the current pair and every stored
+        # value are rescaled, the stored ones by an array product (Python's
+        # complex product can give an underflowed zero the other sign)
+        for n in range(start, 0, -1):
+            above, cur = cur, _ODD[n] / z * cur - above
+            if n <= top:
+                store(cur)
+            if abs(cur) > _RENORM_LIMIT:
+                scale = 1.0 / abs(cur)
+                above, cur = above * scale, cur * scale
+                values[:] = (np.array(values) * scale).tolist()
+    else:
+        for f in _ODD[start:top:-1]:
+            above, cur = cur, f / z * cur - above
+        for f in _ODD[top:0:-1]:
+            above, cur = cur, f / z * cur - above
+            store(cur)
     j0, j1 = _j01(z)
     # cur / above now hold the unnormalized order-0 / order-1 values;
     # j_0 and j_1 have no common zeros
     return values, j0 / cur if abs(j0) >= abs(j1) else j1 / above, j0, j1
 
 
-def _miller_renormalized(z, out, start):
-    """Miller's run at a scalar z from order ``start`` into ``out``, of
-    length 2 at least: every value, and every one stored, is rescaled once
-    the run passes the limit.  A run that does not rescale rounds every
-    value by the operations of ``_miller_run``, in the same order."""
-    top = len(out)
-    above, cur = 0.0, 1e-30
-    for n in range(start, 0, -1):
-        below = (2 * n + 1) / z * cur - above
-        if n <= top:
-            out[n - 1] = below
-        if abs(below) > _RENORM_LIMIT:
-            scale = 1.0 / abs(below)
-            below = below * scale
-            cur = cur * scale
-            out *= scale
-        above, cur = cur, below
-    j0, j1 = _j01(z)
-    out *= j0 / cur if abs(j0) >= abs(j1) else j1 / above
+def _normalized(runs):
+    """Runs of ``_miller_run`` at one top order as the columns j_0 ..
+    j_{top-1}, each times its own factor."""
+    values, factor, j0, j1 = zip(*runs)
+    block = np.array(values).T[::-1] * np.array(factor)
     # the recurrence cannot resolve j_0, j_1 near their zeros; the closed
     # forms can, so they always win
-    out[0], out[1] = j0, j1
-    return out
+    block[0], block[1] = j0, j1
+    return block
 
 
 def _python(z):
@@ -284,7 +280,7 @@ def spherical_j_sequence(N: int, z: complex) -> np.ndarray:
         return _tiny_series(z, out)
     if az > N:
         return _upward(z, out)
-    return _miller_renormalized(z, out, _miller_start(N, az))
+    return _normalized([_miller_run(z, N + 1, _miller_start(N, az))])[:, 0]
 
 
 def _upward_sum(coeffs, z):
@@ -400,12 +396,9 @@ def spherical_j_table(N: int, z: np.ndarray) -> np.ndarray:
     The branches of ``spherical_j_sequence``, chosen per column: the
     series for z < 1e-8, upward recurrence where z > N, and otherwise
     Miller's downward recurrence run on each column alone from its own
-    start order ``_miller_start(N + 1, z)``, normalized through the
-    closed-form j_0 or j_1, so no column depends on the others in the
-    batch (the runs are normalized together, each element by its own
-    column's factor).
-    The upward recurrence runs over every column first; the others are
-    overwritten.
+    start order ``_miller_start(N + 1, z)`` and normalized by its own
+    factor, so no column depends on the others in the batch.  The upward
+    recurrence runs over every column first; the others are overwritten.
     """
     _check_order(N)
     z = np.asarray(z, dtype=float)
@@ -421,20 +414,10 @@ def spherical_j_table(N: int, z: np.ndarray) -> np.ndarray:
     if tiny.any():
         rows = np.empty((N + 2, np.count_nonzero(tiny)))
         out[:, low[tiny]] = _tiny_series(zl[tiny], rows)
-    runs, columns = [], []
-    for k, zk in zip(low[~tiny].tolist(), zl[~tiny].tolist()):
-        start = _miller_start(N + 1, zk)
-        run = _miller_run(zk, N + 2, start)
-        if run is None:
-            # zeros: a renormalization also scales the rows not yet written
-            out[:, k] = _miller_renormalized(zk, np.zeros(N + 2), start)
-        else:
-            runs.append(run)
-            columns.append(k)
-    if runs:
-        values, factor, j0, j1 = zip(*runs)
-        block = np.array(values).T[::-1] * np.array(factor)
-        # the closed forms win, as in _miller_renormalized
-        block[0], block[1] = j0, j1
-        out[:, columns] = block
+    miller = low[~tiny]
+    if miller.size:
+        out[:, miller] = _normalized([
+            _miller_run(zk, N + 2, _miller_start(N + 1, zk))
+            for zk in z[miller].tolist()
+        ])
     return out

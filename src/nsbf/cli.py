@@ -269,8 +269,6 @@ def _json_text(doc: dict) -> str:
     and the top-level "rows" key is unique.
     """
     text = json.dumps({**doc, "rows": []}, indent=1, sort_keys=True)
-    if not doc["rows"]:
-        return text
     rows = json.dumps(doc["rows"], separators=(",\n   ", ": "))
     rows = rows[2:-2].replace("],\n   [", "\n  ],\n  [\n   ")
     return text.replace('\n "rows": []', f'\n "rows": [\n  [\n   {rows}\n  ]\n ]', 1)

@@ -59,10 +59,13 @@ __all__ = [
     "accuracy_indicators",
 ]
 
-#: cap on coefficient table rows: the solution truncation is capped at 60
-#: (beyond which the Legendre sums carry no trustworthy digits in double
-#: precision), plus headroom for the error-surrogate tail rows
-ORDER_CAP = 70
+#: cap on the solution truncation N: beyond it the Legendre sums carry no
+#: trustworthy digits in double precision
+TRUNCATION_CAP = 60
+#: alpha rows past N+2 that the truncation-error surrogate reads
+EXTRA_ROWS = 8
+#: cap on coefficient table rows: alpha runs to N + 2 + EXTRA_ROWS
+ORDER_CAP = TRUNCATION_CAP + 2 + EXTRA_ROWS
 #: a (n, j) entry is flagged when the largest summand exceeds this multiple
 #: of the result
 CANCEL_FLAG_RATIO = 1e8

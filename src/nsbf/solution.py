@@ -65,6 +65,8 @@ import numpy as np
 from . import expr as expr_mod
 from .bessel import _python, spherical_j_sum, spherical_j_table
 from .coefficients import (
+    EXTRA_ROWS,
+    TRUNCATION_CAP,
     AlphaTable,
     BetaTable,
     alpha_tail,
@@ -108,9 +110,6 @@ __all__ = [
     "epsN_surrogate",
     "error_envelope",
 ]
-
-#: alpha rows past N+2 that the truncation-error surrogate reads
-EXTRA_ROWS = 8
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
@@ -241,18 +240,25 @@ def build_model(
     """
     if N < 0:
         raise ValueError(f"N must be non-negative, got {N}")
-    if N > 60:
+    if N > TRUNCATION_CAP:
         raise LimitError(
-            f"truncation N={N} exceeds the cap 60; higher orders carry no "
-            "trustworthy digits in double precision"
+            f"truncation N={N} exceeds the cap {TRUNCATION_CAP}; higher orders "
+            "carry no trustworthy digits in double precision"
         )
     grid = make_grid(b, M)
-    # the build divides by x^2 in float64, by x^(N + EXTRA_ROWS) in x1's dtype
-    x1 = grid.nodes[1]
-    if (float(x1) ** 2 < sys.float_info.min
-            or x1 ** (N + EXTRA_ROWS) < np.finfo(x1.dtype).tiny):
-        raise GridError(f"b={b} is too small for M={M} and N={N}: a power "
-                        f"of the first node x={float(x1)!r} underflows")
+    # the build forms x^2 in float64 and x^(N + EXTRA_ROWS) in the nodes'
+    # dtype at every node, and divides by them: neither may underflow at the
+    # first node or overflow at the last, which the logarithms tell without
+    # forming either power
+    first, last = grid.nodes[1], grid.nodes[-1]
+    for k, dtype in ((2, float), (N + EXTRA_ROWS, first.dtype)):
+        info = np.finfo(dtype)
+        if k * np.log(first) < np.log(info.tiny):
+            raise GridError(f"b={b} is too small for M={M} and N={N}: a power "
+                            f"of the first node x={float(first)!r} underflows")
+        if k * np.log(last) > np.log(info.max):
+            raise GridError(f"b={b} is too large for M={M} and N={N}: a power "
+                            f"of the last node x={float(last)!r} overflows")
     q = _sample_potential(q_input, grid)
     Q = indefinite_integral(grid, q)
     f0 = solve_homogeneous(grid, q, 1.0)

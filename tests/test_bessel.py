@@ -179,6 +179,19 @@ def test_table_columns_do_not_depend_on_the_batch(N):
         assert np.array_equal(table[:, k], alone[:, 0]), z[k]
 
 
+@pytest.mark.parametrize("N", [4, 27, 119])
+def test_table_columns_are_the_scalar_sequence(N):
+    # one Miller run serves both: every column at or below the top order
+    # N + 1 (the tiny series, Miller runs, the switch to j_1 near a zero of
+    # j_0 and the renormalizing run at 1e-6) has the sequence's bits; in
+    # (N, N + 1] the table takes the upward branch, the sequence Miller's
+    z = branch_sweep(N)
+    table = spherical_j_table(N, z)
+    for k, zk in enumerate(z.tolist()):
+        if zk <= N:
+            assert np.array_equal(table[:, k], spherical_j_sequence(N + 1, zk)), zk
+
+
 def test_table_renormalizes_tiny_arguments():
     # backward recurrence from order 180 at z = 1e-6 passes 1e250 many times
     z = np.array([1e-6, 1e-4, 0.5])

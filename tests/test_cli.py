@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -527,6 +528,24 @@ class TestHostileInput:
         assert "too small" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_diverging_picard_iteration_exit_3_one_line(self):
+        rc, err = run_cli_stderr(["eigs", "--potential=-10000", "--count", "3"])
+        assert rc == 3
+        assert "did not converge in 200 iterations" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("b", ["1e153", "1e160"])
+    def test_large_b_exit_2_without_warning(self, b):
+        # x_M^33 (1e153) and x_M^2 (1e160) overflow: refused before the
+        # build, which used to warn or end in an OverflowError traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, err = run_cli_stderr(["eigs", "--potential", "0", "--b", b,
+                                      "--count", "3"])
+        assert rc == 2
+        assert "too large" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("potential", ["x^-1", "x^(-0.5)"])
     def test_zero_to_negative_power_exit_3_without_traceback(self, potential):
         rc, err = run_cli_stderr(["eigs", "--potential", potential,
@@ -650,6 +669,25 @@ class TestTabulatedPotential:
         assert len(err.strip().splitlines()) == 1
         assert message in err
 
+    def test_unreadable_table_exit_2_one_line(self, tmp_path):
+        rc, err = run_cli_stderr(["eigs", "--potential-file",
+                                  str(tmp_path / "missing" / "q.txt"),
+                                  "--count", "3"])
+        assert rc == 2
+        assert "cannot read potential file" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_comment_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "pot.txt"
+        self._write_table(path, 103)
+        head, rest = path.read_text().split("\n", 1)
+        path.write_text(f"{head}\n# a comment line\n\n{rest}")
+        rc, out = run_cli(
+            ["eigs", "--potential-file", str(path), "--count", "1", *FAST]
+        )
+        assert rc == 0
+        assert float(data_rows(out)[1][0][1]) == pytest.approx(4.8967, abs=0.05)
+
     def test_complex_tabulated_eigs_rejected(self, tmp_path):
         path = tmp_path / "pot.txt"
         self._write_table(path, 103, complex_part=True)
@@ -705,8 +743,10 @@ class TestBenchCommand:
         assert rc == 5
 
     def test_reference_file(self, tmp_path):
+        # a comment-only line and a blank line are skipped
         ref = tmp_path / "ref.csv"
-        ref.write_text("".join(f"{n},{n*n}\n" for n in range(1, 6)))
+        ref.write_text("# n, lambda\n\n"
+                       + "".join(f"{n},{n*n}\n" for n in range(1, 6)))
         rc, out = run_cli(
             ["bench", "--potential", "0", "--count", "5", "--M", "600",
              "--N", "8", "--reference", str(ref)]

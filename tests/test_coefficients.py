@@ -392,6 +392,12 @@ class TestAccuracyIndicators:
         assert float(np.max(eps1)) <= 1e-12
         assert float(np.max(eps2)) <= 1e-12
 
+    def test_truncation_past_the_table_refused(self, exp_tables):
+        grid, q, Q, *_ = exp_tables
+        alpha = exp_tables[7]
+        with pytest.raises(ValueError, match="exceeds alpha table"):
+            accuracy_indicators(q, Q, alpha, alpha.n_max + 1)
+
     def test_convergence_with_truncation(self, exp_tables):
         grid, q, Q, *_ = exp_tables
         alpha = exp_tables[7]

@@ -10,6 +10,7 @@ import pytest
 from scipy import special
 
 from nsbf import (
+    ConvergenceError,
     ExpressionEvalError,
     GridError,
     ZeroOmegaError,
@@ -91,6 +92,36 @@ class TestBuildModel:
         model = build_model("1", 1e-140, 1998, 25)
         assert np.all(np.isfinite(epsN_surrogate(model)))
         assert cmath.isfinite(eval_uN(model, 1e140, model.grid.M))
+
+    @pytest.mark.parametrize("b", [1e150, 1e153, 1e155, 1e160, 1e300])
+    def test_overflowing_node_powers_refused(self, b):
+        # the build forms x^2 in float64 (past 1.3e154) and x^(N + EXTRA_ROWS)
+        # in the pipeline dtype: at 1e150 only the surrogate's x^33 overflows.
+        # These used to end in an OverflowError or a numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match="too large"):
+                build_model("0", b, 1998, 25)
+
+    def test_large_b_below_the_limit_builds(self):
+        k = 25 + solution.EXTRA_ROWS
+        limit = np.finfo(PIPELINE_DTYPE).max ** (1 / PIPELINE_DTYPE(k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = build_model("0", 0.99 * float(limit), 1998, 25)
+            assert np.all(np.isfinite(epsN_surrogate(model)))
+
+    def test_diverging_picard_iteration_refused(self):
+        # q = -10000 on [0, pi]: the Picard increments grow like e^{100 x}
+        with pytest.raises(ConvergenceError,
+                           match="did not converge in 200 iterations"):
+            build_model("-10000", PI, 1998, 25)
+
+    def test_unknown_representation_refused(self, model_exp):
+        with pytest.raises(ValueError, match="unknown representation"):
+            sine_solution(model_exp, 2.0, 10, "bogus")
+        with pytest.raises(ValueError, match="unknown representation"):
+            char_values(model_exp, np.array([2.0]), "bogus")
 
     def test_callable_and_array_inputs(self):
         m1 = build_model(np.exp, PI, 102, 4)
@@ -628,6 +659,11 @@ class TestErrorEnvelope:
         assert math.isfinite(env) and env > 0.0
         with pytest.raises(LimitError):
             error_envelope(model_exp, 1 + 300j, model_exp.grid.M, eps)
+
+    def test_complex_omega_at_x_zero_is_zero(self, model_exp):
+        # the sinh factor of x = 0 vanishes: exactly 0.0, not 0 * inf
+        env = error_envelope(model_exp, 2 + 1j, 0, epsN_surrogate(model_exp))
+        assert env == 0.0 and isinstance(env, float)
 
     def test_complex_omega_positive(self, model_exp):
         env = error_envelope(model_exp, 3 + 2j, model_exp.grid.M,
