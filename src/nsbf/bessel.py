@@ -30,9 +30,12 @@ operations, in the same order, as the straightforward recurrence
 int does, storing a Python number in the output is exact whether it is
 done per order or once, a float64 ufunc element rounds as the Python float
 operation does, and no element of a ufunc result depends on the other
-columns; so the tests compare with ``np.array_equal``.  The sum rounds
-otherwise (its order of addition, and 1/z for a complex z), and is held
-to the rounding bound of the sum instead.
+columns; so the tests compare with ``np.array_equal``.  The sum takes the
+same steps, so a unit coefficient vector picks out the sequence's value
+(a complex Miller run aside: the sequence scales it by numpy's complex
+product, the sum by Python's).  It adds in its own order and scales a
+Miller sum once, so it rounds otherwise, and is held to the rounding bound
+of the sum instead.
 """
 
 from __future__ import annotations
@@ -273,9 +276,6 @@ def spherical_j_sequence(N: int, z: complex) -> np.ndarray:
     az = abs(z)
     is_complex = isinstance(z, complex)
     out = np.zeros(N + 1, dtype=np.complex128 if is_complex else np.float64)
-    if az == 0.0:
-        out[0] = 1.0
-        return out
     if az < _TINY_Z:
         return _tiny_series(z, out)
     if az > N:
@@ -289,20 +289,9 @@ def _upward_sum(coeffs, z):
     if len(coeffs) == 1:
         return coeffs[0] * jm
     acc = coeffs[0] * jm + coeffs[1] * jc
-    rest = zip(coeffs[2:], _ODD[1 : len(coeffs) - 1])
-    if isinstance(z, complex):
-        w = 1.0 / z
-        for c, f in rest:
-            jm, jc = jc, w * f * jc - jm
-            acc += c * jc
-    else:
-        # a real z keeps its own loop, stepping by f / z: stepping by
-        # w = 1/z, as the complex loop does, is no faster on floats and
-        # rounds z once more at every order (sine_solution on exp(x) at
-        # omega = 2.23 then moves by 2e-14)
-        for c, f in rest:
-            jm, jc = jc, f / z * jc - jm
-            acc += c * jc
+    for c, f in zip(coeffs[2:], _ODD[1 : len(coeffs) - 1]):
+        jm, jc = jc, f / z * jc - jm
+        acc += c * jc
     return acc
 
 
@@ -316,23 +305,12 @@ def _miller_sum(coeffs, z, start):
     N = len(coeffs) - 1
     above, cur = 0.0, 1e-30
     acc = 0.0
-    down = zip(coeffs[N:1:-1], _ODD[N:1:-1])
-    if isinstance(z, complex):
-        w = 1.0 / z
-        for f in _ODD[start:N:-1]:
-            above, cur = cur, w * f * cur - above
-        for c, f in down:
-            acc += c * cur
-            above, cur = cur, w * f * cur - above
-        below = w * 3.0 * cur - above
-    else:
-        # f / z for a real z, as in _upward_sum
-        for f in _ODD[start:N:-1]:
-            above, cur = cur, f / z * cur - above
-        for c, f in down:
-            acc += c * cur
-            above, cur = cur, f / z * cur - above
-        below = 3.0 / z * cur - above
+    for f in _ODD[start:N:-1]:
+        above, cur = cur, f / z * cur - above
+    for c, f in zip(coeffs[N:1:-1], _ODD[N:1:-1]):
+        acc += c * cur
+        above, cur = cur, f / z * cur - above
+    below = 3.0 / z * cur - above
     # cur and below now hold the unnormalized j_1 and j_0
     j0, j1 = _j01(z)
     factor = j0 / below if abs(j0) >= abs(j1) else j1 / cur
@@ -359,9 +337,11 @@ def spherical_j_sum(coeffs: list, z) -> complex:
     The branches of ``spherical_j_sequence``, without an array: the upward
     recurrence adds each term as it recurs, and Miller's run (from the same
     start order) adds the unnormalized orders N..2, scales that sum once
-    and adds the closed-form j_0 and j_1 terms.  A complex z steps with
-    its reciprocal, taken once.  The tiny series and a run that must
-    renormalize take ``spherical_j_sequence`` itself.
+    and adds the closed-form j_0 and j_1 terms.  Each order steps as in
+    the sequence, so unit coefficients e_k pick out the sequence's j_k
+    (a complex Miller run aside; see the module docstring).  The tiny
+    series and a run that must renormalize take ``spherical_j_sequence``
+    itself.
     """
     N = len(coeffs) - 1
     _check_order(N)

@@ -58,6 +58,10 @@ PIPELINE_CDTYPE = np.clongdouble
 PICARD_MAX_ITER = 200
 PICARD_RTOL = 1e-15
 
+#: largest M: a build at it with N = 60 peaks near 0.6 GB of RSS, within
+#: a 1 GB budget (about 9 kB per node)
+_M_CAP = 60_000
+
 
 def _block_weights() -> np.ndarray:
     """Cumulative Newton-Cotes weights on a 6-subinterval block.
@@ -126,8 +130,9 @@ class Grid:
 def make_grid(b: float, M: int) -> Grid:
     """Build the uniform grid on [0, b] with M subintervals.
 
-    b must be positive and finite; M must be at least 64 and divisible by 6
-    (the quadrature block size).
+    b must be positive and finite; M must be at least 64, at most 60,000
+    (``_M_CAP``: a bound on the memory of a build) and divisible by 6 (the
+    quadrature block size).
     """
     if not (b > 0 and math.isfinite(b)):
         raise GridError(
@@ -135,6 +140,8 @@ def make_grid(b: float, M: int) -> Grid:
         )
     if M < 64:
         raise GridError(f"M must be at least 64, got {M}")
+    if M > _M_CAP:
+        raise GridError(f"M must be at most {_M_CAP}, got {M}")
     if M % 6 != 0:
         raise GridError(f"M must be divisible by 6, got {M}")
     return Grid(float(b), int(M))

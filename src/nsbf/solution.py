@@ -389,8 +389,9 @@ def _evaluate(model: SolutionModel, omega, x_index: int, improved: bool,
         raise LimitError(_PHASE_LOST.format(x))
     try:
         # a Python number, so the rest rounds in Python's arithmetic
-        S = spherical_j_sum(table[x_index, : n_top + 1].tolist(), omega * x)
-        e, em = cmath.exp(1j * omega * x), cmath.exp(-1j * omega * x)
+        z = omega * x
+        S = spherical_j_sum(table[x_index, : n_top + 1].tolist(), z)
+        e, em = cmath.exp(1j * z), cmath.exp(-1j * z)
         u = _assemble(model, omega, x_index, improved, e, em, S)
     except (ZeroDivisionError, OverflowError):
         u = math.nan

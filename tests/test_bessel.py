@@ -344,6 +344,25 @@ def test_sum_meets_the_dot_product(N):
         assert abs(total - complex(np.dot(c, seq))) <= bound, z
 
 
+@pytest.mark.parametrize("N", [0, 1, 2, 15, 27, 62, 120])
+def test_unit_sum_is_the_sequence_value(N):
+    # the sum steps each order as the sequence does, so coefficient vector
+    # e_k picks out the sequence's j_k bit for bit; complex z only past
+    # |z| = N, where a Miller run's factor is not a numpy product
+    rng = np.random.default_rng(100 + N)
+    real = seeded_real_arguments(N, seed=31).tolist()
+    radii = np.concatenate([N + rng.uniform(1e-9, 50.0, 32),
+                            rng.uniform(200.0, 690.0, 8)]).tolist()
+    angles = rng.uniform(-math.pi, math.pi, len(radii)).tolist()
+    cplx = [r * complex(math.cos(t), math.sin(t)) for r, t in zip(radii, angles)]
+    for z in real + [-z for z in real] + cplx:
+        seq = spherical_j_sequence(N, z).tolist()
+        for k in range(N + 1):
+            unit = [0.0] * (N + 1)
+            unit[k] = 1.0
+            assert spherical_j_sum(unit, z) == seq[k], (z, k)
+
+
 def test_sum_of_real_coefficients_is_a_float():
     assert isinstance(spherical_j_sum([1.0, 2.0, 0.5], 1.3), float)
     assert spherical_j_sum([2.5], 0.0) == 2.5

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import nsbf
 from nsbf import build_model, cli, make_grid, oracle, spectral
 from nsbf.cli import RunConfig, _resolve_potential, main
+from nsbf.grid import _M_CAP
 
 from conftest import HOSTILE_NESTINGS
 
@@ -532,6 +533,15 @@ class TestHostileInput:
         rc, err = run_cli_stderr(["eigs", "--potential=-10000", "--count", "3"])
         assert rc == 3
         assert "did not converge in 200 iterations" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_M_past_the_cap_exit_2_one_line(self):
+        # an unbounded M used to end in numpy's allocation traceback
+        rc, err = run_cli_stderr(["solve", "--potential", "exp(x)", "--omega",
+                                  "5", "--x", "1", "--M", str(_M_CAP + 6)])
+        assert rc == 2
+        assert "Traceback" not in err
+        assert f"at most {_M_CAP}" in err
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("b", ["1e153", "1e160"])

@@ -12,7 +12,7 @@ from nsbf import (
     sample,
     solve_homogeneous,
 )
-from nsbf.grid import _W_BLOCK, _stencil_weights
+from nsbf.grid import _M_CAP, _W_BLOCK, _stencil_weights
 from nsbf.oracle import propagate
 
 PI = math.pi
@@ -33,7 +33,9 @@ class TestMakeGrid:
         g = make_grid(2.0, 66)
         assert float(g.nodes[66]) == pytest.approx(2.0, abs=1e-15)
 
-    @pytest.mark.parametrize("b,M", [(0.0, 66), (-1.0, 66), (1.0, 60)])
+    # M past its cap is refused before the node array is made
+    @pytest.mark.parametrize("b,M", [(0.0, 66), (-1.0, 66), (1.0, 60),
+                                     (1.0, _M_CAP + 6)])
     def test_invalid(self, b, M):
         with pytest.raises(GridError):
             make_grid(b, M)
