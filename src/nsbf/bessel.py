@@ -1,32 +1,32 @@
 """Stable evaluation of spherical Bessel functions j_n(z), n = 0..N, for
 real and complex arguments.
 
-There are four branches: the power series for tiny arguments; closed-form
-j_0 and j_1, by their own series below |z| = 0.1; upward three-term
-recurrence where it is stable (|z| above the top order); and otherwise
-Miller's downward recurrence from an arbitrary seed, normalized through
-j_0 or j_1 (DLMF 10.51; W. Gautschi, SIAM Review 9, 1967).  Every Miller
-run starts at ``_miller_start(top, |z|)``, the lowest order from which the
-Debye estimate of its error at the top order wanted is below e^-40.
+There are three branches and one rule picks among them for every value:
+below |z| = 1 the power series (DLMF 10.53.1); above the top order the
+upward three-term recurrence from closed-form j_0 and j_1, where it is
+stable; and in between Miller's downward recurrence from an arbitrary
+seed, normalized through j_0 or j_1 (DLMF 10.51; W. Gautschi, SIAM Review
+9, 1967).  Every Miller run starts at ``_miller_start(top, |z|)``, the
+lowest order from which the Debye estimate of its error at the top order
+wanted is below e^-40; from |z| = 1 up it never nears overflow.
 
-``spherical_j_sequence`` picks one branch for its Python scalar and runs
-it on Python floats or complexes: ``_upward``, or Miller's run.  It
-serves the sum's cold branches.  ``spherical_j_sum`` runs the same
-branches for sum_n c_n j_n(z) and keeps no value: it adds each term as
-the recurrence reaches it.  ``spherical_j_table`` serves a 1-D array of
-real arguments: ``_upward_table`` runs over every column, one division
-for the whole (2n+1)/z table and two ufunc calls per order, and the
-columns at or below the top order are then overwritten by the tiny series
-or by Miller's run.  ``_miller_run`` is the one Miller kernel of both: it
-starts from its own order in Python arithmetic, and a run that could
-overflow takes a checked loop that rescales once it passes the limit.
-``_normalized`` then scales the unnormalized lists of a sequence, or of
-all the table's columns at once, by one product with their factors.
+``spherical_j_sequence`` runs its branch on Python floats or complexes:
+``_series``, ``_upward``, or Miller's run.  ``spherical_j_sum`` runs the
+same branches for sum_n c_n j_n(z): it adds the series' values in order,
+and in the recurrences each term as they reach it.
+``spherical_j_table`` serves a 1-D array of real arguments with the
+sequence's rule and top order: ``_upward_table`` runs over every column,
+one division for the whole (2n+1)/z table and two ufunc calls per order,
+and the columns at or below the top order are then overwritten by the
+series or by Miller's run.  ``_miller_run`` is the one Miller kernel of
+both, in Python arithmetic from its own start order; ``_normalized`` then
+scales the unnormalized lists of a sequence, or of all the table's
+columns at once, by one product with their factors.
 
 Every value of the sequence and of the table is rounded by the same IEEE
-operations, in the same order, as the straightforward recurrence
-``(2*n + 1)/z * j_n - j_{n-1}`` that stores each order as it goes
-(``tests/crosschecks.py`` keeps that form): a float 2n+1 divides as the
+operations, in the same order, as the straightforward series and
+recurrence ``(2*n + 1)/z * j_n - j_{n-1}`` that store each order as they
+go (``tests/crosschecks.py`` keeps that form): a float 2n+1 divides as the
 int does, storing a Python number in the output is exact whether it is
 done per order or once, a float64 ufunc element rounds as the Python float
 operation does, and no element of a ufunc result depends on the other
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 import numpy as np
 
@@ -55,71 +56,78 @@ N_CAP = 120
 #: |Im z| guard: sinh-type growth of j_n overflows float64 beyond this
 IM_CAP = 700.0
 
-_TINY_Z = 1e-8
-_RENORM_LIMIT = 1e250
+#: |z| below which every order comes from the power series: there each
+#: term of its series is at most a sixth of the one before, and from
+#: |z| = 1 up Miller's unnormalized run stays far from overflow (below
+#: 5e215 at every top order up to N_CAP), so it never needs rescaling
+_SERIES_BELOW = 1.0
 
 #: 2n+1 for every order a recurrence reaches: a Miller run starts at most
-#: at ``_miller_start(N_CAP + 1, N_CAP)`` = 158, the table's top order at
-#: |z| = N_CAP
-_ODD = [2.0 * n + 1.0 for n in range(160)]
+#: at ``_miller_start(N_CAP, N_CAP)`` = 158
+_ODD = [2.0 * n + 1.0 for n in range(159)]
 _ODD_COLUMN = np.array(_ODD)[:, None]
+#: (2n+1)(2n+3), the divisor of the series' downward step at order n
+_ODD_PAIRS = [f * g for f, g in zip(_ODD, _ODD[1:])]
 
 
-def _tiny_series(z, out):
-    """out[n] = z^n/(2n+1)!! (1 - z^2/(2(2n+3))), for |z| < 1e-8."""
-    term = 1.0
-    for n in range(len(out)):
-        out[n] = term * (1.0 - z * z / (2.0 * (2 * n + 3)))
-        term = term * z / (2 * n + 3)
-    return out
+def _g_series(n, w):
+    """g_n = 0F1(; n + 3/2; -z^2/4) at w = -z^2/2, |z| < 1: the sum of
+    w^k/(k! (2n+3)(2n+5) .. (2n+2k+1)) until a term no longer moves it."""
+    g, t, k = 0.0, 1.0, 0
+    while (total := g + t) != g:
+        g, k = total, k + 1
+        t = t * w / (k * (2 * (n + k) + 1))
+    return g
 
 
-def _j01_series(z):
-    w = -0.5 * z * z
-    j0 = t0 = 1.0
-    j1 = t1 = 1.0 / 3.0
-    # for |z| < 0.1 the terms past k = 6 are below 1e-26 of the leading one
-    for k in range(1, 7):
-        t0 = t0 * w / (k * (2 * k + 1))
-        t1 = t1 * w / (k * (2 * k + 3))
-        j0 = j0 + t0
-        j1 = j1 + t1
-    return j0, z * j1
+def _series(z, top):
+    """j_0(z) .. j_top(z) at a scalar |z| < 1 as a list.
+
+    j_n = z^n/(2n+1)!! g_n (DLMF 10.53.1): g_top and g_{top+1} come from
+    their series and the lower g_n from g_{n-1} = g_n - z^2 g_{n+1}/((2n+1)
+    (2n+3)), the three-term recurrence of j_n in these terms.  Every g_n is
+    within 0.18 of 1 and the step's correction under a tenth of it, so
+    nothing cancels or overflows; z^n/(2n+1)!! is multiplied up an order at
+    a time, and where it underflows so does j_n.
+    """
+    zz = z * z
+    w = -0.5 * zz
+    above, g = _g_series(top + 1, w), _g_series(top, w)
+    low = [g]
+    store = low.append
+    for d in _ODD_PAIRS[top:0:-1]:
+        above, g = g, g - zz * above / d
+        store(g)
+    low.reverse()  # g_0 .. g_top
+    power = 1.0
+    return [g] + [(power := power * z / f) * gn
+                  for f, gn in zip(_ODD[1 : top + 1], low[1:])]
 
 
 def _j01(z):
-    """j_0(z), j_1(z) for a scalar z != 0 or an array of real z > 0.
-
-    The closed form for j_1 cancels two O(1/z) terms; the power series
-    keeps full relative accuracy at |z| < 0.1.
-    """
-    array = isinstance(z, np.ndarray)
-    if not array and abs(z) < 0.1:
-        return _j01_series(z)
-    trig = np if array else cmath if isinstance(z, complex) else math
+    """Closed-form j_0(z), j_1(z) for a scalar z or an array of real z; the
+    form for j_1 cancels two O(1/z) terms, so it serves |z| >= 1 only."""
+    trig = (np if isinstance(z, np.ndarray)
+            else cmath if isinstance(z, complex) else math)
     s, c = trig.sin(z), trig.cos(z)
-    j0, j1 = s / z, s / (z * z) - c / z
-    if array and (small := z < 0.1).any():
-        j0[small], j1[small] = _j01_series(z[small])
-    return j0, j1
+    return s / z, s / (z * z) - c / z
 
 
-def _upward(z, out):
-    """Upward recurrence from j_0, j_1 at a scalar z: stable while the
-    order stays below |z|."""
+def _upward(z, top):
+    """Upward recurrence from j_0, j_1 at a scalar z, as the list j_0 ..
+    j_top: stable while the order stays below |z|."""
     jm, jc = _j01(z)
     values = [jm]
     store = values.append
-    for f in _ODD[1 : len(out)]:
+    for f in _ODD[1 : top + 1]:
         store(jc)
         jm, jc = jc, f / z * jc - jm
-    out[:] = values
-    return out
+    return values
 
 
 def _upward_table(z, out):
     """``_upward`` on every column of an array of real z at once."""
-    out[0], out[1] = _j01(z)
+    out[:2] = _j01(z)[: len(out)]  # a table of order 0 has no row 1
     ratio = _ODD_COLUMN[1 : len(out) - 1] / z
     for n in range(1, len(out) - 1):
         np.multiply(ratio[n - 1], out[n], out=out[n + 1])
@@ -138,7 +146,7 @@ _STARTS: dict = {}
 
 
 def _miller_start(top: int, a: float) -> int:
-    """Order from which Miller's run at |z| = a, 0 < a <= top, starts.
+    """Order from which Miller's run at |z| = a, 1 <= a <= top, starts.
 
     Started at order n with j_{n+1} = 0, the run at order ``top`` is off
     by about e^{-2 (F(n) - F(top))} relative (see ``_debye_exponent``;
@@ -149,28 +157,14 @@ def _miller_start(top: int, a: float) -> int:
     row = _STARTS.get(top)
     if row is None:
         row, n = [], top + 1
-        for k in range(top + 1):  # entry 0 repeats entry 1
-            ak = float(max(k, 1))
-            floor = _debye_exponent(top, ak) + 20.0
+        for k in range(1, top + 1):
+            floor = _debye_exponent(top, float(k)) + 20.0
             # F(n) - F(top) falls as a grows, so n never steps back
-            while _debye_exponent(n, ak) < floor:
+            while _debye_exponent(n, float(k)) < floor:
                 n += 1
             row.append(n)
         _STARTS[top] = row
-    return row[math.ceil(a)]
-
-
-def _could_overflow(a, start):
-    """Whether Miller's run from order ``start`` at |z| = a could pass the
-    renormalizing limit."""
-    # a step grows |j| at most by (2n+1)/|z| + 1, so the whole run by
-    # (2/a)^start Gamma(start + 1 + c)/Gamma(1 + c), a = |z| and
-    # c = (1 + a)/2; while that stays below the limit, no step can reach it
-    c = 0.5 * (1.0 + a)
-    return (
-        start * math.log(2.0 / a) + math.lgamma(start + 1.0 + c)
-        - math.lgamma(1.0 + c) > math.log(_RENORM_LIMIT / 1e-30)
-    )
+    return row[math.ceil(a) - 1]
 
 
 def _miller_run(z, top, start):
@@ -180,24 +174,11 @@ def _miller_run(z, top, start):
     above, cur = 0.0, 1e-30
     values = []
     store = values.append
-    if _could_overflow(abs(z), start):
-        # once a value passes the limit, the current pair and every stored
-        # value are rescaled, the stored ones by an array product (Python's
-        # complex product can give an underflowed zero the other sign)
-        for n in range(start, 0, -1):
-            above, cur = cur, _ODD[n] / z * cur - above
-            if n <= top:
-                store(cur)
-            if abs(cur) > _RENORM_LIMIT:
-                scale = 1.0 / abs(cur)
-                above, cur = above * scale, cur * scale
-                values[:] = (np.array(values) * scale).tolist()
-    else:
-        for f in _ODD[start:top:-1]:
-            above, cur = cur, f / z * cur - above
-        for f in _ODD[top:0:-1]:
-            above, cur = cur, f / z * cur - above
-            store(cur)
+    for f in _ODD[start:top:-1]:
+        above, cur = cur, f / z * cur - above
+    for f in _ODD[top:0:-1]:
+        above, cur = cur, f / z * cur - above
+        store(cur)
     j0, j1 = _j01(z)
     # cur / above now hold the unnormalized order-0 / order-1 values;
     # j_0 and j_1 have no common zeros
@@ -263,24 +244,22 @@ def spherical_j_sequence(N: int, z: complex) -> np.ndarray:
 
     Notes
     -----
+    For |z| < 1 the power series (see ``_series``) gives every order.
     For |z| > N the upward recurrence from closed-form j_0, j_1 is used
     directly.  Otherwise the sequence comes from downward (Miller)
     recurrence started at order ``_miller_start(N, |z|)`` (the Debye
     bound: its error at order N is below e^-40) with an arbitrary seed and
-    normalized through the closed-form j_0 or j_1.  For |z| < 1e-8 the
-    series j_n(z) = z^n/(2n+1)!! (1 - z^2/(2(2n+3))) is used instead.  A
-    complex z on the real axis takes the real branches.
+    normalized through the closed-form j_0 or j_1.  A complex z on the
+    real axis takes the real branches.
     """
     _check_order(N)
     z = _scalar(_python(z))
     az = abs(z)
-    is_complex = isinstance(z, complex)
-    out = np.zeros(N + 1, dtype=np.complex128 if is_complex else np.float64)
-    if az < _TINY_Z:
-        return _tiny_series(z, out)
-    if az > N:
-        return _upward(z, out)
-    return _normalized([_miller_run(z, N + 1, _miller_start(N, az))])[:, 0]
+    if _SERIES_BELOW <= az <= N:
+        return _normalized([_miller_run(z, N + 1, _miller_start(N, az))])[:, 0]
+    out = np.zeros(N + 1, dtype=complex if isinstance(z, complex) else float)
+    out[:] = _series(z, N) if az < _SERIES_BELOW else _upward(z, N)
+    return out
 
 
 def _upward_sum(coeffs, z):
@@ -298,10 +277,7 @@ def _upward_sum(coeffs, z):
 def _miller_sum(coeffs, z, start):
     """``spherical_j_sum`` by Miller's run from order ``start``: the
     unnormalized orders N..2 summed as they come, times the factor that
-    normalizes them, plus the closed-form j_0 and j_1 terms; None where
-    the run could overflow."""
-    if _could_overflow(abs(z), start):
-        return None
+    normalizes them, plus the closed-form j_0 and j_1 terms."""
     N = len(coeffs) - 1
     above, cur = 0.0, 1e-30
     acc = 0.0
@@ -334,70 +310,68 @@ def spherical_j_sum(coeffs: list, z) -> complex:
 
     Notes
     -----
-    The branches of ``spherical_j_sequence``, without an array: the upward
-    recurrence adds each term as it recurs, and Miller's run (from the same
-    start order) adds the unnormalized orders N..2, scales that sum once
-    and adds the closed-form j_0 and j_1 terms.  Each order steps as in
-    the sequence, so unit coefficients e_k pick out the sequence's j_k
-    (a complex Miller run aside; see the module docstring).  The tiny
-    series and a run that must renormalize take ``spherical_j_sequence``
-    itself.
+    The branches of ``spherical_j_sequence``, without an array: the
+    series' values are added in order, the upward recurrence adds each
+    term as it recurs, and Miller's run (from the same start order) adds
+    the unnormalized orders N..2, scales that sum once and adds the
+    closed-form j_0 and j_1 terms.  Each order steps as in the sequence,
+    so unit coefficients e_k pick out the sequence's j_k (a complex
+    Miller run aside; see the module docstring).
     """
     N = len(coeffs) - 1
     _check_order(N)
     z = _scalar(z)
     az = abs(z)
+    if az < _SERIES_BELOW:
+        return sum(map(operator.mul, coeffs, _series(z, N)))
     if az > N:
         return _upward_sum(coeffs, z)
-    if az >= _TINY_Z:
-        total = _miller_sum(coeffs, z, _miller_start(N, az))
-        if total is not None:
-            return total
-    values = spherical_j_sequence(N, z).tolist()
-    return sum(c * v for c, v in zip(coeffs, values))
+    return _miller_sum(coeffs, z, _miller_start(N, az))
 
 
 def spherical_j_table(N: int, z: np.ndarray) -> np.ndarray:
-    """Values j_n(z_k) for n = 0..N+1, one column per real argument.
+    """Values j_n(z_k) for n = 0..N, one column per real argument.
 
     Parameters
     ----------
     N : int
-        The table runs one order past N (for derivatives), N at most 120.
+        Highest order, at most 120.
     z : 1-D array of real z > 0
+        LimitError where one is not finite.
 
     Returns
     -------
     np.ndarray
-        float64, shape (N + 2, len(z)).
+        float64, shape (N + 1, len(z)); column k is
+        ``spherical_j_sequence(N, z[k])``, bit for bit.
 
     Notes
     -----
-    The branches of ``spherical_j_sequence``, chosen per column: the
-    series for z < 1e-8, upward recurrence where z > N, and otherwise
-    Miller's downward recurrence run on each column alone from its own
-    start order ``_miller_start(N + 1, z)`` and normalized by its own
+    The branches of ``spherical_j_sequence``, chosen per column by its
+    rule: the series for z < 1, upward recurrence where z > N, and
+    otherwise Miller's downward recurrence run on each column alone from
+    its own start order ``_miller_start(N, z)`` and normalized by its own
     factor, so no column depends on the others in the batch.  The upward
     recurrence runs over every column first; the others are overwritten.
     """
     _check_order(N)
     z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        _scalar(float(z[~np.isfinite(z)][0]))  # raises the LimitError
     if z.ndim != 1 or not np.all(z > 0):
         raise ValueError("spherical_j_table needs a 1-D array of z > 0")
-    out = np.empty((N + 2, z.size))
+    out = np.empty((N + 1, z.size))
     # the unstable columns may overflow; they are overwritten below
     with np.errstate(all="ignore"):
         _upward_table(z, out)
-    low = np.flatnonzero((z <= N) | (z < _TINY_Z))
-    zl = z[low]
-    tiny = zl < _TINY_Z
-    if tiny.any():
-        rows = np.empty((N + 2, np.count_nonzero(tiny)))
-        out[:, low[tiny]] = _tiny_series(zl[tiny], rows)
-    miller = low[~tiny]
+    small = np.flatnonzero(z < _SERIES_BELOW)
+    if small.size:
+        out[:, small] = np.array([_series(zk, N)
+                                  for zk in z[small].tolist()]).T
+    miller = np.flatnonzero((z >= _SERIES_BELOW) & (z <= N))
     if miller.size:
         out[:, miller] = _normalized([
-            _miller_run(zk, N + 2, _miller_start(N + 1, zk))
+            _miller_run(zk, N + 1, _miller_start(N, zk))
             for zk in z[miller].tolist()
         ])
     return out

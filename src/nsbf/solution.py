@@ -424,7 +424,7 @@ def _series(model: SolutionModel, omega: np.ndarray, x_index: int,
         raise LimitError(_PHASE_LOST.format(x))
     with np.errstate(all="ignore"):
         z = omega * x
-        jn = spherical_j_table(n_top, z)
+        jn = spherical_j_table(max(n_top, 1), z)  # j_0' = -j_1 needs j_1
         e = np.empty(z.shape, dtype=complex)
         np.cos(z, out=e.real)
         np.sin(z, out=e.imag)

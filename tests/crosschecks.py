@@ -13,11 +13,11 @@
   branch evaluated over the whole stack and picked by ``np.where``, the
   form the library's masked kernel must reproduce bit for bit.
 * ``sequence_reference``, ``table_reference`` and ``envelope_reference``:
-  the Bessel recurrences and the envelope written straightforwardly, each
-  order stored as it is computed and every number read from its array at
-  the call.  The library's kernels make the same IEEE operations in the
-  same order (from the same Miller start order), so the tests require
-  equal bits, not a tolerance.
+  the Bessel series and recurrences and the envelope written
+  straightforwardly, each order stored as it is computed and every number
+  read from its array at the call.  The library's kernels make the same
+  IEEE operations in the same order (from the same Miller start order), so
+  the tests require equal bits, not a tolerance.
 * ``series_reference``: the scalar evaluation by ``np.dot`` over
   ``spherical_j_sequence``.  The library sums the series while it recurs,
   in another order, so the tests hold it to the rounding bound of the
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from nsbf.bessel import _j01, _miller_start, _tiny_series, spherical_j_sequence
+from nsbf.bessel import _g_series, _j01, _miller_start, spherical_j_sequence
 from nsbf.grid import Grid
 from nsbf.oracle import _NODES, _SQRT15_3, _propagators
 
@@ -234,25 +234,13 @@ def upward_reference(z, out):
 
 
 def miller_reference(z, out, start):
-    """Miller's downward recurrence at a scalar z, from order ``start``,
-    renormalized wherever the growth bound could reach 1e250."""
-    a = abs(z)
-    c = 0.5 * (1.0 + a)
-    check = (
-        start * math.log(2.0 / a) + math.lgamma(start + 1.0 + c)
-        - math.lgamma(1.0 + c) > math.log(1e250 / 1e-30)
-    )
+    """Miller's downward recurrence at a scalar z, from order ``start``."""
     top = len(out)
     above, cur = 0.0, 1e-30
     for n in range(start, 0, -1):
         below = (2 * n + 1) / z * cur - above
         if n <= top:
             out[n - 1] = below
-        if check and abs(below) > 1e250:
-            scale = 1.0 / abs(below)
-            below = below * scale
-            cur = cur * scale
-            out *= scale
         above, cur = cur, below
     j0, j1 = _j01(z)
     out *= j0 / cur if abs(j0) >= abs(j1) else j1 / above
@@ -262,38 +250,39 @@ def miller_reference(z, out, start):
     return out
 
 
+def power_series_reference(z, out):
+    """j_n(z) = z^n/(2n+1)!! g_n at a scalar |z| < 1: g_N and g_{N+1} by
+    their series, the lower g_n by g_{n-1} = g_n - z^2 g_{n+1}/((2n+1)
+    (2n+3))."""
+    N = len(out) - 1
+    w = -0.5 * (z * z)
+    g = [0.0] * (N + 2)
+    g[N], g[N + 1] = _g_series(N, w), _g_series(N + 1, w)
+    for n in range(N, 0, -1):
+        g[n - 1] = g[n] - z * z * g[n + 1] / ((2 * n + 1) * (2 * n + 3))
+    out[0], power = g[0], 1.0
+    for n in range(1, N + 1):
+        power = power * z / (2 * n + 1)
+        out[n] = power * g[n]
+    return out
+
+
 def sequence_reference(N: int, z) -> np.ndarray:
     """j_0(z) .. j_N(z) by the branches of ``spherical_j_sequence``."""
     is_complex = isinstance(z, complex) and z.imag != 0.0
     z = complex(z) if is_complex else float(z)
     az = abs(z)
     out = np.zeros(N + 1, dtype=complex if is_complex else float)
-    if az == 0.0:
-        out[0] = 1.0
-        return out
-    if az < 1e-8:
-        return _tiny_series(z, out)
+    if az < 1.0:
+        return power_series_reference(z, out)
     if az > N:
         return upward_reference(z, out)
     return miller_reference(z, out, _miller_start(N, az))
 
 
 def table_reference(N: int, z: np.ndarray) -> np.ndarray:
-    """j_n(z_k), n = 0..N+1, by the branches of ``spherical_j_table``, each
-    run on the columns it serves alone."""
-    out = np.empty((N + 2, z.size))
-    tiny = z < 1e-8
-    up = ~tiny & (z > N)
-    miller = ~(tiny | up)
-    for mask, kernel in ((tiny, _tiny_series), (up, upward_reference)):
-        if mask.any():
-            out[:, mask] = kernel(z[mask], np.empty((N + 2, np.count_nonzero(mask))))
-    if miller.any():
-        out[:, miller] = np.array([
-            miller_reference(zk, np.zeros(N + 2), _miller_start(N + 1, zk))
-            for zk in z[miller].tolist()
-        ]).T
-    return out
+    """j_n(z_k), n = 0..N: ``sequence_reference`` of each column."""
+    return np.array([sequence_reference(N, zk) for zk in z.tolist()]).T
 
 
 def series_reference(model, omega, x_index: int, representation: str) -> complex:

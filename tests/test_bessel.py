@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from nsbf import LimitError, spherical_j_sequence, spherical_j_table
-from nsbf.bessel import _ODD, N_CAP, _miller_start, spherical_j_sum
+from nsbf.bessel import (_ODD, N_CAP, _miller_run, _miller_start,
+                         spherical_j_sum)
 
 from crosschecks import miller_reference, sequence_reference, table_reference
 
@@ -132,29 +134,28 @@ def test_imaginary_overflow_guard():
 
 @pytest.mark.parametrize("N", [4, 25, 27])
 def test_table_matches_scalar_sequence(N):
-    # every branch: the tiny-z series, Miller (including near zeros of j_0,
-    # where the normalization switches to j_1), and upward recurrence on
-    # both sides of z = N
+    # every branch: the series, Miller (including near zeros of j_0, where
+    # the normalization switches to j_1), and upward recurrence on both
+    # sides of z = N
     z = np.array([
         1e-9, 0.05, 0.78, math.pi, math.pi + 1e-9, 2 * math.pi - 1e-10,
         3 * math.pi, N - 0.5, N + 0.5, 1500.0,
     ])
     table = spherical_j_table(N, z)
-    assert table.shape == (N + 2, z.size)
+    assert table.shape == (N + 1, z.size)
     for k, zk in enumerate(z):
-        seq = spherical_j_sequence(N + 1, float(zk))
+        seq = spherical_j_sequence(N, float(zk))
         err = np.abs(table[:, k] - seq) / np.maximum(1.0, np.abs(seq))
         assert float(np.max(err)) <= 1e-14, zk
 
 
 def branch_sweep(N):
-    """Every branch of the table: the tiny-z series; Miller with j_0, j_1
-    by their series (z < 0.1), by the closed form and near zeros of j_0,
-    and with renormalized columns (z = 1e-6 at N = 119); upward recurrence
-    on both sides of z = N."""
+    """Every branch of the table: the series (z < 1); Miller from z = 1 on,
+    with j_0, j_1 by the closed form and near zeros of j_0; upward
+    recurrence on both sides of z = N."""
     return np.array([
-        1e-9, 1e-6, 0.05, 0.78, math.pi, 2 * math.pi - 1e-10, 3 * math.pi,
-        N - 0.5, N + 0.5, 1500.0,
+        1e-9, 1e-6, 0.05, 0.78, 1.0, math.pi, 2 * math.pi - 1e-10,
+        3 * math.pi, N - 0.5, N + 0.5, 1500.0,
     ])
 
 
@@ -164,7 +165,7 @@ def test_table_reference_comparison(N):
     z = branch_sweep(N)
     table = spherical_j_table(N, z)
     for k, zk in enumerate(z):
-        for n in range(N + 2):
+        for n in range(N + 1):
             ref = reference_jn(n, float(zk))
             if abs(ref) > 1e-280:
                 assert abs(table[n, k] - ref) <= 1e-12 * abs(ref), (n, zk)
@@ -179,27 +180,27 @@ def test_table_columns_do_not_depend_on_the_batch(N):
         assert np.array_equal(table[:, k], alone[:, 0]), z[k]
 
 
-@pytest.mark.parametrize("N", [4, 27, 119])
+@pytest.mark.parametrize("N", [1, 4, 27, 119, 120])
 def test_table_columns_are_the_scalar_sequence(N):
-    # one Miller run serves both: every column at or below the top order
-    # N + 1 (the tiny series, Miller runs, the switch to j_1 near a zero of
-    # j_0 and the renormalizing run at 1e-6) has the sequence's bits; in
-    # (N, N + 1] the table takes the upward branch, the sequence Miller's
+    # the table takes the sequence's rule and top order: every column (the
+    # series, Miller runs, the switch to j_1 near a zero of j_0 and the
+    # upward branch on both sides of z = N) has the sequence's bits
     z = branch_sweep(N)
     table = spherical_j_table(N, z)
     for k, zk in enumerate(z.tolist()):
-        if zk <= N:
-            assert np.array_equal(table[:, k], spherical_j_sequence(N + 1, zk)), zk
+        assert np.array_equal(table[:, k], spherical_j_sequence(N, zk)), zk
 
 
-def test_table_renormalizes_tiny_arguments():
-    # backward recurrence from order 180 at z = 1e-6 passes 1e250 many times
-    z = np.array([1e-6, 1e-4, 0.5])
-    table = spherical_j_table(119, z)
+def test_no_branch_needs_rescaling():
+    # from |z| = 1 up the unnormalized Miller run stays far from overflow
+    # at every top order; below 1 the series serves every order
+    for z in (1.0, -1.0, 1j, cmath.exp(0.25j * math.pi)):
+        for top in range(1, N_CAP + 1):
+            values = _miller_run(z, top + 1, _miller_start(top, 1.0))[0]
+            assert all(cmath.isfinite(v) and abs(v) < 1e300 for v in values)
+    table = spherical_j_table(N_CAP, np.array([1e-6]))
     assert np.all(np.isfinite(table))
-    for k, zk in enumerate(z):
-        seq = spherical_j_sequence(120, float(zk))
-        assert float(np.max(np.abs(table[:, k] - seq))) <= 1e-14
+    assert np.array_equal(table[:, 0], spherical_j_sequence(N_CAP, 1e-6))
 
 
 def test_table_input_validation():
@@ -209,15 +210,23 @@ def test_table_input_validation():
         spherical_j_table(5, np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_table_refuses_a_non_finite_argument(bad):
+    # the table refuses as the sequence does, in its words
+    with pytest.raises(LimitError, match="is not finite"):
+        spherical_j_sequence(3, bad)
+    with pytest.raises(LimitError, match="is not finite"):
+        spherical_j_table(3, np.array([2.0, bad]))
+
+
 #: orders whose bits the recurrences are checked on: the smallest tables,
 #: the solution layer's truncations and the cap
 BIT_ORDERS = [0, 1, 2, 15, 27, 60, 120]
 
 
 def seeded_real_arguments(N, seed=2024):
-    """Positive z on every branch at order N: the tiny series; Miller with
-    j_0, j_1 by their series (z < 0.1) and by the closed form, renormalized
-    for z <= 1e-3 at high N; upward recurrence on both sides of z = N."""
+    """Positive z on every branch at order N: the series from 1e-12 to 1;
+    Miller from 1 to N; upward recurrence on both sides of z = N."""
     rng = np.random.default_rng(seed + N)
     return np.concatenate([
         rng.uniform(1e-12, 1e-8, 3),
@@ -227,6 +236,38 @@ def seeded_real_arguments(N, seed=2024):
         N + rng.uniform(1e-9, 50.0, 8),
         rng.uniform(50.0, 3000.0, 4),
     ])
+
+
+def series_reference_jn(n: int, z) -> complex:
+    """z^n/(2n+1)!! 0F1(; n + 3/2; -z^2/4) at 40 digits: entire in z, so
+    right on the negative axis too, where sqrt(pi/(2z)) J_{n+1/2} is not."""
+    zz = mp.mpc(z) if isinstance(z, complex) else mp.mpf(z)
+    return complex(zz**n / mp.fac2(2 * n + 1) * mp.hyp0f1(n + 1.5, -zz * zz / 4))
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 5, 27, 62, 120])
+def test_series_accuracy_below_one(N):
+    # every order of the sequence, the sum and the table within 2 (n + 4)
+    # eps relative of the series (plus an ulp per order where j_n leaves
+    # the normal range)
+    rng = np.random.default_rng(500 + N)
+    radii = np.concatenate([10.0 ** rng.uniform(-9.0, 0.0, 10),
+                            rng.uniform(0.1, 1.0, 10),
+                            [1e-9, 0.112, 0.12, 0.3, 1.0 - 2.0**-52]]).tolist()
+    angles = rng.uniform(-math.pi, math.pi, len(radii)).tolist()
+    cplx = [r * complex(math.cos(t), math.sin(t)) for r, t in zip(radii, angles)]
+    eps = np.finfo(float).eps
+    for z in radii + [-r for r in radii] + cplx + [0.0458 - 0.1104j]:
+        rows = [spherical_j_sequence(N, z).tolist()]
+        if not isinstance(z, complex) and z > 0.0:
+            rows.append(spherical_j_table(N, np.array([z]))[:, 0].tolist())
+        for n in range(N + 1):
+            unit = [0.0] * (N + 1)
+            unit[n] = 1.0
+            ref = series_reference_jn(n, z)
+            bound = 2 * (n + 4) * (eps * abs(ref) + 5e-324)
+            for value in [row[n] for row in rows] + [spherical_j_sum(unit, z)]:
+                assert abs(value - ref) <= bound, (z, n, abs(value - ref) / bound)
 
 
 @pytest.mark.parametrize("N", BIT_ORDERS)
@@ -240,15 +281,6 @@ def test_sequence_bits_equal_the_straightforward_recurrence(N):
     for z in real + [-z for z in real] + cplx:
         seq, ref = spherical_j_sequence(N, z), sequence_reference(N, z)
         assert seq.dtype == ref.dtype and np.array_equal(seq, ref), z
-
-
-def test_renormalized_miller_bits():
-    # at N = 120 the downward run from z <= 1e-3 passes 1e250: the
-    # renormalizing loop, not the two-run one
-    for z in np.geomspace(1e-8, 1e-3, 12).tolist():
-        for w in (z, complex(z, z / 3)):
-            assert np.array_equal(spherical_j_sequence(120, w),
-                                  sequence_reference(120, w)), w
 
 
 @pytest.mark.parametrize("N", BIT_ORDERS)
@@ -320,14 +352,13 @@ def test_miller_start_grows_with_the_argument():
         starts = [_miller_start(top, a) for a in np.linspace(1e-8, top, 97)]
         assert starts == sorted(starts)
     assert _miller_start(62, 62.0) == 93
-    # every run, up to the table's top order N_CAP + 1, finds its 2n+1
-    assert max(_miller_start(top, float(top - 1 if top > N_CAP else top))
-               for top in range(1, N_CAP + 2)) < len(_ODD)
+    # every run, up to the top order N_CAP, finds its 2n+1
+    assert max(_miller_start(top, float(top))
+               for top in range(1, N_CAP + 1)) < len(_ODD)
 
 
-#: every branch of the sum: zero, the tiny series, Miller with j_0, j_1 by
-#: their series and by the closed form, a renormalizing run (1e-6 at
-#: N = 120), upward on both sides of |z| = N, real and complex
+#: every branch of the sum: the series (zero and |z| up to 0.78), Miller,
+#: upward on both sides of |z| = N, real and complex
 SUM_ARGUMENTS = [0.0, 1e-9, 1e-6, 0.05, 0.78, math.pi, 26.5, 27.5, 1500.0,
                  -20.0, 3 + 2j, 0.04 - 0.03j, 20 - 15j, 300 + 600j, 1e-7j]
 
