@@ -203,6 +203,17 @@ def test_no_branch_needs_rescaling():
     assert np.array_equal(table[:, 0], spherical_j_sequence(N_CAP, 1e-6))
 
 
+def test_table_renormalizes_tiny_arguments():
+    # at z = 1e-6 an unnormalized run down from order 180 would pass 1e250
+    # many times; the series keeps every column finite and equal to the
+    # sequence
+    z = np.array([1e-6, 1e-4, 0.5])
+    table = spherical_j_table(N_CAP, z)
+    assert np.all(np.isfinite(table))
+    for k, zk in enumerate(z.tolist()):
+        assert np.array_equal(table[:, k], spherical_j_sequence(N_CAP, zk)), zk
+
+
 def test_table_input_validation():
     with pytest.raises(LimitError):
         spherical_j_table(121, np.array([1.0]))
@@ -281,6 +292,15 @@ def test_sequence_bits_equal_the_straightforward_recurrence(N):
     for z in real + [-z for z in real] + cplx:
         seq, ref = spherical_j_sequence(N, z), sequence_reference(N, z)
         assert seq.dtype == ref.dtype and np.array_equal(seq, ref), z
+
+
+def test_renormalized_miller_bits():
+    # at N = 120 an unnormalized downward run from z <= 1e-3 would pass
+    # 1e250: the tiny arguments, real and complex, keep the reference's bits
+    for z in np.geomspace(1e-8, 1e-3, 12).tolist():
+        for w in (z, complex(z, z / 3)):
+            assert np.array_equal(spherical_j_sequence(120, w),
+                                  sequence_reference(120, w)), w
 
 
 @pytest.mark.parametrize("N", BIT_ORDERS)
