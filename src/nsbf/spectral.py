@@ -8,9 +8,9 @@ endpoint.  The solver works in three stages, batched over many omegas:
   ``char_values`` call per window of at most SCAN_WINDOW points, brackets
   every sign change;
 * refine: safeguarded Newton on all brackets of a window together, from
-  the root of the cubic Hermite interpolant through each bracket's ends;
-  a step that leaves its bracket or fails to halve falls back to
-  bisection;
+  the root of the degree-7 Hermite interpolant of s through the four scan
+  points around each bracket; a step that leaves its bracket or fails to
+  halve the previous Newton step falls back to bisection;
 * certify: a Newton point w whose previous step was small enough
   (CERTIFY_STEP) is evaluated together with w -+ BRACKET_TOL * max(1, w)
   / 2, each end one spacing of w inward.  Where s changes sign across
@@ -19,8 +19,8 @@ endpoint.  The solver works in three stages, batched over many omegas:
   on.  A bracket that bisection narrows to the tolerance closes its root.
 
 Refine and certify share one ``char_values`` call per pass, which also
-gives each finished root its residual |s(omega)|: typically three calls a
-window after its scan.
+gives each finished root its residual |s(omega)|: typically two calls a
+window after its scan, the second certifying every root.
 Results are indexed from 1 in increasing order.  ``char_function`` stays
 the scalar entry point.  ``asymptotic_eigenvalue`` gives the large-index
 estimate on any interval, for comparison with the computed values.
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -53,11 +54,26 @@ SCAN_WINDOW = 4096
 #: to it was at most CERTIFY_STEP sqrt(BRACKET_TOL max(1, w)): Newton's
 #: error after a step d is about K d^2, so w is then predicted within half
 #: the tolerance for K up to about 1/(2 CERTIFY_STEP^2).  A seed-1 round
-#: of the benchmark's spectrum workload evaluates s per root 8.68 times at
-#: 0.3, 8.48 at 1, 8.38 at 2, 8.33 at 3, 8.30 at 4, 8.29 at 5, 8.30 at 6
-#: and 8.43 at 10; every request takes four calls from 1 up, and 16 of its
-#: 56 take a fifth at 0.3 (a separate certificate pass took 9.22 in five)
+#: of the benchmark's spectrum workload evaluates s per root 8.037 times at
+#: each of 1, 2, 3, 4, 5, 6 and 10, every request in three calls, and 8.041
+#: times at 0.3, where 32 of its 56 requests take a fourth call
 CERTIFY_STEP = 5.0
+#: the inverse of the conditions p(k) = s_k, p'(k) = s'_k (k = 0..3) on the
+#: coefficients c_i of t^i in a degree-7 polynomial p, exact in 108ths; the
+#: interleaved rows 2i + 1, (i + 1) c_{i+1}, are those of p', so that one
+#: Horner pass evaluates p and p'
+_SEPTIC = np.array([
+    [108, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 108, 0, 0, 0],
+    [-873, 0, 729, 144, -396, -972, -486, -36],
+    [1691, 972, -2187, -476, 579, 2592, 1539, 120],
+    [-1410, -1620, 2430, 600, -432, -2619, -1836, -153],
+    [602, 999, -1242, -359, 174, 1269, 1026, 93],
+    [-129, -270, 297, 102, -36, -297, -270, -27],
+    [11, 27, -27, -11, 3, 27, 27, 3],
+]) / 108
+_SEPTIC = np.stack([_SEPTIC, np.roll(np.arange(8)[:, None] * _SEPTIC, -1, 0)],
+                   axis=1).reshape(16, 8)
 
 
 @dataclass(frozen=True)
@@ -130,31 +146,40 @@ def _shrink(bracket, i, w, s):
     hi[i[to_hi]], s_hi[i[to_hi]] = w[to_hi], s[to_hi]
 
 
-def _hermite_root(lo, hi, s_lo, s_hi, ds_lo, ds_hi):
-    """A root in [lo, hi] of the cubic Hermite interpolant of s through
-    both bracket ends: four Newton steps on it from the secant point, or
-    the midpoint where they end outside the bracket or at nan."""
-    h = hi - lo
-    f0, f1, d0, d1 = s_lo, s_hi, h * ds_lo, h * ds_hi
-    # p(t) = f0 + d0 t + c2 t^2 + c3 t^3 with p(1) = f1, p'(1) = d1
-    c2 = 3.0 * (f1 - f0) - 2.0 * d0 - d1
-    c3 = 2.0 * (f0 - f1) + d0 + d1
+def _seed(scan, h, cells, lo, hi):
+    """A point of each bracket [lo, hi]: the root in scan cell ``cells`` of
+    the degree-7 Hermite interpolant of s through the four points of
+    ``scan`` (rows s and h ds/domega, step h) centred on the cell, or
+    shifted inward at its ends, by three Newton steps from the secant
+    point; clipped into the bracket, a nan to lo."""
+    n, k = scan.shape[1], cells.size
+    start = np.minimum(np.maximum(cells - 1, 0), n - 4)
+    cell = cells - start
+    # the four values, then the four slopes, of each stencil
+    f = scan.take(start + (np.arange(4) + [[0], [n]]).reshape(8, 1))
+    # row i: the coefficients of t^i in p of every cell, then in p'
+    c = (_SEPTIC @ f).reshape(8, 2 * k)
+    s0, s1 = scan[0][cells], scan[0][cells + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = f0 / (f0 - f1)
-        for _ in range(4):
-            p = f0 + t * (d0 + t * (c2 + t * c3))
-            t = t - p / (d0 + t * (2.0 * c2 + 3.0 * t * c3))
-    return np.where((t >= 0.0) & (t <= 1.0), lo + t * h, 0.5 * (lo + hi))
+        t = cell + s0 / (s0 - s1)
+        for _ in range(3):
+            tt = np.concatenate([t, t])
+            p = c[7]
+            for c_i in c[6::-1]:
+                p = p * tt + c_i
+            t = t - p[:k] / p[k:]
+    return np.fmin(np.fmax(lo + h * (t - cell), lo), hi)
 
 
-def _refine(problem: EigProblem, lo, hi, s_lo, s_hi, ds_lo, ds_hi):
-    """Refine every bracket at once: (omega, residual, lo, hi), with
-    [lo, hi] the final bracket.
+def _refine(problem: EigProblem, omega, lo, hi, s_lo, s_hi):
+    """Refine every bracket at once from its seed ``omega`` (overwritten):
+    (omega, residual, lo, hi), with [lo, hi] the final bracket.
 
-    Safeguarded Newton from the root of the cubic Hermite interpolant
-    through both bracket ends: a step that leaves its bracket or is not at
-    most half the previous step (a step that is not finite is neither) is
-    replaced by bisection, and every evaluation moves a bracket end in.
+    Safeguarded Newton from the seed: a step that leaves its bracket or is
+    not at most half the previous Newton step (a step that is not finite
+    is neither) is replaced by bisection, and every evaluation moves a
+    bracket end in.  A bisection halves the bracket, so the Newton step
+    after it need only stay inside.
     A Newton point w whose previous step was at most CERTIFY_STEP
     sqrt(BRACKET_TOL max(1, w)) is evaluated together with w -+ half that
     tolerance, its ends one spacing of w inward so that their rounding
@@ -173,7 +198,6 @@ def _refine(problem: EigProblem, lo, hi, s_lo, s_hi, ds_lo, ds_hi):
     bracket = lo, hi, s_lo, s_hi = [
         np.array(a, dtype=float) for a in (lo, hi, s_lo, s_hi)
     ]
-    omega = _hermite_root(lo, hi, s_lo, s_hi, ds_lo, ds_hi)
     residual = np.zeros(len(lo))
     last_step = hi - lo
     todo, closed = np.flatnonzero(lo < hi), np.flatnonzero(lo == hi)
@@ -215,7 +239,7 @@ def _refine(problem: EigProblem, lo, hi, s_lo, s_hi, ds_lo, ds_hi):
         )
         nxt = np.where(take, w + step, 0.5 * (lo_t + hi_t))
         omega[todo] = np.where(done, w, nxt)
-        last_step[todo] = np.abs(nxt - w)
+        last_step[todo] = np.where(take, np.abs(nxt - w), np.inf)
         narrow = hi_t - lo_t <= tol
         closed, todo = todo[narrow & ~done], todo[~narrow]
     return omega, residual, lo, hi
@@ -231,7 +255,8 @@ def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
     (count + 2) pi/b, each later one max(5, roots still missing + 2) pi/b
     (pi/b is the asymptotic root spacing), and none holds more than
     SCAN_WINDOW points, so a batch stays small whatever the count.  The
-    scan ends at h_scan + 10 (count + 2) pi/b.
+    scan ends at h_scan + 10 (count + 2) pi/b.  Seeds may use the previous
+    window's last three points: the last window can hold as few as two.
 
     Raises
     ------
@@ -248,10 +273,12 @@ def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
 
     results = []
     lo_edge = h
+    back = np.empty((2, 0))
     while True:
         n_cells = max(1, int(math.ceil((hi_target - lo_edge) / h)))
         omegas = lo_edge + h * np.arange(min(n_cells, SCAN_WINDOW - 1) + 1)
         values, slopes = char_values(model, omegas, problem.representation)
+        scan = np.concatenate([back, [values, h * slopes]], axis=1)
         s0, s1 = values[:-1], values[1:]
         exact = s0 == 0.0
         # a zero at the right end is the next cell's exact zero
@@ -260,12 +287,13 @@ def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
         if cells.size:
             # an exact zero at a scan point is its own degenerate bracket
             end = cells + ~exact[cells]
+            lo, hi = omegas[cells], omegas[end]
+            seed = _seed(scan, h, cells + back.shape[1], lo, hi)
             omega, residual, lo, hi = _refine(
-                problem, omegas[cells], omegas[end], values[cells],
-                values[end], slopes[cells], slopes[end],
+                problem, seed, lo, hi, values[cells], values[end]
             )
             index = range(len(results) + 1, len(results) + omega.size + 1)
-            results += map(EigResult._make, zip(
+            results += map(tuple.__new__, repeat(EigResult), zip(
                 index, omega.tolist(), (omega * omega).tolist(),
                 residual.tolist(), (hi - lo).tolist(), lo.tolist(),
                 hi.tolist(),
@@ -279,6 +307,7 @@ def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
                 f"[{h:.6g}, {limit:.6g}]"
             )
         lo_edge = omegas[-1]
+        back = scan[:, -4:-1]
         hi_target = min(
             limit, lo_edge + max(5, count - len(results) + 2) * math.pi / b
         )

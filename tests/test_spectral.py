@@ -57,6 +57,17 @@ class TestFindEigenvalues:
             assert abs(r.lam - r.index**2) <= 1e-12
         assert [r.index for r in res] == list(range(1, 11))
 
+    @pytest.mark.parametrize("rep", ["improved", "plain"])
+    def test_zero_potential_roots_on_scan_points(self, model_zero, rep):
+        # every omega_n = n is the scan point 4n - 1 on [0, pi]: the sign of
+        # s there puts the root in the cell on one side or the other, and
+        # its seed is clipped into that cell
+        res = find_eigenvalues(EigProblem(model_zero, representation=rep),
+                               460)
+        lam = np.array([r.lam for r in res])
+        n2 = np.arange(1.0, 461.0) ** 2
+        assert np.all(np.abs(lam - n2) <= 2e-13 * n2)
+
     def test_constant_potential(self, model_one):
         res = find_eigenvalues(EigProblem(model_one), 20)
         for r in res:
@@ -101,6 +112,34 @@ class TestFindEigenvalues:
         res = find_eigenvalues(EigProblem(model_zero), 2)
         assert res[0].omega == c
         assert res[1].omega == pytest.approx(c2, rel=1e-13)
+
+    def test_short_last_window_borrows_its_stencil(
+        self, model_zero, monkeypatch
+    ):
+        # windows of 8 points (7 cells of h = 1/4) from h leave two points,
+        # [30, 30.25], to the last window before the range ends at h + 30.
+        # The seed's stencil takes the previous window's last three points,
+        # so the seed of s = w - 30.1, which any stencil reproduces, is its
+        # root
+        monkeypatch.setattr(spectral, "SCAN_WINDOW", 8)
+        root = 30.1
+        refine, scans, seeds = spectral._refine, [], []
+
+        def linear(model, omegas, rep):
+            scans.append(omegas)
+            return omegas - root, np.ones(len(omegas))
+
+        def recording(problem, omega, *args):
+            seeds.append((scans[-1], omega.copy()))
+            return refine(problem, omega, *args)
+
+        monkeypatch.setattr(spectral, "char_values", linear)
+        monkeypatch.setattr(spectral, "_refine", recording)
+        res = find_eigenvalues(EigProblem(model_zero), 1)
+        [(window, seed)] = seeds
+        assert window.tolist() == [30.0, 30.25]
+        assert seed[0] == pytest.approx(root, abs=1e-12)
+        assert res[0].omega == pytest.approx(root, rel=1e-13)
 
     def test_explicit_range_scanned_in_bounded_windows(
         self, model_exp, monkeypatch
@@ -231,10 +270,11 @@ class TestBatchedSolver:
     def test_few_calls_and_certified_brackets(
         self, solver_models, monkeypatch, potential, rep
     ):
-        # the scan and three refine passes, fewer than 9 values of s per
-        # root; each root's reported bracket straddles a sign change of s,
-        # and its width is within the tolerance although each end
-        # omega -+ half is rounded.
+        # the scan and two refine passes, the second certifying every root:
+        # at most 8.1 values of s per root (4 (count + 2) + 1 scan points,
+        # then 1 + 3 per root); each root's reported bracket straddles a
+        # sign change of s, and its width is within the tolerance although
+        # each end omega -+ half is rounded.
         model = solver_models[potential]
         batched, calls = spectral.char_values, []
 
@@ -245,8 +285,8 @@ class TestBatchedSolver:
         monkeypatch.setattr(spectral, "char_values", counting)
         res = find_eigenvalues(EigProblem(model, representation=rep), 240)
         assert [r.index for r in res] == list(range(1, 241))
-        assert len(calls) <= 4
-        assert sum(calls) <= 9 * 240
+        assert len(calls) == 3
+        assert sum(calls) <= 8.1 * 240
         omega = np.array([r.omega for r in res])
         width = np.array([r.bracket_width for r in res])
         tol = spectral.BRACKET_TOL * np.maximum(1.0, omega)
@@ -303,6 +343,65 @@ class TestBatchedSolver:
         ), rep)[0]
         assert np.sign(s_a) * np.sign(s_c) <= 0
         assert abs(r.omega - target) <= spectral.BRACKET_TOL * target
+
+    def test_newton_resumes_after_bisection(self, model_zero, monkeypatch):
+        # from a seed at lo, the Newton step to the root just below hi is
+        # more than half the bracket, so the point is bisected; from the
+        # midpoint the exact Newton step, as long as the bisection's move,
+        # is taken: a bisection sets no bound on the next Newton step
+        root = 1.25 - 1e-9
+        calls = []
+
+        def linear(model, omegas, rep):
+            calls.append(len(omegas))
+            return omegas - root, np.ones(len(omegas))
+
+        monkeypatch.setattr(spectral, "char_values", linear)
+        lo, hi = np.array([1.0]), np.array([1.25])
+        omega = spectral._refine(
+            EigProblem(model_zero), lo.copy(), lo, hi, lo - root, hi - root
+        )[0]
+        assert omega[0] == pytest.approx(root, rel=1e-13)
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("window", [spectral.SCAN_WINDOW, 10])
+    @pytest.mark.parametrize("potential", ["0", "1", "exp(x)", "-0.9"])
+    def test_seeds_within_a_certificate_step(
+        self, model_zero, model_one, solver_models, monkeypatch, potential,
+        window,
+    ):
+        # every degree-7 seed is within CERTIFY_STEP sqrt(tol) of its
+        # certified root, so the first Newton step earns the certificate
+        # pair in the next pass.  Windows of 10 points put roots in the
+        # first and last cells of many windows; root 1 of -0.9, 0.316, is in
+        # the scan's first cell, [h, 2 h].
+        monkeypatch.setattr(spectral, "SCAN_WINDOW", window)
+        model = {"0": model_zero, "1": model_one, **solver_models}[potential]
+        batched, refine, scans, seeds = (
+            spectral.char_values, spectral._refine, [], [])
+
+        def recording_scan(model, omegas, *args):
+            scans.append(omegas)
+            return batched(model, omegas, *args)
+
+        def recording_refine(problem, omega, lo, *args):
+            seeds.append((scans[-1], omega.copy(), lo))
+            return refine(problem, omega, lo, *args)
+
+        monkeypatch.setattr(spectral, "char_values", recording_scan)
+        monkeypatch.setattr(spectral, "_refine", recording_refine)
+        res = find_eigenvalues(EigProblem(model), 460)
+        omega = np.array([r.omega for r in res])
+        seed = np.concatenate([s for _, s, _ in seeds])
+        tol = spectral.BRACKET_TOL * np.maximum(1.0, omega)
+        assert np.all(np.abs(seed - omega)
+                      <= spectral.CERTIFY_STEP * np.sqrt(tol))
+        first = sum(np.count_nonzero(lo == w[0]) for w, _, lo in seeds)
+        last = sum(np.count_nonzero(lo == w[-2]) for w, _, lo in seeds)
+        if window == 10:
+            assert first and last
+        elif potential == "-0.9":
+            assert first
 
     def test_bracket_widths_within_tolerance(self):
         # the plain form's s on q = 20 is noisy near its roots; an end moved
@@ -374,6 +473,17 @@ class TestAsymptoticEigenvalue:
     def test_index_validation(self):
         with pytest.raises(ValueError):
             asymptotic_eigenvalue(0, 1.0, PI)
+
+
+def test_septic_matrix_inverts_the_hermite_conditions():
+    # rows 2i map the values and slopes at t = 0..3 to the coefficient of
+    # t^i in the degree-7 Hermite interpolant, rows 2i + 1 to that of p'
+    t, i = np.arange(4.0)[:, None], np.arange(8)
+    conditions = np.vstack([t**i, i * t ** np.maximum(i - 1, 0)])
+    inv = spectral._SEPTIC[0::2]
+    assert np.abs(inv @ conditions - np.eye(8)).max() <= 1e-12
+    assert np.array_equal(spectral._SEPTIC[1::2, :],
+                          np.vstack([i[1:, None] * inv[1:], np.zeros(8)]))
 
 
 @pytest.mark.parametrize("q", ["exp(x)", "1/(x+0.1)^2", "-0.9", "-3"])
