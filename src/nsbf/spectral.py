@@ -24,6 +24,17 @@ window after its scan, the second certifying every root.
 Results are indexed from 1 in increasing order.  ``char_function`` stays
 the scalar entry point.  ``asymptotic_eigenvalue`` gives the large-index
 estimate on any interval, for comparison with the computed values.
+
+The first window's points h_scan (1, 2, 3, ..) depend on b alone, so its
+Bessel table is shared (``char_values(..., shared=True)``): one memo,
+bounded by ``solution.SHARED_TABLE_BYTES`` (4 MiB, least recently used
+out first), keeps a run of the table for each node b and order, which
+every model and form of that order reads, a shorter window by a slice
+and a longer one by computing only the columns past the run.  Every
+eigenvalue has the same bits as without it.  It pays where one process
+solves several spectra at one b and order, as an inverse method's inner
+loop does; a single spectrum gains nothing.  Later windows and the
+refine passes compute their tables as before.
 """
 
 from __future__ import annotations
@@ -277,7 +288,10 @@ def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
     while True:
         n_cells = max(1, int(math.ceil((hi_target - lo_edge) / h)))
         omegas = lo_edge + h * np.arange(min(n_cells, SCAN_WINDOW - 1) + 1)
-        values, slopes = char_values(model, omegas, problem.representation)
+        # the first window's points are a prefix of the one grid
+        # h (1, 2, 3, ..) of this b: its Bessel table is shared
+        values, slopes = char_values(model, omegas, problem.representation,
+                                     shared=back.size == 0)
         scan = np.concatenate([back, [values, h * slopes]], axis=1)
         s0, s1 = values[:-1], values[1:]
         exact = s0 == 0.0

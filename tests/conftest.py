@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from nsbf import build_model
+from nsbf import build_model, solution
 
 PI = math.pi
 
@@ -14,6 +14,13 @@ HOSTILE_NESTINGS = {
     "sin-300": "sin(" * 300 + "x" + ")" * 300,
     "sum-3000": "+".join(["1"] * 3000),
 }
+
+
+@pytest.fixture(autouse=True)
+def empty_shared_tables():
+    """Every test starts with an empty shared Bessel-table memo, so that no
+    result depends on which tests ran before it."""
+    solution._shared_tables.clear()
 
 
 @pytest.fixture(scope="session")
