@@ -57,8 +57,6 @@ import cmath
 import copy
 import math
 import sys
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Union
 
@@ -157,6 +155,11 @@ class SolutionModel:
     # made: a list that with_truncation's shallow copy shares, so the model
     # and all its views make them once
     _tail: list = field(init=False, repr=False, default_factory=list)
+    # (N, improved) -> the spectrum's first scan window (omegas, s, ds/domega)
+    # at x = b, at most SCAN_WINDOW points each: a dict that with_truncation's
+    # shallow copy shares, so every spectrum of the model and its views reads
+    # it (see ``_first_window``)
+    _scan: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.alpha.n_max < self.N + 2:
@@ -186,8 +189,9 @@ class SolutionModel:
         """A view of the same tables truncated at a smaller N.
 
         A shallow copy, so the complex128 copies, the per-node Python
-        numbers and the surrogate's tail rows are shared too; a smaller N
-        passes the table-extent checks that this model passed.
+        numbers, the surrogate's tail rows and the kept scan windows are
+        shared too; a smaller N passes the table-extent checks that this
+        model passed.
         """
         if not 0 <= N <= self.N:
             raise ValueError(f"N must be in [0, {self.N}], got {N}")
@@ -407,61 +411,8 @@ def _evaluate(model: SolutionModel, omega, x_index: int, improved: bool,
     return u
 
 
-#: bytes of Bessel table that ``_shared_table`` keeps: two first scan
-#: windows of 4,096 points at the highest order, TRUNCATION_CAP + 2 = 62
-#: (2.06 MB each), or the four tables of the benchmark's spectrum workload
-#: (orders 15, 17, 25 and 27 at x = pi, 1,849 points: 1.30 MB).  It bounds
-#: what the memo adds to peak RSS: a process solving those spectra peaked
-#: 1.0 MB higher with the memo than without (59.3 against 58.3 MB), and
-#: 3.8 MB higher after filling it to 3.4 MB at orders 30 to 62, below a
-#: tenth of the 64 MB at which the benchmark's spectrum process peaks
-SHARED_TABLE_BYTES = 4 << 20
-#: (x, order) -> (z, its table), the least recently used first
-_shared_tables: OrderedDict = OrderedDict()
-_shared_lock = threading.Lock()
-
-
-def _shared_table(x: float, N: int, z: np.ndarray) -> np.ndarray:
-    """``spherical_j_table(N, z)`` for z = omega x, through a memo that
-    every model shares.
-
-    Each key (x, N) keeps one run of arguments with its table, read-only.
-    A z that the run starts with is served by a slice of the table; a z
-    that starts with the run has only the columns past it computed and
-    appended, as a column does not depend on its batch.  Any other z is
-    computed whole and replaces the run.  While the memo holds more than
-    SHARED_TABLE_BYTES the least recently used keys go; a table larger
-    than that is not kept.  A run is only ever replaced whole, so threads
-    that race on one key at most compute a table twice.
-    """
-    key = (x, N)
-    with _shared_lock:
-        run = _shared_tables.get(key)
-        if run is not None:
-            _shared_tables.move_to_end(key)
-    table = None
-    if run is not None:
-        z_run, old = run
-        m = z_run.size
-        if z.size <= m and np.array_equal(z, z_run[: z.size]):
-            return old[:, : z.size]
-        if np.array_equal(z[:m], z_run):
-            table = np.concatenate([old, spherical_j_table(N, z[m:])], axis=1)
-    if table is None:
-        table = spherical_j_table(N, z)
-    table.flags.writeable = False
-    with _shared_lock:
-        _shared_tables.pop(key, None)
-        if table.nbytes <= SHARED_TABLE_BYTES:
-            used = sum(t.nbytes for _, t in _shared_tables.values())
-            while used + table.nbytes > SHARED_TABLE_BYTES:
-                used -= _shared_tables.popitem(last=False)[1][1].nbytes
-            _shared_tables[key] = z, table
-    return table
-
-
 def _series(model: SolutionModel, omega: np.ndarray, x_index: int,
-            improved: bool, shared: bool = False):
+            improved: bool):
     """(s, ds/domega) at x_j for a real potential and a 1-D ndarray of real
     omega > 0, where s = Im u_N(omega, x_j)/omega (see ``_assemble``).
 
@@ -469,8 +420,7 @@ def _series(model: SolutionModel, omega: np.ndarray, x_index: int,
     j_n'(z) = j_{n-1}(z) - (n+1) j_n(z)/z (DLMF 10.51.2) and j_0' = -j_1.
     It refuses as ``_evaluate`` does, at the first omega where s or ds is
     not finite, or at the largest if the improved form's omega^2 is not,
-    or at the first where the improved form keeps no digit of s.  With
-    ``shared`` the Bessel table comes through ``_shared_table``.
+    or at the first where the improved form keeps no digit of s.
     """
     table, n_top = ((model._alpha_c, model.N + 2) if improved
                     else (model._beta_c, model.N))
@@ -480,9 +430,7 @@ def _series(model: SolutionModel, omega: np.ndarray, x_index: int,
         raise LimitError(_PHASE_LOST.format(x))
     with np.errstate(all="ignore"):
         z = omega * x
-        order = max(n_top, 1)  # j_0' = -j_1 needs j_1
-        jn = (_shared_table(x, order, z) if shared
-              else spherical_j_table(order, z))
+        jn = spherical_j_table(max(n_top, 1), z)  # j_0' = -j_1 needs j_1
         e = np.empty(z.shape, dtype=complex)
         np.cos(z, out=e.real)
         np.sin(z, out=e.imag)
@@ -564,9 +512,43 @@ def sine_solution(
     _refuse(omega, _FORMS[improved])
 
 
+def _first_window(model: SolutionModel, omega: np.ndarray, improved: bool):
+    """``_series`` at x = b on the spectrum's first scan window, through
+    the run that the model keeps for its truncation and form.
+
+    That window's points h_scan (1, 2, 3, ..) depend on the model alone, so
+    every spectrum of the model and of its views at one truncation and form
+    asks for a prefix of one grid.  A window that the run starts with is
+    served by a slice of it; one that starts with the run has only its
+    points past the run evaluated and appended, as no value of ``_series``
+    depends on the others in its batch; any other window is evaluated whole
+    and replaces the run.  A run is read-only and replaced whole, so threads
+    that race on one key at most evaluate a window twice.
+    """
+    key, M = (model.N, improved), model.grid.M
+    run = model._scan.get(key)
+    if run is None:
+        s, ds = _series(model, omega, M, improved)
+    else:
+        w, s, ds = run
+        n, m = omega.size, w.size
+        if n <= m and np.array_equal(omega, w[:n]):
+            return s[:n], ds[:n]
+        if np.array_equal(omega[:m], w):
+            more = _series(model, omega[m:], M, improved)
+            s, ds = (np.concatenate(pair) for pair in zip((s, ds), more))
+        else:
+            s, ds = _series(model, omega, M, improved)
+    run = omega.copy(), s, ds
+    for a in run:
+        a.flags.writeable = False
+    model._scan[key] = run
+    return s, ds
+
+
 def char_values(
     model: SolutionModel, omegas: np.ndarray, representation: str = "improved",
-    *, shared: bool = False,
+    *, _shared: bool = False,
 ):
     """(s, ds/domega) at x = b for an array of real omegas > 0, where
     s(omega, b) = Im u_N(omega, b)/omega; either form refuses them unless
@@ -574,18 +556,15 @@ def char_values(
 
     The batched form of ``sine_solution`` at x = b for a real potential:
     one Bessel table for all omegas, the derivative from that of u_N.
-    With ``shared`` that table is kept in, and served from, the memo that
-    every model with the same node b and table order shares
-    (``_shared_table``): it pays where many calls, on any models, pass
-    omegas that start with the same run, as the spectrum's first scan
-    window does.  The values are the same bits either way.
     """
     if model.is_complex:
         raise ValueError("char_values needs a real potential")
     w = np.asarray(omegas, dtype=float)
     if w.ndim != 1 or not np.all(w > 0):
         raise ValueError("char_values needs a 1-D array of omega > 0")
-    return _series(model, w, model.grid.M, _improved(representation), shared)
+    if _shared:
+        return _first_window(model, w, _improved(representation))
+    return _series(model, w, model.grid.M, _improved(representation))
 
 
 def _surrogate_row(model: SolutionModel, n: int):

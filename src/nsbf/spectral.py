@@ -25,16 +25,16 @@ Results are indexed from 1 in increasing order.  ``char_function`` stays
 the scalar entry point.  ``asymptotic_eigenvalue`` gives the large-index
 estimate on any interval, for comparison with the computed values.
 
-The first window's points h_scan (1, 2, 3, ..) depend on b alone, so its
-Bessel table is shared (``char_values(..., shared=True)``): one memo,
-bounded by ``solution.SHARED_TABLE_BYTES`` (4 MiB, least recently used
-out first), keeps a run of the table for each node b and order, which
-every model and form of that order reads, a shorter window by a slice
-and a longer one by computing only the columns past the run.  Every
-eigenvalue has the same bits as without it.  It pays where one process
-solves several spectra at one b and order, as an inverse method's inner
-loop does; a single spectrum gains nothing.  Later windows and the
-refine passes compute their tables as before.
+The first window's points h_scan (1, 2, 3, ..) depend on the model alone,
+so the model keeps s and ds/domega on them, one run for each truncation
+and form, which its views share (``solution._first_window``): a later
+spectrum of the model reads a shorter window as a slice of the run and
+evaluates only the points past it for a longer one.  A run holds at most
+SCAN_WINDOW points and lives as long as the model.  Every eigenvalue has
+the same bits as without it.  It pays where one model serves several
+spectra at one truncation and form, as a prebuilt model serving requests
+does; a model solved once, as by ``nsbf eigs`` or ``nsbf bench``, gains
+nothing.  Later windows and the refine passes are evaluated as before.
 """
 
 from __future__ import annotations
@@ -288,10 +288,10 @@ def find_eigenvalues(problem: EigProblem, count: int) -> list[EigResult]:
     while True:
         n_cells = max(1, int(math.ceil((hi_target - lo_edge) / h)))
         omegas = lo_edge + h * np.arange(min(n_cells, SCAN_WINDOW - 1) + 1)
-        # the first window's points are a prefix of the one grid
-        # h (1, 2, 3, ..) of this b: its Bessel table is shared
+        # the first window is a prefix of the one grid h (1, 2, 3, ..) of
+        # this model: every spectrum of the model reads the run it keeps
         values, slopes = char_values(model, omegas, problem.representation,
-                                     shared=back.size == 0)
+                                     _shared=back.size == 0)
         scan = np.concatenate([back, [values, h * slopes]], axis=1)
         s0, s1 = values[:-1], values[1:]
         exact = s0 == 0.0

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from nsbf import build_model, solution
+from nsbf import build_model
 
 PI = math.pi
 
@@ -16,26 +16,38 @@ HOSTILE_NESTINGS = {
 }
 
 
+#: the session's shared models, as they are built
+_SESSION_MODELS = []
+
+
+def _session_model(*args):
+    model = build_model(*args)
+    _SESSION_MODELS.append(model)
+    return model
+
+
 @pytest.fixture(autouse=True)
-def empty_shared_tables():
-    """Every test starts with an empty shared Bessel-table memo, so that no
-    result depends on which tests ran before it."""
-    solution._shared_tables.clear()
+def empty_kept_scan_windows():
+    """Every test starts with the session models keeping no scan window
+    (``SolutionModel._scan``), so that no result depends on which tests ran
+    before it."""
+    for model in _SESSION_MODELS:
+        model._scan.clear()
 
 
 @pytest.fixture(scope="session")
 def model_zero():
-    return build_model("0", PI, 1998, 10)
+    return _session_model("0", PI, 1998, 10)
 
 
 @pytest.fixture(scope="session")
 def model_one():
-    return build_model("1", PI, 1998, 25)
+    return _session_model("1", PI, 1998, 25)
 
 
 @pytest.fixture(scope="session")
 def model_exp():
-    return build_model("exp(x)", PI, 1998, 25)
+    return _session_model("exp(x)", PI, 1998, 25)
 
 
 def const_q_solution(q0: float, omega: float, x: float) -> complex:

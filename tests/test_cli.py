@@ -228,7 +228,7 @@ class TestEigsCommand:
 
     def test_range_exhaustion_exit_4(self, monkeypatch):
         # a characteristic function without a sign change scans to the end
-        def no_sign_change(model, omegas, rep, shared=False):
+        def no_sign_change(model, omegas, rep, _shared=False):
             return np.ones(len(omegas)), np.zeros(len(omegas))
 
         monkeypatch.setattr(spectral, "char_values", no_sign_change)
@@ -258,7 +258,7 @@ ERROR_COMMANDS = {
     "RangeExhaustedError": (
         4, ["eigs", "--potential", "0", "--count", "10", "--M", "600",
             "--N", "8"], ("spectral", "char_values",
-                          lambda model, w, rep, shared=False: (
+                          lambda model, w, rep, _shared=False: (
                               np.ones(len(w)), np.zeros(len(w))))),
     "OracleError": (
         5, ["bench", "--potential", "0", "--count", "5", "--M", "600",

@@ -19,7 +19,6 @@ from nsbf import (
     char_function,
     char_values,
     find_eigenvalues,
-    spherical_j_table,
 )
 
 PI = math.pi
@@ -94,7 +93,7 @@ class TestFindEigenvalues:
 
     def test_explicit_range_exhaustion(self, model_zero, monkeypatch):
         # a characteristic function without a sign change scans to the end
-        def no_sign_change(model, omegas, rep, shared=False):
+        def no_sign_change(model, omegas, rep, _shared=False):
             return np.ones(len(omegas)), np.zeros(len(omegas))
 
         monkeypatch.setattr(spectral, "char_values", no_sign_change)
@@ -110,7 +109,7 @@ class TestFindEigenvalues:
         c = h + h * 2.0
         c2 = c + 2.5 * h
 
-        def two_roots(model, omegas, rep, shared=False):
+        def two_roots(model, omegas, rep, _shared=False):
             return (omegas - c) * (c2 - omegas), c + c2 - 2.0 * omegas
 
         monkeypatch.setattr(spectral, "char_values", two_roots)
@@ -130,7 +129,7 @@ class TestFindEigenvalues:
         root = 30.1
         refine, scans, seeds = spectral._refine, [], []
 
-        def linear(model, omegas, rep, shared=False):
+        def linear(model, omegas, rep, _shared=False):
             scans.append(omegas)
             return omegas - root, np.ones(len(omegas))
 
@@ -530,20 +529,25 @@ def _bits(results):
 
 
 def _scan_grid(model, points):
-    """The Bessel arguments omega x_b of the scan's first ``points``."""
+    """The scan's first ``points`` omegas on the model."""
     h = EigProblem(model).h_scan
-    return (h + h * np.arange(points)) * model._x[model.grid.M]
+    return h + h * np.arange(points)
 
 
-class TestSharedScanTable:
-    """The first scan window's Bessel table is kept in a memo that every
-    model with the same node b and table order shares."""
+def _unshared(model, w, rep, _shared=False):
+    """``char_values`` as it is without the kept scan windows."""
+    return solution.char_values(model, w, rep)
+
+
+class TestKeptScanWindow:
+    """A model keeps s and ds on its first scan window, one run for each
+    truncation and form, which every spectrum of it and its views reads."""
 
     POTENTIALS = ("exp(x)", "1/(x+0.1)^2", "-0.9", "-3")
 
     @pytest.fixture(scope="class")
     def models(self, model_exp):
-        # a second key: b = 2, M = 600
+        # a second interval: b = 2, M = 600
         return {
             **{(q, PI): build_model(q, PI, 1998, 25)
                for q in self.POTENTIALS if q != "exp(x)"},
@@ -558,48 +562,55 @@ class TestSharedScanTable:
             models[case[:2]].with_truncation(case[2]), case[3]), case[4]))
             for case in cases}
 
-    def test_results_identical_whatever_the_memo_holds(self, models,
-                                                       monkeypatch):
-        # (q, b, N, form, count), each solved without the memo, then with a
-        # memo emptied before each request (cold), in one shuffled order
-        # that interleaves the models at each b (runs are made, extended
-        # and sliced), again with every run in place (warm), and from an
-        # emptied memo with the counts rising (each run extended twice)
+    @staticmethod
+    def empty(models):
+        for model in models.values():
+            model._scan.clear()
+
+    def test_results_identical_whatever_the_models_keep(self, models,
+                                                        monkeypatch):
+        # (q, b, N, form, count), each solved without the kept windows, then
+        # with every run emptied before each request (cold), in one shuffled
+        # order that interleaves the models at each b (runs are made,
+        # extended and sliced), again with every run in place (warm), and
+        # from emptied runs with the counts rising (each run extended twice)
         cases = [(*key, N, rep, count) for key in models for N in (15, 25)
                  for rep in ("improved", "plain") for count in (20, 240, 460)]
-        batched = spectral.char_values
+        self.empty(models)
         with monkeypatch.context() as m:
-            m.setattr(spectral, "char_values",
-                      lambda model, w, rep, shared=False: batched(model, w,
-                                                                  rep))
+            m.setattr(spectral, "char_values", _unshared)
             unshared = self.solve(models, cases)
-        assert not solution._shared_tables
+        assert not any(model._scan for model in models.values())
         for case in cases:
-            solution._shared_tables.clear()
+            self.empty(models)
             assert self.solve(models, [case])[case] == unshared[case]
         shuffled = cases[:]
         random.Random(34).shuffle(shuffled)
-        solution._shared_tables.clear()
+        self.empty(models)
         assert self.solve(models, shuffled) == unshared
         assert self.solve(models, cases) == unshared
-        solution._shared_tables.clear()
+        self.empty(models)
         rising = sorted(cases, key=lambda case: case[4])
         assert self.solve(models, rising) == unshared
-        # orders N and N + 2 at each b, each a run of 4 (460 + 2) + 1 points
-        assert sorted(solution._shared_tables) == [
-            (b, top) for b in (2.0, PI) for top in (15, 17, 25, 27)]
-        for z, table in solution._shared_tables.values():
-            assert z.size == table.shape[1] == 1849
+        # truncations 15 and 25 in each form, on the model that its views
+        # share; each a run of 4 (460 + 2) + 1 points
+        for key, model in models.items():
+            assert sorted(model._scan) == [(15, False), (15, True),
+                                           (25, False), (25, True)]
+            for w, s, ds in model._scan.values():
+                assert np.array_equal(w, _scan_grid(model, 1849))
+                assert s.size == ds.size == 1849
 
-    def test_longer_window_computes_only_its_new_columns(self, model_exp,
+    def test_longer_window_evaluates_only_its_new_points(self, model_exp,
                                                          monkeypatch):
-        table, calls = solution.spherical_j_table, []
+        series, calls = solution._series, []
 
-        def recording(N, z):
-            calls.append(z)
-            return table(N, z)
+        def recording(model, omega, *args):
+            calls.append(omega)
+            return series(model, omega, *args)
 
-        monkeypatch.setattr(solution, "spherical_j_table", recording)
+        monkeypatch.setattr(solution, "_series", recording)
+        model_exp._scan.clear()
         grid = _scan_grid(model_exp, 1849)
         # first windows of 89, 969 and 1849 points, then 969 again
         for count, start, stop in ((20, 0, 89), (240, 89, 969),
@@ -607,87 +618,84 @@ class TestSharedScanTable:
             calls.clear()
             find_eigenvalues(EigProblem(model_exp), count)
             if start is None:
-                assert not any(np.isin(z, grid).any() for z in calls)
+                assert not any(np.isin(w, grid).any() for w in calls)
             else:
                 assert np.array_equal(calls[0], grid[start:stop])
-                assert not any(np.isin(z, grid).any() for z in calls[1:])
+                assert not any(np.isin(w, grid).any() for w in calls[1:])
 
     @pytest.mark.parametrize("rep", ["improved", "plain"])
-    def test_window_of_another_length_or_b(self, model_exp, monkeypatch, rep):
-        # a run stored from 10-point windows is extended by the default
-        # window, and b = 2 keeps its own run although its arguments
-        # z_k = (k + 1) pi/4 differ from those at b = pi by rounding alone
-        other = build_model("exp(x)", 2.0, 600, 25)
-        batched = spectral.char_values
+    def test_window_of_another_length_or_truncation(self, model_exp,
+                                                    monkeypatch, rep):
+        # a run kept from 10-point windows is extended by the default
+        # window, and a view at N = 15 keeps its own run in the dict it
+        # shares with the model
+        view = model_exp.with_truncation(15)
 
         def spectrum(model, window, shared):
             with monkeypatch.context() as m:
                 m.setattr(spectral, "SCAN_WINDOW", window)
                 if not shared:
-                    m.setattr(spectral, "char_values",
-                              lambda model, w, rep, shared=False:
-                              batched(model, w, rep))
+                    m.setattr(spectral, "char_values", _unshared)
                 return _bits(find_eigenvalues(
                     EigProblem(model, representation=rep), 240))
 
+        model_exp._scan.clear()
         default = spectral.SCAN_WINDOW
-        for model in (model_exp, other, model_exp):
+        for model in (model_exp, view, model_exp):
             for window in (10, default):
                 assert (spectrum(model, window, True)
                         == spectrum(model, window, False))
-        top = 27 if rep == "improved" else 25
-        assert sorted(solution._shared_tables) == [(2.0, top), (PI, top)]
-        for model in (model_exp, other):
-            z, _ = solution._shared_tables[model._x[model.grid.M], top]
-            assert np.array_equal(z, _scan_grid(model, 969))
+        improved = rep == "improved"
+        assert view._scan is model_exp._scan
+        assert sorted(model_exp._scan) == [(15, improved), (25, improved)]
+        for w, _, _ in model_exp._scan.values():
+            assert np.array_equal(w, _scan_grid(model_exp, 969))
 
-    def test_arguments_off_the_run_are_computed(self):
-        # a prefix of the run with one argument one spacing off, and a
-        # longer run that starts so, are computed whole and replace the run
-        z = _scan_grid(build_model("0", PI, 600, 8), 100)
-        for off in (z[:50].copy(), np.concatenate([z, z[-10:] + 1.0])):
-            solution._shared_tables.clear()
-            solution._shared_table(PI, 10, z)
+    def test_points_off_the_run_are_evaluated(self, model_exp):
+        # a prefix of the run with one point one spacing off, and a longer
+        # window that starts so, are evaluated whole and replace the run
+        w = _scan_grid(model_exp, 100)
+        for off in (w[:50].copy(), np.concatenate([w, w[-10:] + 1.0])):
+            model_exp._scan.clear()
+            char_values(model_exp, w, _shared=True)
             off[7] = np.nextafter(off[7], 0.0)
-            got = solution._shared_table(PI, 10, off)
-            assert np.array_equal(got, spherical_j_table(10, off))
-            stored, table = solution._shared_tables[PI, 10]
-            assert stored is off and table is got
+            got = char_values(model_exp, off, _shared=True)
+            want = char_values(model_exp, off)
+            assert all(map(np.array_equal, got, want))
+            kept = model_exp._scan[25, True]
+            assert np.array_equal(kept[0], off) and kept[0] is not off
+            assert kept[1] is got[0] and kept[2] is got[1]
         # a prefix is a view of the run: read-only
-        head = solution._shared_table(PI, 10, off[:20])
-        assert not head.flags.writeable
-        assert np.array_equal(head, spherical_j_table(10, off[:20]))
+        head = char_values(model_exp, off[:20], _shared=True)
+        assert not head[0].flags.writeable and not head[1].flags.writeable
+        assert all(map(np.array_equal, head, char_values(model_exp,
+                                                         off[:20])))
 
-    def test_threads_share_the_memo(self, monkeypatch):
-        # eight threads ask four keys for prefixes of two runs that differ
-        # in one argument, so the memo slices, extends, replaces and evicts
-        # (it holds three of the longest tables) under them; a short switch
-        # interval interleaves them between most bytecodes.  Each checks
-        # every table it gets, and the cap after every call: a thread that
-        # inserts on a stale count of the bytes held breaks it
-        grid = _scan_grid(build_model("0", PI, 600, 8), 40)
+    def test_threads_share_the_runs(self):
+        # eight threads ask two truncations for prefixes of two windows that
+        # differ in one point, so the runs are sliced, extended and replaced
+        # under them; a short switch interval interleaves them between most
+        # bytecodes.  Each checks every value it gets
+        model = build_model("exp(x)", PI, 600, 8)
+        grid = _scan_grid(model, 40)
         nudged = grid.copy()
         nudged[3] = np.nextafter(nudged[3], 0.0)
-        full = {(N, k): spherical_j_table(N, z) for N in (3, 4)
-                for k, z in enumerate((grid, nudged))}
-        cap = 3 * full[4, 0].nbytes
-        monkeypatch.setattr(solution, "SHARED_TABLE_BYTES", cap)
+        full = {(N, k): char_values(model.with_truncation(N), w)
+                for N in (6, 8) for k, w in enumerate((grid, nudged))}
         wrong, errors = [], []
 
         def worker(seed):
             rng = random.Random(seed)
             try:
-                for _ in range(2000):
-                    x, N, k = rng.choice((1.0, 2.0)), rng.choice((3, 4)), \
-                        rng.randrange(2)
+                for _ in range(300):
+                    N, k = rng.choice((6, 8)), rng.randrange(2)
                     n = rng.randint(1, grid.size)
-                    got = solution._shared_table(
-                        x, N, (grid, nudged)[k][:n].copy())
-                    if not np.array_equal(got, full[N, k][:, :n]):
-                        wrong.append((x, N, k, n))
-                    runs = list(solution._shared_tables.values())
-                    if sum(t.nbytes for _, t in runs) > cap:
-                        wrong.append("cap")
+                    s, ds = char_values(model.with_truncation(N),
+                                        (grid, nudged)[k][:n].copy(),
+                                        _shared=True)
+                    if not (np.array_equal(s, full[N, k][0][:n])
+                            and np.array_equal(ds, full[N, k][1][:n])):
+                        wrong.append((N, k, n))
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -704,21 +712,19 @@ class TestSharedScanTable:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors and not wrong
+        assert sorted(model._scan) == [(6, True), (8, True)]
 
-    def test_bytes_stay_under_the_cap(self):
-        # 24 keys at four b and orders 20..62 hold 15 MB of first windows;
-        # the least recently used go first
-        used = []
-        for b in (1.0, 2.0, 3.0, 4.5):
-            model = build_model("1", b, 600, 60)
-            for N in (20, 40, 60):
-                for rep in ("improved", "plain"):
-                    find_eigenvalues(EigProblem(model.with_truncation(N),
-                                                representation=rep), 460)
-                    used.append((model._x[model.grid.M],
-                                 N + 2 if rep == "improved" else N))
-                    tables = solution._shared_tables
-                    assert sum(t.nbytes for _, t in tables.values()) <= (
-                        solution.SHARED_TABLE_BYTES)
-                    assert list(tables) == used[-len(tables):]
-        assert len(used) > len(tables)
+    def test_a_run_holds_at_most_one_window(self):
+        # 1,100 roots take a capped first window and later ones; only the
+        # first is kept, SCAN_WINDOW points for each truncation and form,
+        # and a model built anew keeps nothing
+        model = build_model("1", 2.0, 600, 30)
+        for N in (20, 30):
+            for rep in ("improved", "plain"):
+                find_eigenvalues(EigProblem(model.with_truncation(N),
+                                            representation=rep), 1100)
+        assert len(model._scan) == 4
+        for w, s, ds in model._scan.values():
+            assert w.size == s.size == ds.size == spectral.SCAN_WINDOW
+            assert np.array_equal(w, _scan_grid(model, spectral.SCAN_WINDOW))
+        assert not build_model("1", 2.0, 600, 30)._scan
