@@ -38,7 +38,7 @@ from . import expr as expr_mod
 from . import oracle
 from .coefficients import accuracy_indicators
 from .errors import ConfigError, NsbfError
-from .grid import PIPELINE_CDTYPE, PIPELINE_DTYPE, make_grid
+from .grid import make_grid
 from .solution import (
     SolutionModel,
     build_model,
@@ -173,11 +173,7 @@ def _read_potential_table(path: str):
     steps = np.diff(xs)
     if np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]:
         raise ConfigError(f"{path}: x column must be uniform and increasing")
-    if any(isinstance(v, complex) for v in vals):
-        values = np.array(vals, dtype=PIPELINE_CDTYPE)
-    else:
-        values = np.array(vals, dtype=PIPELINE_DTYPE)
-    return xs, values
+    return xs, np.array(vals)
 
 
 def _interp6(x_src: np.ndarray, v_src: np.ndarray, x_tgt: np.ndarray) -> np.ndarray:
@@ -228,12 +224,8 @@ def _resolve_potential(cfg: RunConfig):
     else:
         samples = _interp6(xs, vals, target)
         cfg.resampled = True
-    dtype = complex if np.iscomplexobj(vals) else float
-
-    def interp(x):
-        return _interp6(xs, vals, x).astype(dtype)
-
-    return samples, interp, f"tabulated:{cfg.potential_file}"
+    return (samples, lambda x: _interp6(xs, vals, x),
+            f"tabulated:{cfg.potential_file}")
 
 
 def _fmt(v) -> str:

@@ -7,11 +7,12 @@ integrals, and reduce to x^k exactly when q = 0.  They feed the series
 coefficients downstream; ``spps_eval`` sums the power series in omega from
 them, which no evaluation path calls: it is an independent test oracle.
 
-Everything downstream consumes phi_k through the deviation ratios
-(phi_k - x^k)/x^k, so the recursions here track the deviations from the
-monomials directly rather than the formal powers themselves.  That keeps
-the q = 0 case exactly zero and avoids losing digits to the huge x^k
-magnitudes when it is not.
+Everything consumes phi_k through the deviation ratios (phi_k - x^k)/x^k,
+so the recursions here track the deviations from the monomials directly
+rather than the formal powers themselves, and the table holds the ratios
+alone.  That keeps the q = 0 case exactly zero and avoids losing digits to
+the huge x^k magnitudes when it is not.  ``spps_eval`` forms
+phi_n = x^n (1 + ratio) at its one node.
 
 When the default homogeneous solution f0 has zeros on the interval (q = -1
 on [0, pi] is the classic case), the table is built from the combination
@@ -49,19 +50,18 @@ F_COMBINED_MIN = 1e-6
 
 @dataclass(frozen=True)
 class FormalPowersTable:
-    """Formal powers phi_k and their monomial deviations on the grid.
+    """Formal powers phi_k on the grid, as their monomial deviations.
 
-    phi[k][j] = phi_k(x_j) for k = 0..k_max.  dev_ratio[k][j] holds
-    (phi_k - x^k)/x^k, the quantity every coefficient formula actually
-    needs; it is identically zero for q = 0 and O(x^2) near the origin
-    (the origin node itself stores the limit 0).
+    dev_ratio[k][j] holds (phi_k(x_j) - x_j^k)/x_j^k for k = 0..k_max, the
+    quantity every coefficient formula actually needs; it is identically
+    zero for q = 0 and O(x^2) near the origin (the origin node itself
+    stores the limit 0).
 
     ``used_nonvanishing`` records whether the f0 + i*f1 fallback route was
     taken.
     """
 
     grid: Grid
-    phi: np.ndarray = field(repr=False)
     dev_ratio: np.ndarray = field(repr=False)
     k_max: int
     used_nonvanishing: bool = False
@@ -77,8 +77,8 @@ class FormalPowersTable:
         """
         if self._rows is None:
             raise ValueError("this table has no build to resume")
-        _, tail = _take(self.grid, self._rows, k_max - self.k_max,
-                        self.dev_ratio.dtype)
+        tail = _take(self.grid, self._rows, k_max - self.k_max,
+                     self.dev_ratio.dtype)
         object.__setattr__(self, "_rows", None)
         return np.concatenate((self.dev_ratio, tail))
 
@@ -194,21 +194,19 @@ def _check_nonvanishing(f0: np.ndarray):
 
 
 def _take(grid: Grid, rows: Iterator, count: int, dtype):
-    """The next ``count`` rows of a row iterator as the tables phi_k and
-    dev_phi_k/x^k in ``dtype``, x^k rounded to it."""
-    phi = np.empty((count, grid.M + 1), dtype=dtype)
-    dev_ratio = np.zeros_like(phi)
+    """The next ``count`` rows of a row iterator as the table dev_phi_k/x^k
+    in ``dtype``."""
+    dev_ratio = np.zeros((count, grid.M + 1), dtype=dtype)
     for i, (dev, xk) in enumerate(itertools.islice(rows, count)):
-        np.add(xk, dev, out=phi[i], dtype=dtype)
         np.divide(dev[1:], xk[1:], out=dev_ratio[i, 1:], dtype=dtype)
-    return phi, dev_ratio
+    return dev_ratio
 
 
 def _table(grid: Grid, rows: Iterator, k_max: int, dtype, **meta):
     """The table of rows 0..k_max of a fresh row iterator, which it keeps
     for ``FormalPowersTable.dev_ratio_to``."""
-    phi, dev_ratio = _take(grid, rows, k_max + 1, dtype)
-    return FormalPowersTable(grid, phi, dev_ratio, k_max, _rows=rows, **meta)
+    dev_ratio = _take(grid, rows, k_max + 1, dtype)
+    return FormalPowersTable(grid, dev_ratio, k_max, _rows=rows, **meta)
 
 
 def formal_powers(grid: Grid, f0: np.ndarray, k_max: int) -> FormalPowersTable:
@@ -254,7 +252,8 @@ def spps_eval(
 ) -> complex:
     """Partial sum of the solution's power series in the spectral parameter.
 
-    u(omega, x) = sum_n (i omega)^n phi_n(x) / n!, truncated at k_trunc.
+    u(omega, x) = sum_n (i omega)^n phi_n(x) / n!, truncated at k_trunc,
+    with phi_n(x_j) = x_j^n (1 + dev_ratio[n, j]) in the table's dtype.
     Accurate for moderate |omega| * b; the tests check the Bessel-series
     forms against it (at omega = 0 the sum is phi_0 = f0).
     """
@@ -265,7 +264,8 @@ def spps_eval(
     acc = 0.0 + 0.0j
     term = 1.0 + 0.0j  # (i omega)^n / n!
     iw = 1j * omega
-    for n in range(k_trunc + 1):
-        acc += term * complex(table.phi[n, x_index])
+    x = table.grid.nodes[x_index]
+    for n, ratio in enumerate(table.dev_ratio[: k_trunc + 1, x_index]):
+        acc += term * complex(x**n * (1 + ratio))
         term *= iw / (n + 1)
     return acc

@@ -9,8 +9,8 @@ separately.
 The indefinite integral is a composite Newton-Cotes rule of degree 6: the
 grid is processed in blocks of 6 subintervals, and within each block the
 cumulative integral at every interior node is the exact integral of the
-local degree-6 interpolating polynomial.  The block weights are computed
-once, in exact rational arithmetic, at import time.
+local degree-6 interpolating polynomial.  The block weights are written
+out as integers over their common denominator 60480.
 
 f0 and f1 are produced by Picard iteration so that they carry exactly the
 same discretization error as every other integral in the pipeline.
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -63,44 +62,20 @@ PICARD_RTOL = 1e-15
 _M_CAP = 60_000
 
 
-def _block_weights() -> np.ndarray:
-    """Cumulative Newton-Cotes weights on a 6-subinterval block.
-
-    Returns W of shape (6, 7) with W[m-1, i] = integral over [0, m] of the
-    i-th Lagrange basis polynomial on nodes 0..6 (unit spacing), so that
-
-        int_{x_0}^{x_m} f  ~=  h * sum_i W[m-1, i] f(x_i).
-
-    Exact rationals throughout; the full-block row reduces to the classic
-    degree-6 closed rule (41, 216, 27, 272, 27, 216, 41)/140.
-    """
-    nodes = range(7)
-    W = np.zeros((6, 7), dtype=PIPELINE_DTYPE)
-    for i in nodes:
-        # numerator coefficients of L_i(t) = prod_{j != i} (t - j)/(i - j)
-        coeffs = [Fraction(1)]
-        denom = Fraction(1)
-        for j in nodes:
-            if j == i:
-                continue
-            denom *= i - j
-            # multiply polynomial by (t - j)
-            coeffs = [Fraction(0)] + coeffs
-            for k in range(len(coeffs) - 1):
-                coeffs[k] -= j * coeffs[k + 1]
-        # antiderivative coefficients: integral of t^k is t^(k+1)/(k+1)
-        anti = [c / ((k + 1) * denom) for k, c in enumerate(coeffs)]
-        for m in range(1, 7):
-            acc = Fraction(0)
-            for k, c in enumerate(anti):
-                acc += c * Fraction(m) ** (k + 1)
-            W[m - 1, i] = np.longdouble(acc.numerator) / np.longdouble(
-                acc.denominator
-            )
-    return W
-
-
-_W_BLOCK = _block_weights()
+#: cumulative Newton-Cotes weights on a 6-subinterval block: W[m-1, i] is
+#: the integral over [0, m] of the i-th Lagrange basis polynomial on nodes
+#: 0..6 (unit spacing), so that int_{x_0}^{x_m} f ~= h sum_i W[m-1, i] f(x_i).
+#: The exact rationals share the denominator 60480, and the last row is the
+#: closed degree-6 rule (41, 216, 27, 272, 27, 216, 41)/140.  Each entry is
+#: its rational correctly rounded to the pipeline dtype.
+_W_BLOCK = np.array([
+    [19087, 65112, -46461, 37504, -20211, 6312, -863],
+    [18224, 90240, 528, 21248, -12912, 4224, -592],
+    [18495, 87480, 31347, 58752, -19683, 5832, -783],
+    [18304, 89088, 24576, 96256, 11136, 3072, -512],
+    [18575, 87000, 31875, 80000, 58125, 28200, -1375],
+    [17712, 93312, 11664, 117504, 11664, 93312, 17712],
+], dtype=PIPELINE_DTYPE) / PIPELINE_DTYPE(60480)
 
 
 @dataclass(frozen=True)

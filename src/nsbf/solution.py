@@ -562,6 +562,8 @@ def char_values(
     w = np.asarray(omegas, dtype=float)
     if w.ndim != 1 or not np.all(w > 0):
         raise ValueError("char_values needs a 1-D array of omega > 0")
+    if w.size == 0:
+        return np.empty(0), np.empty(0)
     if _shared:
         return _first_window(model, w, _improved(representation))
     return _series(model, w, model.grid.M, _improved(representation))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +46,47 @@ class TestMakeGrid:
         # an infinite b used to give the nodes [nan, inf, ...]
         with pytest.raises(GridError, match="positive and finite"):
             make_grid(b, 66)
+
+
+def _exact_block_weights() -> list[list[Fraction]]:
+    """W[m-1][i] = int_0^m L_i(t) dt for the Lagrange basis on nodes 0..6,
+    in exact rationals: the reference for the written-out ``_W_BLOCK``."""
+    nodes = range(7)
+    W = [[Fraction(0)] * 7 for _ in range(6)]
+    for i in nodes:
+        # numerator coefficients of L_i(t) = prod_{j != i} (t - j)/(i - j)
+        coeffs = [Fraction(1)]
+        denom = Fraction(1)
+        for j in nodes:
+            if j == i:
+                continue
+            denom *= i - j
+            coeffs = [Fraction(0)] + coeffs  # multiply by (t - j)
+            for k in range(len(coeffs) - 1):
+                coeffs[k] -= j * coeffs[k + 1]
+        # the antiderivative of t^k is t^(k+1)/(k+1)
+        anti = [c / ((k + 1) * denom) for k, c in enumerate(coeffs)]
+        for m in range(1, 7):
+            W[m - 1][i] = sum(c * Fraction(m) ** (k + 1)
+                              for k, c in enumerate(anti))
+    return W
+
+
+def _rounded(fractions) -> np.ndarray:
+    """Each rational as the correctly rounded longdouble quotient."""
+    return np.array([[np.longdouble(f.numerator) / np.longdouble(f.denominator)
+                      for f in row] for row in fractions])
+
+
+class TestBlockWeights:
+    def test_written_out_weights_are_the_exact_rationals(self):
+        assert _W_BLOCK.dtype == np.longdouble
+        assert np.array_equal(_W_BLOCK, _rounded(_exact_block_weights()))
+
+    def test_full_block_row_is_the_closed_degree_six_rule(self):
+        closed = [Fraction(n, 140) for n in (41, 216, 27, 272, 27, 216, 41)]
+        assert _exact_block_weights()[-1] == closed
+        assert np.array_equal(_W_BLOCK[-1], _rounded([closed])[0])
 
 
 class TestIndefiniteIntegral:

@@ -588,6 +588,13 @@ class TestCharValues:
             for got, ref in zip(map(np.concatenate, zip(*parts)), whole):
                 assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("rep", ["improved", "plain"])
+    def test_empty_batch_gives_empty_arrays(self, model_exp, rep):
+        # the series' omega.max() raised on a zero-size array
+        s, ds = char_values(model_exp, [], rep)
+        assert s.shape == ds.shape == (0,)
+        assert s.dtype == ds.dtype == np.float64
+
     def test_rejects_complex_potential(self):
         model = build_model(np.full(103, 1 + 1j), PI, 102, 4)
         with pytest.raises(ValueError, match="needs a real potential"):
